@@ -35,7 +35,7 @@ _INPUT_ERRORS = (serialize.SerializationError, MismatchError,
                  construct.HypothesisError)
 
 
-def _load(path: str, reader, label: str):
+def _load(path: str, reader):
     payload = serialize.load_json(path)
     return reader(payload), serialize.sha256_of_payload(payload)
 
@@ -141,7 +141,7 @@ def _report_json(report: construct.AlmostClosedReport) -> dict:
 
 
 def _cmd_build(args) -> int:
-    instance, in_hash = _load(args.instance, serialize.instance_from_json, "instance")
+    instance, in_hash = _load(args.instance, serialize.instance_from_json)
     sigma, state = construct.build(instance)
     report = construct.verify_almost_closed(sigma, instance.C, instance.D)
     if not report.ok:
@@ -165,9 +165,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify_ac(args) -> int:
-    sigma, s_hash = _load(args.sigma, serialize.one_form_from_json, "one form")
-    c, c_hash = _load(args.c, serialize.series_from_json, "series")
-    d, d_hash = _load(args.d, serialize.series_from_json, "series")
+    sigma, s_hash = _load(args.sigma, serialize.one_form_from_json)
+    c, c_hash = _load(args.c, serialize.series_from_json)
+    d, d_hash = _load(args.d, serialize.series_from_json)
     report = construct.verify_almost_closed(sigma, c, d)
     artifacts = _emit(args.out, "verify-ac", {},
                       {"sigma": s_hash, "C": c_hash, "D": d_hash},
@@ -180,7 +180,7 @@ def _cmd_verify_ac(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    sigma, s_hash = _load(args.sigma, serialize.one_form_from_json, "one form")
+    sigma, s_hash = _load(args.sigma, serialize.one_form_from_json)
     outcome = decide(sigma, args.order)
     artifacts = {"outcome.json": _outcome_json(outcome)}
     if outcome.certificate is not None:
@@ -207,8 +207,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_obstruction(args) -> int:
-    c, c_hash = _load(args.c, serialize.series_from_json, "series")
-    d, d_hash = _load(args.d, serialize.series_from_json, "series")
+    c, c_hash = _load(args.c, serialize.series_from_json)
+    d, d_hash = _load(args.d, serialize.series_from_json)
     value = obstruction(c, d)
     artifacts = _emit(args.out, "obstruction", {}, {"C": c_hash, "D": d_hash},
                       {"obstruction.json": {"kind": "obstruction",
@@ -218,8 +218,8 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_tilde(args) -> int:
-    c, c_hash = _load(args.c, serialize.series_from_json, "series")
-    d, d_hash = _load(args.d, serialize.series_from_json, "series")
+    c, c_hash = _load(args.c, serialize.series_from_json)
+    d, d_hash = _load(args.d, serialize.series_from_json)
     ct, dt = tilde_transform(c, d)
     payload = {"kind": "tilde_transform",
                "C1_tilde": {"x": _frac(ct.coeff((1, 0))), "y": _frac(ct.coeff((0, 1)))},
@@ -235,7 +235,7 @@ def _cmd_tilde(args) -> int:
 
 
 def _cmd_ideal_min_power(args) -> int:
-    ideal, i_hash = _load(args.ideal, serialize.ideal_from_json, "ideal")
+    ideal, i_hash = _load(args.ideal, serialize.ideal_from_json)
     found = ideals.min_power_in_ideal(ideal, args.max)
     artifacts = _emit(args.out, "ideal min-power", {"max": args.max},
                       {"ideal": i_hash},
@@ -248,7 +248,7 @@ def _cmd_ideal_min_power(args) -> int:
 
 
 def _cmd_ideal_colength(args) -> int:
-    ideal, i_hash = _load(args.ideal, serialize.ideal_from_json, "ideal")
+    ideal, i_hash = _load(args.ideal, serialize.ideal_from_json)
     value = ideals.colength(ideal, args.max)
     artifacts = _emit(args.out, "ideal colength", {"max": args.max},
                       {"ideal": i_hash},
@@ -268,8 +268,8 @@ def _read_potential(payload: dict) -> TruncSeries:
 
 
 def _cmd_verify_potential(args) -> int:
-    phi, p_hash = _load(args.phi, _read_potential, "series")
-    omega, o_hash = _load(args.omega, serialize.one_form_from_json, "one form")
+    phi, p_hash = _load(args.phi, _read_potential)
+    omega, o_hash = _load(args.omega, serialize.one_form_from_json)
     ok = verify_potential(phi, omega, args.order)
     artifacts = _emit(args.out, "verify-potential", {"order": args.order},
                       {"phi": p_hash, "omega": o_hash},
@@ -281,8 +281,8 @@ def _cmd_verify_potential(args) -> int:
 
 
 def _cmd_converge_bound(args) -> int:
-    c, c_hash = _load(args.c, serialize.series_from_json, "series")
-    d, d_hash = _load(args.d, serialize.series_from_json, "series")
+    c, c_hash = _load(args.c, serialize.series_from_json)
+    d, d_hash = _load(args.d, serialize.series_from_json)
     cc, beta, radius = construct.convergence_bound(c, d)
     payload = {"kind": "convergence_bound", "magnitude": _frac(cc),
                "growth_ratio": _frac(beta), "radius_lower_bound": _frac(radius)}

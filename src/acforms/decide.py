@@ -569,7 +569,9 @@ def decide(sigma: OneForm, order: int, *, sample_budget: int = 16,
                                   failing_system=failing_system, staged=records,
                                   gauge=gauge, branch=branch, guard=guard, notes=notes)
         gauged_solution = solve_affine(gauged)
-        assert isinstance(gauged_solution, SolutionSet)
+        if not isinstance(gauged_solution, SolutionSet):
+            raise AssertionError("gauged system reported infeasible after every "
+                                 "prefix was solvable")
         unit = find_unit_solution(gauged_solution, sample_budget)
         if unit is None:
             notes.append("every normalized solution fails the unit condition")

@@ -114,11 +114,8 @@ def _image_vectors(ideal: TruncatedIdeal, order: int) -> tuple[list[Exponent], l
     deg(m) + lowest(g) < order span the image.
     """
     nv = ideal.num_vars
-    basis: list[Exponent] = []
-    offset: dict[int, int] = {}
-    for j in range(order):
-        offset[j] = len(basis)
-        basis.extend(monomials(nv, j))
+    basis = [exp for j in range(order) for exp in monomials(nv, j)]
+    index = {exp: i for i, exp in enumerate(basis)}
     vectors: list[list[Fraction]] = []
     for g in ideal.generators:
         low = g.lowest_degree()
@@ -131,9 +128,8 @@ def _image_vectors(ideal: TruncatedIdeal, order: int) -> tuple[list[Exponent], l
                 for j, part in g.parts.items():
                     if mdeg + j >= order:
                         continue
-                    prod = m.mul(part)
-                    for pexp, c in prod.coeffs.items():
-                        vec[offset[mdeg + j] + monomials(nv, mdeg + j).index(pexp)] = c
+                    for pexp, c in m.mul(part).coeffs.items():
+                        vec[index[pexp]] = c
                 vectors.append(vec)
     return basis, vectors
 
@@ -238,11 +234,12 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
                 labels.append(f"g{i}:{','.join(map(str, exp))}")
                 columns.append((i, _monomial(nv, exp)))
         basis = monomials(nv, n)
+        index = {exp: row for row, exp in enumerate(basis)}
         matrix = [[Fraction(0)] * len(columns) for _ in basis]
         for c, (i, m) in enumerate(columns):
             prod = m.mul(ideal.generators[i].component(lows[i]))
             for exp, val in prod.coeffs.items():
-                matrix[basis.index(exp)][c] = val
+                matrix[index[exp]][c] = val
         rhs = _coeff_vector(residual[n], basis)
         outcome = solve_affine(AffineSystem(matrix=matrix, rhs=rhs,
                                             column_labels=labels))

@@ -1,15 +1,28 @@
 """Exact affine linear algebra over the rationals.
 
-Systems are solved by plain fraction Gauss-Jordan elimination.  The pivot
-rule is deterministic: columns are scanned left to right and the first row
-with a nonzero entry is used, so repeated runs produce identical solution
-sets and certificates.  Infeasibility is returned as a Farkas certificate:
-a rational row combination annihilating the matrix but not the right-hand
-side, extracted from the tracked row operations.
+One private integer kernel does every elimination.  Each row is scaled to
+integers by the lcm of its denominators, and fraction-free elimination
+(Bareiss 1968) replaces a row by p*row - f*pivot_row divided by its content,
+so no Fraction arithmetic runs inside the loops.  The pivot rule is
+deterministic: columns are scanned left to right and the first row at or
+below the current one with a nonzero entry is used.  A forward pass gives
+the row echelon form; Gauss-Jordan is completed by a backward pass that
+clears the entries above each pivot, last pivot first.
+
+* `solve_affine` reads its solution set off the reduced echelon form,
+  which is unique, so the particular point and nullspace basis are
+  determined by the system alone.  An inconsistent system, detected after
+  the forward pass, gets a Farkas certificate, a row combination u with
+  u.matrix = 0 and u.rhs = 1, from one exact solve of the transposed system;
+  the certificate is checked by `verify_farkas` before it is returned.
+* `matrix_rank` counts the pivots of a forward elimination, and
+  `independent_subset` keeps the pivot columns of one elimination with the
+  vectors as columns: the greedy, order-preserving choice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -85,58 +98,121 @@ class FarkasCertificate:
     row_combination: list[Fraction]
 
 
-def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
-    """Exact Gauss-Jordan with row-operation tracking.
+def _scaled(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(lcm of the denominators, the row times that lcm as integers)."""
+    lcm = math.lcm(*[v.denominator for v in row])
+    return lcm, [v.numerator * (lcm // v.denominator) for v in row]
 
-    Returns the full solution set when consistent, otherwise the Farkas row
-    combination exposing the contradiction.
+
+def _combine(row: list[int], pivot_tail: list[int], c: int) -> list[int]:
+    """p*row - f*pivot_row with p, f reduced by their gcd, divided by its content.
+
+    `pivot_tail` is the pivot row from column c on; it is zero left of c.
     """
-    m, n = system.num_rows, system.num_cols
-    work = [list(row) + [b] for row, b in zip(system.matrix, system.rhs)]
-    # transform[i] records how work[i] was produced from the original rows
-    transform = [[Fraction(i == j) for j in range(m)] for i in range(m)]
+    p, f = pivot_tail[0], row[c]
+    g = math.gcd(p, f)
+    a, b = p // g, f // g
+    head = row[:c] if a == 1 else [a * x for x in row[:c]]
+    new = head + [a * x - b * y for x, y in zip(row[c:], pivot_tail)]
+    content = math.gcd(*new)
+    return [x // content for x in new] if content > 1 else new
 
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        transform[r], transform[pivot] = transform[pivot], transform[r]
-        pv = work[r][c]
-        if pv != 1:
-            inv = Fraction(1) / pv
-            work[r] = [v * inv for v in work[r]]
-            transform[r] = [v * inv for v in transform[r]]
-        for i in range(m):
-            if i == r or work[i][c] == 0:
-                continue
-            f = work[i][c]
-            work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            transform[i] = [a - f * b for a, b in zip(transform[i], transform[r])]
-        pivot_cols.append(c)
-        r += 1
+
+def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free forward elimination of integer rows in place.
+
+    Columns 0 .. ncols-1 are scanned left to right; the pivot is the first
+    row at or below the current one with a nonzero entry, and every row
+    below it is cleared in the pivot column.  Returns the pivot columns: row
+    k of the result has its leading entry in column pivots[k], and the rows
+    past the last pivot are zero in the scanned columns.  Rows are replaced,
+    never mutated, so a shallow copy of the list keeps the caller's rows.
+    """
+    m = len(rows)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
         if r == m:
             break
+        pivot = next((i for i in range(r, m) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        tail = rows[r][c:]
+        for i in range(r + 1, m):
+            if rows[i][c]:
+                rows[i] = _combine(rows[i], tail, c)
+        pivots.append(c)
+    return pivots
 
-    for i in range(r, m):
-        if work[i][n] != 0:
-            return FarkasCertificate(list(transform[i]))
+
+def _reduce(rows: list[list[int]], pivots: list[int]) -> None:
+    """Clear the entries above each pivot, last pivot first.
+
+    Afterwards row k divided by its pivot entry is row k of the reduced
+    echelon form, which is unique.
+    """
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        tail = rows[k][c:]
+        for i in range(k):
+            if rows[i][c]:
+                rows[i] = _combine(rows[i], tail, c)
+
+
+def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
+    """Exact solution set, or a verified Farkas certificate when inconsistent.
+
+    The solution set is read off the reduced echelon form of [matrix | rhs]:
+    the particular point is zero on the free columns, and there is one
+    nullspace vector per free column, left to right.
+    """
+    n = system.num_cols
+    scaled = [_scaled(list(row) + [b]) for row, b in zip(system.matrix, system.rhs)]
+    rows = [row for _, row in scaled]
+    work = list(rows)  # the kernel replaces rows, so `rows` stays the scaled input
+    pivots = _echelon(work, n)
+    if any(row[n] for row in work[len(pivots):]):
+        return _certificate(system, [s for s, _ in scaled], rows)
+    _reduce(work, pivots)
 
     particular = [Fraction(0)] * n
-    for idx, c in enumerate(pivot_cols):
-        particular[c] = work[idx][n]
-
-    free_cols = [c for c in range(n) if c not in set(pivot_cols)]
+    for row, c in zip(work, pivots):
+        particular[c] = Fraction(row[n], row[c])
+    pivot_set = set(pivots)
     basis: list[list[Fraction]] = []
-    for fcol in free_cols:
+    for fcol in range(n):
+        if fcol in pivot_set:
+            continue
         vec = [Fraction(0)] * n
         vec[fcol] = Fraction(1)
-        for idx, c in enumerate(pivot_cols):
-            vec[c] = -work[idx][fcol]
+        for row, c in zip(work, pivots):
+            vec[c] = Fraction(-row[fcol], row[c])
         basis.append(vec)
     return SolutionSet(list(system.column_labels), particular, basis)
+
+
+def _certificate(system: AffineSystem, scales: list[int],
+                 rows: list[list[int]]) -> FarkasCertificate:
+    """Solve u.[matrix | rhs] = (0, ..., 0, 1) and check the result.
+
+    `rows` are the rows of [matrix | rhs] times `scales`; the transposed
+    integer system is solved with free coordinates zero, then the scaling
+    is undone.  The system being inconsistent, a solution must exist.
+    """
+    m, n = len(rows), system.num_cols
+    transposed = [[row[c] for row in rows] + [int(c == n)] for c in range(n + 1)]
+    pivots = _echelon(transposed, m)
+    if any(row[m] for row in transposed[len(pivots):]):
+        raise AssertionError("no row combination isolates the inconsistent right-hand side")
+    _reduce(transposed, pivots)
+    u = [Fraction(0)] * m
+    for row, i in zip(transposed, pivots):
+        u[i] = Fraction(row[m] * scales[i], row[i])
+    certificate = FarkasCertificate(u)
+    if not verify_farkas(system, certificate):
+        raise AssertionError("Farkas certificate failed its own check")
+    return certificate
 
 
 def verify_farkas(system: AffineSystem, certificate: FarkasCertificate) -> bool:
@@ -187,35 +263,23 @@ def sample_generic(solution: SolutionSet, seed: int, bound: int = 9) -> list[Fra
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by forward elimination on a working copy."""
-    work = [list(r) for r in rows if any(v != 0 for v in r)]
+    """Exact rank: the number of pivots of a forward elimination."""
+    work = [_scaled(row)[1] for row in rows]
     if not work:
         return 0
-    ncols = len(work[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][c]
-        for i in range(rank + 1, len(work)):
-            if work[i][c] != 0:
-                f = work[i][c] / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(_echelon(work, len(work[0])))
 
 
 def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Greedy maximal independent subfamily, preserving input order."""
-    kept: list[list[Fraction]] = []
-    for vec in vectors:
-        if any(v != 0 for v in vec) and matrix_rank(kept + [list(vec)]) > len(kept):
-            kept.append(list(vec))
-    return kept
+    """Greedy maximal independent subfamily, preserving input order.
+
+    With the vectors as matrix columns, the pivot columns of the echelon
+    form are exactly the vectors outside the span of the ones before them.
+    """
+    kept = [list(vec) for vec in vectors]
+    columns = [_scaled(vec)[1] for vec in kept]
+    pivots = _echelon([list(row) for row in zip(*columns)], len(kept))
+    return [kept[j] for j in pivots]
 
 
 def project_solution_set(solution: SolutionSet,

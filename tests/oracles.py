@@ -3,11 +3,16 @@
 Everything here recomputes results from first principles — plain exponent
 dicts, nested-loop convolution, and a fresh Gaussian elimination — without
 calling the package's own engines, so agreement is meaningful evidence.
+Only the data classes of `acforms.linalg` are imported, so the Fraction
+solver below can return the same types as the kernel it is checked against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
+
+from acforms.linalg import AffineSystem, FarkasCertificate, SolutionSet
 
 
 def exponents(num_vars: int, degree: int) -> list[tuple[int, ...]]:
@@ -45,6 +50,99 @@ def rref_rank(rows: list[list[Fraction]]) -> int:
 
 def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
     return rref_rank(vectors + [target]) == rref_rank(vectors)
+
+
+# --- the original Fraction solver ---------------------------------------------
+# Differential reference for the integer kernel in `acforms.linalg`: plain
+# Fraction Gauss-Jordan with an m x m transform tracking the row operations,
+# whose row for the first inconsistent equation is the Farkas combination.
+
+
+def fraction_solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
+    """Exact Gauss-Jordan with row-operation tracking.
+
+    Returns the full solution set when consistent, otherwise the Farkas row
+    combination exposing the contradiction.
+    """
+    m, n = system.num_rows, system.num_cols
+    work = [list(row) + [b] for row, b in zip(system.matrix, system.rhs)]
+    # transform[i] records how work[i] was produced from the original rows
+    transform = [[Fraction(i == j) for j in range(m)] for i in range(m)]
+
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        transform[r], transform[pivot] = transform[pivot], transform[r]
+        pv = work[r][c]
+        if pv != 1:
+            inv = Fraction(1) / pv
+            work[r] = [v * inv for v in work[r]]
+            transform[r] = [v * inv for v in transform[r]]
+        for i in range(m):
+            if i == r or work[i][c] == 0:
+                continue
+            f = work[i][c]
+            work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            transform[i] = [a - f * b for a, b in zip(transform[i], transform[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == m:
+            break
+
+    for i in range(r, m):
+        if work[i][n] != 0:
+            return FarkasCertificate(list(transform[i]))
+
+    particular = [Fraction(0)] * n
+    for idx, c in enumerate(pivot_cols):
+        particular[c] = work[idx][n]
+
+    free_cols = [c for c in range(n) if c not in set(pivot_cols)]
+    basis: list[list[Fraction]] = []
+    for fcol in free_cols:
+        vec = [Fraction(0)] * n
+        vec[fcol] = Fraction(1)
+        for idx, c in enumerate(pivot_cols):
+            vec[c] = -work[idx][fcol]
+        basis.append(vec)
+    return SolutionSet(list(system.column_labels), particular, basis)
+
+
+
+def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank by forward elimination on a working copy."""
+    work = [list(r) for r in rows if any(v != 0 for v in r)]
+    if not work:
+        return 0
+    ncols = len(work[0])
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pv = work[rank][c]
+        for i in range(rank + 1, len(work)):
+            if work[i][c] != 0:
+                f = work[i][c] / pv
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
+def fraction_independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Greedy maximal independent subfamily, preserving input order."""
+    kept: list[list[Fraction]] = []
+    for vec in vectors:
+        if any(v != 0 for v in vec) and fraction_matrix_rank(kept + [list(vec)]) > len(kept):
+            kept.append(list(vec))
+    return kept
 
 
 # --- polynomial dictionaries -------------------------------------------------
