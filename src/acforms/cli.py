@@ -294,24 +294,35 @@ def _cmd_converge_bound(args) -> int:
     return EXIT_OK
 
 
-def _batch_worker(task: tuple[str, int | None]) -> dict:
-    """One instance pipeline: build, guard, decide.  Pure and picklable."""
+def _batch_worker(task: tuple[str, int | None]) -> tuple[dict, str | None]:
+    """One instance pipeline: build, guard, decide.  Pure and picklable.
+
+    Returns the summary row and the input hash, which is None when the file
+    did not load as an instance.  Input errors become a row with status
+    `error`; anything else propagates.
+    """
     path, order = task
-    payload = serialize.load_json(path)
-    instance = serialize.instance_from_json(payload)
-    sigma, _ = construct.build(instance)
-    guard = genericity_guard(sigma)
-    row = {"file": path, "seed": instance.seed, "d": instance.d, "N": instance.N}
-    if not guard.passed:
-        row["status"] = "guard_rejected"
-        row["guard_failures"] = guard.failures()
-        return row
-    effective = order if order is not None else instance.d + 3
-    outcome = decide(sigma, effective, staged=False)
+    row: dict = {"file": path}
+    digest = None
+    try:
+        instance, digest = _load(path, serialize.instance_from_json)
+        row.update(seed=instance.seed, d=instance.d, N=instance.N)
+        sigma, _ = construct.build(instance)
+        guard = genericity_guard(sigma)
+        if not guard.passed:
+            row["status"] = "guard_rejected"
+            row["guard_failures"] = guard.failures()
+            return row, digest
+        effective = order if order is not None else instance.d + 3
+        outcome = decide(sigma, effective)
+    except _INPUT_ERRORS as exc:
+        row["status"] = "error"
+        row["message"] = str(exc)
+        return row, digest
     row["status"] = outcome.verdict
     row["order"] = effective
     row["failing_degree"] = outcome.failing_degree
-    return row
+    return row, digest
 
 
 def _cmd_batch(args) -> int:
@@ -322,14 +333,14 @@ def _cmd_batch(args) -> int:
     tasks = [(path, args.order) for path in files]
     if args.parallel > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_batch_worker, tasks))
+            results = list(pool.map(_batch_worker, tasks))
     else:
-        rows = [_batch_worker(t) for t in tasks]
+        results = [_batch_worker(t) for t in tasks]
+    rows = [row for row, _ in results]
     counts: dict[str, int] = {}
     for row in rows:
         counts[row["status"]] = counts.get(row["status"], 0) + 1
-    input_hashes = {path: serialize.sha256_of_payload(serialize.load_json(path))
-                    for path in files}
+    input_hashes = {row["file"]: digest for row, digest in results if digest is not None}
     summary = {"kind": "batch_summary", "runs": rows, "counts": counts,
                "rejected_by_guard": counts.get("guard_rejected", 0)}
     artifacts = _emit(args.out, "batch", {"order": args.order}, input_hashes,
@@ -338,10 +349,10 @@ def _cmd_batch(args) -> int:
             ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))]
     for row in rows:
         detail = (f"degree {row['failing_degree']}" if row.get("failing_degree")
-                  is not None else row.get("guard_failures", ""))
-        text.append(f"  {row['file']}: seed {row['seed']} -> {row['status']} {detail}")
+                  is not None else row.get("guard_failures", row.get("message", "")))
+        text.append(f"  {row['file']}: seed {row.get('seed')} -> {row['status']} {detail}")
     _print(artifacts["summary.json"], args.format, text)
-    return EXIT_OK
+    return EXIT_INPUT if "error" in counts else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

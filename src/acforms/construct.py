@@ -90,13 +90,12 @@ class ConstructionState:
     """Mutable scratch state while an instance is being built.
 
     Never shared between builds; `build` returns it alongside the finished
-    form for audit (free choices and the norm log).
+    form for audit (the norm log).
     """
 
     instance: Instance
     a_parts: dict[int, HomogPoly] = field(default_factory=dict)
     b_parts: dict[int, HomogPoly] = field(default_factory=dict)
-    free_choices: dict[str, object] = field(default_factory=dict)
     norm_log: dict[int, dict[str, Fraction]] = field(default_factory=dict)
 
     def highest_order(self) -> int:
@@ -166,8 +165,6 @@ def extend_order(state: ConstructionState, k: int, free_poly: HomogPoly,
         state.a_parts[k] = a_k
     if not b_k.is_zero:
         state.b_parts[k] = b_k
-    state.free_choices[f"order_{k}"] = {"F": free_poly, "top_a": Fraction(top_a),
-                                        "top_b": Fraction(top_b)}
     state.norm_log[k] = {"A": a_k.norm(), "B": b_k.norm(),
                          "running": state.running_norm(k)}
     return a_k, b_k
@@ -223,7 +220,6 @@ def build(instance: Instance) -> tuple[OneForm, ConstructionState]:
         state.a_parts[inst.d] = a_d
     if not b_d.is_zero:
         state.b_parts[inst.d] = b_d
-    state.free_choices["seed_poly"] = seed_poly
     state.norm_log[inst.d] = {"A": a_d.norm(), "B": b_d.norm(),
                               "running": state.running_norm(inst.d)}
 

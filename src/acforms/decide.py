@@ -22,18 +22,24 @@ Constant candidates are excluded by the unit condition
     (1 + X0)(1 + W0) - Y0 Z0 != 0,
 
 which makes the change of generators invertible at the origin.  The decider
-therefore works as follows:
+takes one path:
 
 * Solve the ungauged system and project onto (Y0, Z0).  When the projection
   is exactly {(0, 0)} and the leading forms of A, B are independent, every
   potential-induced solution must have 1 + X0 != 0 (the unit condition
   degenerates to (1+X0)(1+W0) != 0, and a minimal-generator argument rules
-  out 1 + X0 = 0), so it can be rescaled to X0 = 0.  The gauged system (one
-  extra row X0 = 0) is then equivalent for existence questions, and its
-  infeasibility — localized to the first failing prefix degree with a
-  Farkas certificate — is a proof that no potential exists.
-* Otherwise no refutation is attempted; the unit condition is analysed on
-  the ungauged solution set directly and the result is feasible-or-degenerate.
+  out 1 + X0 = 0), so it can be rescaled to X0 = 0.  The gauge X0 = 0 (one
+  extra row) is then equivalent for existence questions.  Otherwise there
+  is no gauge and no refutation is attempted.
+* Each degree prefix d-1 .. k is solved once, in increasing k, with the
+  gauge row, if any, appended; its affine dimension and forced values per
+  unknown block form the staged view.  Without a gauge the last prefix is
+  the whole system, whose solution set is already known.
+* The first inconsistent gauged prefix gives the failing degree and a
+  Farkas certificate: a proof that no potential exists.  Ungauged prefixes
+  are never inconsistent (the constant candidate solves them).
+* When every prefix is consistent, the unit condition is decided on the
+  solution set of the last one, giving feasible-or-degenerate.
 
 The unit condition is decided exactly: particular point first, then a
 bounded number of seeded samples, then symbolic expansion of the restricted
@@ -147,20 +153,16 @@ def with_gauge(system: AffineSystem) -> AffineSystem:
                         row_labels=list(system.row_labels) + [GAUGE_ROW_LABEL])
 
 
-def _prefix(system: AffineSystem, through_degree: int) -> AffineSystem:
-    """Rows of equation degree <= through_degree (gauge rows always kept)."""
-    keep = []
-    for i, label in enumerate(system.row_labels):
-        if label.startswith("gauge:"):
-            keep.append(i)
-            continue
-        degree = int(label[3:label.index(":")])
-        if degree <= through_degree:
-            keep.append(i)
-    return AffineSystem(matrix=[list(system.matrix[i]) for i in keep],
-                        rhs=[system.rhs[i] for i in keep],
+def _prefix(system: AffineSystem, d: int, through_degree: int) -> AffineSystem:
+    """Rows of equation degree d-1 .. through_degree of an assembled system.
+
+    Rows come grouped by degree and the degree-k block has k+1 rows, so the
+    prefix is a slice by row count.
+    """
+    n = ((through_degree + 1) * (through_degree + 2) - (d - 1) * d) // 2
+    return AffineSystem(matrix=system.matrix[:n], rhs=system.rhs[:n],
                         column_labels=list(system.column_labels),
-                        row_labels=[system.row_labels[i] for i in keep])
+                        row_labels=system.row_labels[:n])
 
 
 def trivial_solution(system: AffineSystem) -> list[Fraction]:
@@ -490,40 +492,44 @@ def _block_labels(block_degree: int) -> list[str]:
             for name in UNKNOWN_NAMES for exp in monomials(2, block_degree)]
 
 
-def _staged_records(system: AffineSystem, d: int, order: int
+def _solve_prefixes(system: AffineSystem, d: int, order: int, gauged: bool,
+                    full_solution: SolutionSet | None
                     ) -> tuple[list[dict], int | None, FarkasCertificate | None,
-                               AffineSystem | None]:
+                               AffineSystem | None, SolutionSet | None]:
+    """Solve each degree prefix once, gauge row appended when `gauged`.
+
+    Returns the per-prefix records, then either the first failing degree
+    with its certificate and system, or the solution set of the last
+    prefix, which is the whole (gauged) system.  `full_solution`, when
+    given, stands in for the solve of the last prefix.
+    """
     records: list[dict] = []
-    first_bad: int | None = None
-    certificate = None
-    failing_system = None
     for k in range(d - 1, order):
-        if first_bad is not None:
-            records.append({"through_degree": k, "feasible": False, "blocks": {}})
-            continue
-        prefix = _prefix(system, k)
-        outcome = solve_affine(prefix)
+        prefix = _prefix(system, d, k)
+        if gauged:
+            prefix = with_gauge(prefix)
+        if k == order - 1 and full_solution is not None:
+            outcome = full_solution
+        else:
+            outcome = solve_affine(prefix)
         if isinstance(outcome, FarkasCertificate):
-            first_bad = k
-            certificate = outcome
-            failing_system = prefix
-            records.append({"through_degree": k, "feasible": False, "blocks": {}})
-            continue
+            records.extend({"through_degree": j, "feasible": False, "blocks": {}}
+                           for j in range(k, order))
+            return records, k, outcome, prefix, None
+        index = {label: i for i, label in enumerate(outcome.column_labels)}
+        moving = {i for vec in outcome.nullspace_basis for i, v in enumerate(vec) if v}
         blocks: dict[int, dict] = {}
         for j in range(order - d + 1):
             labels = _block_labels(j)
-            dim, base, dirs = project_solution_set(outcome, labels)
-            forced = {}
-            for i, label in enumerate(labels):
-                if all(vec[i] == 0 for vec in dirs):
-                    forced[label] = base[i]
+            dim, base = project_solution_set(outcome, labels)
+            forced = {label: value for label, value in zip(labels, base)
+                      if index[label] not in moving}
             blocks[j] = {"dim": dim, "forced": forced}
         records.append({"through_degree": k, "feasible": True, "blocks": blocks})
-    return records, first_bad, certificate, failing_system
+    return records, None, None, None, outcome
 
 
-def decide(sigma: OneForm, order: int, *, sample_budget: int = 16,
-           staged: bool = True) -> DeciderOutcome:
+def decide(sigma: OneForm, order: int, *, sample_budget: int = 16) -> DeciderOutcome:
     """Full decision pipeline; all outcomes are values, never exceptions.
 
     Verdicts: `infeasible` (with failing degree and Farkas certificate —
@@ -547,61 +553,36 @@ def decide(sigma: OneForm, order: int, *, sample_budget: int = 16,
         raise AssertionError("ungauged system reported infeasible despite the "
                              "constant-candidate solution")
 
-    dim0, base0, _ = project_solution_set(solution, ["Y:0,0", "Z:0,0"])
+    dim0, base0 = project_solution_set(solution, ["Y:0,0", "Z:0,0"])
     forced_zero = dim0 == 0 and all(v == 0 for v in base0)
     guard = genericity_guard(sigma)
-    leading_ok = guard.check("leading_pair").passed
+    gauged = forced_zero and guard.check("leading_pair").passed
+    if gauged:
+        branch, gauge = "forced_degree0", "X0=0"
+    else:
+        branch, gauge = "open_degree0", "none"
+        if forced_zero:
+            notes.append("degree-0 coefficients forced but the leading pair is "
+                         "dependent; refutation path disabled")
 
-    if forced_zero and leading_ok:
-        branch = "forced_degree0"
-        gauge = "X0=0"
-        gauged = with_gauge(full)
-        records, first_bad, certificate, failing_system = (
-            _staged_records(gauged, d, order) if staged else ([], None, None, None))
-        if not staged:
-            outcome = solve_affine(gauged)
-            if isinstance(outcome, FarkasCertificate):
-                records, first_bad, certificate, failing_system = _staged_records(
-                    gauged, d, order)
-        if first_bad is not None:
-            return DeciderOutcome(verdict="infeasible", order=order, lowest_degree=d,
-                                  failing_degree=first_bad, certificate=certificate,
-                                  failing_system=failing_system, staged=records,
-                                  gauge=gauge, branch=branch, guard=guard, notes=notes)
-        gauged_solution = solve_affine(gauged)
-        if not isinstance(gauged_solution, SolutionSet):
-            raise AssertionError("gauged system reported infeasible after every "
-                                 "prefix was solvable")
-        unit = find_unit_solution(gauged_solution, sample_budget)
-        if unit is None:
-            notes.append("every normalized solution fails the unit condition")
-            return DeciderOutcome(verdict="degenerate", order=order, lowest_degree=d,
-                                  staged=records, gauge=gauge, branch=branch,
-                                  guard=guard, notes=notes)
-        witness = _reconstruct(sigma, order, gauged.column_labels, unit)
-        return DeciderOutcome(verdict="feasible_up_to_M", order=order, lowest_degree=d,
-                              witness=witness, staged=records, gauge=gauge,
-                              branch=branch, guard=guard, notes=notes)
-
-    branch = "open_degree0"
-    if forced_zero and not leading_ok:
-        notes.append("degree-0 coefficients forced but the leading pair is "
-                     "dependent; refutation path disabled")
-    records, first_bad, _, _ = (_staged_records(full, d, order)
-                                if staged else ([], None, None, None))
+    records, first_bad, certificate, failing_system, last = _solve_prefixes(
+        full, d, order, gauged, None if gauged else solution)
+    common = dict(order=order, lowest_degree=d, staged=records, gauge=gauge,
+                  branch=branch, guard=guard, notes=notes)
     if first_bad is not None:
-        raise AssertionError("ungauged prefix infeasible despite the "
-                             "constant-candidate solution")
-    unit = find_unit_solution(solution, sample_budget)
+        if not gauged:
+            raise AssertionError("ungauged prefix infeasible despite the "
+                                 "constant-candidate solution")
+        return DeciderOutcome(verdict="infeasible", failing_degree=first_bad,
+                              certificate=certificate, failing_system=failing_system,
+                              **common)
+    unit = find_unit_solution(last, sample_budget)
     if unit is None:
-        notes.append("every solution fails the unit condition")
-        return DeciderOutcome(verdict="degenerate", order=order, lowest_degree=d,
-                              staged=records, gauge="none", branch=branch,
-                              guard=guard, notes=notes)
+        notes.append("every normalized solution fails the unit condition" if gauged
+                     else "every solution fails the unit condition")
+        return DeciderOutcome(verdict="degenerate", **common)
     witness = _reconstruct(sigma, order, full.column_labels, unit)
-    return DeciderOutcome(verdict="feasible_up_to_M", order=order, lowest_degree=d,
-                          witness=witness, staged=records, gauge="none",
-                          branch=branch, guard=guard, notes=notes)
+    return DeciderOutcome(verdict="feasible_up_to_M", witness=witness, **common)
 
 
 def staged_report(outcome: DeciderOutcome) -> str:
@@ -672,7 +653,7 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
     if d is None or d < 1:
         raise MismatchError("the 1-form must vanish at the origin and be nonzero")
     order = d + 3
-    system = with_gauge(assemble_system(sigma, order))
+    system = assemble_system(sigma, order)
     ct, dt = tilde_transform(c, d_series)
     tilde_sum = ct.coeff((1, 0)) + dt.coeff((0, 1))
     functional = {"Z:2,0": Fraction(2), "Y:0,2": Fraction(-2)}
@@ -684,7 +665,7 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
     }
     stages = {}
     for key, through in (("first", d + 1), ("second", d + 2)):
-        solved = solve_affine(_prefix(system, through))
+        solved = solve_affine(with_gauge(_prefix(system, d, through)))
         if isinstance(solved, FarkasCertificate):
             stages[key] = None
             out[key] = {"feasible": False}

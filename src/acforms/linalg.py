@@ -15,9 +15,7 @@ clears the entries above each pivot, last pivot first.
   the forward pass, gets a Farkas certificate, a row combination u with
   u.matrix = 0 and u.rhs = 1, from one exact solve of the transposed system;
   the certificate is checked by `verify_farkas` before it is returned.
-* `matrix_rank` counts the pivots of a forward elimination, and
-  `independent_subset` keeps the pivot columns of one elimination with the
-  vectors as columns: the greedy, order-preserving choice.
+* `matrix_rank` counts the pivots of a forward elimination.
 """
 
 from __future__ import annotations
@@ -270,24 +268,13 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_echelon(work, len(work[0])))
 
 
-def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Greedy maximal independent subfamily, preserving input order.
-
-    With the vectors as matrix columns, the pivot columns of the echelon
-    form are exactly the vectors outside the span of the ones before them.
-    """
-    kept = [list(vec) for vec in vectors]
-    columns = [_scaled(vec)[1] for vec in kept]
-    pivots = _echelon([list(row) for row in zip(*columns)], len(kept))
-    return [kept[j] for j in pivots]
-
-
 def project_solution_set(solution: SolutionSet,
-                         columns: Sequence[str]) -> tuple[int, list[Fraction], list[list[Fraction]]]:
+                         columns: Sequence[str]) -> tuple[int, list[Fraction]]:
     """Project the affine set onto a coordinate subset.
 
-    Returns (affine dimension, base point, independent direction vectors),
-    all expressed in the selected coordinates in the order given.
+    Returns (affine dimension, base point), the base point expressed in the
+    selected coordinates in the order given; the dimension is the rank of
+    the nullspace basis restricted to those coordinates.
     """
     idx = []
     for label in columns:
@@ -297,8 +284,7 @@ def project_solution_set(solution: SolutionSet,
             raise KeyError(f"unknown column label {label!r}") from None
     base = [solution.particular[i] for i in idx]
     restricted = [[vec[i] for i in idx] for vec in solution.nullspace_basis]
-    dirs = independent_subset(restricted)
-    return len(dirs), base, dirs
+    return matrix_rank(restricted), base
 
 
 def functional_range(solution: SolutionSet,

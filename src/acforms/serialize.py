@@ -38,6 +38,13 @@ def frac_from_str(text: Any) -> Fraction:
         raise SerializationError(f"bad rational {text!r}: {exc}") from None
 
 
+def _json_int(value: Any, name: str) -> int:
+    """A JSON integer field; strings, floats and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SerializationError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
@@ -88,18 +95,20 @@ def series_to_json(series: TruncSeries) -> dict:
 def series_from_json(data: Any) -> TruncSeries:
     data = _expect_kind(data, "series")
     try:
-        num_vars = int(data["num_vars"])
-        order = int(data["truncation_order"])
+        num_vars = _json_int(data["num_vars"], "num_vars")
+        order = _json_int(data["truncation_order"], "truncation_order")
         raw_terms = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"bad series fields: {exc}") from None
+    except KeyError as exc:
+        raise SerializationError(f"bad series fields: missing {exc}") from None
     buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
     if not isinstance(raw_terms, list):
         raise SerializationError("series terms must be a list")
     for entry in raw_terms:
         if not isinstance(entry, dict) or "exp" not in entry or "coeff" not in entry:
             raise SerializationError(f"bad series term {entry!r}")
-        exp = tuple(int(e) for e in entry["exp"])
+        if not isinstance(entry["exp"], list):
+            raise SerializationError(f"exponent must be a list, got {entry['exp']!r}")
+        exp = tuple(_json_int(e, "exponent") for e in entry["exp"])
         coeff = frac_from_str(entry["coeff"])
         bucket = buckets.setdefault(sum(exp), {})
         if exp in bucket:
@@ -179,7 +188,7 @@ def witness_from_json(payload: dict) -> MembershipWitness:
         return MembershipWitness(
             target=series_from_json(payload["target"]),
             cofactors=tuple(series_from_json(p) for p in payload["cofactors"]),
-            valid_order=int(payload["valid_order"]))
+            valid_order=_json_int(payload["valid_order"], "valid_order"))
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"malformed membership witness: {exc}") from exc
 
@@ -215,13 +224,14 @@ def instance_from_json(payload: dict) -> Instance:
     _expect_kind(payload, "instance")
     try:
         raw_vanish = payload.get("b_vanish_from")
-        return Instance(d=int(payload["d"]), N=int(payload["N"]),
+        return Instance(d=_json_int(payload["d"], "d"), N=_json_int(payload["N"], "N"),
                         C=series_from_json(payload["C"]),
                         D=series_from_json(payload["D"]),
-                        seed=int(payload["seed"]),
-                        coeff_bound=int(payload.get("coeff_bound", 10)),
+                        seed=_json_int(payload["seed"], "seed"),
+                        coeff_bound=_json_int(payload.get("coeff_bound", 10), "coeff_bound"),
                         mode=str(payload.get("mode", "generic")),
-                        b_vanish_from=None if raw_vanish is None else int(raw_vanish))
+                        b_vanish_from=(None if raw_vanish is None
+                                       else _json_int(raw_vanish, "b_vanish_from")))
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"malformed instance: {exc}") from exc
 

@@ -136,15 +136,6 @@ def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def fraction_independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Greedy maximal independent subfamily, preserving input order."""
-    kept: list[list[Fraction]] = []
-    for vec in vectors:
-        if any(v != 0 for v in vec) and fraction_matrix_rank(kept + [list(vec)]) > len(kept):
-            kept.append(list(vec))
-    return kept
-
-
 # --- polynomial dictionaries -------------------------------------------------
 
 

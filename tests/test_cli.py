@@ -100,6 +100,27 @@ def test_build_rejects_invalid_instance(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("d", "abc"), ("d", True), ("seed", 1.5)])
+def test_build_rejects_non_integer_fields(tmp_path, capsys, field, value):
+    payload = instance_to_json(Instance(d=3, N=7, C=zero_series(3),
+                                        D=zero_series(3), seed=1))
+    payload[field] = value
+    path = tmp_path / "bad.json"
+    _write(path, payload)
+    assert main(["build", str(path)]) == EXIT_INPUT
+    assert "must be a JSON integer" in capsys.readouterr().err
+
+
+def test_obstruction_rejects_non_integer_exponent(tmp_path, capsys):
+    cp = tmp_path / "c.json"
+    payload = series_to_json(S(2, 2, {1: {(1, 0): 1}}))
+    payload["terms"][0]["exp"] = "a"
+    _write(cp, payload)
+    _write(tmp_path / "d.json", series_to_json(zero_series(2)))
+    assert main(["obstruction", str(cp), str(tmp_path / "d.json")]) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_reported(tmp_path, capsys):
     assert main(["decide", str(tmp_path / "absent.json"), "--order", "4"]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
@@ -312,6 +333,81 @@ def test_batch_mixes_guard_rejections_and_decisions(tmp_path, capsys):
     out2 = tmp_path / "parallel"
     assert main(["batch", pattern, "--parallel", "2", "--out", str(out2)]) == EXIT_OK
     assert (out / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    capsys.readouterr()
+
+
+def test_batch_turns_bad_instances_into_error_rows(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    good = str(batch / "a_good.json")
+    _write(Path(good), _small_instance_payload(5))
+    malformed = dict(_small_instance_payload(5), d="abc")
+    _write(batch / "b_malformed.json", malformed)
+    # N = d + 3 is too short for the default order d + 3
+    short = instance_to_json(Instance(d=3, N=6, C=S(2, 2, {0: {(0, 0): 1}}),
+                                      D=zero_series(2), seed=5))
+    _write(batch / "c_short.json", short)
+    (batch / "d_not_json.json").write_text("{", encoding="ascii")
+    pattern = str(batch / "*.json")
+    summaries = []
+    for extra in ([], ["--parallel", "2"]):
+        out = tmp_path / f"out{len(extra)}"
+        assert main(["batch", pattern, "--out", str(out)] + extra) == EXIT_INPUT
+        summaries.append((out / "summary.json").read_bytes())
+        summary = load_json(str(out / "summary.json"))
+        rows = {Path(row["file"]).name: row for row in summary["runs"]}
+        assert rows["a_good.json"]["status"] in ("feasible_up_to_M", "infeasible",
+                                                  "degenerate")
+        for name in ("b_malformed.json", "c_short.json", "d_not_json.json"):
+            assert rows[name]["status"] == "error" and rows[name]["message"]
+        assert "must be a JSON integer" in rows["b_malformed.json"]["message"]
+        assert rows["c_short.json"]["seed"] == 5
+        assert summary["counts"]["error"] == 3
+        manifest = load_json(str(out / "manifest.json"))
+        assert set(manifest["input_hashes"]) == {good, str(batch / "c_short.json")}
+    assert summaries[0] == summaries[1]
+    capsys.readouterr()
+
+
+def test_batch_lets_internal_errors_propagate(tmp_path, monkeypatch):
+    _write(tmp_path / "inst.json", _small_instance_payload(5))
+
+    def broken(sigma, order):
+        raise AssertionError("internal check failed")
+
+    monkeypatch.setattr(cli_module, "decide", broken)
+    with pytest.raises(AssertionError, match="internal check failed"):
+        main(["batch", str(tmp_path / "*.json")])
+
+
+def _family_instance(c_parts):
+    C = S(2, 3, c_parts) if c_parts else zero_series(3)
+    for seed in range(1, 30):
+        instance = Instance(d=18, N=22, C=C, D=zero_series(3), seed=seed)
+        if genericity_guard(build(instance)[0]).passed:
+            return instance
+    raise AssertionError("no guard-passing seed in range")
+
+
+def test_batch_rows_match_decide(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    expected = {}
+    for name, c_parts in (("x", {1: {(1, 0): 1}}), ("zero", None)):
+        path = batch / f"{name}.json"
+        _write(path, instance_to_json(_family_instance(c_parts)))
+        built = tmp_path / f"build_{name}"
+        assert main(["build", str(path), "--out", str(built)]) == EXIT_OK
+        decided = tmp_path / f"decide_{name}"
+        main(["decide", str(built / "sigma.json"), "--order", "21", "--out", str(decided)])
+        outcome = load_json(str(decided / "outcome.json"))
+        expected[str(path)] = (outcome["verdict"], outcome["failing_degree"])
+    assert expected[str(batch / "x.json")] == ("infeasible", 20)
+    assert expected[str(batch / "zero.json")] == ("feasible_up_to_M", None)
+    out = tmp_path / "out"
+    assert main(["batch", str(batch / "*.json"), "--order", "21", "--out", str(out)]) == EXIT_OK
+    rows = load_json(str(out / "summary.json"))["runs"]
+    assert {row["file"]: (row["status"], row["failing_degree"]) for row in rows} == expected
     capsys.readouterr()
 
 

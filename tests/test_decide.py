@@ -1,5 +1,6 @@
 """Decision pipeline: system assembly, guard, unit search, reconstruction."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -14,15 +15,17 @@ from acforms.decide import (DEGREE0_LABELS, GAUGE_ROW_LABEL, UNKNOWN_NAMES,
                             obstruction_pair_check, scaled_pair,
                             staged_report, tilde_transform, trivial_solution,
                             verify_potential, with_gauge, _prefix)
-from acforms.linalg import (AffineSystem, SolutionSet, residual, solve_affine,
-                            verify_farkas)
+from acforms.linalg import (AffineSystem, SolutionSet, functional_range,
+                            residual, solve_affine, verify_farkas)
 from acforms.poly import MismatchError, OneForm, TruncSeries, monomials
 from acforms.prng import Stream
 from conftest import H, S, form, series_x, zero_series
 from oracles import (dict_component, poly_add, poly_mul, poly_partial,
-                     poly_scale, series_dict)
+                     poly_scale, rref_rank, series_dict)
 
 FR = Fraction
+# the package re-exports the function `decide`, which hides the module
+decide_module = importlib.import_module("acforms.decide")
 
 
 def _gradient_form(trunc=8):
@@ -111,13 +114,17 @@ def test_gauge_row_and_prefix_filtering():
     assert gauged.row_labels[-1] == GAUGE_ROW_LABEL
     assert gauged.rhs[-1] == 0
     assert gauged.num_rows == system.num_rows + 1
-    prefix = _prefix(gauged, 2)
+    prefix = with_gauge(_prefix(system, 2, 2))
     assert GAUGE_ROW_LABEL in prefix.row_labels
     degrees = [int(lbl[3:lbl.index(":")]) for lbl in prefix.row_labels
                if not lbl.startswith("gauge:")]
     assert degrees and max(degrees) <= 2
+    # the row-count slice keeps exactly the rows labelled with degree <= k
+    for k in range(1, 4):
+        expected = [lbl for lbl in system.row_labels if int(lbl[3:lbl.index(":")]) <= k]
+        assert _prefix(system, 2, k).row_labels == expected
     # gauge forces the X constant to zero on the prefix
-    solved = solve_affine(_prefix(gauged, 1))
+    solved = solve_affine(with_gauge(_prefix(system, 2, 1)))
     assert isinstance(solved, SolutionSet)
     xi = solved.column_labels.index("X:0,0")
     assert solved.particular[xi] == 0
@@ -311,15 +318,30 @@ def test_decide_radial_form_goes_through_open_branch():
     assert outcome.staged[-1]["blocks"][0]["dim"] >= 1
 
 
-def test_decide_refutes_guarded_generic_instance():
-    found = None
+def _guarded_refutable_form():
+    """The first guard-passing d=18 N=22 build with C = x."""
     for seed in range(1, 30):
         sigma = _build_generic(18, 22, seed=seed, c_parts={1: {(1, 0): 1}})
         if genericity_guard(sigma).passed:
-            found = sigma
-            break
-    assert found is not None, "no guard-passing seed in range"
-    outcome = decide(found, 21)
+            return sigma
+    raise AssertionError("no guard-passing seed in range")
+
+
+def _count_solves(monkeypatch) -> list[int]:
+    """Record the row count of every system the decider solves."""
+    calls: list[int] = []
+    real = decide_module.solve_affine
+
+    def counting(system):
+        calls.append(system.num_rows)
+        return real(system)
+
+    monkeypatch.setattr(decide_module, "solve_affine", counting)
+    return calls
+
+
+def test_decide_refutes_guarded_generic_instance():
+    outcome = decide(_guarded_refutable_form(), 21)
     assert outcome.verdict == "infeasible"
     assert outcome.branch == "forced_degree0"
     assert outcome.failing_degree == 20
@@ -328,6 +350,63 @@ def test_decide_refutes_guarded_generic_instance():
     feas = [rec["feasible"] for rec in outcome.staged]
     assert feas == [True, True, True, False]
     assert "infeasible" in staged_report(outcome)
+
+
+def test_feasible_gauged_decide_solves_each_system_once(monkeypatch):
+    sigma = _gradient_form()
+    calls = _count_solves(monkeypatch)
+    outcome = decide(sigma, 5)
+    assert outcome.gauge == "X0=0" and outcome.verdict == "feasible_up_to_M"
+    d, order = outcome.lowest_degree, outcome.order
+    # the ungauged system, then every gauged prefix; the last one is the
+    # full gauged system, so unit search needs no further solve
+    assert len(calls) == 1 + (order - d + 1)
+    full = assemble_system(sigma, order).num_rows
+    assert calls[0] == full and calls[-1] == full + 1
+    assert calls[1:] == sorted(set(calls[1:]))
+
+
+def test_refuted_decide_stops_at_the_failing_prefix(monkeypatch):
+    sigma = _guarded_refutable_form()
+    calls = _count_solves(monkeypatch)
+    outcome = decide(sigma, 21)
+    k, d = outcome.failing_degree, outcome.lowest_degree
+    assert outcome.verdict == "infeasible" and k == 20
+    assert len(calls) == 1 + (k - d + 2)
+    assert calls[-1] == outcome.failing_system.num_rows
+
+
+def test_ungauged_decide_reuses_the_full_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    outcome = decide(_radial_form(), 3)
+    assert outcome.gauge == "none"
+    # the last prefix is the full system, already solved first
+    assert len(calls) == outcome.order - outcome.lowest_degree + 1
+    assert len(outcome.staged) == len(calls)
+
+
+@pytest.mark.parametrize("sigma, order", [(_gradient_form(), 5), (_radial_form(), 3)],
+                         ids=["gauged", "ungauged"])
+def test_staged_blocks_match_each_prefix_solution(sigma, order):
+    outcome = decide(sigma, order)
+    d = outcome.lowest_degree
+    system = assemble_system(sigma, order)
+    for rec in outcome.staged:
+        prefix = _prefix(system, d, rec["through_degree"])
+        solved = solve_affine(with_gauge(prefix) if outcome.gauge == "X0=0" else prefix)
+        assert isinstance(solved, SolutionSet) and rec["feasible"]
+        for j, block in rec["blocks"].items():
+            labels = [lbl for lbl in solved.column_labels
+                      if sum(map(int, lbl[2:].split(","))) == j]
+            constant = {}
+            for lbl in labels:
+                forced, value = functional_range(solved, {lbl: FR(1)})
+                if forced:
+                    constant[lbl] = value
+            assert block["forced"] == constant
+            assert block["dim"] == rref_rank(
+                [[vec[solved.column_labels.index(lbl)] for lbl in labels]
+                 for vec in solved.nullspace_basis])
 
 
 def test_decide_input_validation():

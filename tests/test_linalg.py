@@ -9,13 +9,12 @@ from acforms import linalg
 from acforms.construct import Instance, build
 from acforms.decide import _prefix, assemble_system, with_gauge
 from acforms.linalg import (AffineSystem, FarkasCertificate, SolutionSet,
-                            functional_range, independent_subset, matrix_rank,
+                            functional_range, matrix_rank,
                             project_solution_set, residual, sample_generic,
                             solve_affine, verify_farkas)
 from acforms.poly import OneForm, TruncSeries
 from conftest import H, S, zero_series
-from oracles import (fraction_independent_subset, fraction_matrix_rank,
-                     fraction_solve_affine, rref_rank)
+from oracles import fraction_matrix_rank, fraction_solve_affine, rref_rank
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 # zeros, small fractions and entries with denominators up to 10^6
@@ -115,13 +114,6 @@ def test_matrix_rank_matches_brute_elimination(rows):
     assert matrix_rank(rows) == rref_rank(rows)
 
 
-@settings(deadline=None, max_examples=80)
-@given(st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=1, max_size=6))
-def test_independent_subset_spans_with_full_rank(rows):
-    chosen = independent_subset(rows)
-    assert matrix_rank(chosen) == len(chosen) == matrix_rank(rows)
-
-
 # --- solution-set geometry ---------------------------------------------------
 
 
@@ -130,10 +122,10 @@ def test_projection_and_functional_on_a_plane():
     system = _sys([[1, 1, 0]], [1], labels=["a", "b", "c"])
     out = solve_affine(system)
     assert isinstance(out, SolutionSet)
-    dim, base, dirs = project_solution_set(out, ["c"])
+    dim, base = project_solution_set(out, ["c"])
     assert dim == 1
-    dim, base, dirs = project_solution_set(out, ["a", "b"])
-    assert dim == 1
+    dim, base = project_solution_set(out, ["a", "b"])
+    assert dim == 1 and base == [1, 0]
     # a + b is forced to 1, a alone is not
     forced, value = functional_range(out, {"a": Fraction(1), "b": Fraction(1)})
     assert forced and value == 1
@@ -218,9 +210,8 @@ def test_inconsistent_systems_with_wide_left_null_space(system):
 
 @settings(deadline=None, max_examples=200)
 @given(matrices())
-def test_rank_and_subset_match_fraction_oracle(rows):
+def test_rank_matches_fraction_oracle(rows):
     assert matrix_rank(rows) == fraction_matrix_rank(rows) == rref_rank(rows)
-    assert independent_subset(rows) == fraction_independent_subset(rows)
 
 
 def test_certificate_that_fails_its_check_is_an_error(monkeypatch):
@@ -240,7 +231,7 @@ def test_real_d6_prefix_infeasible_matches_oracle():
                               D=zero_series(3), seed=1))
     a, b = sigma.components
     bump = TruncSeries(2, a.trunc_order, {6: H(2, 6, {(0, 6): 1})})
-    system = _prefix(with_gauge(assemble_system(OneForm((a.add(bump), b)), 9)), 8)
+    system = with_gauge(_prefix(assemble_system(OneForm((a.add(bump), b)), 9), 6, 8))
     assert (system.num_rows, system.num_cols) == (31, 40)
     assert system.num_rows - matrix_rank(system.matrix) == 3
     _assert_matches_oracle(system)

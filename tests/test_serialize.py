@@ -170,6 +170,49 @@ def test_instance_round_trip_including_optional_fields():
         instance_from_json({"kind": "instance", "d": 3})
 
 
+def _series_payload(**changes):
+    return {**series_to_json(_sample_series()), **changes}
+
+
+def _exponent_payload(exp):
+    return _series_payload(terms=[{"exp": exp, "coeff": "1"}])
+
+
+def _instance_payload(**changes):
+    return {**instance_to_json(_sample_instance()), **changes}
+
+
+_NON_INTEGER_FIELDS = {
+    "num_vars-string": (series_from_json, _series_payload(num_vars="2")),
+    "num_vars-bool": (series_from_json, _series_payload(num_vars=True)),
+    "truncation_order-float": (series_from_json, _series_payload(truncation_order=6.0)),
+    "exp-string": (series_from_json, _exponent_payload("a")),
+    "exp-int": (series_from_json, _exponent_payload(5)),
+    "exponent-string": (series_from_json, _exponent_payload(["a", 1])),
+    "exponent-float": (series_from_json, _exponent_payload([1.0, 0])),
+    "exponent-bool": (series_from_json, _exponent_payload([True, 0])),
+    "d-string": (instance_from_json, _instance_payload(d="abc")),
+    "d-bool": (instance_from_json, _instance_payload(d=True)),
+    "N-float": (instance_from_json, _instance_payload(N=7.0)),
+    "seed-string": (instance_from_json, _instance_payload(seed="12")),
+    "coeff_bound-bool": (instance_from_json, _instance_payload(coeff_bound=False)),
+    "b_vanish_from-string": (instance_from_json, _instance_payload(b_vanish_from="5")),
+    "multiplier-exponent-string": (instance_from_json,
+                                   _instance_payload(C=_exponent_payload([0, "1"]))),
+    "valid_order-string": (witness_from_json,
+                           {"kind": "membership_witness",
+                            "target": series_to_json(_sample_series()),
+                            "cofactors": [], "valid_order": "3"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_INTEGER_FIELDS))
+def test_integer_fields_accept_only_json_integers(case):
+    load, payload = _NON_INTEGER_FIELDS[case]
+    with pytest.raises(SerializationError, match="JSON integer|must be a list"):
+        load(payload)
+
+
 def test_instance_payload_feeds_identical_build():
     inst = _sample_instance()
     direct, _ = build(inst)
