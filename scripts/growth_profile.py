@@ -16,18 +16,7 @@ Example
 import argparse
 from fractions import Fraction
 
-from acforms import Instance, build, convergence_bound
-from acforms.poly import HomogPoly, TruncSeries
-
-
-def affine_series(c0: Fraction, cx: Fraction, cy: Fraction, trunc: int) -> TruncSeries:
-    parts = {}
-    if c0:
-        parts[0] = HomogPoly(2, 0, {(0, 0): c0})
-    linear = {e: c for e, c in (((1, 0), cx), ((0, 1), cy)) if c}
-    if linear:
-        parts[1] = HomogPoly(2, 1, linear)
-    return TruncSeries(2, trunc, parts)
+from acforms import Instance, affine_series, build, convergence_bound
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,20 +21,8 @@ Example
 import argparse
 from fractions import Fraction
 
-from acforms import (Instance, build, genericity_guard, obstruction,
-                     obstruction_pair_check, tilde_transform)
-from acforms.poly import HomogPoly, TruncSeries
-
-
-def affine_series(c0: Fraction, lin_x: Fraction, lin_y: Fraction,
-                  trunc: int) -> TruncSeries:
-    parts = {}
-    if c0:
-        parts[0] = HomogPoly(2, 0, {(0, 0): c0})
-    linear = {e: c for e, c in (((1, 0), lin_x), ((0, 1), lin_y)) if c}
-    if linear:
-        parts[1] = HomogPoly(2, 1, linear)
-    return TruncSeries(2, trunc, parts)
+from acforms import (Instance, TruncSeries, affine_series, build,
+                     genericity_guard, obstruction_pair_check, tilde_transform)
 
 
 def first_guarded(d: int, N: int, c: TruncSeries, d_series: TruncSeries,

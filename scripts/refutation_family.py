@@ -17,19 +17,8 @@ import sys
 import time
 from fractions import Fraction
 
-from acforms import (Instance, build, decide, genericity_guard, obstruction,
-                     staged_report, verify_farkas)
-from acforms.poly import HomogPoly, TruncSeries
-
-
-def affine_series(c0: Fraction, cx: Fraction, cy: Fraction, trunc: int) -> TruncSeries:
-    parts = {}
-    if c0:
-        parts[0] = HomogPoly(2, 0, {(0, 0): c0})
-    linear = {e: c for e, c in (((1, 0), cx), ((0, 1), cy)) if c}
-    if linear:
-        parts[1] = HomogPoly(2, 1, linear)
-    return TruncSeries(2, trunc, parts)
+from acforms import (Instance, affine_series, build, decide, genericity_guard,
+                     obstruction, staged_report, verify_farkas)
 
 
 def describe(c0: Fraction, cx: Fraction, cy: Fraction) -> str:

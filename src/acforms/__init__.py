@@ -8,8 +8,8 @@ instance builder with growth bounds), `ideals` (truncated ideal engine),
 """
 
 from .construct import (AlmostClosedReport, ConstructionState, HypothesisError,
-                        Instance, build, convergence_bound, init_leading,
-                        multiplier_magnitude, verify_almost_closed)
+                        Instance, affine_series, build, convergence_bound,
+                        init_leading, multiplier_magnitude, verify_almost_closed)
 from .decide import (ClosednessError, DeciderOutcome, GuardReport,
                      assemble_system, decide, genericity_guard,
                      integrate_closed, obstruction, obstruction_pair_check,
@@ -27,10 +27,10 @@ __all__ = [
     "ConstructionState", "DeciderOutcome", "FarkasCertificate", "GuardReport",
     "HomogPoly", "HypothesisError", "Instance", "MembershipWitness",
     "MismatchError", "OneForm", "SolutionSet", "TruncSeries", "TruncatedIdeal",
-    "assemble_system", "build", "colength", "convergence_bound", "decide",
-    "genericity_guard", "graded_cover_check", "ideal_contained_mod",
-    "ideal_equal_mod", "init_leading", "integrate_closed",
-    "membership_witness", "min_power_in_ideal", "multiplier_magnitude",
+    "affine_series", "assemble_system", "build", "colength",
+    "convergence_bound", "decide", "genericity_guard", "graded_cover_check",
+    "ideal_contained_mod", "ideal_equal_mod", "init_leading",
+    "integrate_closed", "membership_witness", "min_power_in_ideal", "multiplier_magnitude",
     "obstruction", "obstruction_pair_check", "residual", "solve_affine",
     "staged_report", "tilde_transform", "verify_almost_closed",
     "verify_farkas", "verify_potential", "with_gauge",

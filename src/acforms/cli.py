@@ -2,10 +2,14 @@
 
 Artifact discipline: every command hashes its parsed inputs and parameters
 into a run-manifest core; each emitted JSON artifact is stamped with that
-core hash, and a manifest file listing output paths and hashes is written
-next to them.  Identical inputs and parameters therefore reproduce every
-artifact byte-exactly (output locations are recorded beside, not inside,
-the hashed core, so they do not perturb artifact bytes).
+core hash, and a manifest recording the hash of each output, keyed by file
+name, is written next to them.  Identical inputs and parameters therefore
+reproduce every artifact, the manifest included, byte-exactly in any
+`--out` directory.
+
+Seven commands (`_COMMANDS`) share one runner: load and hash the inputs,
+compute one artifact, emit, print, exit 0 or 10.  `build`, `decide` and
+`batch` emit several artifacts or have their own exit codes.
 
 Exit codes: 0 success / feasible / verified; 10 refuted / failed check;
 11 degenerate; 2 malformed input or unsatisfied precondition.
@@ -17,8 +21,11 @@ import argparse
 import glob as globmod
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import construct, ideals, serialize
 from .decide import (UNKNOWN_NAMES, DeciderOutcome, GuardReport, decide,
@@ -53,12 +60,9 @@ def _emit(out_dir: str | None, command: str, parameters: dict,
     if out_dir is not None:
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        outputs = {}
-        for name, art in stamped.items():
-            path = directory / name
-            digest = serialize.dump_json(str(path), art)
-            outputs[name] = {"path": str(path), "sha256": digest}
-        manifest["outputs"] = outputs
+        manifest["outputs"] = {
+            name: {"sha256": serialize.dump_json(str(directory / name), art)}
+            for name, art in stamped.items()}
         serialize.dump_json(str(directory / "manifest.json"), manifest)
     stamped["manifest.json"] = manifest
     return stamped
@@ -164,21 +168,6 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_ac(args) -> int:
-    sigma, s_hash = _load(args.sigma, serialize.one_form_from_json)
-    c, c_hash = _load(args.c, serialize.series_from_json)
-    d, d_hash = _load(args.d, serialize.series_from_json)
-    report = construct.verify_almost_closed(sigma, c, d)
-    artifacts = _emit(args.out, "verify-ac", {},
-                      {"sigma": s_hash, "C": c_hash, "D": d_hash},
-                      {"report.json": _report_json(report)})
-    status = "pass" if report.ok else f"fail at degree {report.first_failure}"
-    _print(artifacts["report.json"], args.format,
-           [f"almost-closed check: {status} (residuals checked below "
-            f"{report.checked_below})"])
-    return EXIT_OK if report.ok else EXIT_REFUTED
-
-
 def _cmd_decide(args) -> int:
     sigma, s_hash = _load(args.sigma, serialize.one_form_from_json)
     outcome = decide(sigma, args.order)
@@ -206,92 +195,116 @@ def _cmd_decide(args) -> int:
     return EXIT_OK
 
 
-def _cmd_obstruction(args) -> int:
-    c, c_hash = _load(args.c, serialize.series_from_json)
-    d, d_hash = _load(args.d, serialize.series_from_json)
+def _verify_ac(sigma: OneForm, c: TruncSeries, d: TruncSeries):
+    report = construct.verify_almost_closed(sigma, c, d)
+    status = "pass" if report.ok else f"fail at degree {report.first_failure}"
+    return ("report.json", _report_json(report),
+            [f"almost-closed check: {status} (residuals checked below "
+             f"{report.checked_below})"], report.ok)
+
+
+def _obstruction(c: TruncSeries, d: TruncSeries):
     value = obstruction(c, d)
-    artifacts = _emit(args.out, "obstruction", {}, {"C": c_hash, "D": d_hash},
-                      {"obstruction.json": {"kind": "obstruction",
-                                            "value": _frac(value)}})
-    _print(artifacts["obstruction.json"], args.format, [f"obstruction: {value}"])
-    return EXIT_OK
+    return ("obstruction.json", {"kind": "obstruction", "value": _frac(value)},
+            [f"obstruction: {value}"], True)
 
 
-def _cmd_tilde(args) -> int:
-    c, c_hash = _load(args.c, serialize.series_from_json)
-    d, d_hash = _load(args.d, serialize.series_from_json)
+def _tilde(c: TruncSeries, d: TruncSeries):
     ct, dt = tilde_transform(c, d)
+    value = ct.coeff((1, 0)) + dt.coeff((0, 1))
     payload = {"kind": "tilde_transform",
                "C1_tilde": {"x": _frac(ct.coeff((1, 0))), "y": _frac(ct.coeff((0, 1)))},
                "D1_tilde": {"x": _frac(dt.coeff((1, 0))), "y": _frac(dt.coeff((0, 1)))},
-               "obstruction": _frac(ct.coeff((1, 0)) + dt.coeff((0, 1)))}
-    artifacts = _emit(args.out, "tilde", {}, {"C": c_hash, "D": d_hash},
-                      {"tilde.json": payload})
-    _print(artifacts["tilde.json"], args.format,
-           [f"shifted linear parts: C1~ = {ct}, D1~ = {dt}",
-            f"obstruction (invariant under the shift): "
-            f"{ct.coeff((1, 0)) + dt.coeff((0, 1))}"])
-    return EXIT_OK
+               "obstruction": _frac(value)}
+    return ("tilde.json", payload,
+            [f"shifted linear parts: C1~ = {ct}, D1~ = {dt}",
+             f"obstruction (invariant under the shift): {value}"], True)
 
 
-def _cmd_ideal_min_power(args) -> int:
-    ideal, i_hash = _load(args.ideal, serialize.ideal_from_json)
-    found = ideals.min_power_in_ideal(ideal, args.max)
-    artifacts = _emit(args.out, "ideal min-power", {"max": args.max},
-                      {"ideal": i_hash},
-                      {"min_power.json": {"kind": "min_power", "max": args.max,
-                                          "value": found}})
+def _ideal_min_power(ideal: ideals.TruncatedIdeal, bound: int):
+    found = ideals.min_power_in_ideal(ideal, bound)
     text = (f"smallest n with m^n contained (graded cover): {found}"
-            if found is not None else f"no containment found up to {args.max}")
-    _print(artifacts["min_power.json"], args.format, [text])
-    return EXIT_OK if found is not None else EXIT_REFUTED
+            if found is not None else f"no containment found up to {bound}")
+    return ("min_power.json", {"kind": "min_power", "max": bound, "value": found},
+            [text], found is not None)
 
 
-def _cmd_ideal_colength(args) -> int:
-    ideal, i_hash = _load(args.ideal, serialize.ideal_from_json)
-    value = ideals.colength(ideal, args.max)
-    artifacts = _emit(args.out, "ideal colength", {"max": args.max},
-                      {"ideal": i_hash},
-                      {"colength.json": {"kind": "colength", "max": args.max,
-                                         "value": value}})
+def _ideal_colength(ideal: ideals.TruncatedIdeal, bound: int):
+    value = ideals.colength(ideal, bound)
     text = (f"colength: {value}" if value is not None
-            else f"not finite-colength below {args.max}")
-    _print(artifacts["colength.json"], args.format, [text])
-    return EXIT_OK if value is not None else EXIT_REFUTED
+            else f"not finite-colength below {bound}")
+    return ("colength.json", {"kind": "colength", "max": bound, "value": value},
+            [text], value is not None)
 
 
-def _read_potential(payload: dict) -> TruncSeries:
+def _read_potential(payload) -> TruncSeries:
     """Accept a bare series or the witness artifact emitted by `decide`."""
     if isinstance(payload, dict) and payload.get("kind") == "potential_witness":
-        payload = payload["phi"]
+        payload = payload.get("phi")
     return serialize.series_from_json(payload)
 
 
-def _cmd_verify_potential(args) -> int:
-    phi, p_hash = _load(args.phi, _read_potential)
-    omega, o_hash = _load(args.omega, serialize.one_form_from_json)
-    ok = verify_potential(phi, omega, args.order)
-    artifacts = _emit(args.out, "verify-potential", {"order": args.order},
-                      {"phi": p_hash, "omega": o_hash},
-                      {"verify_potential.json": {"kind": "verify_potential",
-                                                 "order": args.order, "ok": ok}})
-    _print(artifacts["verify_potential.json"], args.format,
-           [f"gradient ideal equals component ideal mod m^{args.order}: {ok}"])
-    return EXIT_OK if ok else EXIT_REFUTED
+def _verify_potential(phi: TruncSeries, omega: OneForm, order: int):
+    ok = verify_potential(phi, omega, order)
+    return ("verify_potential.json", {"kind": "verify_potential", "order": order, "ok": ok},
+            [f"gradient ideal equals component ideal mod m^{order}: {ok}"], ok)
 
 
-def _cmd_converge_bound(args) -> int:
-    c, c_hash = _load(args.c, serialize.series_from_json)
-    d, d_hash = _load(args.d, serialize.series_from_json)
+def _converge_bound(c: TruncSeries, d: TruncSeries):
     cc, beta, radius = construct.convergence_bound(c, d)
     payload = {"kind": "convergence_bound", "magnitude": _frac(cc),
                "growth_ratio": _frac(beta), "radius_lower_bound": _frac(radius)}
-    artifacts = _emit(args.out, "converge-bound", {}, {"C": c_hash, "D": d_hash},
-                      {"bound.json": payload})
-    _print(artifacts["bound.json"], args.format,
-           [f"multiplier magnitude: {cc}", f"growth ratio: {beta}",
-            f"radius lower bound: {radius}"])
-    return EXIT_OK
+    return ("bound.json", payload,
+            [f"multiplier magnitude: {cc}", f"growth ratio: {beta}",
+             f"radius lower bound: {radius}"], True)
+
+
+@dataclass(frozen=True)
+class _Command:
+    """Inputs are (argument, reader); an argument's name is its manifest key.
+    `option` is the one required integer option, the run's only parameter,
+    passed to `compute` after the inputs.  `compute` returns (artifact file
+    name, artifact, text lines, ok)."""
+
+    help: str
+    inputs: tuple[tuple[str, Callable], ...]
+    option: str | None
+    compute: Callable
+
+
+_FORM = serialize.one_form_from_json
+_MULTIPLIERS = (("C", serialize.series_from_json), ("D", serialize.series_from_json))
+_IDEAL = (("ideal", serialize.ideal_from_json),)
+
+_COMMANDS = {
+    "verify-ac": _Command("check A_y - B_x = C*A + D*B degreewise",
+                          (("sigma", _FORM),) + _MULTIPLIERS, None, _verify_ac),
+    "obstruction": _Command("the scalar C1_x + D1_y", _MULTIPLIERS, None, _obstruction),
+    "tilde": _Command("linear parts shifted by the forced degree-1 unknown",
+                      _MULTIPLIERS, None, _tilde),
+    "ideal min-power": _Command("least n with m^n inside the ideal", _IDEAL, "max",
+                                _ideal_min_power),
+    "ideal colength": _Command("dimension of the quotient ring", _IDEAL, "max",
+                               _ideal_colength),
+    "verify-potential": _Command("gradient ideal vs component ideal modulo m^order",
+                                 (("phi", _read_potential), ("omega", _FORM)), "order",
+                                 _verify_potential),
+    "converge-bound": _Command("growth ratio and radius bound from the multipliers",
+                               _MULTIPLIERS, None, _converge_bound),
+}
+
+
+def _run(name: str, args) -> int:
+    command = _COMMANDS[name]
+    values, input_hashes = [], {}
+    for argument, reader in command.inputs:
+        value, input_hashes[argument] = _load(getattr(args, argument), reader)
+        values.append(value)
+    parameters = {command.option: getattr(args, command.option)} if command.option else {}
+    file_name, artifact, text, ok = command.compute(*values, *parameters.values())
+    stamped = _emit(args.out, name, parameters, input_hashes, {file_name: artifact})
+    _print(stamped[file_name], args.format, text)
+    return EXIT_OK if ok else EXIT_REFUTED
 
 
 def _batch_worker(task: tuple[str, int | None]) -> tuple[dict, str | None]:
@@ -370,17 +383,23 @@ def _parser() -> argparse.ArgumentParser:
                        help="directory for JSON artifacts and the run manifest")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
+    def table(subparsers, name: str) -> None:
+        command = _COMMANDS[name]
+        p = subparsers.add_parser(name.rpartition(" ")[2], help=command.help)
+        for argument, _ in command.inputs:
+            p.add_argument(argument)
+        if command.option:
+            p.add_argument(f"--{command.option}", type=int, required=True)
+        common(p)
+        p.set_defaults(func=partial(_run, name))
+
+    # commands in the order `acforms --help` lists them
     p = sub.add_parser("build", help="construct an instance from a JSON request")
     p.add_argument("instance")
     common(p)
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("verify-ac", help="check A_y - B_x = C*A + D*B degreewise")
-    p.add_argument("sigma")
-    p.add_argument("c", metavar="C")
-    p.add_argument("d", metavar="D")
-    common(p)
-    p.set_defaults(func=_cmd_verify_ac)
+    table(sub, "verify-ac")
 
     p = sub.add_parser("decide", help="decide potential feasibility up to an order")
     p.add_argument("sigma")
@@ -388,45 +407,14 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("obstruction", help="the scalar C1_x + D1_y")
-    p.add_argument("c", metavar="C")
-    p.add_argument("d", metavar="D")
-    common(p)
-    p.set_defaults(func=_cmd_obstruction)
-
-    p = sub.add_parser("tilde", help="linear parts shifted by the forced degree-1 unknown")
-    p.add_argument("c", metavar="C")
-    p.add_argument("d", metavar="D")
-    common(p)
-    p.set_defaults(func=_cmd_tilde)
-
+    table(sub, "obstruction")
+    table(sub, "tilde")
     p = sub.add_parser("ideal", help="graded ideal computations")
     isub = p.add_subparsers(dest="ideal_command", required=True)
-    q = isub.add_parser("min-power", help="least n with m^n inside the ideal")
-    q.add_argument("ideal")
-    q.add_argument("--max", type=int, required=True)
-    common(q)
-    q.set_defaults(func=_cmd_ideal_min_power)
-    q = isub.add_parser("colength", help="dimension of the quotient ring")
-    q.add_argument("ideal")
-    q.add_argument("--max", type=int, required=True)
-    common(q)
-    q.set_defaults(func=_cmd_ideal_colength)
-
-    p = sub.add_parser("verify-potential",
-                       help="gradient ideal vs component ideal modulo m^order")
-    p.add_argument("phi")
-    p.add_argument("omega")
-    p.add_argument("--order", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_verify_potential)
-
-    p = sub.add_parser("converge-bound",
-                       help="growth ratio and radius bound from the multipliers")
-    p.add_argument("c", metavar="C")
-    p.add_argument("d", metavar="D")
-    common(p)
-    p.set_defaults(func=_cmd_converge_bound)
+    table(isub, "ideal min-power")
+    table(isub, "ideal colength")
+    table(sub, "verify-potential")
+    table(sub, "converge-bound")
 
     p = sub.add_parser("batch", help="run the decide pipeline across instance files")
     p.add_argument("instances", help="glob pattern of instance JSON files")

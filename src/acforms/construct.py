@@ -99,7 +99,8 @@ class ConstructionState:
     norm_log: dict[int, dict[str, Fraction]] = field(default_factory=dict)
 
     def highest_order(self) -> int:
-        return max(self.a_parts) if self.a_parts else -1
+        """The last order built; zero components are logged but not stored."""
+        return max((*self.a_parts, *self.b_parts, *self.norm_log), default=-1)
 
     def a_component(self, k: int) -> HomogPoly:
         return self.a_parts.get(k, HomogPoly.zero(2, k))
@@ -175,6 +176,17 @@ def _draw_homog(stream: Stream, degree: int, bound: int) -> HomogPoly:
     for exp in monomials(2, degree):
         terms[exp] = Fraction(stream.int_between(-bound, bound))
     return HomogPoly.from_terms(2, degree, terms)
+
+
+def affine_series(c0: Fraction, cx: Fraction, cy: Fraction, trunc: int) -> TruncSeries:
+    """The multiplier c0 + cx*x + cy*y, known below degree `trunc`."""
+    parts = {}
+    if c0:
+        parts[0] = HomogPoly(2, 0, {(0, 0): Fraction(c0)})
+    linear = {e: Fraction(c) for e, c in (((1, 0), cx), ((0, 1), cy)) if c}
+    if linear:
+        parts[1] = HomogPoly(2, 1, linear)
+    return TruncSeries(2, trunc, parts)
 
 
 def multiplier_magnitude(C: TruncSeries, D: TruncSeries) -> Fraction:

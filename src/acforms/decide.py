@@ -424,17 +424,16 @@ def verify_potential(phi: TruncSeries, omega: OneForm, order: int) -> bool:
     return ideal_equal_mod(TruncatedIdeal(grads), TruncatedIdeal(omega.components), order)
 
 
-def _series_from_point(labels: list[str], point: list[Fraction],
-                       name: str, trunc: int) -> TruncSeries:
-    buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for label, value in zip(labels, point):
-        if value == 0 or not label.startswith(name + ":"):
-            continue
-        a_str, b_str = label[len(name) + 1:].split(",")
-        exp = (int(a_str), int(b_str))
-        buckets.setdefault(sum(exp), {})[exp] = value
-    parts = {k: HomogPoly(2, k, terms) for k, terms in buckets.items()}
-    return TruncSeries(2, trunc, parts)
+def _series_from_point(point: list[Fraction], trunc: int) -> dict[str, TruncSeries]:
+    """X, Y, Z, W read off a solution point by the column layout of
+    `assemble_system`: unknown degree, then name, then monomial."""
+    parts: dict[str, list[HomogPoly]] = {name: [] for name in UNKNOWN_NAMES}
+    values = iter(point)
+    for j in range(trunc):
+        for name in UNKNOWN_NAMES:
+            terms = {exp: next(values) for exp in monomials(2, j)}
+            parts[name].append(HomogPoly.from_terms(2, j, terms))
+    return {name: TruncSeries.from_parts(2, trunc, polys) for name, polys in parts.items()}
 
 
 def scaled_pair(sigma: OneForm, x: TruncSeries, y: TruncSeries,
@@ -447,12 +446,8 @@ def scaled_pair(sigma: OneForm, x: TruncSeries, y: TruncSeries,
     return OneForm((one.truncate(order), two.truncate(order)))
 
 
-def _reconstruct(sigma: OneForm, order: int, labels: list[str],
-                 point: list[Fraction]) -> dict:
-    d = sigma.lowest_degree()
-    trunc = order - d + 1
-    series = {name: _series_from_point(labels, point, name, trunc)
-              for name in UNKNOWN_NAMES}
+def _reconstruct(sigma: OneForm, order: int, point: list[Fraction]) -> dict:
+    series = _series_from_point(point, order - sigma.lowest_degree() + 1)
     eta = scaled_pair(sigma, series["X"], series["Y"], series["Z"], series["W"])
     extension = closed_extension_order(eta)
     if extension <= order:
@@ -463,8 +458,8 @@ def _reconstruct(sigma: OneForm, order: int, labels: list[str],
     if not ideal_contained_mod(TruncatedIdeal(grads),
                                TruncatedIdeal(sigma.components), order):
         raise AssertionError("gradient ideal escaped the component ideal")
-    return {"X": series["X"], "Y": series["Y"], "Z": series["Z"], "W": series["W"],
-            "phi": phi, "point": list(point), "gradient_matches_below": extension}
+    return {**series, "phi": phi, "point": list(point),
+            "gradient_matches_below": extension}
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +576,7 @@ def decide(sigma: OneForm, order: int, *, sample_budget: int = 16) -> DeciderOut
         notes.append("every normalized solution fails the unit condition" if gauged
                      else "every solution fails the unit condition")
         return DeciderOutcome(verdict="degenerate", **common)
-    witness = _reconstruct(sigma, order, full.column_labels, unit)
+    witness = _reconstruct(sigma, order, unit)
     return DeciderOutcome(verdict="feasible_up_to_M", witness=witness, **common)
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
 from .construct import Instance
-from .ideals import MembershipWitness, TruncatedIdeal
+from .ideals import TruncatedIdeal
 from .linalg import AffineSystem, FarkasCertificate
 from .poly import HomogPoly, OneForm, TruncSeries
 
@@ -29,13 +30,22 @@ def frac_to_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def frac_from_str(text: Any) -> Fraction:
-    if not isinstance(text, str):
-        raise SerializationError(f"expected a rational string, got {text!r}")
+    """Parse the canonical form `frac_to_str` writes: `p` or `p/q` in lowest
+    terms, q > 1, no sign on zero, no leading zeros, no spaces."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise SerializationError(f"expected a rational string p/q, got {text!r}")
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
+        value = Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise SerializationError(f"bad rational {text!r}: {exc}") from None
+    if str(value) != text:
+        raise SerializationError(f"rational {text!r} is not canonical; write {value}")
+    return value
 
 
 def _json_int(value: Any, name: str) -> int:
@@ -71,7 +81,7 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise SerializationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # bad JSON, or bytes that are not UTF-8
         raise SerializationError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -174,25 +184,6 @@ def certificate_from_json(data: Any) -> FarkasCertificate:
     return FarkasCertificate(row_combination=[frac_from_str(v) for v in rows])
 
 
-def witness_to_json(target: TruncSeries, cofactors: list[TruncSeries],
-                    valid_order: int) -> dict:
-    return {"kind": "membership_witness",
-            "target": series_to_json(target),
-            "cofactors": [series_to_json(s) for s in cofactors],
-            "valid_order": valid_order}
-
-
-def witness_from_json(payload: dict) -> MembershipWitness:
-    _expect_kind(payload, "membership_witness")
-    try:
-        return MembershipWitness(
-            target=series_from_json(payload["target"]),
-            cofactors=tuple(series_from_json(p) for p in payload["cofactors"]),
-            valid_order=_json_int(payload["valid_order"], "valid_order"))
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"malformed membership witness: {exc}") from exc
-
-
 def ideal_to_json(ideal: TruncatedIdeal) -> dict:
     return {"kind": "ideal",
             "generators": [series_to_json(g) for g in ideal.generators]}
@@ -239,7 +230,7 @@ def instance_from_json(payload: dict) -> Instance:
 def manifest_core(command: str, parameters: dict, input_hashes: dict[str, str]) -> dict:
     """The hashed portion of a run manifest: command, parameters, inputs.
 
-    Output paths and hashes are recorded next to (not inside) the core so the
+    Output hashes are recorded next to (not inside) the core so the
     manifest hash depends only on what determines the run.
     """
     return {"kind": "run_manifest", "command": command,

@@ -185,7 +185,8 @@ def test_decide_refuted_exits_10_with_certificate(refuted_run):
 
 
 def test_decide_artifacts_are_byte_identical_across_out_dirs(refuted_run):
-    for name in ("outcome.json", "certificate.json", "failing_system.json"):
+    for name in ("outcome.json", "certificate.json", "failing_system.json",
+                 "manifest.json"):
         b1 = (refuted_run["out1"] / name).read_bytes()
         b2 = (refuted_run["out2"] / name).read_bytes()
         assert b1 == b2, name
@@ -305,6 +306,15 @@ def test_verify_potential_pass_and_fail(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_potential_witness_without_phi_is_input_error(tmp_path, capsys):
+    sp = tmp_path / "sigma.json"
+    _write(sp, _gradient_sigma_payload())
+    wp = tmp_path / "witness.json"
+    _write(wp, {"kind": "potential_witness", "gradient_matches_below": 6})
+    assert main(["verify-potential", str(wp), str(sp), "--order", "5"]) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
 # --- batch ------------------------------------------------------------------------
 
 
@@ -366,6 +376,21 @@ def test_batch_turns_bad_instances_into_error_rows(tmp_path, capsys):
         manifest = load_json(str(out / "manifest.json"))
         assert set(manifest["input_hashes"]) == {good, str(batch / "c_short.json")}
     assert summaries[0] == summaries[1]
+    capsys.readouterr()
+
+
+def test_batch_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    _write(batch / "a_good.json", _small_instance_payload(5))
+    (batch / "b_latin.json").write_bytes(b'{"kind": "instance", "mode": "g\xe9n\xe9ric"}')
+    out = tmp_path / "out"
+    assert main(["batch", str(batch / "*.json"), "--out", str(out)]) == EXIT_INPUT
+    rows = {Path(row["file"]).name: row for row in
+            load_json(str(out / "summary.json"))["runs"]}
+    assert rows["b_latin.json"]["status"] == "error"
+    assert "not valid JSON" in rows["b_latin.json"]["message"]
+    assert rows["a_good.json"]["status"] != "error"
     capsys.readouterr()
 
 

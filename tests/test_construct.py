@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acforms.construct import (ConstructionState, HypothesisError, Instance,
-                               build, convergence_bound, defect_component,
-                               extend_order, init_leading, multiplier_magnitude,
-                               verify_almost_closed)
+                               affine_series, build, convergence_bound,
+                               defect_component, extend_order, init_leading,
+                               multiplier_magnitude, verify_almost_closed)
 from acforms.poly import HomogPoly, MismatchError, OneForm, TruncSeries
 from conftest import H, S, form, series_x, zero_series
 from oracles import poly_add, poly_mul, poly_partial, series_dict
@@ -137,6 +137,25 @@ def test_bounded_build_respects_norm_recursion():
         # the free data goes through a y-antiderivative, so no pure x^k top
         assert a.component(k).coeff((k, 0)) == 0
         running = max(running, na, nb)
+
+
+def test_bounded_build_with_zero_multipliers_keeps_the_leading_pair():
+    # every later order is zero, so nothing past degree d is stored
+    inst = Instance(d=2, N=8, C=zero_series(5), D=zero_series(5), seed=3,
+                    mode="bounded")
+    sigma, state = build(inst)
+    # the seed polynomial is drawn first, so an N = d + 1 build is the leading pair
+    leading, _ = build(Instance(d=2, N=3, C=zero_series(0), D=zero_series(0), seed=3))
+    for comp, lead in zip(sigma.components, leading.components):
+        assert set(comp.parts) == {2} and comp.parts == lead.parts
+    assert sorted(state.norm_log) == list(range(2, 8))
+    assert verify_almost_closed(sigma, inst.C, inst.D).ok
+
+
+def test_affine_series_holds_constant_and_linear_parts():
+    c = affine_series(Fraction(2), Fraction(0), Fraction(-1, 3), 4)
+    assert c == S(2, 4, {0: {(0, 0): 2}, 1: {(0, 1): Fraction(-1, 3)}})
+    assert affine_series(0, 0, 0, 3) == zero_series(3)
 
 
 def test_b_vanish_from_kills_high_b_components():
