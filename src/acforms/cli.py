@@ -22,14 +22,12 @@ import glob as globmod
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Callable
 
 from . import construct, ideals, serialize
-from .decide import (UNKNOWN_NAMES, DeciderOutcome, GuardReport, decide,
-                     genericity_guard, obstruction, staged_report,
+from .decide import (decide, genericity_guard, obstruction, staged_report,
                      tilde_transform, verify_potential)
 from .poly import MismatchError, OneForm, TruncSeries
 
@@ -40,6 +38,8 @@ EXIT_INPUT = 2
 
 _INPUT_ERRORS = (serialize.SerializationError, MismatchError,
                  construct.HypothesisError)
+
+_frac = serialize.frac_to_str
 
 
 def _load(path: str, reader):
@@ -77,70 +77,6 @@ def _print(payload, fmt: str, text_lines) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON views of in-memory results
-
-
-def _frac(value: Fraction) -> str:
-    return serialize.frac_to_str(value)
-
-
-def _guard_json(report: GuardReport) -> dict:
-    return {"kind": "guard_report",
-            "lowest_degree": report.lowest_degree,
-            "passed": report.passed,
-            "checks": [{"name": c.name, "applicable": c.applicable,
-                        "expected_rank": c.expected_rank,
-                        "actual_rank": c.actual_rank, "passed": c.passed}
-                       for c in report.checks]}
-
-
-def _staged_json(records: list[dict]) -> list[dict]:
-    out = []
-    for record in records:
-        blocks = {str(j): {"dim": block["dim"],
-                           "forced": {lbl: _frac(v) for lbl, v in sorted(block["forced"].items())}}
-                  for j, block in record["blocks"].items()}
-        out.append({"through_degree": record["through_degree"],
-                    "feasible": record["feasible"], "blocks": blocks})
-    return out
-
-
-def _outcome_json(outcome: DeciderOutcome) -> dict:
-    payload = {"kind": "decider_outcome",
-               "verdict": outcome.verdict,
-               "order": outcome.order,
-               "lowest_degree": outcome.lowest_degree,
-               "failing_degree": outcome.failing_degree,
-               "gauge": outcome.gauge,
-               "branch": outcome.branch,
-               "notes": list(outcome.notes),
-               "guard": _guard_json(outcome.guard) if outcome.guard else None,
-               "staged": _staged_json(outcome.staged)}
-    if outcome.witness is not None:
-        payload["gradient_matches_below"] = outcome.witness["gradient_matches_below"]
-    return payload
-
-
-def _witness_json(witness: dict) -> dict:
-    payload = {"kind": "potential_witness",
-               "gradient_matches_below": witness["gradient_matches_below"],
-               "phi": serialize.series_to_json(witness["phi"])}
-    for name in UNKNOWN_NAMES:
-        payload[name] = serialize.series_to_json(witness[name])
-    return payload
-
-
-def _report_json(report: construct.AlmostClosedReport) -> dict:
-    return {"kind": "almost_closed_report",
-            "ok": report.ok,
-            "first_failure": report.first_failure,
-            "checked_below": report.checked_below,
-            "failing_degrees": list(report.failures()),
-            "residual_norms": {str(k): _frac(p.norm())
-                               for k, p in sorted(report.residuals.items())}}
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
@@ -157,8 +93,7 @@ def _cmd_build(args) -> int:
            "mode": instance.mode,
            "norms": {str(k): {name: _frac(v) for name, v in sorted(row.items())}
                      for k, row in sorted(state.norm_log.items())}}
-    artifacts = _emit(args.out, "build", {"instance": args.instance},
-                      {"instance": in_hash},
+    artifacts = _emit(args.out, "build", {}, {"instance": in_hash},
                       {"sigma.json": serialize.one_form_to_json(sigma),
                        "log.json": log})
     _print(artifacts["sigma.json"], args.format,
@@ -171,7 +106,7 @@ def _cmd_build(args) -> int:
 def _cmd_decide(args) -> int:
     sigma, s_hash = _load(args.sigma, serialize.one_form_from_json)
     outcome = decide(sigma, args.order)
-    artifacts = {"outcome.json": _outcome_json(outcome)}
+    artifacts = {"outcome.json": serialize.outcome_to_json(outcome)}
     if outcome.certificate is not None:
         system_json = serialize.system_to_json(outcome.failing_system)
         artifacts["failing_system.json"] = system_json
@@ -179,7 +114,7 @@ def _cmd_decide(args) -> int:
             outcome.certificate,
             system_hash=serialize.sha256_of_payload(system_json))
     if outcome.witness is not None:
-        artifacts["phi.json"] = _witness_json(outcome.witness)
+        artifacts["phi.json"] = serialize.witness_to_json(outcome.witness)
     stamped = _emit(args.out, "decide", {"order": args.order},
                     {"sigma": s_hash}, artifacts)
     text = [f"verdict: {outcome.verdict} (order {outcome.order}, "
@@ -198,7 +133,7 @@ def _cmd_decide(args) -> int:
 def _verify_ac(sigma: OneForm, c: TruncSeries, d: TruncSeries):
     report = construct.verify_almost_closed(sigma, c, d)
     status = "pass" if report.ok else f"fail at degree {report.first_failure}"
-    return ("report.json", _report_json(report),
+    return ("report.json", serialize.report_to_json(report),
             [f"almost-closed check: {status} (residuals checked below "
              f"{report.checked_below})"], report.ok)
 
@@ -235,13 +170,6 @@ def _ideal_colength(ideal: ideals.TruncatedIdeal, bound: int):
             else f"not finite-colength below {bound}")
     return ("colength.json", {"kind": "colength", "max": bound, "value": value},
             [text], value is not None)
-
-
-def _read_potential(payload) -> TruncSeries:
-    """Accept a bare series or the witness artifact emitted by `decide`."""
-    if isinstance(payload, dict) and payload.get("kind") == "potential_witness":
-        payload = payload.get("phi")
-    return serialize.series_from_json(payload)
 
 
 def _verify_potential(phi: TruncSeries, omega: OneForm, order: int):
@@ -287,8 +215,8 @@ _COMMANDS = {
     "ideal colength": _Command("dimension of the quotient ring", _IDEAL, "max",
                                _ideal_colength),
     "verify-potential": _Command("gradient ideal vs component ideal modulo m^order",
-                                 (("phi", _read_potential), ("omega", _FORM)), "order",
-                                 _verify_potential),
+                                 (("phi", serialize.potential_from_json), ("omega", _FORM)),
+                                 "order", _verify_potential),
     "converge-bound": _Command("growth ratio and radius bound from the multipliers",
                                _MULTIPLIERS, None, _converge_bound),
 }

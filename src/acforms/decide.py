@@ -41,6 +41,10 @@ takes one path:
 * When every prefix is consistent, the unit condition is decided on the
   solution set of the last one, giving feasible-or-degenerate.
 
+Columns are addressed by their position in `assemble_system`'s layout
+(`_column`), never by label.  Results are typed records: a `StageRecord`
+per prefix with a `BlockRecord` per unknown degree, and a `PotentialWitness`.
+
 The unit condition is decided exactly: particular point first, then a
 bounded number of seeded samples, then symbolic expansion of the restricted
 quadratic; if it is not identically zero on the solution set, a nonzero
@@ -67,19 +71,18 @@ from .poly import HomogPoly, MismatchError, OneForm, TruncSeries, monomials
 
 UNKNOWN_NAMES = ("X", "Y", "Z", "W")
 GAUGE_ROW_LABEL = "gauge:X:0,0"
-DEGREE0_LABELS = ("X:0,0", "Y:0,0", "Z:0,0", "W:0,0")
 
 
 def _mono(exp: tuple[int, ...]) -> HomogPoly:
     return HomogPoly(2, sum(exp), {exp: Fraction(1)})
 
 
-def _column_label(name: str, exp: tuple[int, int]) -> str:
-    return f"{name}:{exp[0]},{exp[1]}"
-
-
-def _row_label(k: int, exp: tuple[int, int]) -> str:
-    return f"deg{k}:{exp[0]},{exp[1]}"
+def _column(name: str, exp: tuple[int, int]) -> int:
+    """Column of the coefficient of x^a y^b in unknown `name`: unknown degree
+    j = a + b, then name, then monomial.  Block j starts after 4*(1 + ... + j)
+    columns and has j+1 per name, by the exponent of y; X0 .. W0 are 0 .. 3."""
+    j = exp[0] + exp[1]
+    return 2 * j * (j + 1) + UNKNOWN_NAMES.index(name) * (j + 1) + exp[1]
 
 
 def _validate_sigma(sigma: OneForm, order: int) -> int:
@@ -101,8 +104,9 @@ def assemble_system(sigma: OneForm, order: int) -> AffineSystem:
     """One equation per monomial per degree d-1 .. order-1 of identity (*).
 
     Unknown columns are the coefficients of X, Y, Z, W in degrees
-    0 .. order-d, labelled `name:a,b` by exponent; rows are labelled
-    `deg<k>:a,b` by equation degree and monomial.
+    0 .. order-d, laid out by unknown degree, then name, then monomial (see
+    `_column`) and labelled `name:a,b` by exponent; rows are grouped by
+    equation degree and labelled `deg<k>:a,b` by degree and monomial.
     """
     d = _validate_sigma(sigma, order)
     a, b = sigma.components
@@ -113,7 +117,7 @@ def assemble_system(sigma: OneForm, order: int) -> AffineSystem:
         for name in UNKNOWN_NAMES:
             for exp in monomials(2, j):
                 columns.append((name, exp))
-    col_labels = [_column_label(name, exp) for name, exp in columns]
+    col_labels = [f"{name}:{exp[0]},{exp[1]}" for name, exp in columns]
 
     matrix: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -138,7 +142,7 @@ def assemble_system(sigma: OneForm, order: int) -> AffineSystem:
         target = b.component(k + 1).partial(0).sub(a.component(k + 1).partial(1))
         matrix.extend(block)
         rhs.extend(target.coeff(exp) for exp in basis)
-        row_labels.extend(_row_label(k, exp) for exp in basis)
+        row_labels.extend(f"deg{k}:{exp[0]},{exp[1]}" for exp in basis)
     return AffineSystem(matrix=matrix, rhs=rhs, column_labels=col_labels,
                         row_labels=row_labels)
 
@@ -146,7 +150,7 @@ def assemble_system(sigma: OneForm, order: int) -> AffineSystem:
 def with_gauge(system: AffineSystem) -> AffineSystem:
     """Append the normalization row X0 = 0."""
     row = [Fraction(0)] * system.num_cols
-    row[system.column_index("X:0,0")] = Fraction(1)
+    row[_column("X", (0, 0))] = Fraction(1)
     return AffineSystem(matrix=[list(r) for r in system.matrix] + [row],
                         rhs=list(system.rhs) + [Fraction(0)],
                         column_labels=list(system.column_labels),
@@ -168,8 +172,8 @@ def _prefix(system: AffineSystem, d: int, through_degree: int) -> AffineSystem:
 def trivial_solution(system: AffineSystem) -> list[Fraction]:
     """X = W = -1, Y = Z = 0: the constant-candidate solution of (*)."""
     point = [Fraction(0)] * system.num_cols
-    point[system.column_index("X:0,0")] = Fraction(-1)
-    point[system.column_index("W:0,0")] = Fraction(-1)
+    point[_column("X", (0, 0))] = Fraction(-1)
+    point[_column("W", (0, 0))] = Fraction(-1)
     return point
 
 
@@ -274,8 +278,8 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
 # unit condition
 
 
-def _unit_value(point: list[Fraction], idx: tuple[int, int, int, int]) -> Fraction:
-    x0, y0, z0, w0 = (point[i] for i in idx)
+def _unit_value(point: list[Fraction]) -> Fraction:
+    x0, y0, z0, w0 = point[:4]
     return (1 + x0) * (1 + w0) - y0 * z0
 
 
@@ -288,20 +292,19 @@ def find_unit_solution(solution: SolutionSet,
     coefficient survives, its monomial names at most two weights, and a
     {-1,0,1} scan over just those two (complete for per-variable degree
     <= 2) produces a nonzero point.  Returns None only when the quadratic
-    is identically zero on the solution set.
+    is identically zero on the solution set.  X0, Y0, Z0, W0 are the
+    first four coordinates.
     """
-    idx = tuple(solution.column_labels.index(lbl) for lbl in DEGREE0_LABELS)
-    if _unit_value(solution.particular, idx) != 0:
+    if _unit_value(solution.particular) != 0:
         return list(solution.particular)
     for seed in range(sample_budget):
         point = sample_generic(solution, seed=seed)
-        if _unit_value(point, idx) != 0:
+        if _unit_value(point) != 0:
             return point
 
-    xp, yp, zp, wp = (solution.particular[i] for i in idx)
-    coords = [[vec[i] for i in idx] for vec in solution.nullspace_basis]
+    xp, yp, zp, wp = solution.particular[:4]
+    coords = [vec[:4] for vec in solution.nullspace_basis]
     m = len(coords)
-    constant = (1 + xp) * (1 + wp) - yp * zp
     linear = {}
     for i in range(m):
         xi, yi, zi, wi = coords[i]
@@ -319,18 +322,13 @@ def find_unit_solution(solution: SolutionSet,
                 c = xi * wj + xj * wi - yi * zj - yj * zi
             if c != 0:
                 quadratic[(i, j)] = c
-    if constant == 0 and not linear and not quadratic:
+    # the particular point failed above, so the constant term is zero
+    if not linear and not quadratic:
         return None
-
-    if constant != 0:
-        support: tuple[int, ...] = ()
-    elif linear:
-        support = (next(iter(sorted(linear))),)
-    else:
-        support = tuple(sorted(min(quadratic)))
+    support = (min(linear),) if linear else min(quadratic)
 
     def value(assign: dict[int, Fraction]) -> Fraction:
-        total = constant
+        total = Fraction(0)
         for i, c in linear.items():
             total += c * assign.get(i, Fraction(0))
         for (i, j), c in quadratic.items():
@@ -424,16 +422,16 @@ def verify_potential(phi: TruncSeries, omega: OneForm, order: int) -> bool:
     return ideal_equal_mod(TruncatedIdeal(grads), TruncatedIdeal(omega.components), order)
 
 
-def _series_from_point(point: list[Fraction], trunc: int) -> dict[str, TruncSeries]:
+def _series_from_point(point: list[Fraction], trunc: int) -> list[TruncSeries]:
     """X, Y, Z, W read off a solution point by the column layout of
     `assemble_system`: unknown degree, then name, then monomial."""
-    parts: dict[str, list[HomogPoly]] = {name: [] for name in UNKNOWN_NAMES}
+    parts: list[list[HomogPoly]] = [[] for _ in UNKNOWN_NAMES]
     values = iter(point)
     for j in range(trunc):
-        for name in UNKNOWN_NAMES:
+        for polys in parts:
             terms = {exp: next(values) for exp in monomials(2, j)}
-            parts[name].append(HomogPoly.from_terms(2, j, terms))
-    return {name: TruncSeries.from_parts(2, trunc, polys) for name, polys in parts.items()}
+            polys.append(HomogPoly.from_terms(2, j, terms))
+    return [TruncSeries.from_parts(2, trunc, polys) for polys in parts]
 
 
 def scaled_pair(sigma: OneForm, x: TruncSeries, y: TruncSeries,
@@ -446,9 +444,22 @@ def scaled_pair(sigma: OneForm, x: TruncSeries, y: TruncSeries,
     return OneForm((one.truncate(order), two.truncate(order)))
 
 
-def _reconstruct(sigma: OneForm, order: int, point: list[Fraction]) -> dict:
+@dataclass(frozen=True)
+class PotentialWitness:
+    """Unknowns of a unit solution and the potential they integrate to; the
+    gradient of phi matches the scaled pair below `gradient_matches_below`."""
+
+    X: TruncSeries
+    Y: TruncSeries
+    Z: TruncSeries
+    W: TruncSeries
+    phi: TruncSeries
+    gradient_matches_below: int
+
+
+def _reconstruct(sigma: OneForm, order: int, point: list[Fraction]) -> PotentialWitness:
     series = _series_from_point(point, order - sigma.lowest_degree() + 1)
-    eta = scaled_pair(sigma, series["X"], series["Y"], series["Z"], series["W"])
+    eta = scaled_pair(sigma, *series)
     extension = closed_extension_order(eta)
     if extension <= order:
         raise AssertionError(
@@ -458,12 +469,31 @@ def _reconstruct(sigma: OneForm, order: int, point: list[Fraction]) -> dict:
     if not ideal_contained_mod(TruncatedIdeal(grads),
                                TruncatedIdeal(sigma.components), order):
         raise AssertionError("gradient ideal escaped the component ideal")
-    return {**series, "phi": phi, "point": list(point),
-            "gradient_matches_below": extension}
+    return PotentialWitness(*series, phi=phi, gradient_matches_below=extension)
 
 
 # ---------------------------------------------------------------------------
 # outcome assembly
+
+
+@dataclass(frozen=True)
+class BlockRecord:
+    """One unknown-degree block on a consistent prefix: the affine dimension
+    of its projection, and the value of each of its columns that is the
+    same on every solution, keyed by column label."""
+
+    dim: int
+    forced: dict[str, Fraction]
+
+
+@dataclass(frozen=True)
+class StageRecord:
+    """The prefix of equation degrees d-1 .. through_degree; `blocks` is
+    indexed by unknown degree and empty when the prefix is inconsistent."""
+
+    through_degree: int
+    feasible: bool
+    blocks: tuple[BlockRecord, ...] = ()
 
 
 @dataclass
@@ -474,22 +504,17 @@ class DeciderOutcome:
     failing_degree: int | None = None
     certificate: FarkasCertificate | None = None
     failing_system: AffineSystem | None = None
-    witness: dict | None = None
-    staged: list[dict] = field(default_factory=list)
+    witness: PotentialWitness | None = None
+    staged: list[StageRecord] = field(default_factory=list)
     gauge: str = "none"
     branch: str = ""
     guard: GuardReport | None = None
     notes: list[str] = field(default_factory=list)
 
 
-def _block_labels(block_degree: int) -> list[str]:
-    return [_column_label(name, exp)
-            for name in UNKNOWN_NAMES for exp in monomials(2, block_degree)]
-
-
 def _solve_prefixes(system: AffineSystem, d: int, order: int, gauged: bool,
                     full_solution: SolutionSet | None
-                    ) -> tuple[list[dict], int | None, FarkasCertificate | None,
+                    ) -> tuple[list[StageRecord], int | None, FarkasCertificate | None,
                                AffineSystem | None, SolutionSet | None]:
     """Solve each degree prefix once, gauge row appended when `gauged`.
 
@@ -498,7 +523,7 @@ def _solve_prefixes(system: AffineSystem, d: int, order: int, gauged: bool,
     prefix, which is the whole (gauged) system.  `full_solution`, when
     given, stands in for the solve of the last prefix.
     """
-    records: list[dict] = []
+    records: list[StageRecord] = []
     for k in range(d - 1, order):
         prefix = _prefix(system, d, k)
         if gauged:
@@ -508,23 +533,21 @@ def _solve_prefixes(system: AffineSystem, d: int, order: int, gauged: bool,
         else:
             outcome = solve_affine(prefix)
         if isinstance(outcome, FarkasCertificate):
-            records.extend({"through_degree": j, "feasible": False, "blocks": {}}
-                           for j in range(k, order))
+            records.extend(StageRecord(j, False) for j in range(k, order))
             return records, k, outcome, prefix, None
-        index = {label: i for i, label in enumerate(outcome.column_labels)}
         moving = {i for vec in outcome.nullspace_basis for i, v in enumerate(vec) if v}
-        blocks: dict[int, dict] = {}
+        blocks = []
         for j in range(order - d + 1):
-            labels = _block_labels(j)
-            dim, base = project_solution_set(outcome, labels)
-            forced = {label: value for label, value in zip(labels, base)
-                      if index[label] not in moving}
-            blocks[j] = {"dim": dim, "forced": forced}
-        records.append({"through_degree": k, "feasible": True, "blocks": blocks})
+            columns = range(_column("X", (j, 0)), _column("X", (j + 1, 0)))
+            dim, base = project_solution_set(outcome, columns)
+            forced = {system.column_labels[c]: value for c, value in zip(columns, base)
+                      if c not in moving}
+            blocks.append(BlockRecord(dim, forced))
+        records.append(StageRecord(k, True, tuple(blocks)))
     return records, None, None, None, outcome
 
 
-def decide(sigma: OneForm, order: int, *, sample_budget: int = 16) -> DeciderOutcome:
+def decide(sigma: OneForm, order: int) -> DeciderOutcome:
     """Full decision pipeline; all outcomes are values, never exceptions.
 
     Verdicts: `infeasible` (with failing degree and Farkas certificate —
@@ -548,7 +571,8 @@ def decide(sigma: OneForm, order: int, *, sample_budget: int = 16) -> DeciderOut
         raise AssertionError("ungauged system reported infeasible despite the "
                              "constant-candidate solution")
 
-    dim0, base0 = project_solution_set(solution, ["Y:0,0", "Z:0,0"])
+    dim0, base0 = project_solution_set(solution, [_column("Y", (0, 0)),
+                                                  _column("Z", (0, 0))])
     forced_zero = dim0 == 0 and all(v == 0 for v in base0)
     guard = genericity_guard(sigma)
     gauged = forced_zero and guard.check("leading_pair").passed
@@ -571,7 +595,7 @@ def decide(sigma: OneForm, order: int, *, sample_budget: int = 16) -> DeciderOut
         return DeciderOutcome(verdict="infeasible", failing_degree=first_bad,
                               certificate=certificate, failing_system=failing_system,
                               **common)
-    unit = find_unit_solution(last, sample_budget)
+    unit = find_unit_solution(last)
     if unit is None:
         notes.append("every normalized solution fails the unit condition" if gauged
                      else "every solution fails the unit condition")
@@ -588,17 +612,16 @@ def staged_report(outcome: DeciderOutcome) -> str:
     header = "through | " + " | ".join(f"block {j} dim" for j in range(top + 1))
     lines.append(header)
     for record in outcome.staged:
-        k = record["through_degree"]
-        if not record["feasible"]:
+        k = record.through_degree
+        if not record.feasible:
             lines.append(f"{k:7d} | infeasible")
             continue
-        dims = " | ".join(f"{record['blocks'][j]['dim']:11d}" for j in range(top + 1))
+        dims = " | ".join(f"{block.dim:11d}" for block in record.blocks)
         lines.append(f"{k:7d} | {dims}")
-        for j in range(top + 1):
-            block = record["blocks"][j]
-            if block["dim"] == 0 and block["forced"]:
+        for j, block in enumerate(record.blocks):
+            if block.dim == 0 and block.forced:
                 forced = ", ".join(f"{lbl}={val}" for lbl, val in
-                                   sorted(block["forced"].items()) if val != 0)
+                                   sorted(block.forced.items()) if val != 0)
                 lines.append(f"        |   block {j} forced: {forced or 'all zero'}")
     return "\n".join(lines)
 
@@ -651,28 +674,22 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
     system = assemble_system(sigma, order)
     ct, dt = tilde_transform(c, d_series)
     tilde_sum = ct.coeff((1, 0)) + dt.coeff((0, 1))
-    functional = {"Z:2,0": Fraction(2), "Y:0,2": Fraction(-2)}
+    functional = {_column("Z", (2, 0)): Fraction(2), _column("Y", (0, 2)): Fraction(-2)}
     out: dict = {
         "obstruction": obstruction(c, d_series),
         "tilde_obstruction": tilde_sum,
         "predicted_first": 2 * tilde_sum / (d + 3),
         "predicted_second": 2 * tilde_sum / (d + 4),
     }
-    stages = {}
     for key, through in (("first", d + 1), ("second", d + 2)):
         solved = solve_affine(with_gauge(_prefix(system, d, through)))
         if isinstance(solved, FarkasCertificate):
-            stages[key] = None
             out[key] = {"feasible": False}
         else:
             forced, value = functional_range(solved, functional)
-            stages[key] = (forced, value)
             out[key] = {"feasible": True, "forced": forced, "value": value}
-    consistent = stages["second"] is not None
-    if consistent and stages["first"] is not None:
-        f1, v1 = stages["first"]
-        f2, v2 = stages["second"]
-        if f1 and f2 and v1 != v2:
-            consistent = False
-    out["consistent"] = consistent
+    first, second = out["first"], out["second"]
+    out["consistent"] = second["feasible"] and not (
+        first["feasible"] and first["forced"] and second["forced"]
+        and first["value"] != second["value"])
     return out

@@ -16,6 +16,9 @@ clears the entries above each pivot, last pivot first.
   u.matrix = 0 and u.rhs = 1, from one exact solve of the transposed system;
   the certificate is checked by `verify_farkas` before it is returned.
 * `matrix_rank` counts the pivots of a forward elimination.
+
+Solution sets and their projections address columns by index; labels live
+only on `AffineSystem`, where they are part of its JSON format.
 """
 
 from __future__ import annotations
@@ -54,22 +57,15 @@ class AffineSystem:
     def num_cols(self) -> int:
         return len(self.column_labels)
 
-    def column_index(self, label: str) -> int:
-        try:
-            return self.column_labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown column label {label!r}") from None
-
 
 @dataclass
 class SolutionSet:
     """Affine solution set: particular point plus a nullspace basis.
 
-    The basis vectors are linearly independent, so the affine dimension is
-    their count.
+    Coordinates follow the columns of the solved system.  The basis vectors
+    are linearly independent, so the affine dimension is their count.
     """
 
-    column_labels: list[str]
     particular: list[Fraction]
     nullspace_basis: list[list[Fraction]]
 
@@ -187,7 +183,7 @@ def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
         for row, c in zip(work, pivots):
             vec[c] = Fraction(-row[fcol], row[c])
         basis.append(vec)
-    return SolutionSet(list(system.column_labels), particular, basis)
+    return SolutionSet(particular, basis)
 
 
 def _certificate(system: AffineSystem, scales: list[int],
@@ -246,17 +242,14 @@ def residual(system: AffineSystem, point: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def sample_generic(solution: SolutionSet, seed: int, bound: int = 9) -> list[Fraction]:
+def sample_generic(solution: SolutionSet, seed: int) -> list[Fraction]:
     """Deterministic pseudo-random point of the solution set.
 
     Basis weights are drawn from the documented SplitMix64 stream, uniformly
-    in [-bound, bound], one draw per basis vector in order.
+    in [-9, 9], one draw per basis vector in order.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
     stream = Stream(seed)
-    weights = [Fraction(stream.int_between(-bound, bound))
-               for _ in solution.nullspace_basis]
+    weights = [Fraction(stream.int_between(-9, 9)) for _ in solution.nullspace_basis]
     return solution.point(weights)
 
 
@@ -269,35 +262,29 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def project_solution_set(solution: SolutionSet,
-                         columns: Sequence[str]) -> tuple[int, list[Fraction]]:
-    """Project the affine set onto a coordinate subset.
+                         columns: Sequence[int]) -> tuple[int, list[Fraction]]:
+    """Project the affine set onto the coordinates with the given indices.
 
     Returns (affine dimension, base point), the base point expressed in the
     selected coordinates in the order given; the dimension is the rank of
     the nullspace basis restricted to those coordinates.
     """
-    idx = []
-    for label in columns:
-        try:
-            idx.append(solution.column_labels.index(label))
-        except ValueError:
-            raise KeyError(f"unknown column label {label!r}") from None
-    base = [solution.particular[i] for i in idx]
-    restricted = [[vec[i] for i in idx] for vec in solution.nullspace_basis]
+    base = [solution.particular[i] for i in columns]
+    restricted = [[vec[i] for i in columns] for vec in solution.nullspace_basis]
     return matrix_rank(restricted), base
 
 
 def functional_range(solution: SolutionSet,
-                     weights: dict[str, Fraction]) -> tuple[bool, Fraction]:
-    """Range of a linear functional sum(w_label * v_label) over the set.
+                     weights: dict[int, Fraction]) -> tuple[bool, Fraction]:
+    """Range of a linear functional sum(w_i * v_i) over the set, keyed by
+    coordinate index.
 
     Returns (forced, value): forced means the functional is constant on the
     solution set, in which case value is that constant; otherwise value is
     the functional at the particular point.
     """
-    idx = {solution.column_labels.index(lbl): w for lbl, w in weights.items()}
-    at_particular = sum((w * solution.particular[i] for i, w in idx.items()), Fraction(0))
+    at_particular = sum((w * solution.particular[i] for i, w in weights.items()), Fraction(0))
     for vec in solution.nullspace_basis:
-        if sum((w * vec[i] for i, w in idx.items()), Fraction(0)) != 0:
+        if sum((w * vec[i] for i, w in weights.items()), Fraction(0)) != 0:
             return False, at_particular
     return True, at_particular

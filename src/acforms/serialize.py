@@ -6,6 +6,10 @@ content always produces identical bytes.  Artifacts carry no timestamps;
 reproducibility is part of the contract.  `sha256_of_payload` over the
 canonical encoding is the content hash used to link certificates to the
 systems they refute and outputs to their run manifests.
+
+Every artifact format lives here, each writer next to its reader where one
+exists.  Readers raise `SerializationError`, and nothing else, on a
+malformed payload.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .construct import Instance
+from .construct import AlmostClosedReport, HypothesisError, Instance
+from .decide import UNKNOWN_NAMES, DeciderOutcome, PotentialWitness
 from .ideals import TruncatedIdeal
 from .linalg import AffineSystem, FarkasCertificate
-from .poly import HomogPoly, OneForm, TruncSeries
+from .poly import HomogPoly, MismatchError, OneForm, TruncSeries
 
 
 class SerializationError(ValueError):
@@ -52,6 +57,14 @@ def _json_int(value: Any, name: str) -> int:
     """A JSON integer field; strings, floats and booleans are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SerializationError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_list(value: Any, name: str, of: type = object) -> list:
+    """A JSON list field; with `of=str`, a list of JSON strings."""
+    if not isinstance(value, list) or not all(isinstance(v, of) for v in value):
+        raise SerializationError(f"{name} must be a list{' of strings' if of is str else ''}, "
+                                 f"got {value!r}")
     return value
 
 
@@ -111,14 +124,10 @@ def series_from_json(data: Any) -> TruncSeries:
     except KeyError as exc:
         raise SerializationError(f"bad series fields: missing {exc}") from None
     buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    if not isinstance(raw_terms, list):
-        raise SerializationError("series terms must be a list")
-    for entry in raw_terms:
+    for entry in _json_list(raw_terms, "series terms"):
         if not isinstance(entry, dict) or "exp" not in entry or "coeff" not in entry:
             raise SerializationError(f"bad series term {entry!r}")
-        if not isinstance(entry["exp"], list):
-            raise SerializationError(f"exponent must be a list, got {entry['exp']!r}")
-        exp = tuple(_json_int(e, "exponent") for e in entry["exp"])
+        exp = tuple(_json_int(e, "exponent") for e in _json_list(entry["exp"], "exponent"))
         coeff = frac_from_str(entry["coeff"])
         bucket = buckets.setdefault(sum(exp), {})
         if exp in bucket:
@@ -160,12 +169,13 @@ def system_to_json(system: AffineSystem) -> dict:
 def system_from_json(data: Any) -> AffineSystem:
     data = _expect_kind(data, "affine_system")
     try:
-        matrix = [[frac_from_str(v) for v in row] for row in data["matrix"]]
-        rhs = [frac_from_str(v) for v in data["rhs"]]
-        cols = [str(v) for v in data["column_labels"]]
-        rows = [str(v) for v in data.get("row_labels", [])]
+        matrix = [[frac_from_str(v) for v in _json_list(row, "matrix row")]
+                  for row in _json_list(data["matrix"], "matrix")]
+        rhs = [frac_from_str(v) for v in _json_list(data["rhs"], "rhs")]
+        cols = _json_list(data["column_labels"], "column_labels", str)
+        rows = _json_list(data.get("row_labels", []), "row_labels", str)
         return AffineSystem(matrix=matrix, rhs=rhs, column_labels=cols, row_labels=rows)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise SerializationError(f"bad affine system: {exc}") from None
 
 
@@ -178,9 +188,7 @@ def certificate_to_json(cert: FarkasCertificate, system_hash: str | None = None)
 
 def certificate_from_json(data: Any) -> FarkasCertificate:
     data = _expect_kind(data, "farkas")
-    rows = data.get("rows")
-    if not isinstance(rows, list):
-        raise SerializationError("farkas certificate needs a row list")
+    rows = _json_list(data.get("rows"), "farkas certificate rows")
     return FarkasCertificate(row_combination=[frac_from_str(v) for v in rows])
 
 
@@ -194,7 +202,10 @@ def ideal_from_json(payload: dict) -> TruncatedIdeal:
     gens = payload.get("generators")
     if not isinstance(gens, list) or not gens:
         raise SerializationError("ideal payload needs a nonempty generator list")
-    return TruncatedIdeal(tuple(series_from_json(p) for p in gens))
+    try:
+        return TruncatedIdeal(tuple(series_from_json(p) for p in gens))
+    except MismatchError as exc:
+        raise SerializationError(str(exc)) from None
 
 
 def instance_to_json(instance: Instance) -> dict:
@@ -223,8 +234,66 @@ def instance_from_json(payload: dict) -> Instance:
                         mode=str(payload.get("mode", "generic")),
                         b_vanish_from=(None if raw_vanish is None
                                        else _json_int(raw_vanish, "b_vanish_from")))
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"malformed instance: {exc}") from exc
+    except KeyError as exc:
+        raise SerializationError(f"malformed instance: {exc}") from None
+    except (MismatchError, HypothesisError) as exc:    # the instance's own checks
+        raise SerializationError(str(exc)) from None
+
+
+def outcome_to_json(outcome: DeciderOutcome) -> dict:
+    """The `outcome.json` view: verdict, guard report and staged records."""
+    guard = outcome.guard
+    payload = {"kind": "decider_outcome",
+               "verdict": outcome.verdict,
+               "order": outcome.order,
+               "lowest_degree": outcome.lowest_degree,
+               "failing_degree": outcome.failing_degree,
+               "gauge": outcome.gauge,
+               "branch": outcome.branch,
+               "notes": list(outcome.notes),
+               "guard": None if guard is None else {
+                   "kind": "guard_report",
+                   "lowest_degree": guard.lowest_degree,
+                   "passed": guard.passed,
+                   "checks": [{"name": c.name, "applicable": c.applicable,
+                               "expected_rank": c.expected_rank,
+                               "actual_rank": c.actual_rank, "passed": c.passed}
+                              for c in guard.checks]},
+               "staged": [{"through_degree": record.through_degree,
+                           "feasible": record.feasible,
+                           "blocks": {str(j): {"dim": block.dim,
+                                               "forced": {label: frac_to_str(v) for label, v
+                                                          in block.forced.items()}}
+                                      for j, block in enumerate(record.blocks)}}
+                          for record in outcome.staged]}
+    if outcome.witness is not None:
+        payload["gradient_matches_below"] = outcome.witness.gradient_matches_below
+    return payload
+
+
+def witness_to_json(witness: PotentialWitness) -> dict:
+    """The `phi.json` view: the potential and the unknowns X, Y, Z, W."""
+    return {"kind": "potential_witness",
+            "gradient_matches_below": witness.gradient_matches_below,
+            **{name: series_to_json(getattr(witness, name))
+               for name in ("phi", *UNKNOWN_NAMES)}}
+
+
+def potential_from_json(payload: Any) -> TruncSeries:
+    """A potential: a bare series, or the `phi` of a `witness_to_json` payload."""
+    if isinstance(payload, dict) and payload.get("kind") == "potential_witness":
+        payload = payload.get("phi")
+    return series_from_json(payload)
+
+
+def report_to_json(report: AlmostClosedReport) -> dict:
+    return {"kind": "almost_closed_report",
+            "ok": report.ok,
+            "first_failure": report.first_failure,
+            "checked_below": report.checked_below,
+            "failing_degrees": list(report.failures()),
+            "residual_norms": {str(k): frac_to_str(p.norm())
+                               for k, p in sorted(report.residuals.items())}}
 
 
 def manifest_core(command: str, parameters: dict, input_hashes: dict[str, str]) -> dict:

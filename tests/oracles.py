@@ -109,7 +109,7 @@ def fraction_solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertifica
         for idx, c in enumerate(pivot_cols):
             vec[c] = -work[idx][fcol]
         basis.append(vec)
-    return SolutionSet(list(system.column_labels), particular, basis)
+    return SolutionSet(particular, basis)
 
 
 

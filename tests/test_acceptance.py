@@ -74,7 +74,7 @@ def shifted_runs():
 
 def _record(outcome, through_degree):
     for rec in outcome.staged:
-        if rec["through_degree"] == through_degree:
+        if rec.through_degree == through_degree:
             return rec
     raise AssertionError(f"no staged record through degree {through_degree}")
 
@@ -102,22 +102,22 @@ def test_criterion_02_forced_degree1_block(shifted_runs):
     assert len(shifted_runs) == FAMILY_SIZE
     for seed, outcome in shifted_runs:
         through_d = _record(outcome, D_MAIN)
-        assert through_d["feasible"], f"seed {seed}"
-        assert through_d["blocks"][1]["dim"] == 2, f"seed {seed}"
+        assert through_d.feasible, f"seed {seed}"
+        assert through_d.blocks[1].dim == 2, f"seed {seed}"
         through_d1 = _record(outcome, D_MAIN + 1)
-        assert through_d1["feasible"], f"seed {seed}"
-        block = through_d1["blocks"][1]
-        assert block["dim"] == 0, f"seed {seed}"
-        assert block["forced"] == expected_forced, f"seed {seed}"
+        assert through_d1.feasible, f"seed {seed}"
+        block = through_d1.blocks[1]
+        assert block.dim == 0, f"seed {seed}"
+        assert block.forced == expected_forced, f"seed {seed}"
 
 
 @pytest.mark.criterion("03")
 def test_criterion_03_degree2_block_freedom(shifted_runs):
     for seed, outcome in shifted_runs:
-        block = _record(outcome, D_MAIN + 1)["blocks"][2]
-        assert block["dim"] == 3, f"seed {seed}"
-        assert block["forced"].get("Z:0,2") == 0, f"seed {seed}"
-        assert block["forced"].get("Y:2,0") == 0, f"seed {seed}"
+        block = _record(outcome, D_MAIN + 1).blocks[2]
+        assert block.dim == 3, f"seed {seed}"
+        assert block.forced.get("Z:0,2") == 0, f"seed {seed}"
+        assert block.forced.get("Y:2,0") == 0, f"seed {seed}"
 
 
 @pytest.mark.criterion("04")
@@ -148,7 +148,7 @@ def test_criterion_05_exact_differentials_reconstruct():
                                       count=1, d=d, N=N)[0]
         outcome = decide(sigma, N - 1)
         assert outcome.verdict == "feasible_up_to_M", f"d={d} seed={seed}"
-        phi = outcome.witness["phi"]
+        phi = outcome.witness.phi
         assert verify_potential(phi, sigma, N), f"d={d} seed={seed}"
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, artifacts, manifests, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -38,21 +39,22 @@ def _const_series_payload(value, trunc=3):
                           else zero_series(trunc))
 
 
+def _first_guarded_refutable():
+    """The first guard-passing d=18 N=22 build with C = x: (instance, sigma)."""
+    for seed in range(1, 30):
+        instance = Instance(d=18, N=22, C=series_x(3), D=zero_series(3), seed=seed)
+        sigma, _ = build(instance)
+        if genericity_guard(sigma).passed:
+            return instance, sigma
+    raise AssertionError("no guard-passing seed in range")
+
+
 @pytest.fixture(scope="module")
 def refuted_run(tmp_path_factory):
     """One guard-passing d=18 refutation driven end to end through the CLI."""
     root = tmp_path_factory.mktemp("refuted")
-    C = series_x(3)
-    D = zero_series(3)
-    chosen = None
-    for seed in range(1, 30):
-        sigma, _ = build(Instance(d=18, N=22, C=C, D=D, seed=seed))
-        if genericity_guard(sigma).passed:
-            chosen = seed
-            break
-    assert chosen is not None
     instance_path = root / "instance.json"
-    _write(instance_path, instance_to_json(Instance(d=18, N=22, C=C, D=D, seed=chosen)))
+    _write(instance_path, instance_to_json(_first_guarded_refutable()[0]))
     build_dir = root / "build"
     assert main(["build", str(instance_path), "--out", str(build_dir)]) == EXIT_OK
     sigma_path = build_dir / "sigma.json"
@@ -78,7 +80,6 @@ def test_build_writes_artifacts_and_manifest(tmp_path, capsys):
     assert set(manifest["outputs"]) == {"sigma.json", "log.json"}
     for name, entry in manifest["outputs"].items():
         blob = (out / name).read_bytes()
-        import hashlib
         assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
         payload = json.loads(blob)
         assert payload["manifest_sha256"] == manifest["core_sha256"]
@@ -88,6 +89,22 @@ def test_build_writes_artifacts_and_manifest(tmp_path, capsys):
     assert set(log["norms"]) == {str(k) for k in range(3, 7)}
     stdout = capsys.readouterr().out.strip().splitlines()[-1]
     assert json.loads(stdout)["kind"] == "one_form"
+
+
+def test_build_artifacts_do_not_depend_on_the_path_spelling(tmp_path, monkeypatch, capsys):
+    payload = instance_to_json(Instance(d=3, N=7, C=S(2, 3, {0: {(0, 0): 1}}),
+                                        D=zero_series(3), seed=5))
+    _write(tmp_path / "a.json", payload)
+    (tmp_path / "sub").mkdir()
+    _write(tmp_path / "sub" / "a.json", payload)
+    monkeypatch.chdir(tmp_path)
+    spellings = ("a.json", "./a.json", "sub/a.json")
+    for i, spelling in enumerate(spellings):
+        assert main(["build", spelling, "--out", f"out{i}"]) == EXIT_OK
+    capsys.readouterr()
+    for name in ("sigma.json", "log.json", "manifest.json"):
+        blobs = {(tmp_path / f"out{i}" / name).read_bytes() for i in range(len(spellings))}
+        assert len(blobs) == 1, name
 
 
 def test_build_rejects_invalid_instance(tmp_path, capsys):
@@ -190,6 +207,40 @@ def test_decide_artifacts_are_byte_identical_across_out_dirs(refuted_run):
         b1 = (refuted_run["out1"] / name).read_bytes()
         b2 = (refuted_run["out2"] / name).read_bytes()
         assert b1 == b2, name
+
+
+# SHA-256 of each decide artifact, fixed so the artifact formats stay stable
+_PINNED_DECIDE = {
+    "gradient": {
+        "outcome.json": "9fc31a11a629939c8ffd625ba13204131cf441fa966843913160504acd14bfb5",
+        "phi.json": "1cd8b0b751394f6f25760e988ecc16a903fa21bd6781ca8fb88837c830adcb53"},
+    "radial": {
+        "outcome.json": "f39ebfab422877660dd5ed528f55d65493dff3d787b6ad882fdc99f46101bca2",
+        "phi.json": "303e5cf02392273dcba862ef7019c166b66f067f21d7ade05c4536a68e07389e"},
+    "refuted": {
+        "outcome.json": "f6495cd154bf1b982a84cf60efcbab3334c213f2135bb480e45ac2085b04958d",
+        "certificate.json": "7aecc4d2c923be5f404f11aadb5d09e542695a5a2eb8fa411c554156dce8b5df",
+        "failing_system.json":
+            "ddb0a2a950696b72b6043932a904bafb0a988b99f61ed8aa4c1a2295b06f154f"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DECIDE))
+def test_decide_artifacts_match_pinned_hashes(tmp_path, capsys, name):
+    if name == "gradient":
+        payload, order = _gradient_sigma_payload(), 5
+    elif name == "radial":
+        payload = one_form_to_json(form(S(2, 4, {1: {(1, 0): 1}}), S(2, 4, {1: {(0, 1): 1}})))
+        order = 3
+    else:
+        payload, order = one_form_to_json(_first_guarded_refutable()[1]), 21
+    sp = tmp_path / "sigma.json"
+    _write(sp, payload)
+    out = tmp_path / "run"
+    main(["decide", str(sp), "--order", str(order), "--out", str(out)])
+    capsys.readouterr()
+    for file_name, digest in _PINNED_DECIDE[name].items():
+        assert hashlib.sha256((out / file_name).read_bytes()).hexdigest() == digest, file_name
 
 
 def test_emitted_certificate_audits_standalone(refuted_run):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acforms.construct import Instance, build
-from acforms.decide import (DEGREE0_LABELS, GAUGE_ROW_LABEL, UNKNOWN_NAMES,
+from acforms.decide import (GAUGE_ROW_LABEL, UNKNOWN_NAMES,
                             ClosednessError, assemble_system,
                             closed_extension_order, closedness_residual,
                             decide, find_unit_solution, genericity_guard,
@@ -126,7 +126,7 @@ def test_gauge_row_and_prefix_filtering():
     # gauge forces the X constant to zero on the prefix
     solved = solve_affine(with_gauge(_prefix(system, 2, 1)))
     assert isinstance(solved, SolutionSet)
-    xi = solved.column_labels.index("X:0,0")
+    xi = system.column_labels.index("X:0,0")
     assert solved.particular[xi] == 0
     assert all(vec[xi] == 0 for vec in solved.nullspace_basis)
 
@@ -188,7 +188,7 @@ def test_guard_rejects_bad_input():
 def _degree0_system(rows, rhs):
     return AffineSystem(matrix=[[FR(v) for v in row] for row in rows],
                         rhs=[FR(v) for v in rhs],
-                        column_labels=list(DEGREE0_LABELS))
+                        column_labels=["X:0,0", "Y:0,0", "Z:0,0", "W:0,0"])
 
 
 def _unit_value(point):
@@ -296,12 +296,12 @@ def test_decide_exact_gradient_is_feasible_with_verified_potential():
     assert outcome.certificate is None and outcome.failing_degree is None
     witness = outcome.witness
     assert witness is not None
-    assert witness["gradient_matches_below"] > outcome.order
-    assert verify_potential(witness["phi"], sigma, outcome.order)
+    assert witness.gradient_matches_below > outcome.order
+    assert verify_potential(witness.phi, sigma, outcome.order)
     # staged prefixes only gain constraints, so block dimensions never grow
     top = outcome.order - outcome.lowest_degree
     for j in range(top + 1):
-        dims = [rec["blocks"][j]["dim"] for rec in outcome.staged if rec["feasible"]]
+        dims = [rec.blocks[j].dim for rec in outcome.staged if rec.feasible]
         assert dims == sorted(dims, reverse=True)
     text = staged_report(outcome)
     assert "block 0 dim" in text and "gauge: X0=0" in text
@@ -313,9 +313,9 @@ def test_decide_radial_form_goes_through_open_branch():
     assert outcome.verdict == "feasible_up_to_M"
     assert outcome.branch == "open_degree0"
     assert outcome.gauge == "none"
-    assert verify_potential(outcome.witness["phi"], sigma, 3)
+    assert verify_potential(outcome.witness.phi, sigma, 3)
     # the degree-0 block keeps the Y0 = Z0 line open
-    assert outcome.staged[-1]["blocks"][0]["dim"] >= 1
+    assert outcome.staged[-1].blocks[0].dim >= 1
 
 
 def _guarded_refutable_form():
@@ -347,7 +347,7 @@ def test_decide_refutes_guarded_generic_instance():
     assert outcome.failing_degree == 20
     assert outcome.certificate is not None and outcome.failing_system is not None
     assert verify_farkas(outcome.failing_system, outcome.certificate)
-    feas = [rec["feasible"] for rec in outcome.staged]
+    feas = [rec.feasible for rec in outcome.staged]
     assert feas == [True, True, True, False]
     assert "infeasible" in staged_report(outcome)
 
@@ -392,21 +392,20 @@ def test_staged_blocks_match_each_prefix_solution(sigma, order):
     d = outcome.lowest_degree
     system = assemble_system(sigma, order)
     for rec in outcome.staged:
-        prefix = _prefix(system, d, rec["through_degree"])
+        prefix = _prefix(system, d, rec.through_degree)
         solved = solve_affine(with_gauge(prefix) if outcome.gauge == "X0=0" else prefix)
-        assert isinstance(solved, SolutionSet) and rec["feasible"]
-        for j, block in rec["blocks"].items():
-            labels = [lbl for lbl in solved.column_labels
-                      if sum(map(int, lbl[2:].split(","))) == j]
+        assert isinstance(solved, SolutionSet) and rec.feasible
+        for j, block in enumerate(rec.blocks):
+            columns = [c for c, lbl in enumerate(system.column_labels)
+                       if sum(map(int, lbl[2:].split(","))) == j]
             constant = {}
-            for lbl in labels:
-                forced, value = functional_range(solved, {lbl: FR(1)})
+            for c in columns:
+                forced, value = functional_range(solved, {c: FR(1)})
                 if forced:
-                    constant[lbl] = value
-            assert block["forced"] == constant
-            assert block["dim"] == rref_rank(
-                [[vec[solved.column_labels.index(lbl)] for lbl in labels]
-                 for vec in solved.nullspace_basis])
+                    constant[system.column_labels[c]] = value
+            assert block.forced == constant
+            assert block.dim == rref_rank(
+                [[vec[c] for c in columns] for vec in solved.nullspace_basis])
 
 
 def test_decide_input_validation():

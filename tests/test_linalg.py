@@ -122,14 +122,14 @@ def test_projection_and_functional_on_a_plane():
     system = _sys([[1, 1, 0]], [1], labels=["a", "b", "c"])
     out = solve_affine(system)
     assert isinstance(out, SolutionSet)
-    dim, base = project_solution_set(out, ["c"])
+    dim, base = project_solution_set(out, [2])
     assert dim == 1
-    dim, base = project_solution_set(out, ["a", "b"])
+    dim, base = project_solution_set(out, [0, 1])
     assert dim == 1 and base == [1, 0]
     # a + b is forced to 1, a alone is not
-    forced, value = functional_range(out, {"a": Fraction(1), "b": Fraction(1)})
+    forced, value = functional_range(out, {0: Fraction(1), 1: Fraction(1)})
     assert forced and value == 1
-    forced, _ = functional_range(out, {"a": Fraction(1)})
+    forced, _ = functional_range(out, {0: Fraction(1)})
     assert not forced
 
 

@@ -1,11 +1,13 @@
 """JSON artifacts: round trips, canonical hashing, malformed payloads."""
 
+import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acforms.construct import Instance, build
-from acforms.decide import assemble_system
+from acforms.decide import PotentialWitness, assemble_system
 from acforms.ideals import TruncatedIdeal
 from acforms.linalg import AffineSystem, FarkasCertificate, solve_affine
 from acforms.poly import OneForm
@@ -15,10 +17,11 @@ from acforms.serialize import (SerializationError, canonical_dumps,
                                ideal_from_json, ideal_to_json,
                                instance_from_json, instance_to_json,
                                load_json, manifest_core, one_form_from_json,
-                               one_form_to_json, series_from_json,
-                               series_to_json, sha256_of_bytes,
-                               sha256_of_payload, stamp, system_from_json,
-                               system_to_json)
+                               one_form_to_json, potential_from_json,
+                               series_from_json, series_to_json,
+                               sha256_of_bytes, sha256_of_payload, stamp,
+                               system_from_json, system_to_json,
+                               witness_to_json)
 from conftest import S, zero_series
 
 FR = Fraction
@@ -145,6 +148,23 @@ def test_system_and_certificate_round_trip():
         certificate_from_json({"kind": "farkas", "rows": "nope"})
 
 
+def _system_payload(**changes):
+    system = AffineSystem(matrix=[[FR(1), FR(2)]], rhs=[FR(3)], column_labels=["a", "b"],
+                          row_labels=["r"])
+    return {**system_to_json(system), **changes}
+
+
+@pytest.mark.parametrize("changes", [
+    {"matrix": "12"}, {"matrix": ["12"]}, {"rhs": "3"}, {"column_labels": "ab"},
+    {"row_labels": "r"}, {"row_labels": [7]}, {"column_labels": ["a", None]},
+], ids=["matrix-string", "row-string", "rhs-string", "columns-string",
+        "rows-string", "row-label-int", "column-label-null"])
+def test_system_reader_requires_lists_of_strings(changes):
+    assert system_from_json(_system_payload()).column_labels == ["a", "b"]
+    with pytest.raises(SerializationError):
+        system_from_json(_system_payload(**changes))
+
+
 def test_ideal_round_trip():
     ideal = TruncatedIdeal((_sample_series(), S(2, 6, {2: {(1, 1): 1}})))
     back = ideal_from_json(ideal_to_json(ideal))
@@ -199,11 +219,73 @@ _NON_INTEGER_FIELDS = {
 }
 
 
+@pytest.mark.parametrize("changes", [{"d": 1}, {"N": 3}, {"mode": "weird"},
+                                     {"coeff_bound": 0}])
+def test_instance_checks_surface_as_serialization_errors(changes):
+    with pytest.raises(SerializationError):
+        instance_from_json(_instance_payload(**changes))
+
+
 @pytest.mark.parametrize("case", sorted(_NON_INTEGER_FIELDS))
 def test_integer_fields_accept_only_json_integers(case):
     load, payload = _NON_INTEGER_FIELDS[case]
     with pytest.raises(SerializationError, match="JSON integer|must be a list"):
         load(payload)
+
+
+# --- fuzzing: a mutated payload may only raise SerializationError -------------
+
+_REPLACEMENTS = st.one_of(st.text(max_size=4), st.booleans(), st.none(),
+                          st.integers(-2, 30), st.lists(st.integers(-2, 2), max_size=2),
+                          st.just({}))
+
+
+@st.composite
+def _mutated(draw, payload):
+    """`payload` with one node, reached by a random walk from the root,
+    dropped or replaced by a value that is likely of another JSON type."""
+    payload = copy.deepcopy(payload)
+    parent = payload
+    while True:
+        keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+        key = draw(st.sampled_from(list(keys)))
+        child = parent[key]
+        if not (isinstance(child, (dict, list)) and child and draw(st.integers(0, 3))):
+            break
+        parent = child
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_REPLACEMENTS)
+    return payload
+
+
+_SAMPLE_PAYLOADS = {
+    "series": (series_from_json, series_to_json(_sample_series())),
+    "one_form": (one_form_from_json, one_form_to_json(_sample_form())),
+    "system": (system_from_json, system_to_json(assemble_system(_sample_form(), 3))),
+    "certificate": (certificate_from_json,
+                    certificate_to_json(FarkasCertificate([FR(1), FR(-1, 2)]), "ab")),
+    "ideal": (ideal_from_json,
+              ideal_to_json(TruncatedIdeal((_sample_series(), _sample_series())))),
+    "instance": (instance_from_json,
+                 instance_to_json(Instance(d=3, N=7, C=_sample_series().truncate(3),
+                                           D=zero_series(3), seed=1, b_vanish_from=5))),
+    "potential": (potential_from_json, witness_to_json(
+        PotentialWitness(*[_sample_series()] * 5, gradient_matches_below=6))),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_SAMPLE_PAYLOADS))
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_readers_raise_only_serialization_errors(reader, data):
+    load, payload = _SAMPLE_PAYLOADS[reader]
+    load(payload)
+    try:
+        load(data.draw(_mutated(payload)))
+    except SerializationError:
+        pass
 
 
 def test_instance_payload_feeds_identical_build():
