@@ -22,35 +22,37 @@ Constant candidates are excluded by the unit condition
     (1 + X0)(1 + W0) - Y0 Z0 != 0,
 
 which makes the change of generators invertible at the origin.  The decider
-takes one path:
+takes one path, a scan over the degree prefixes d-1 .. k in increasing k:
 
-* Solve the ungauged system and project onto (Y0, Z0).  When the projection
-  is exactly {(0, 0)} and the leading forms of A, B are independent, every
-  potential-induced solution must have 1 + X0 != 0 (the unit condition
-  degenerates to (1+X0)(1+W0) != 0, and a minimal-generator argument rules
-  out 1 + X0 = 0), so it can be rescaled to X0 = 0.  The gauge X0 = 0 (one
-  extra row) is then equivalent for existence questions.  Otherwise there
-  is no gauge and no refutation is attempted.
-* Each degree prefix d-1 .. k is solved once, in increasing k, with the
-  gauge row, if any, appended; its affine dimension and forced values per
-  unknown block form the staged view.  Without a gauge the last prefix is
-  the whole system, whose solution set is already known.
-* The first inconsistent gauged prefix gives the failing degree and a
-  Farkas certificate: a proof that no potential exists.  Ungauged prefixes
-  are never inconsistent (the constant candidate solves them).
-* When every prefix is consistent, the unit condition is decided on the
-  solution set of the last one, giving feasible-or-degenerate.
+* Each ungauged prefix is solved once and projected onto (Y0, Z0).  The
+  constant candidate solves every prefix, so none is inconsistent, and a
+  longer prefix only adds equations, so a value forced on one prefix is
+  forced on the whole system.  The scan stops at the first prefix whose
+  projection is exactly {(0, 0)}, provided the leading forms of A, B are
+  independent.  Then every potential-induced solution must have
+  1 + X0 != 0 (the unit condition degenerates to (1+X0)(1+W0) != 0, and a
+  minimal-generator argument rules out 1 + X0 = 0), so it can be rescaled
+  to X0 = 0, and the gauge X0 = 0 (one extra row) is equivalent for
+  existence questions.
+* With the gauge, each prefix is solved again with the gauge row appended.
+  The first inconsistent one gives the failing degree and a Farkas
+  certificate: a proof that no potential exists.
+* Without a gauge no refutation is attempted; the scan ran to the last
+  prefix, which is the whole system.
+* Each consistent prefix of the branch taken records its affine dimension
+  and forced values per unknown block: the staged view.  When every prefix
+  is consistent, the unit condition is decided on the solution set of the
+  last one, giving feasible-or-degenerate.
 
 Columns are addressed by their position in `assemble_system`'s layout
 (`_column`), never by label.  Results are typed records: a `StageRecord`
 per prefix with a `BlockRecord` per unknown degree, and a `PotentialWitness`.
 
-The unit condition is decided exactly: particular point first, then a
-bounded number of seeded samples, then symbolic expansion of the restricted
-quadratic; if it is not identically zero on the solution set, a nonzero
-point is found by zeroing all but the (at most two) variables of a
-surviving monomial and scanning {-1, 0, 1} per variable, which is complete
-for per-variable degree <= 2.
+The unit condition is decided exactly: particular point first, then
+symbolic expansion of the restricted quadratic; if it is not identically
+zero on the solution set, a nonzero point is found by zeroing all but the
+(at most two) variables of a surviving monomial and scanning {-1, 0, 1} per
+variable, which is complete for per-variable degree <= 2.
 
 The genericity guard measures the explicit leading-coefficient ranks that
 the staged elimination relies on; seeds failing any applicable check are
@@ -66,7 +68,7 @@ from fractions import Fraction
 from .ideals import TruncatedIdeal, ideal_contained_mod, ideal_equal_mod
 from .linalg import (AffineSystem, FarkasCertificate, SolutionSet,
                      functional_range, matrix_rank, project_solution_set,
-                     residual, sample_generic, solve_affine)
+                     residual, solve_affine)
 from .poly import HomogPoly, MismatchError, OneForm, TruncSeries, monomials
 
 UNKNOWN_NAMES = ("X", "Y", "Z", "W")
@@ -283,24 +285,18 @@ def _unit_value(point: list[Fraction]) -> Fraction:
     return (1 + x0) * (1 + w0) - y0 * z0
 
 
-def find_unit_solution(solution: SolutionSet,
-                       sample_budget: int = 16) -> list[Fraction] | None:
+def find_unit_solution(solution: SolutionSet) -> list[Fraction] | None:
     """A solution with (1+X0)(1+W0) - Y0 Z0 != 0, or None if none exists.
 
-    Particular point first, then seeded samples, then an exact decision:
-    the quadratic is expanded symbolically in the nullspace weights; if some
-    coefficient survives, its monomial names at most two weights, and a
-    {-1,0,1} scan over just those two (complete for per-variable degree
-    <= 2) produces a nonzero point.  Returns None only when the quadratic
-    is identically zero on the solution set.  X0, Y0, Z0, W0 are the
-    first four coordinates.
+    The particular point is tried first.  Otherwise the quadratic is
+    expanded symbolically in the nullspace weights; if some coefficient
+    survives, its monomial names at most two weights, and a {-1,0,1} scan
+    over just those two (complete for per-variable degree <= 2) produces a
+    nonzero point.  Returns None only when the quadratic is identically zero
+    on the solution set.  X0, Y0, Z0, W0 are the first four coordinates.
     """
     if _unit_value(solution.particular) != 0:
         return list(solution.particular)
-    for seed in range(sample_budget):
-        point = sample_generic(solution, seed=seed)
-        if _unit_value(point) != 0:
-            return point
 
     xp, yp, zp, wp = solution.particular[:4]
     coords = [vec[:4] for vec in solution.nullspace_basis]
@@ -512,39 +508,19 @@ class DeciderOutcome:
     notes: list[str] = field(default_factory=list)
 
 
-def _solve_prefixes(system: AffineSystem, d: int, order: int, gauged: bool,
-                    full_solution: SolutionSet | None
-                    ) -> tuple[list[StageRecord], int | None, FarkasCertificate | None,
-                               AffineSystem | None, SolutionSet | None]:
-    """Solve each degree prefix once, gauge row appended when `gauged`.
-
-    Returns the per-prefix records, then either the first failing degree
-    with its certificate and system, or the solution set of the last
-    prefix, which is the whole (gauged) system.  `full_solution`, when
-    given, stands in for the solve of the last prefix.
-    """
-    records: list[StageRecord] = []
-    for k in range(d - 1, order):
-        prefix = _prefix(system, d, k)
-        if gauged:
-            prefix = with_gauge(prefix)
-        if k == order - 1 and full_solution is not None:
-            outcome = full_solution
-        else:
-            outcome = solve_affine(prefix)
-        if isinstance(outcome, FarkasCertificate):
-            records.extend(StageRecord(j, False) for j in range(k, order))
-            return records, k, outcome, prefix, None
-        moving = {i for vec in outcome.nullspace_basis for i, v in enumerate(vec) if v}
-        blocks = []
-        for j in range(order - d + 1):
-            columns = range(_column("X", (j, 0)), _column("X", (j + 1, 0)))
-            dim, base = project_solution_set(outcome, columns)
-            forced = {system.column_labels[c]: value for c, value in zip(columns, base)
-                      if c not in moving}
-            blocks.append(BlockRecord(dim, forced))
-        records.append(StageRecord(k, True, tuple(blocks)))
-    return records, None, None, None, outcome
+def _stage_record(system: AffineSystem, d: int, order: int, k: int,
+                  solution: SolutionSet) -> StageRecord:
+    """Per unknown-degree block of a consistent prefix through degree k: the
+    dimension of its projection and its columns fixed on every solution."""
+    moving = {i for vec in solution.nullspace_basis for i, v in enumerate(vec) if v}
+    blocks = []
+    for j in range(order - d + 1):
+        columns = range(_column("X", (j, 0)), _column("X", (j + 1, 0)))
+        dim, base = project_solution_set(solution, columns)
+        forced = {system.column_labels[c]: value for c, value in zip(columns, base)
+                  if c not in moving}
+        blocks.append(BlockRecord(dim, forced))
+    return StageRecord(k, True, tuple(blocks))
 
 
 def decide(sigma: OneForm, order: int) -> DeciderOutcome:
@@ -566,36 +542,45 @@ def decide(sigma: OneForm, order: int) -> DeciderOutcome:
                              "system is inconsistent with its own identity")
     notes.append("self-test: constant-candidate solution satisfies the system")
 
-    solution = solve_affine(full)
-    if isinstance(solution, FarkasCertificate):
-        raise AssertionError("ungauged system reported infeasible despite the "
-                             "constant-candidate solution")
-
-    dim0, base0 = project_solution_set(solution, [_column("Y", (0, 0)),
-                                                  _column("Z", (0, 0))])
-    forced_zero = dim0 == 0 and all(v == 0 for v in base0)
     guard = genericity_guard(sigma)
-    gauged = forced_zero and guard.check("leading_pair").passed
+    independent = guard.check("leading_pair").passed
+    records: list[StageRecord] = []
+    gauged = False
+    for k in range(d - 1, order):
+        solution = solve_affine(_prefix(full, d, k))
+        if isinstance(solution, FarkasCertificate):
+            raise AssertionError("ungauged prefix reported infeasible despite the "
+                                 "constant-candidate solution")
+        dim0, base0 = project_solution_set(solution, [_column("Y", (0, 0)),
+                                                      _column("Z", (0, 0))])
+        forced_zero = dim0 == 0 and all(v == 0 for v in base0)
+        if forced_zero and independent:
+            gauged = True
+            break
+        records.append(_stage_record(full, d, order, k, solution))
+
     if gauged:
         branch, gauge = "forced_degree0", "X0=0"
+        records = []
+        for k in range(d - 1, order):
+            prefix = with_gauge(_prefix(full, d, k))
+            solution = solve_affine(prefix)
+            if isinstance(solution, FarkasCertificate):
+                records.extend(StageRecord(j, False) for j in range(k, order))
+                return DeciderOutcome(
+                    verdict="infeasible", order=order, lowest_degree=d, failing_degree=k,
+                    certificate=solution, failing_system=prefix, staged=records,
+                    gauge=gauge, branch=branch, guard=guard, notes=notes)
+            records.append(_stage_record(full, d, order, k, solution))
     else:
         branch, gauge = "open_degree0", "none"
         if forced_zero:
             notes.append("degree-0 coefficients forced but the leading pair is "
                          "dependent; refutation path disabled")
 
-    records, first_bad, certificate, failing_system, last = _solve_prefixes(
-        full, d, order, gauged, None if gauged else solution)
     common = dict(order=order, lowest_degree=d, staged=records, gauge=gauge,
                   branch=branch, guard=guard, notes=notes)
-    if first_bad is not None:
-        if not gauged:
-            raise AssertionError("ungauged prefix infeasible despite the "
-                                 "constant-candidate solution")
-        return DeciderOutcome(verdict="infeasible", failing_degree=first_bad,
-                              certificate=certificate, failing_system=failing_system,
-                              **common)
-    unit = find_unit_solution(last)
+    unit = find_unit_solution(solution)
     if unit is None:
         notes.append("every normalized solution fails the unit condition" if gauged
                      else "every solution fails the unit condition")

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .prng import Stream
-
 
 @dataclass
 class AffineSystem:
@@ -240,17 +238,6 @@ def residual(system: AffineSystem, point: Sequence[Fraction]) -> list[Fraction]:
                 acc += a * v
         out.append(acc - b)
     return out
-
-
-def sample_generic(solution: SolutionSet, seed: int) -> list[Fraction]:
-    """Deterministic pseudo-random point of the solution set.
-
-    Basis weights are drawn from the documented SplitMix64 stream, uniformly
-    in [-9, 9], one draw per basis vector in order.
-    """
-    stream = Stream(seed)
-    weights = [Fraction(stream.int_between(-9, 9)) for _ in solution.nullspace_basis]
-    return solution.point(weights)
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

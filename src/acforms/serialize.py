@@ -35,7 +35,9 @@ def frac_to_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# 4300 digits per integer part is CPython's default int/str limit, written
+# out so that parsing does not depend on PYTHONINTMAXSTRDIGITS.
+_RATIONAL = re.compile(r"-?[0-9]{1,4300}(/[0-9]{1,4300})?")
 
 
 def frac_from_str(text: Any) -> Fraction:

@@ -203,29 +203,23 @@ def test_unit_search_detects_identically_zero():
     assert find_unit_solution(solved) is None
 
 
-def test_unit_search_samples_past_bad_particular():
-    solved = solve_affine(_degree0_system([[1, 0, 0, 0]], [-1]))
+def test_unit_search_finds_a_point_past_a_bad_particular():
+    # the particular point fails; the expanded quadratic names the two
+    # surviving weights and the small grid produces a nonzero value
+    system = _degree0_system([[1, 0, 0, 0]], [-1])
+    solved = solve_affine(system)
     assert isinstance(solved, SolutionSet)
+    assert _unit_value(solved.particular) == 0
     point = find_unit_solution(solved)
     assert point is not None
     assert _unit_value(point) != 0
-    assert all(r == 0 for r in residual(_degree0_system([[1, 0, 0, 0]], [-1]), point))
-
-
-def test_unit_search_symbolic_path_with_zero_budget():
-    # particular fails, sampling disabled: the expanded quadratic names the
-    # two surviving weights and the small grid produces a nonzero value
-    solved = solve_affine(_degree0_system([[1, 0, 0, 0]], [-1]))
-    assert isinstance(solved, SolutionSet)
-    point = find_unit_solution(solved, sample_budget=0)
-    assert point is not None
-    assert _unit_value(point) != 0
+    assert all(r == 0 for r in residual(system, point))
 
 
 def test_unit_search_takes_good_particular_immediately():
     solved = solve_affine(_degree0_system([[1, 0, 0, 0]], [0]))
     assert isinstance(solved, SolutionSet)
-    point = find_unit_solution(solved, sample_budget=0)
+    point = find_unit_solution(solved)
     assert point == solved.particular
 
 
@@ -318,10 +312,10 @@ def test_decide_radial_form_goes_through_open_branch():
     assert outcome.staged[-1].blocks[0].dim >= 1
 
 
-def _guarded_refutable_form():
-    """The first guard-passing d=18 N=22 build with C = x."""
+def _guarded_refutable_form(truncation=22):
+    """The first guard-passing d=18 build with C = x."""
     for seed in range(1, 30):
-        sigma = _build_generic(18, 22, seed=seed, c_parts={1: {(1, 0): 1}})
+        sigma = _build_generic(18, truncation, seed=seed, c_parts={1: {(1, 0): 1}})
         if genericity_guard(sigma).passed:
             return sigma
     raise AssertionError("no guard-passing seed in range")
@@ -338,6 +332,11 @@ def _count_solves(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(decide_module, "solve_affine", counting)
     return calls
+
+
+def _prefix_rows(d, k):
+    """Rows of the ungauged prefix of equation degrees d-1 .. k."""
+    return sum(j + 1 for j in range(d - 1, k + 1))
 
 
 def test_decide_refutes_guarded_generic_instance():
@@ -358,11 +357,12 @@ def test_feasible_gauged_decide_solves_each_system_once(monkeypatch):
     outcome = decide(sigma, 5)
     assert outcome.gauge == "X0=0" and outcome.verdict == "feasible_up_to_M"
     d, order = outcome.lowest_degree, outcome.order
-    # the ungauged system, then every gauged prefix; the last one is the
-    # full gauged system, so unit search needs no further solve
+    # the 2-row degree d-1 prefix already forces (Y0, Z0) and picks the
+    # gauge; then every gauged prefix, the last one the full gauged system,
+    # so unit search needs no further solve
     assert len(calls) == 1 + (order - d + 1)
-    full = assemble_system(sigma, order).num_rows
-    assert calls[0] == full and calls[-1] == full + 1
+    assert calls[0] == _prefix_rows(d, d - 1) == 2
+    assert calls[-1] == assemble_system(sigma, order).num_rows + 1
     assert calls[1:] == sorted(set(calls[1:]))
 
 
@@ -376,13 +376,43 @@ def test_refuted_decide_stops_at_the_failing_prefix(monkeypatch):
     assert calls[-1] == outcome.failing_system.num_rows
 
 
-def test_ungauged_decide_reuses_the_full_solve(monkeypatch):
+def test_refutation_cost_follows_the_failing_degree(monkeypatch):
+    # order 27: the full ungauged system has 225 rows, but the degree d-1
+    # prefix already picks the gauge and the gauged scan fails at degree 20
+    sigma = _guarded_refutable_form(truncation=28)
+    calls = _count_solves(monkeypatch)
+    outcome = decide(sigma, 27)
+    d = outcome.lowest_degree
+    assert outcome.verdict == "infeasible" and outcome.failing_degree == 20
+    assert verify_farkas(outcome.failing_system, outcome.certificate)
+    assert assemble_system(sigma, 27).num_rows == 225
+    gauged = [_prefix_rows(d, k) + 1 for k in range(d - 1, 21)]
+    assert calls == [_prefix_rows(d, d - 1)] + gauged
+
+
+def test_ungauged_decide_solves_each_prefix_once(monkeypatch):
     calls = _count_solves(monkeypatch)
     outcome = decide(_radial_form(), 3)
     assert outcome.gauge == "none"
-    # the last prefix is the full system, already solved first
+    # no prefix forces (Y0, Z0), so the scan runs to the full system and
+    # its records are the staged view
     assert len(calls) == outcome.order - outcome.lowest_degree + 1
     assert len(outcome.staged) == len(calls)
+
+
+def test_dependent_leading_pair_scans_every_prefix(monkeypatch):
+    # x^2 dx + y^3 dy: B_2 = 0, so the leading pair is dependent; the degree
+    # 1 .. 2 prefix already forces (Y0, Z0) = (0, 0), but no gauge follows
+    sigma = form(S(2, 5, {2: {(2, 0): 1}}), S(2, 5, {3: {(0, 3): 1}}))
+    calls = _count_solves(monkeypatch)
+    outcome = decide(sigma, 4)
+    assert outcome.verdict == "feasible_up_to_M"
+    assert outcome.branch == "open_degree0" and outcome.gauge == "none"
+    assert ("degree-0 coefficients forced but the leading pair is dependent; "
+            "refutation path disabled") in outcome.notes
+    assert [rec.through_degree for rec in outcome.staged] == [1, 2, 3]
+    assert calls == [_prefix_rows(2, k) for k in (1, 2, 3)]
+    assert verify_potential(outcome.witness.phi, sigma, 4)
 
 
 @pytest.mark.parametrize("sigma, order", [(_gradient_form(), 5), (_radial_form(), 3)],

@@ -12,7 +12,8 @@ RUNS = {
     # zero multipliers by default: every order past the leading one is zero
     "growth_profile": (["--orders", "10"],
                        "coefficient series summable for |x|, |y| < 1"),
-    "refutation_family": (["--count", "2", "--cx", "1", "--stages"],
+    "refutation_family": (["--truncation", "28", "--order", "27", "--count", "2",
+                           "--cx", "1", "--stages"],
                           "verdicts: {'infeasible': 2}   (guard rejected 0 seeds)"),
     "obstruction_scan": (["--radius", "1"],
                          "every grid point matches the vanishing-invariant prediction"),

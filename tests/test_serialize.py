@@ -1,6 +1,7 @@
 """JSON artifacts: round trips, canonical hashing, malformed payloads."""
 
 import copy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,21 @@ def test_fraction_parser_rejects_junk():
 def test_fraction_parser_accepts_only_canonical_strings(text):
     with pytest.raises(SerializationError):
         frac_from_str(text)
+
+
+def test_fraction_parser_caps_digits_whatever_the_interpreter_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        big = "7" * 4300
+        assert frac_from_str(big) == int(big)
+        assert frac_from_str(f"1/{big}") == FR(1, int(big))
+        with pytest.raises(SerializationError):
+            frac_from_str(big + "7")
+        with pytest.raises(SerializationError):
+            frac_from_str(f"1/{big}7")
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_canonical_dumps_is_key_order_independent():
