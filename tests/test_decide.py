@@ -1,6 +1,7 @@
 """Decision pipeline: system assembly, guard, unit search, reconstruction."""
 
 import importlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -203,9 +204,9 @@ def test_unit_search_detects_identically_zero():
     assert find_unit_solution(solved) is None
 
 
-def test_unit_search_finds_a_point_past_a_bad_particular():
-    # the particular point fails; the expanded quadratic names the two
-    # surviving weights and the small grid produces a nonzero value
+def test_unit_search_samples_past_bad_particular():
+    # the particular point fails the unit condition; the search still
+    # returns a point of the solution set on which it holds
     system = _degree0_system([[1, 0, 0, 0]], [-1])
     solved = solve_affine(system)
     assert isinstance(solved, SolutionSet)
@@ -214,6 +215,22 @@ def test_unit_search_finds_a_point_past_a_bad_particular():
     assert point is not None
     assert _unit_value(point) != 0
     assert all(r == 0 for r in residual(system, point))
+
+
+def test_unit_search_symbolic_path_with_zero_budget():
+    # particular fails: the expanded quadratic names at most two surviving
+    # weights and the {-1,0,1} grid over them produces a nonzero value
+    solved = solve_affine(_degree0_system([[1, 0, 0, 0]], [-1]))
+    assert isinstance(solved, SolutionSet)
+    point = find_unit_solution(solved)
+    assert point is not None
+    assert _unit_value(point) != 0
+    m = len(solved.nullspace_basis)
+    grid_points = [solved.point([FR(g) for g in weights])
+                   for weights in itertools.product((-1, 0, 1), repeat=m)
+                   if sum(1 for g in weights if g) <= 2]
+    assert point in grid_points
+    assert find_unit_solution(solved) == point
 
 
 def test_unit_search_takes_good_particular_immediately():
