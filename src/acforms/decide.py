@@ -75,10 +75,6 @@ UNKNOWN_NAMES = ("X", "Y", "Z", "W")
 GAUGE_ROW_LABEL = "gauge:X:0,0"
 
 
-def _mono(exp: tuple[int, ...]) -> HomogPoly:
-    return HomogPoly(2, sum(exp), {exp: Fraction(1)})
-
-
 def _column(name: str, exp: tuple[int, int]) -> int:
     """Column of the coefficient of x^a y^b in unknown `name`: unknown degree
     j = a + b, then name, then monomial.  Block j starts after 4*(1 + ... + j)
@@ -137,7 +133,7 @@ def assemble_system(sigma: OneForm, order: int) -> AffineSystem:
             comp = series.component(comp_degree)
             if comp.is_zero:
                 continue
-            prod = _mono(exp).mul(comp)
+            prod = comp.shift(exp)
             contrib = prod.partial(1) if name in ("X", "Y") else prod.partial(0).scale(-1)
             for pexp, val in contrib.coeffs.items():
                 block[index[pexp]][c] = val
@@ -241,7 +237,7 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
     cub = [(3, 0), (2, 1), (1, 2), (0, 3)]
 
     def mults(exps: list[tuple[int, int]], polys: list[HomogPoly]) -> list[HomogPoly]:
-        return [_mono(e).mul(p) for p in polys for e in exps]
+        return [p.shift(e) for p in polys for e in exps]
 
     have_next = sigma.trunc_order > d + 1
     if have_next:
@@ -389,9 +385,8 @@ def integrate_closed(eta: OneForm, order: int) -> TruncSeries:
             raise ClosednessError(k)
     one, two = eta.components
     parts = {}
-    x, y = _mono((1, 0)), _mono((0, 1))
     for k in range(order):
-        radial = x.mul(one.component(k)).add(y.mul(two.component(k)))
+        radial = one.component(k).shift((1, 0)).add(two.component(k).shift((0, 1)))
         if not radial.is_zero:
             parts[k + 1] = radial.scale(Fraction(1, k + 1))
     return TruncSeries(2, order + 1, parts)

@@ -59,10 +59,6 @@ def _coeff_vector(p: HomogPoly, basis: list[Exponent]) -> list[Fraction]:
     return [p.coeff(exp) for exp in basis]
 
 
-def _monomial(num_vars: int, exp: Exponent) -> HomogPoly:
-    return HomogPoly(num_vars, sum(exp), {exp: Fraction(1)})
-
-
 def _leading_products(ideal: TruncatedIdeal, n: int) -> list[HomogPoly]:
     """Degree-n components of m*g over monomials m of degree n - lowest(g).
 
@@ -77,7 +73,7 @@ def _leading_products(ideal: TruncatedIdeal, n: int) -> list[HomogPoly]:
             continue
         lead = g.component(low)
         for exp in monomials(nv, n - low):
-            out.append(_monomial(nv, exp).mul(lead))
+            out.append(lead.shift(exp))
     return out
 
 
@@ -123,12 +119,11 @@ def _image_vectors(ideal: TruncatedIdeal, order: int) -> tuple[list[Exponent], l
             continue
         for mdeg in range(0, order - low):
             for exp in monomials(nv, mdeg):
-                m = _monomial(nv, exp)
                 vec = [Fraction(0)] * len(basis)
                 for j, part in g.parts.items():
                     if mdeg + j >= order:
                         continue
-                    for pexp, c in m.mul(part).coeffs.items():
+                    for pexp, c in part.shift(exp).coeffs.items():
                         vec[index[pexp]] = c
                 vectors.append(vec)
     return basis, vectors
@@ -226,34 +221,34 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
             break
         n = min(pending)
         labels: list[str] = []
-        columns: list[tuple[int, HomogPoly]] = []
+        columns: list[tuple[int, Exponent]] = []
         for i, (g, low) in enumerate(zip(ideal.generators, lows)):
             if low is None or low > n:
                 continue
             for exp in monomials(nv, n - low):
                 labels.append(f"g{i}:{','.join(map(str, exp))}")
-                columns.append((i, _monomial(nv, exp)))
+                columns.append((i, exp))
         basis = monomials(nv, n)
         index = {exp: row for row, exp in enumerate(basis)}
         matrix = [[Fraction(0)] * len(columns) for _ in basis]
-        for c, (i, m) in enumerate(columns):
-            prod = m.mul(ideal.generators[i].component(lows[i]))
-            for exp, val in prod.coeffs.items():
-                matrix[index[exp]][c] = val
+        for c, (i, exp) in enumerate(columns):
+            for pexp, val in ideal.generators[i].component(lows[i]).shift(exp).coeffs.items():
+                matrix[index[pexp]][c] = val
         rhs = _coeff_vector(residual[n], basis)
         outcome = solve_affine(AffineSystem(matrix=matrix, rhs=rhs,
                                             column_labels=labels))
         if isinstance(outcome, FarkasCertificate):
             return n
-        point = outcome.particular
-        for c, (i, m) in enumerate(columns):
-            weight = point[c]
-            if weight == 0:
-                continue
-            piece = m.scale(weight)
-            deg = piece.degree
-            prev = cofactors[i].get(deg, HomogPoly.zero(nv, deg))
-            merged = prev.add(piece)
+        # each generator's cofactor piece of this stage, then one product
+        # and one residual update per generator part
+        pieces: dict[int, dict[Exponent, Fraction]] = {}
+        for (i, exp), weight in zip(columns, outcome.particular):
+            if weight != 0:
+                pieces.setdefault(i, {})[exp] = weight
+        for i, terms in pieces.items():
+            deg = n - lows[i]
+            piece = HomogPoly.from_terms(nv, deg, terms)
+            merged = cofactors[i].get(deg, HomogPoly.zero(nv, deg)).add(piece)
             if merged.is_zero:
                 cofactors[i].pop(deg, None)
             else:
@@ -262,8 +257,7 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
                 t = deg + j
                 if t >= order:
                     continue
-                cur = residual.get(t, HomogPoly.zero(nv, t))
-                nxt = cur.sub(piece.mul(part))
+                nxt = residual.get(t, HomogPoly.zero(nv, t)).sub(piece.mul(part))
                 if nxt.is_zero:
                     residual.pop(t, None)
                 else:

@@ -13,13 +13,28 @@ are certified below min(N₁ + low₂, N₂ + low₁) where lowᵢ is the lowest
 nonzero degree of the other factor (its truncation order when it is zero) —
 unknown tails only reach a product degree after being shifted up by the
 other factor's lowest degree.
+
+Products do no Fraction arithmetic in their inner loop: each factor is
+scaled once by the lcm of its denominators (its content, in the sense of
+von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 6), the integer
+products are summed per exponent, and one Fraction is built per nonzero
+output term over the product of the two denominators.  `shift` multiplies
+by a monomial with no arithmetic at all.
+
+Validation happens where polynomials enter: the public constructor,
+`from_terms` and the `serialize` readers check every exponent and reject
+stored zeros.  Arithmetic results (`add`, `sub`, `scale`, `mul`, `shift`,
+`partial`, `antiderivative`) are built from already validated operands and
+go through the private `_trusted` constructor, which skips that per-term
+check.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -28,6 +43,9 @@ RationalLike = Fraction | int | str
 
 class MismatchError(ValueError):
     """Operands disagree in variable count, degree, or truncation data."""
+
+
+_ZERO = Fraction(0)
 
 
 def _frac(value: RationalLike) -> Fraction:
@@ -83,6 +101,17 @@ class HomogPoly:
                 raise MismatchError(f"stored zero coefficient at {exp}")
 
     @classmethod
+    def _trusted(cls, num_vars: int, degree: int,
+                 coeffs: dict[Exponent, Fraction]) -> HomogPoly:
+        """An arithmetic result: its terms come from validated operands, so
+        the per-term check of `__post_init__` is skipped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "num_vars", num_vars)
+        object.__setattr__(p, "degree", degree)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
+    @classmethod
     def zero(cls, num_vars: int, degree: int) -> HomogPoly:
         return cls(num_vars, degree, {})
 
@@ -102,7 +131,7 @@ class HomogPoly:
         return not self.coeffs
 
     def coeff(self, exp: Exponent) -> Fraction:
-        return self.coeffs.get(tuple(exp), Fraction(0))
+        return self.coeffs.get(tuple(exp), _ZERO)
 
     def terms(self) -> Iterator[tuple[Exponent, Fraction]]:
         """Terms in canonical order (first variable major)."""
@@ -116,39 +145,56 @@ class HomogPoly:
             raise MismatchError(f"degrees differ: {self.degree} vs {other.degree}")
 
     def add(self, other: HomogPoly) -> HomogPoly:
+        return self._combine(other, operator.add)
+
+    def sub(self, other: HomogPoly) -> HomogPoly:
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other: HomogPoly, op) -> HomogPoly:
+        """Termwise `op` (add or sub) in one pass, dropping terms that cancel."""
         self._check_compatible(other)
         coeffs = dict(self.coeffs)
         for exp, c in other.coeffs.items():
-            s = coeffs.get(exp, Fraction(0)) + c
+            s = op(coeffs.get(exp, _ZERO), c)
             if s == 0:
                 coeffs.pop(exp, None)
             else:
                 coeffs[exp] = s
-        return HomogPoly(self.num_vars, self.degree, coeffs)
-
-    def sub(self, other: HomogPoly) -> HomogPoly:
-        return self.add(other.scale(Fraction(-1)))
+        return HomogPoly._trusted(self.num_vars, self.degree, coeffs)
 
     def scale(self, factor: RationalLike) -> HomogPoly:
         f = _frac(factor)
         if f == 0:
             return HomogPoly.zero(self.num_vars, self.degree)
-        return HomogPoly(self.num_vars, self.degree,
-                         {exp: c * f for exp, c in self.coeffs.items()})
+        return HomogPoly._trusted(self.num_vars, self.degree,
+                                  {exp: c * f for exp, c in self.coeffs.items()})
+
+    def _integer_terms(self) -> tuple[list[tuple[Exponent, int]], int]:
+        """Terms scaled to integers by the lcm of the denominators, and that lcm."""
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        return [(exp, c.numerator * (den // c.denominator))
+                for exp, c in self.coeffs.items()], den
 
     def mul(self, other: HomogPoly) -> HomogPoly:
         if self.num_vars != other.num_vars:
             raise MismatchError(f"variable counts differ: {self.num_vars} vs {other.num_vars}")
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                exp = tuple(a + b for a, b in zip(ea, eb))
-                s = out.get(exp, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return HomogPoly(self.num_vars, self.degree + other.degree, out)
+        terms_a, den_a = self._integer_terms()
+        terms_b, den_b = other._integer_terms()
+        acc: dict[Exponent, int] = {}
+        for ea, va in terms_a:
+            for eb, vb in terms_b:
+                exp = tuple(map(operator.add, ea, eb))
+                acc[exp] = acc.get(exp, 0) + va * vb
+        den = den_a * den_b
+        return HomogPoly._trusted(self.num_vars, self.degree + other.degree,
+                                  {exp: Fraction(v, den) for exp, v in acc.items() if v})
+
+    def shift(self, exp: Exponent) -> HomogPoly:
+        """Product with the monomial x^exp: exponents move, coefficients are reused."""
+        if len(exp) != self.num_vars or min(exp) < 0:
+            raise MismatchError(f"shift {exp} is not an exponent in {self.num_vars} variables")
+        coeffs = {tuple(map(operator.add, e, exp)): c for e, c in self.coeffs.items()}
+        return HomogPoly._trusted(self.num_vars, self.degree + sum(exp), coeffs)
 
     def partial(self, var: int) -> HomogPoly:
         """Exact partial derivative with respect to variable index `var`."""
@@ -162,7 +208,7 @@ class HomogPoly:
             new = list(exp)
             new[var] = e - 1
             out[tuple(new)] = c * e
-        return HomogPoly(self.num_vars, max(self.degree - 1, 0), out)
+        return HomogPoly._trusted(self.num_vars, max(self.degree - 1, 0), out)
 
     def antiderivative(self, var: int) -> HomogPoly:
         """Coefficientwise antiderivative in one variable, constant term zero."""
@@ -173,7 +219,7 @@ class HomogPoly:
             new = list(exp)
             new[var] = exp[var] + 1
             out[tuple(new)] = c / (exp[var] + 1)
-        return HomogPoly(self.num_vars, self.degree + 1, out)
+        return HomogPoly._trusted(self.num_vars, self.degree + 1, out)
 
     def norm(self) -> Fraction:
         """Max absolute value of the coefficients (0 for the zero polynomial)."""

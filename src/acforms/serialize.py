@@ -131,6 +131,8 @@ def series_from_json(data: Any) -> TruncSeries:
             raise SerializationError(f"bad series term {entry!r}")
         exp = tuple(_json_int(e, "exponent") for e in _json_list(entry["exp"], "exponent"))
         coeff = frac_from_str(entry["coeff"])
+        if coeff == 0:
+            raise SerializationError(f"stored zero coefficient at {exp}")
         bucket = buckets.setdefault(sum(exp), {})
         if exp in bucket:
             raise SerializationError(f"duplicate exponent {exp}")

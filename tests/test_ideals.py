@@ -1,5 +1,6 @@
 """Truncated ideal engine against brute-force span oracles."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from oracles import (brute_colength, brute_cover_degree, brute_leading_cover,
                      brute_member, brute_min_power, series_dict)
 
 ORDER = 8
+
+ideals_module = importlib.import_module("acforms.ideals")
 
 
 def _mono_series(nv, exp, trunc=ORDER):
@@ -275,6 +278,40 @@ def test_witness_rejects_tampering():
     bad = MembershipWitness(target=S(2, ORDER, {4: {(2, 2): 6}}),
                             cofactors=wit.cofactors, valid_order=wit.valid_order)
     assert not bad.verify(squares)
+
+
+def test_witness_makes_one_product_per_generator_part_per_stage(monkeypatch):
+    # two generators with two and three parts; the target has every
+    # monomial of degrees 3 .. 6, so each stage solves for several columns
+    # per generator
+    g1 = S(2, ORDER, {2: {(2, 0): 1}, 3: {(0, 3): 1}})
+    g2 = S(2, ORDER, {2: {(0, 2): 1}, 3: {(3, 0): -2}, 4: {(2, 2): 1}})
+    ideal = TruncatedIdeal((g1, g2))
+    target = S(2, ORDER, {k: {e: 1 for e in monomials(2, k)} for k in range(3, 7)})
+    parts = {id(p): (i, k) for i, g in enumerate((g1, g2)) for k, p in g.parts.items()}
+    stages: list[int] = []
+    products: list[tuple[int, tuple[int, int] | None]] = []
+    real_solve, real_mul = ideals_module.solve_affine, HomogPoly.mul
+
+    def counting_solve(system):
+        stages.append(len(system.rhs))
+        return real_solve(system)
+
+    def counting_mul(self, other):
+        products.append((len(stages), parts.get(id(other))))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(ideals_module, "solve_affine", counting_solve)
+    monkeypatch.setattr(HomogPoly, "mul", counting_mul)
+    wit = membership_witness(target, ideal, 7)
+    monkeypatch.undo()
+    assert isinstance(wit, MembershipWitness) and wit.verify(ideal)
+    # every product is a cofactor piece times a generator part, at most
+    # once per (stage, part)
+    assert all(part is not None for _, part in products)
+    assert len(set(products)) == len(products)
+    assert len(products) <= len(stages) * (len(g1.parts) + len(g2.parts))
+    assert (len(stages), len(products)) == (4, 13)
 
 
 @settings(deadline=None, max_examples=40)

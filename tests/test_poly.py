@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from acforms.poly import (HomogPoly, MismatchError, OneForm, TruncSeries,
                           graded_dim, monomials)
+from acforms.serialize import SerializationError, series_from_json
 from conftest import H, S, form, series_x, zero_series
 from oracles import (exponents, poly_add, poly_mul, poly_partial, series_dict)
 
@@ -19,6 +20,23 @@ def homog(draw, num_vars=2, max_degree=4, min_degree=0):
     basis = monomials(num_vars, degree)
     coeffs = draw(st.lists(fractions, min_size=len(basis), max_size=len(basis)))
     return HomogPoly.from_terms(num_vars, degree, dict(zip(basis, coeffs)))
+
+
+@st.composite
+def wide_homog(draw, num_vars):
+    """Sparse, possibly zero, with denominators up to 10^6: a product kernel
+    that works over one common denominator sees distinct, large lcms."""
+    degree = draw(st.integers(0, 4))
+    basis = monomials(num_vars, degree)
+    coeffs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+    terms = draw(st.dictionaries(st.sampled_from(basis), coeffs, max_size=len(basis)))
+    return HomogPoly.from_terms(num_vars, degree, terms)
+
+
+@st.composite
+def wide_pair(draw):
+    num_vars = draw(st.sampled_from([2, 3]))
+    return draw(wide_homog(num_vars)), draw(wide_homog(num_vars))
 
 
 @st.composite
@@ -91,6 +109,59 @@ def test_euler_identity(p):
     y = H(2, 1, {(0, 1): 1})
     euler = x.mul(p.partial(0)).add(y.mul(p.partial(1)))
     assert euler.coeffs == p.scale(Fraction(p.degree)).coeffs
+
+
+@settings(deadline=None)
+@given(wide_pair())
+def test_homog_mul_matches_oracle_on_wide_denominators(pair):
+    p, q = pair
+    prod = p.mul(q)
+    assert prod.degree == p.degree + q.degree
+    assert dict(prod.coeffs) == poly_mul(dict(p.coeffs), dict(q.coeffs))
+
+
+@settings(deadline=None)
+@given(wide_pair(), st.data())
+def test_shift_is_the_monomial_product(pair, data):
+    p, _ = pair
+    nv = p.num_vars
+    exp = data.draw(st.tuples(*[st.integers(0, 3)] * nv))
+    mono = HomogPoly(nv, sum(exp), {exp: Fraction(1)})
+    shifted = p.shift(exp)
+    assert shifted == mono.mul(p) == p.mul(mono)
+    assert dict(shifted.coeffs) == poly_mul({exp: Fraction(1)}, dict(p.coeffs))
+
+
+def test_shift_rejects_invalid_exponents():
+    p = H(2, 1, {(1, 0): 1})
+    for exp in [(1,), (1, 0, 0), (-1, 2), (2, -1)]:
+        with pytest.raises(MismatchError):
+            p.shift(exp)
+
+
+# one case per rule, for a degree-2 polynomial in two variables
+_INVALID_TERMS = {"exponent_length": {(2,): 1}, "degree": {(1, 0): 1},
+                  "negative_exponent": {(3, -1): 1}, "stored_zero": {(2, 0): 0}}
+
+
+@pytest.mark.parametrize("rule", sorted(_INVALID_TERMS))
+def test_public_constructors_validate_every_term(rule):
+    terms = _INVALID_TERMS[rule]
+    with pytest.raises(MismatchError):
+        HomogPoly(2, 2, {e: Fraction(c) for e, c in terms.items()})
+    if rule == "stored_zero":
+        # from_terms normalises: the zero is dropped, never stored
+        assert HomogPoly.from_terms(2, 2, terms).is_zero
+    else:
+        with pytest.raises(MismatchError):
+            HomogPoly.from_terms(2, 2, terms)
+    # the reader takes each term's degree from its exponent, so a wrong
+    # degree there is one outside the certified window [0, order)
+    order = 1 if rule == "degree" else 3
+    payload = {"kind": "series", "num_vars": 2, "truncation_order": order,
+               "terms": [{"exp": list(e), "coeff": str(c)} for e, c in terms.items()]}
+    with pytest.raises(SerializationError):
+        series_from_json(payload)
 
 
 def test_homog_shape_validation():
