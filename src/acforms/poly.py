@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 RationalLike = Fraction | int | str
@@ -150,7 +150,8 @@ class HomogPoly:
     def sub(self, other: HomogPoly) -> HomogPoly:
         return self._combine(other, operator.sub)
 
-    def _combine(self, other: HomogPoly, op) -> HomogPoly:
+    def _combine(self, other: HomogPoly,
+                 op: Callable[[Fraction, Fraction], Fraction]) -> HomogPoly:
         """Termwise `op` (add or sub) in one pass, dropping terms that cancel."""
         self._check_compatible(other)
         coeffs = dict(self.coeffs)
