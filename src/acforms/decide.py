@@ -208,8 +208,15 @@ class GuardReport:
 
 
 def _rank_of(polys: list[HomogPoly], degree: int) -> int:
-    basis = monomials(2, degree)
-    return matrix_rank([[p.coeff(exp) for exp in basis] for p in polys])
+    """Rank of the polynomials' coefficient rows, each scaled to integers."""
+    index = {exp: i for i, exp in enumerate(monomials(2, degree))}
+    rows = []
+    for p in polys:
+        row = [0] * len(index)
+        for exp, v in p._integer_terms()[0]:
+            row[index[exp]] = v
+        rows.append(row)
+    return matrix_rank(rows)
 
 
 def genericity_guard(sigma: OneForm) -> GuardReport:

@@ -21,8 +21,10 @@ contain a power of m, and every positive answer doubles as a certificate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import AffineSystem, FarkasCertificate, matrix_rank, solve_affine
 from .poly import (Exponent, HomogPoly, MismatchError, TruncSeries, graded_dim,
@@ -59,31 +61,35 @@ def _coeff_vector(p: HomogPoly, basis: list[Exponent]) -> list[Fraction]:
     return [p.coeff(exp) for exp in basis]
 
 
-def _leading_products(ideal: TruncatedIdeal, n: int) -> list[HomogPoly]:
-    """Degree-n components of m*g over monomials m of degree n - lowest(g).
+def _shifted_row(terms: list[tuple[Exponent, int]], shift: Exponent,
+                 index: dict[Exponent, int]) -> list[int]:
+    """Integer coefficient row of x^shift times the given integer terms."""
+    row = [0] * len(index)
+    for exp, v in terms:
+        row[index[tuple(map(operator.add, exp, shift))]] = v
+    return row
 
-    For such m the degree-n component of m*g is exactly m times the leading
-    form of g, so this is the leading-form span of the ideal in degree n.
+
+def graded_cover_check(ideal: TruncatedIdeal, n: int) -> bool:
+    """True iff the ideal's leading forms span the whole degree-n graded piece.
+
+    The spanning rows are m*g over generators g and monomials m of degree
+    n - lowest(g): their degree-n component is m times the leading form of
+    g.  Each leading form is scaled to integers once; scaling a row does
+    not change the rank.
     """
+    if not 0 <= n < ideal.trunc_order:
+        raise MismatchError(f"degree {n} outside the certified range [0, {ideal.trunc_order})")
     nv = ideal.num_vars
-    out: list[HomogPoly] = []
+    index = {exp: i for i, exp in enumerate(monomials(nv, n))}
+    rows: list[list[int]] = []
     for g in ideal.generators:
         low = g.lowest_degree()
         if low is None or low > n:
             continue
-        lead = g.component(low)
-        for exp in monomials(nv, n - low):
-            out.append(lead.shift(exp))
-    return out
-
-
-def graded_cover_check(ideal: TruncatedIdeal, n: int) -> bool:
-    """True iff the ideal's leading forms span the whole degree-n graded piece."""
-    if not 0 <= n < ideal.trunc_order:
-        raise MismatchError(f"degree {n} outside the certified range [0, {ideal.trunc_order})")
-    basis = monomials(ideal.num_vars, n)
-    vectors = [_coeff_vector(p, basis) for p in _leading_products(ideal, n)]
-    return matrix_rank(vectors) == graded_dim(ideal.num_vars, n)
+        terms, _ = g.component(low)._integer_terms()
+        rows.extend(_shifted_row(terms, exp, index) for exp in monomials(nv, n - low))
+    return matrix_rank(rows) == graded_dim(nv, n)
 
 
 def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
@@ -102,30 +108,29 @@ def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
     return None
 
 
-def _image_vectors(ideal: TruncatedIdeal, order: int) -> tuple[list[Exponent], list[list[Fraction]]]:
-    """Spanning vectors of the ideal's image in R / m^order.
+def _image_vectors(ideal: TruncatedIdeal, order: int) -> tuple[list[Exponent], list[list[int]]]:
+    """Spanning vectors of the ideal's image in R / m^order, as integer rows.
 
     Every residue of an ideal element is a polynomial combination of the
     generators truncated below `order`, so monomial multiples m*g with
-    deg(m) + lowest(g) < order span the image.
+    deg(m) + lowest(g) < order span the image.  The parts of each generator
+    below `order` are scaled to integers by one common factor; scaling a row
+    does not change any rank taken of these rows.
     """
     nv = ideal.num_vars
     basis = [exp for j in range(order) for exp in monomials(nv, j)]
     index = {exp: i for i, exp in enumerate(basis)}
-    vectors: list[list[Fraction]] = []
+    vectors: list[list[int]] = []
     for g in ideal.generators:
         low = g.lowest_degree()
         if low is None:
             continue
+        scaled = {j: part._integer_terms() for j, part in g.parts.items() if j < order}
+        common = lcm(*[den for _, den in scaled.values()])
         for mdeg in range(0, order - low):
-            for exp in monomials(nv, mdeg):
-                vec = [Fraction(0)] * len(basis)
-                for j, part in g.parts.items():
-                    if mdeg + j >= order:
-                        continue
-                    for pexp, c in part.shift(exp).coeffs.items():
-                        vec[index[pexp]] = c
-                vectors.append(vec)
+            terms = [(exp, v * (common // den)) for j, (part, den) in scaled.items()
+                     if mdeg + j < order for exp, v in part]
+            vectors.extend(_shifted_row(terms, exp, index) for exp in monomials(nv, mdeg))
     return basis, vectors
 
 

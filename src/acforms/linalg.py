@@ -13,9 +13,13 @@ clears the entries above each pivot, last pivot first.
   which is unique, so the particular point and nullspace basis are
   determined by the system alone.  An inconsistent system, detected after
   the forward pass, gets a Farkas certificate, a row combination u with
-  u.matrix = 0 and u.rhs = 1, from one exact solve of the transposed system;
-  the certificate is checked by `verify_farkas` before it is returned.
-* `matrix_rank` counts the pivots of a forward elimination.
+  u.matrix = 0 and u.rhs = 1.  The transposed system gets a forward pass
+  only; u, with its free coordinates zero, is back-substituted over the
+  pivot rows with one common integer denominator, which gives the vector
+  the reduced echelon form would.  `verify_farkas` checks the certificate
+  with integer dot products before it is returned.
+* `matrix_rank` counts the pivots of a forward elimination; it takes
+  integer rows as they are and scales other rows to integers first.
 
 Solution sets and their projections address columns by index; labels live
 only on `AffineSystem`, where they are part of its JSON format.
@@ -188,19 +192,31 @@ def _certificate(system: AffineSystem, scales: list[int],
                  rows: list[list[int]]) -> FarkasCertificate:
     """Solve u.[matrix | rhs] = (0, ..., 0, 1) and check the result.
 
-    `rows` are the rows of [matrix | rhs] times `scales`; the transposed
-    integer system is solved with free coordinates zero, then the scaling
-    is undone.  The system being inconsistent, a solution must exist.
+    `rows` are the rows of [matrix | rhs] times `scales`.  After the forward
+    pass on the transposed integer system, u = num / den with free
+    coordinates zero is back-substituted over the pivot rows, then the
+    scaling is undone.  The system being inconsistent, a solution must exist.
     """
     m, n = len(rows), system.num_cols
     transposed = [[row[c] for row in rows] + [int(c == n)] for c in range(n + 1)]
     pivots = _echelon(transposed, m)
     if any(row[m] for row in transposed[len(pivots):]):
         raise AssertionError("no row combination isolates the inconsistent right-hand side")
-    _reduce(transposed, pivots)
-    u = [Fraction(0)] * m
-    for row, i in zip(transposed, pivots):
-        u[i] = Fraction(row[m] * scales[i], row[i])
+    num = [0] * m
+    den = 1
+    for k in range(len(pivots) - 1, -1, -1):
+        row, p = transposed[k], pivots[k]
+        # u_p = (row[m] - sum of row[c] * u_c over later pivots) / row[p]
+        s = row[m] * den - sum(row[c] * num[c] for c in pivots[k + 1:] if row[c])
+        a = row[p]
+        num = [x * a for x in num] if a != 1 else num
+        num[p] = s
+        den *= a
+        g = math.gcd(den, *[num[c] for c in pivots[k:]])
+        if g > 1:
+            num = [x // g for x in num]
+            den //= g
+    u = [Fraction(num[i] * scales[i], den) for i in range(m)]
     certificate = FarkasCertificate(u)
     if not verify_farkas(system, certificate):
         raise AssertionError("Farkas certificate failed its own check")
@@ -208,22 +224,25 @@ def _certificate(system: AffineSystem, scales: list[int],
 
 
 def verify_farkas(system: AffineSystem, certificate: FarkasCertificate) -> bool:
-    """Independent certificate check: plain dot products, no elimination."""
+    """Independent certificate check: integer dot products, no elimination.
+
+    Each row of [matrix | rhs] with a nonzero weight u_i is scaled to
+    integers by s_i, the weights u_i / s_i are brought to integers by one
+    common factor, and the weighted column sums and the weighted rhs sum
+    are then exact integer dot products.
+    """
     u = certificate.row_combination
     if len(u) != system.num_rows:
         raise ValueError(f"combination length {len(u)} != {system.num_rows} rows")
-    for c in range(system.num_cols):
-        acc = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui != 0:
-                acc += ui * system.matrix[i][c]
-        if acc != 0:
-            return False
-    acc = Fraction(0)
-    for i, ui in enumerate(u):
-        if ui != 0:
-            acc += ui * system.rhs[i]
-    return acc != 0
+    used = [(ui, _scaled(list(system.matrix[i]) + [system.rhs[i]]))
+            for i, ui in enumerate(u) if ui != 0]
+    # u_i / s_i = numerator / (denominator * s_i)
+    common = math.lcm(*[ui.denominator * s for ui, (s, _) in used])
+    acc = [0] * (system.num_cols + 1)
+    for ui, (s, row) in used:
+        w = ui.numerator * (common // (ui.denominator * s))
+        acc = [a + w * x for a, x in zip(acc, row)]
+    return not any(acc[:-1]) and acc[-1] != 0
 
 
 def residual(system: AffineSystem, point: Sequence[Fraction]) -> list[Fraction]:
@@ -240,9 +259,14 @@ def residual(system: AffineSystem, point: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank: the number of pivots of a forward elimination."""
-    work = [_scaled(row)[1] for row in rows]
+def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Exact rank: the number of pivots of a forward elimination.
+
+    Integer rows go to the kernel as they are; any other row is scaled to
+    integers first, which does not change the rank.
+    """
+    work = [row if type(row) is list and set(map(type, row)) <= {int} else _scaled(row)[1]
+            for row in rows]
     if not work:
         return 0
     return len(_echelon(work, len(work[0])))

@@ -335,7 +335,18 @@ class TruncSeries:
         return TruncSeries.from_parts(self.num_vars, order, parts)
 
     def sub(self, other: TruncSeries) -> TruncSeries:
-        return self.add(other.scale(Fraction(-1)))
+        """Componentwise difference in one pass, truncated as `add` truncates."""
+        self._check_vars(other)
+        order = min(self.trunc_order, other.trunc_order)
+        parts = {k: p for k, p in self.parts.items() if k < order}
+        for k, q in other.parts.items():
+            if k < order:
+                diff = parts.get(k, HomogPoly.zero(self.num_vars, k)).sub(q)
+                if diff.is_zero:
+                    parts.pop(k, None)
+                else:
+                    parts[k] = diff
+        return TruncSeries(self.num_vars, order, parts)
 
     def scale(self, factor: RationalLike) -> TruncSeries:
         f = _frac(factor)

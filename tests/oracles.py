@@ -3,8 +3,11 @@
 Everything here recomputes results from first principles — plain exponent
 dicts, nested-loop convolution, and a fresh Gaussian elimination — without
 calling the package's own engines, so agreement is meaningful evidence.
-Only the data classes of `acforms.linalg` are imported, so the Fraction
-solver below can return the same types as the kernel it is checked against.
+The Fraction solver below imports only the data classes of `acforms.linalg`,
+so it can return the same types as the kernel it is checked against.  The
+one exception is `reduced_form_certificate`, the kernel's earlier
+certificate path: it reuses the kernel's forward and backward passes, because
+what it checks is the back-substitution that replaced the backward pass.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from acforms.linalg import AffineSystem, FarkasCertificate, SolutionSet
+from acforms.linalg import (AffineSystem, FarkasCertificate, SolutionSet, _echelon,
+                            _reduce, _scaled)
 
 
 def exponents(num_vars: int, degree: int) -> list[tuple[int, ...]]:
@@ -111,6 +115,46 @@ def fraction_solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertifica
         basis.append(vec)
     return SolutionSet(particular, basis)
 
+
+def reduced_form_certificate(system: AffineSystem) -> FarkasCertificate | None:
+    """The certificate read off the reduced echelon form of the transposed system.
+
+    Rows of [matrix | rhs] are scaled to integers, u.[matrix | rhs] =
+    (0, ..., 0, 1) is brought to reduced echelon form by a forward and a
+    backward pass, u is read off with free coordinates zero and the scaling
+    is undone.  None when that system has no solution, that is, when the
+    original system is consistent.
+    """
+    m, n = system.num_rows, system.num_cols
+    scaled = [_scaled(list(row) + [b]) for row, b in zip(system.matrix, system.rhs)]
+    transposed = [[row[c] for _, row in scaled] + [int(c == n)] for c in range(n + 1)]
+    pivots = _echelon(transposed, m)
+    if any(row[m] for row in transposed[len(pivots):]):
+        return None
+    _reduce(transposed, pivots)
+    u = [Fraction(0)] * m
+    for row, i in zip(transposed, pivots):
+        u[i] = Fraction(row[m] * scaled[i][0], row[i])
+    return FarkasCertificate(u)
+
+
+def fraction_verify_farkas(system: AffineSystem, certificate: FarkasCertificate) -> bool:
+    """u.matrix = 0 and u.rhs != 0, by Fraction dot products column by column."""
+    u = certificate.row_combination
+    if len(u) != system.num_rows:
+        raise ValueError(f"combination length {len(u)} != {system.num_rows} rows")
+    for c in range(system.num_cols):
+        acc = Fraction(0)
+        for i, ui in enumerate(u):
+            if ui != 0:
+                acc += ui * system.matrix[i][c]
+        if acc != 0:
+            return False
+    acc = Fraction(0)
+    for i, ui in enumerate(u):
+        if ui != 0:
+            acc += ui * system.rhs[i]
+    return acc != 0
 
 
 def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

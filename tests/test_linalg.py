@@ -14,7 +14,8 @@ from acforms.linalg import (AffineSystem, FarkasCertificate, SolutionSet,
                             solve_affine, verify_farkas)
 from acforms.poly import OneForm, TruncSeries
 from conftest import H, S, zero_series
-from oracles import fraction_matrix_rank, fraction_solve_affine, rref_rank
+from oracles import (fraction_matrix_rank, fraction_solve_affine, fraction_verify_farkas,
+                     reduced_form_certificate, rref_rank)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 # zeros, small fractions and entries with denominators up to 10^6
@@ -221,7 +222,7 @@ def test_certificate_that_fails_its_check_is_an_error(monkeypatch):
         solve_affine(_sys([[1, 1], [2, 2]], [1, 3]))
 
 
-def test_real_d6_prefix_infeasible_matches_oracle():
+def _d6_prefix():
     """A built d = 6 form whose leading pair is made non-closed by y^6 in A.
 
     Every gauged prefix of its system is then inconsistent, starting at
@@ -232,8 +233,75 @@ def test_real_d6_prefix_infeasible_matches_oracle():
                               D=zero_series(3), seed=1))
     a, b = sigma.components
     bump = TruncSeries(2, a.trunc_order, {6: H(2, 6, {(0, 6): 1})})
-    system = with_gauge(_prefix(assemble_system(OneForm((a.add(bump), b)), 9), 6, 8))
+    return with_gauge(_prefix(assemble_system(OneForm((a.add(bump), b)), 9), 6, 8))
+
+
+def test_real_d6_prefix_infeasible_matches_oracle():
+    system = _d6_prefix()
     assert (system.num_rows, system.num_cols) == (31, 40)
     assert system.num_rows - matrix_rank(system.matrix) == 3
     _assert_matches_oracle(system)
     assert isinstance(solve_affine(system), FarkasCertificate)
+
+
+# --- the certificate path against the reduced-form certificate ---------------
+
+
+def _assert_certificate_is_reduced_form(system):
+    """Back-substitution gives exactly the vector the reduced form gives."""
+    out = solve_affine(system)
+    ref = reduced_form_certificate(system)
+    if ref is None:
+        assert isinstance(out, SolutionSet)
+    else:
+        assert out == ref
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(systems(), inconsistent_systems()))
+def test_certificate_equals_reduced_form_certificate(system):
+    _assert_certificate_is_reduced_form(system)
+
+
+def test_real_d6_prefix_certificate_equals_reduced_form_certificate():
+    system = _d6_prefix()
+    assert reduced_form_certificate(system) is not None
+    _assert_certificate_is_reduced_form(system)
+
+
+@st.composite
+def candidate_certificates(draw):
+    """A system with a kernel certificate, that certificate with one entry
+    changed, or a random or all-zero row combination."""
+    system = draw(st.one_of(systems(), inconsistent_systems()))
+    m = system.num_rows
+    kind = draw(st.sampled_from(["kernel", "mutated", "random", "zero"]))
+    out = solve_affine(system)
+    if kind in ("kernel", "mutated") and isinstance(out, FarkasCertificate):
+        u = list(out.row_combination)
+        if kind == "mutated" and m:
+            i = draw(st.integers(0, m - 1))
+            u[i] = draw(entries.filter(lambda v: v != u[i]))
+    elif kind == "zero":
+        u = [Fraction(0)] * m
+    else:
+        u = _rows(draw, 1, m)[0]
+    return system, FarkasCertificate(u)
+
+
+@settings(deadline=None, max_examples=300)
+@given(candidate_certificates())
+def test_verify_farkas_matches_fraction_check(candidate):
+    system, certificate = candidate
+    assert verify_farkas(system, certificate) == fraction_verify_farkas(system, certificate)
+
+
+def test_certificate_path_skips_the_backward_pass(monkeypatch):
+    calls = []
+    reduce = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce", lambda *args: calls.append(1) or reduce(*args))
+    assert isinstance(solve_affine(_sys([[1, 1], [2, 2]], [1, 3])), FarkasCertificate)
+    assert isinstance(solve_affine(_d6_prefix()), FarkasCertificate)
+    assert calls == []
+    assert isinstance(solve_affine(_sys([[1, 1], [1, -1]], [1, 1])), SolutionSet)
+    assert calls == [1]

@@ -9,7 +9,8 @@ from acforms.poly import (HomogPoly, MismatchError, OneForm, TruncSeries,
                           graded_dim, monomials)
 from acforms.serialize import SerializationError, series_from_json
 from conftest import H, S, form, series_x, zero_series
-from oracles import (exponents, poly_add, poly_mul, poly_partial, series_dict)
+from oracles import (exponents, poly_add, poly_mul, poly_partial, poly_scale,
+                     series_dict)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -206,6 +207,16 @@ def test_series_add_matches_oracle(s, t):
     expected = poly_add(series_dict(s, total.trunc_order),
                         series_dict(t, total.trunc_order))
     assert series_dict(total) == expected
+
+
+@settings(deadline=None)
+@given(series(), series())
+def test_series_sub_matches_oracle(s, t):
+    diff = s.sub(t)
+    assert diff.trunc_order == min(s.trunc_order, t.trunc_order)
+    expected = poly_add(series_dict(s, diff.trunc_order),
+                        poly_scale(series_dict(t, diff.trunc_order), Fraction(-1)))
+    assert series_dict(diff) == expected
 
 
 @settings(deadline=None)
