@@ -22,9 +22,13 @@ Constant candidates are excluded by the unit condition
     (1 + X0)(1 + W0) - Y0 Z0 != 0,
 
 which makes the change of generators invertible at the origin.  The decider
-takes one path, a scan over the degree prefixes d-1 .. k in increasing k:
+takes one path, a scan over the degree prefixes d-1 .. k in increasing k.
+The assembled rows are scaled to integers once, and each branch feeds them
+to one `Echelon`, a degree block at a time, so every row is eliminated once
+per branch; a prefix's consistency and solution set are read off at its
+block boundary.
 
-* Each ungauged prefix is solved once and projected onto (Y0, Z0).  The
+* The ungauged scan projects each prefix's solution set onto (Y0, Z0).  The
   constant candidate solves every prefix, so none is inconsistent, and a
   longer prefix only adds equations, so a value forced on one prefix is
   forced on the whole system.  The scan stops at the first prefix whose
@@ -34,9 +38,10 @@ takes one path, a scan over the degree prefixes d-1 .. k in increasing k:
   minimal-generator argument rules out 1 + X0 = 0), so it can be rescaled
   to X0 = 0, and the gauge X0 = 0 (one extra row) is equivalent for
   existence questions.
-* With the gauge, each prefix is solved again with the gauge row appended.
-  The first inconsistent one gives the failing degree and a Farkas
-  certificate: a proof that no potential exists.
+* With the gauge, a fresh echelon is fed the gauge row, then the blocks
+  again.  The first inconsistent prefix gives the failing degree and a
+  Farkas certificate for that prefix with the gauge row appended: a proof
+  that no potential exists.
 * Without a gauge no refutation is attempted; the scan ran to the last
   prefix, which is the whole system.
 * Each consistent prefix of the branch taken records its affine dimension
@@ -66,9 +71,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ideals import TruncatedIdeal, ideal_contained_mod, ideal_equal_mod
-from .linalg import (AffineSystem, FarkasCertificate, SolutionSet,
-                     functional_range, matrix_rank, project_solution_set,
-                     residual, solve_affine)
+from .linalg import (AffineSystem, Echelon, FarkasCertificate, SolutionSet,
+                     farkas_certificate, functional_range, integer_rows,
+                     project_solution_set)
 from .poly import HomogPoly, MismatchError, OneForm, TruncSeries, monomials
 
 UNKNOWN_NAMES = ("X", "Y", "Z", "W")
@@ -155,16 +160,31 @@ def with_gauge(system: AffineSystem) -> AffineSystem:
                         row_labels=list(system.row_labels) + [GAUGE_ROW_LABEL])
 
 
-def _prefix(system: AffineSystem, d: int, through_degree: int) -> AffineSystem:
-    """Rows of equation degree d-1 .. through_degree of an assembled system.
+def _prefix_rows(d: int, through_degree: int) -> int:
+    """Row count of the equation degrees d-1 .. through_degree: rows come
+    grouped by degree and the degree-k block has k+1 rows."""
+    return ((through_degree + 1) * (through_degree + 2) - (d - 1) * d) // 2
 
-    Rows come grouped by degree and the degree-k block has k+1 rows, so the
-    prefix is a slice by row count.
-    """
-    n = ((through_degree + 1) * (through_degree + 2) - (d - 1) * d) // 2
+
+def _prefix(system: AffineSystem, d: int, through_degree: int) -> AffineSystem:
+    """Rows of equation degree d-1 .. through_degree of an assembled system,
+    a slice by row count."""
+    n = _prefix_rows(d, through_degree)
     return AffineSystem(matrix=system.matrix[:n], rhs=system.rhs[:n],
                         column_labels=list(system.column_labels),
                         row_labels=system.row_labels[:n])
+
+
+def _gauge_row(num_cols: int) -> list[int]:
+    """The gauge row X0 = 0 of [matrix | rhs] as integers."""
+    row = [0] * (num_cols + 1)
+    row[_column("X", (0, 0))] = 1
+    return row
+
+
+def _block(rows: list[list[int]], d: int, k: int) -> list[list[int]]:
+    """The equation-degree-k rows of an assembled system's rows."""
+    return rows[_prefix_rows(d, k - 1):_prefix_rows(d, k)]
 
 
 def trivial_solution(system: AffineSystem) -> list[Fraction]:
@@ -207,8 +227,8 @@ class GuardReport:
         return [c.name for c in self.checks if not c.passed]
 
 
-def _rank_of(polys: list[HomogPoly], degree: int) -> int:
-    """Rank of the polynomials' coefficient rows, each scaled to integers."""
+def _coefficient_rows(polys: list[HomogPoly], degree: int) -> list[list[int]]:
+    """The polynomials' coefficient rows, each scaled to integers."""
     index = {exp: i for i, exp in enumerate(monomials(2, degree))}
     rows = []
     for p in polys:
@@ -216,7 +236,7 @@ def _rank_of(polys: list[HomogPoly], degree: int) -> int:
         for exp, v in p._integer_terms()[0]:
             row[index[exp]] = v
         rows.append(row)
-    return matrix_rank(rows)
+    return rows
 
 
 def genericity_guard(sigma: OneForm) -> GuardReport:
@@ -252,28 +272,36 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
         ad1x, ad1y = ad1.partial(0), ad1.partial(1)
         bd1x, bd1y = bd1.partial(0), bd1.partial(1)
 
-    stage_d1_reduction = (mults(lin, [ad]) + mults(quad, [adx, ady])
-                          + mults(lin, [bd]) + mults(quad, [bdx, bdy]))
-    stage_d2_reduction = mults(quad, [ad, bd]) + mults(cub, [adx, ady, bdx, bdy])
-
-    table: list[tuple[str, int, int, list[HomogPoly] | None, int]] = [
-        ("leading_pair", 1, d, [ad, bd], 2),
-        ("degree0_forcing", 3, d - 1, [adx, ady, bdy], 3),
+    # (name, least d, degree, polynomials, expected rank, joins): a joint
+    # family is the reduction family just before it plus the polynomials
+    # listed, so its rank is read after extending that family's echelon
+    table: list[tuple[str, int, int, list[HomogPoly] | None, int, bool]] = [
+        ("leading_pair", 1, d, [ad, bd], 2, False),
+        ("degree0_forcing", 3, d - 1, [adx, ady, bdy], 3, False),
         ("stage_d", 5, d,
-         [ad] + mults(lin, [adx, ady]) + [bd] + mults(lin, [bdx, bdy]), 6),
-        ("stage_d1_reduction", 7, d + 1, stage_d1_reduction, 9),
+         [ad] + mults(lin, [adx, ady]) + [bd] + mults(lin, [bdx, bdy]), 6, False),
+        ("stage_d1_reduction", 7, d + 1,
+         mults(lin, [ad]) + mults(quad, [adx, ady]) + mults(lin, [bd])
+         + mults(quad, [bdx, bdy]), 9, False),
         ("stage_d1_joint", 13, d + 1,
-         (stage_d1_reduction + [ad1] + mults(lin, [ad1x, ad1y])
-          + [bd1] + mults(lin, [bd1x, bd1y])) if have_next else None, 15),
-        ("stage_d2_reduction", 9, d + 2, stage_d2_reduction, 12),
+         ([ad1] + mults(lin, [ad1x, ad1y]) + [bd1] + mults(lin, [bd1x, bd1y]))
+         if have_next else None, 15, True),
+        ("stage_d2_reduction", 9, d + 2,
+         mults(quad, [ad, bd]) + mults(cub, [adx, ady, bdx, bdy]), 12, False),
         ("stage_d2_joint", 18, d + 2,
-         (stage_d2_reduction + mults(lin, [ad1, bd1])
-          + mults(quad, [ad1x, ad1y, bd1x, bd1y])) if have_next else None, 21),
+         (mults(lin, [ad1, bd1]) + mults(quad, [ad1x, ad1y, bd1x, bd1y]))
+         if have_next else None, 21, True),
     ]
     checks = []
-    for name, min_d, degree, polys, expected in table:
+    echelon: Echelon | None = None
+    for name, min_d, degree, polys, expected, joins in table:
         applicable = d >= min_d and polys is not None
-        actual = _rank_of(polys, degree) if applicable else None
+        actual = None
+        if applicable:
+            if echelon is None or not joins:
+                echelon = Echelon(degree + 1)
+            echelon.extend(_coefficient_rows(polys, degree))
+            actual = echelon.rank
         passed = (actual == expected) if applicable else True
         checks.append(GuardCheck(name, applicable, expected, actual, passed))
     return GuardReport(lowest_degree=d, checks=tuple(checks))
@@ -536,10 +564,14 @@ def decide(sigma: OneForm, order: int) -> DeciderOutcome:
     """
     d = _validate_sigma(sigma, order)
     full = assemble_system(sigma, order)
+    n = full.num_cols
+    scales, rows = integer_rows(full)
     notes: list[str] = []
 
-    triv = trivial_solution(full)
-    if any(v != 0 for v in residual(full, triv)):
+    # each integer row is its Fraction row times a positive integer, so the
+    # constant candidate solves the one exactly when it solves the other
+    support = [(c, int(v)) for c, v in enumerate(trivial_solution(full)) if v]
+    if any(sum(row[c] * v for c, v in support) != row[n] for row in rows):
         raise AssertionError("constant-candidate self-test failed: assembled "
                              "system is inconsistent with its own identity")
     notes.append("self-test: constant-candidate solution satisfies the system")
@@ -548,11 +580,13 @@ def decide(sigma: OneForm, order: int) -> DeciderOutcome:
     independent = guard.check("leading_pair").passed
     records: list[StageRecord] = []
     gauged = False
+    echelon = Echelon(n)
     for k in range(d - 1, order):
-        solution = solve_affine(_prefix(full, d, k))
-        if isinstance(solution, FarkasCertificate):
+        echelon.extend(_block(rows, d, k))
+        if not echelon.consistent:
             raise AssertionError("ungauged prefix reported infeasible despite the "
                                  "constant-candidate solution")
+        solution = echelon.solution()
         dim0, base0 = project_solution_set(solution, [_column("Y", (0, 0)),
                                                       _column("Z", (0, 0))])
         forced_zero = dim0 == 0 and all(v == 0 for v in base0)
@@ -564,15 +598,22 @@ def decide(sigma: OneForm, order: int) -> DeciderOutcome:
     if gauged:
         branch, gauge = "forced_degree0", "X0=0"
         records = []
+        gauge_row = _gauge_row(n)
+        echelon = Echelon(n)
+        echelon.extend([gauge_row])
         for k in range(d - 1, order):
-            prefix = with_gauge(_prefix(full, d, k))
-            solution = solve_affine(prefix)
-            if isinstance(solution, FarkasCertificate):
+            echelon.extend(_block(rows, d, k))
+            if not echelon.consistent:
+                prefix = with_gauge(_prefix(full, d, k))
+                m = _prefix_rows(d, k)
+                certificate = farkas_certificate(prefix, scales[:m] + [1],
+                                                 rows[:m] + [gauge_row])
                 records.extend(StageRecord(j, False) for j in range(k, order))
                 return DeciderOutcome(
                     verdict="infeasible", order=order, lowest_degree=d, failing_degree=k,
-                    certificate=solution, failing_system=prefix, staged=records,
+                    certificate=certificate, failing_system=prefix, staged=records,
                     gauge=gauge, branch=branch, guard=guard, notes=notes)
+            solution = echelon.solution()
             records.append(_stage_record(full, d, order, k, solution))
     else:
         branch, gauge = "open_degree0", "none"
@@ -668,12 +709,18 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
         "predicted_first": 2 * tilde_sum / (d + 3),
         "predicted_second": 2 * tilde_sum / (d + 4),
     }
+    # one echelon: the gauge row, the rows through degree d+1, then degree d+2
+    _, rows = integer_rows(system)
+    echelon = Echelon(system.num_cols)
+    echelon.extend([_gauge_row(system.num_cols)])
+    fed = 0
     for key, through in (("first", d + 1), ("second", d + 2)):
-        solved = solve_affine(with_gauge(_prefix(system, d, through)))
-        if isinstance(solved, FarkasCertificate):
+        echelon.extend(rows[fed:_prefix_rows(d, through)])
+        fed = _prefix_rows(d, through)
+        if not echelon.consistent:
             out[key] = {"feasible": False}
         else:
-            forced, value = functional_range(solved, functional)
+            forced, value = functional_range(echelon.solution(), functional)
             out[key] = {"feasible": True, "forced": forced, "value": value}
     first, second = out["first"], out["second"]
     out["consistent"] = second["feasible"] and not (

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import AffineSystem, FarkasCertificate, matrix_rank, solve_affine
+from .linalg import AffineSystem, Echelon, FarkasCertificate, matrix_rank, solve_affine
 from .poly import (Exponent, HomogPoly, MismatchError, TruncSeries, graded_dim,
                    monomials)
 
@@ -151,19 +151,25 @@ def colength(ideal: TruncatedIdeal, max_n: int) -> int | None:
 def ideal_contained_mod(inner: TruncatedIdeal, outer: TruncatedIdeal, order: int) -> bool:
     """True iff the image of `inner` in R / m^order lies inside that of `outer`."""
     _check_mod_order(inner, outer, order)
+    basis, vo = _image_vectors(outer, order)
     _, vi = _image_vectors(inner, order)
-    _, vo = _image_vectors(outer, order)
-    return matrix_rank(vo) == matrix_rank(vo + vi)
+    echelon = Echelon(len(basis))
+    echelon.extend(vo)
+    rank_outer = echelon.rank
+    echelon.extend(vi)
+    return echelon.rank == rank_outer
 
 
 def ideal_equal_mod(lhs: TruncatedIdeal, rhs: TruncatedIdeal, order: int) -> bool:
     """True iff the two ideals have the same image in R / m^order."""
     _check_mod_order(lhs, rhs, order)
-    _, vl = _image_vectors(lhs, order)
+    basis, vl = _image_vectors(lhs, order)
     _, vr = _image_vectors(rhs, order)
-    rank_l = matrix_rank(vl)
-    rank_r = matrix_rank(vr)
-    return rank_l == rank_r == matrix_rank(vl + vr)
+    echelon = Echelon(len(basis))
+    echelon.extend(vl)
+    rank_l = echelon.rank
+    echelon.extend(vr)
+    return rank_l == matrix_rank(vr) == echelon.rank
 
 
 def _check_mod_order(a: TruncatedIdeal, b: TruncatedIdeal, order: int) -> None:

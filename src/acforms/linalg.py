@@ -9,16 +9,21 @@ below the current one with a nonzero entry is used.  A forward pass gives
 the row echelon form; Gauss-Jordan is completed by a backward pass that
 clears the entries above each pivot, last pivot first.
 
-* `solve_affine` reads its solution set off the reduced echelon form,
-  which is unique, so the particular point and nullspace basis are
-  determined by the system alone.  An inconsistent system, detected after
-  the forward pass, gets a Farkas certificate, a row combination u with
-  u.matrix = 0 and u.rhs = 1.  The transposed system gets a forward pass
-  only; u, with its free coordinates zero, is back-substituted over the
-  pivot rows with one common integer denominator, which gives the vector
-  the reduced echelon form would.  `verify_farkas` checks the certificate
-  with integer dot products before it is returned.
-* `matrix_rank` counts the pivots of a forward elimination; it takes
+* `Echelon` holds the pivot rows of the rows fed so far.  A new block is
+  reduced by the stored pivot rows and then goes through the forward
+  pass, so nested systems, such as the decider's degree prefixes, are
+  eliminated once.  `solution()` reads the solution set off the reduced
+  echelon form, which is unique, so the particular point and nullspace
+  basis do not depend on the order or blocking of the rows.
+* `solve_affine` feeds a system as one block.  An inconsistent system
+  gets a Farkas certificate from `farkas_certificate`, a row combination
+  u with u.matrix = 0 and u.rhs = 1.  The transposed system
+  gets a forward pass only; u, with its free coordinates zero, is
+  back-substituted over the pivot rows with one common integer
+  denominator, which gives the vector the reduced echelon form would.
+  `verify_farkas` checks the certificate with integer dot products before
+  it is returned.
+* `matrix_rank` counts the pivots of an `Echelon` fed one block; it takes
   integer rows as they are and scales other rows to integers first.
 
 Solution sets and their projections address columns by index; labels live
@@ -145,8 +150,10 @@ def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
 def _reduce(rows: list[list[int]], pivots: list[int]) -> None:
     """Clear the entries above each pivot, last pivot first.
 
-    Afterwards row k divided by its pivot entry is row k of the reduced
-    echelon form, which is unique.
+    Row k must be zero left of pivots[k] and in the pivot columns of rows
+    0 .. k-1, as in a row echelon form.  Afterwards row k divided by its
+    pivot entry is the row of the reduced echelon form, which is unique,
+    with its pivot in column pivots[k].
     """
     for k in range(len(pivots) - 1, 0, -1):
         c = pivots[k]
@@ -156,46 +163,98 @@ def _reduce(rows: list[list[int]], pivots: list[int]) -> None:
                 rows[i] = _combine(rows[i], tail, c)
 
 
-def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
-    """Exact solution set, or a verified Farkas certificate when inconsistent.
+class Echelon:
+    """Pivot rows of the integer rows fed so far, grown block by block.
 
-    The solution set is read off the reduced echelon form of [matrix | rhs]:
-    the particular point is zero on the free columns, and there is one
-    nullspace vector per free column, left to right.
+    Columns 0 .. ncols-1 are eliminated; a further column, the right-hand
+    side, is carried along.  Row k is zero left of pivots[k] and in the
+    pivot columns of rows 0 .. k-1, which is all that reducing a new row
+    and the backward pass need, so rows stay in the order found.
+    `consistent` turns false for good once a row reduces to zero on the
+    eliminated columns but not on the right-hand side.
     """
-    n = system.num_cols
+
+    def __init__(self, ncols: int) -> None:
+        self.ncols = ncols
+        self.pivots: list[int] = []
+        self.rows: list[list[int]] = []
+        self.consistent = True
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def extend(self, rows: Sequence[list[int]]) -> None:
+        """Feed a block of rows; the caller's list and rows are not changed.
+        Reduced by the stored pivot rows, each row is zero in their pivot
+        columns, so the forward pass finds new pivots only elsewhere."""
+        block = list(rows)
+        for c, pivot_row in zip(self.pivots, self.rows):
+            tail = pivot_row[c:]
+            for i, row in enumerate(block):
+                if row[c]:
+                    block[i] = _combine(row, tail, c)
+        new = _echelon(block, self.ncols)
+        if any(any(row[self.ncols:]) for row in block[len(new):]):
+            self.consistent = False
+        self.pivots += new
+        self.rows += block[:len(new)]
+
+    def solution(self) -> SolutionSet:
+        """Solution set of the rows of [matrix | rhs] fed so far.
+
+        It is read off the reduced echelon form: the particular point is
+        zero on the free columns, and there is one nullspace vector per free
+        column, left to right.
+        """
+        if not self.consistent:
+            raise ValueError("inconsistent rows have no solution set")
+        n = self.ncols
+        work = list(self.rows)  # the backward pass replaces rows, so keep ours
+        _reduce(work, self.pivots)
+        particular = [Fraction(0)] * n
+        for row, c in zip(work, self.pivots):
+            particular[c] = Fraction(row[n], row[c])
+        pivot_set = set(self.pivots)
+        basis: list[list[Fraction]] = []
+        for fcol in range(n):
+            if fcol in pivot_set:
+                continue
+            vec = [Fraction(0)] * n
+            vec[fcol] = Fraction(1)
+            for row, c in zip(work, self.pivots):
+                vec[c] = Fraction(-row[fcol], row[c])
+            basis.append(vec)
+        return SolutionSet(particular, basis)
+
+
+def integer_rows(system: AffineSystem) -> tuple[list[int], list[list[int]]]:
+    """Each row of [matrix | rhs] times the lcm of its denominators: the
+    lcms and the integer rows."""
     scaled = [_scaled(list(row) + [b]) for row, b in zip(system.matrix, system.rhs)]
-    rows = [row for _, row in scaled]
-    work = list(rows)  # the kernel replaces rows, so `rows` stays the scaled input
-    pivots = _echelon(work, n)
-    if any(row[n] for row in work[len(pivots):]):
-        return _certificate(system, [s for s, _ in scaled], rows)
-    _reduce(work, pivots)
-
-    particular = [Fraction(0)] * n
-    for row, c in zip(work, pivots):
-        particular[c] = Fraction(row[n], row[c])
-    pivot_set = set(pivots)
-    basis: list[list[Fraction]] = []
-    for fcol in range(n):
-        if fcol in pivot_set:
-            continue
-        vec = [Fraction(0)] * n
-        vec[fcol] = Fraction(1)
-        for row, c in zip(work, pivots):
-            vec[c] = Fraction(-row[fcol], row[c])
-        basis.append(vec)
-    return SolutionSet(particular, basis)
+    return [s for s, _ in scaled], [row for _, row in scaled]
 
 
-def _certificate(system: AffineSystem, scales: list[int],
-                 rows: list[list[int]]) -> FarkasCertificate:
-    """Solve u.[matrix | rhs] = (0, ..., 0, 1) and check the result.
+def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
+    """Exact solution set, or a verified Farkas certificate when inconsistent."""
+    scales, rows = integer_rows(system)
+    echelon = Echelon(system.num_cols)
+    echelon.extend(rows)
+    if echelon.consistent:
+        return echelon.solution()
+    return farkas_certificate(system, scales, rows)
 
-    `rows` are the rows of [matrix | rhs] times `scales`.  After the forward
-    pass on the transposed integer system, u = num / den with free
-    coordinates zero is back-substituted over the pivot rows, then the
-    scaling is undone.  The system being inconsistent, a solution must exist.
+
+def farkas_certificate(system: AffineSystem, scales: list[int],
+                       rows: list[list[int]]) -> FarkasCertificate:
+    """Solve u.[matrix | rhs] = (0, ..., 0, 1) for an inconsistent system
+    and check the result.
+
+    `rows` are the rows of [matrix | rhs] times `scales`, as `integer_rows`
+    gives them.  After the forward pass on the transposed integer system,
+    u = num / den with free coordinates zero is back-substituted over the
+    pivot rows, then the scaling is undone.  The system being inconsistent,
+    a solution must exist.
     """
     m, n = len(rows), system.num_cols
     transposed = [[row[c] for row in rows] + [int(c == n)] for c in range(n + 1)]
@@ -260,7 +319,7 @@ def residual(system: AffineSystem, point: Sequence[Fraction]) -> list[Fraction]:
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Exact rank: the number of pivots of a forward elimination.
+    """Exact rank: the pivot count of an `Echelon` fed the rows as one block.
 
     Integer rows go to the kernel as they are; any other row is scaled to
     integers first, which does not change the rank.
@@ -269,7 +328,9 @@ def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
             for row in rows]
     if not work:
         return 0
-    return len(_echelon(work, len(work[0])))
+    echelon = Echelon(len(work[0]))
+    echelon.extend(work)
+    return echelon.rank
 
 
 def project_solution_set(solution: SolutionSet,

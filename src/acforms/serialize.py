@@ -31,26 +31,34 @@ class SerializationError(ValueError):
     """Malformed or inconsistent artifact data."""
 
 
-def frac_to_str(value: Fraction) -> str:
-    return str(Fraction(value))
+def frac_to_str(value: Fraction | int) -> str:
+    return str(value) if isinstance(value, Fraction) else str(Fraction(value))
 
 
-# 4300 digits per integer part is CPython's default int/str limit, written
-# out so that parsing does not depend on PYTHONINTMAXSTRDIGITS.
-_RATIONAL = re.compile(r"-?[0-9]{1,4300}(/[0-9]{1,4300})?")
+# Only canonical spellings match: 0, or a nonzero integer without leading
+# zeros, optionally over a denominator without leading zeros.  4300 digits
+# per integer part is CPython's default int/str limit, written out so that
+# parsing does not depend on PYTHONINTMAXSTRDIGITS.
+_RATIONAL = re.compile(r"0|-?[1-9][0-9]{0,4299}(/[1-9][0-9]{0,4299})?")
+_ZERO = Fraction(0)
 
 
 def frac_from_str(text: Any) -> Fraction:
     """Parse the canonical form `frac_to_str` writes: `p` or `p/q` in lowest
     terms, q > 1, no sign on zero, no leading zeros, no spaces."""
+    if text == "0":
+        return _ZERO
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise SerializationError(f"expected a rational string p/q, got {text!r}")
     num, _, den = text.partition("/")
     try:
-        value = Fraction(int(num), int(den or 1))
-    except (ValueError, ZeroDivisionError) as exc:
+        if not den:
+            return Fraction(int(num))
+        q = int(den)
+        value = Fraction(int(num), q)
+    except ValueError as exc:     # an interpreter int/str limit below 4300 digits
         raise SerializationError(f"bad rational {text!r}: {exc}") from None
-    if str(value) != text:
+    if q == 1 or value.denominator != q:
         raise SerializationError(f"rational {text!r} is not canonical; write {value}")
     return value
 

@@ -12,6 +12,7 @@ what it checks is the back-substitution that replaced the backward pass.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -178,6 +179,25 @@ def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if rank == len(work):
             break
     return rank
+
+
+# --- rational strings --------------------------------------------------------
+
+_DIGITS_PQ = re.compile(r"-?[0-9]{1,4300}(/[0-9]{1,4300})?")
+
+
+def str_round_trip_fraction(text) -> Fraction | None:
+    """The earlier canonical-rational parser: digits p or p/q parsed as a
+    Fraction, accepted only when `str` gives the text back; None where it
+    rejected the text."""
+    if not isinstance(text, str) or not _DIGITS_PQ.fullmatch(text):
+        return None
+    num, _, den = text.partition("/")
+    try:
+        value = Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError):
+        return None
+    return value if str(value) == text else None
 
 
 # --- polynomial dictionaries -------------------------------------------------

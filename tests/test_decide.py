@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acforms import ideals, linalg
 from acforms.construct import Instance, build
 from acforms.decide import (GAUGE_ROW_LABEL, UNKNOWN_NAMES,
                             ClosednessError, assemble_system,
@@ -338,17 +339,31 @@ def _guarded_refutable_form(truncation=22):
     raise AssertionError("no guard-passing seed in range")
 
 
-def _count_solves(monkeypatch) -> list[int]:
-    """Record the row count of every system the decider solves."""
-    calls: list[int] = []
-    real = decide_module.solve_affine
+def _count_feeds(monkeypatch, sigma, order) -> list[list[int]]:
+    """Record, for each echelon the decider makes over the columns of the
+    assembled system, the row count of every block fed to it.  Any call of
+    `solve_affine` fails the test."""
+    num_cols = assemble_system(sigma, order).num_cols
+    echelons: list[list[int]] = []
 
-    def counting(system):
-        calls.append(system.num_rows)
-        return real(system)
+    class Counting(linalg.Echelon):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            self.fed: list[int] = []
+            if ncols == num_cols:
+                echelons.append(self.fed)
 
-    monkeypatch.setattr(decide_module, "solve_affine", counting)
-    return calls
+        def extend(self, rows):
+            self.fed.append(len(rows))
+            super().extend(rows)
+
+    def no_solve(system):
+        raise AssertionError("the decider called solve_affine")
+
+    monkeypatch.setattr(decide_module, "Echelon", Counting)
+    for module in (linalg, ideals):
+        monkeypatch.setattr(module, "solve_affine", no_solve)
+    return echelons
 
 
 def _prefix_rows(d, k):
@@ -370,65 +385,73 @@ def test_decide_refutes_guarded_generic_instance():
 
 def test_feasible_gauged_decide_solves_each_system_once(monkeypatch):
     sigma = _gradient_form()
-    calls = _count_solves(monkeypatch)
+    echelons = _count_feeds(monkeypatch, sigma, 5)
     outcome = decide(sigma, 5)
     assert outcome.gauge == "X0=0" and outcome.verdict == "feasible_up_to_M"
     d, order = outcome.lowest_degree, outcome.order
-    # the 2-row degree d-1 prefix already forces (Y0, Z0) and picks the
-    # gauge; then every gauged prefix, the last one the full gauged system,
-    # so unit search needs no further solve
-    assert len(calls) == 1 + (order - d + 1)
-    assert calls[0] == _prefix_rows(d, d - 1) == 2
-    assert calls[-1] == assemble_system(sigma, order).num_rows + 1
-    assert calls[1:] == sorted(set(calls[1:]))
+    # the 2-row degree d-1 block already forces (Y0, Z0) and picks the
+    # gauge; then the gauge row and every block once, which makes the full
+    # gauged system, so unit search needs no further elimination
+    ungauged, gauged = echelons
+    assert ungauged == [_prefix_rows(d, d - 1)] == [2]
+    assert gauged == [1] + [k + 1 for k in range(d - 1, order)]
+    assert sum(gauged) == assemble_system(sigma, order).num_rows + 1
 
 
 def test_refuted_decide_stops_at_the_failing_prefix(monkeypatch):
     sigma = _guarded_refutable_form()
-    calls = _count_solves(monkeypatch)
+    echelons = _count_feeds(monkeypatch, sigma, 21)
     outcome = decide(sigma, 21)
     k, d = outcome.failing_degree, outcome.lowest_degree
     assert outcome.verdict == "infeasible" and k == 20
-    assert len(calls) == 1 + (k - d + 2)
-    assert calls[-1] == outcome.failing_system.num_rows
+    ungauged, gauged = echelons
+    assert ungauged == [d]
+    assert gauged == [1] + [j + 1 for j in range(d - 1, k + 1)]
+    assert sum(gauged) == outcome.failing_system.num_rows
 
 
 def test_refutation_cost_follows_the_failing_degree(monkeypatch):
-    # order 27: the full ungauged system has 225 rows, but the degree d-1
-    # prefix already picks the gauge and the gauged scan fails at degree 20
+    # order 27: the full ungauged system has 225 rows, but its 18-row
+    # degree d-1 block already picks the gauge; then the gauge row and each
+    # block through the failing degree 20 are fed once, and none above
     sigma = _guarded_refutable_form(truncation=28)
-    calls = _count_solves(monkeypatch)
+    echelons = _count_feeds(monkeypatch, sigma, 27)
     outcome = decide(sigma, 27)
     d = outcome.lowest_degree
     assert outcome.verdict == "infeasible" and outcome.failing_degree == 20
     assert verify_farkas(outcome.failing_system, outcome.certificate)
     assert assemble_system(sigma, 27).num_rows == 225
-    gauged = [_prefix_rows(d, k) + 1 for k in range(d - 1, 21)]
-    assert calls == [_prefix_rows(d, d - 1)] + gauged
+    assert echelons == [[_prefix_rows(d, d - 1)],
+                        [1] + [k + 1 for k in range(d - 1, 21)]]
+    assert sum(echelons[1]) == _prefix_rows(d, 20) + 1
 
 
 def test_ungauged_decide_solves_each_prefix_once(monkeypatch):
-    calls = _count_solves(monkeypatch)
-    outcome = decide(_radial_form(), 3)
+    sigma = _radial_form()
+    echelons = _count_feeds(monkeypatch, sigma, 3)
+    outcome = decide(sigma, 3)
     assert outcome.gauge == "none"
-    # no prefix forces (Y0, Z0), so the scan runs to the full system and
-    # its records are the staged view
-    assert len(calls) == outcome.order - outcome.lowest_degree + 1
-    assert len(outcome.staged) == len(calls)
+    # no prefix forces (Y0, Z0), so the scan feeds every block once, up to
+    # the full system, and its records are the staged view
+    [fed] = echelons
+    assert fed == [k + 1 for k in range(outcome.lowest_degree - 1, outcome.order)]
+    assert sum(fed) == assemble_system(sigma, 3).num_rows
+    assert len(outcome.staged) == len(fed)
 
 
 def test_dependent_leading_pair_scans_every_prefix(monkeypatch):
     # x^2 dx + y^3 dy: B_2 = 0, so the leading pair is dependent; the degree
     # 1 .. 2 prefix already forces (Y0, Z0) = (0, 0), but no gauge follows
     sigma = form(S(2, 5, {2: {(2, 0): 1}}), S(2, 5, {3: {(0, 3): 1}}))
-    calls = _count_solves(monkeypatch)
+    echelons = _count_feeds(monkeypatch, sigma, 4)
     outcome = decide(sigma, 4)
     assert outcome.verdict == "feasible_up_to_M"
     assert outcome.branch == "open_degree0" and outcome.gauge == "none"
     assert ("degree-0 coefficients forced but the leading pair is dependent; "
             "refutation path disabled") in outcome.notes
     assert [rec.through_degree for rec in outcome.staged] == [1, 2, 3]
-    assert calls == [_prefix_rows(2, k) for k in (1, 2, 3)]
+    [fed] = echelons
+    assert list(itertools.accumulate(fed)) == [_prefix_rows(2, k) for k in (1, 2, 3)]
     assert verify_potential(outcome.witness.phi, sigma, 4)
 
 

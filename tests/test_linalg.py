@@ -216,6 +216,48 @@ def test_rank_matches_fraction_oracle(rows):
     assert matrix_rank(rows) == fraction_matrix_rank(rows) == rref_rank(rows)
 
 
+# --- an echelon fed block by block ---------------------------------------------
+
+
+@st.composite
+def blocked_systems(draw):
+    """A system and cut points splitting its rows into consecutive blocks,
+    some of them possibly empty."""
+    system = draw(st.one_of(systems(), inconsistent_systems()))
+    cuts = draw(st.lists(st.integers(0, system.num_rows), max_size=4))
+    return system, [0, *sorted(cuts), system.num_rows]
+
+
+@settings(deadline=None, max_examples=200)
+@given(blocked_systems())
+def test_echelon_fed_in_blocks_matches_each_prefix_solve(case):
+    system, bounds = case
+    _, rows = linalg.integer_rows(system)
+    fed = [list(row) for row in rows]
+    echelon = linalg.Echelon(system.num_cols)
+    for start, end in zip(bounds, bounds[1:]):
+        echelon.extend(fed[start:end])
+        prefix = AffineSystem(matrix=system.matrix[:end], rhs=system.rhs[:end],
+                              column_labels=system.column_labels)
+        ref = fraction_solve_affine(prefix)
+        out = solve_affine(prefix)
+        assert echelon.consistent == isinstance(ref, SolutionSet) == isinstance(out, SolutionSet)
+        assert echelon.rank == rref_rank(prefix.matrix)
+        if echelon.consistent:
+            assert echelon.solution() == out == ref
+    assert fed == rows
+
+
+def test_echelon_has_no_solution_set_once_inconsistent():
+    echelon = linalg.Echelon(1)
+    echelon.extend([[1, 1], [2, 3]])
+    assert not echelon.consistent and echelon.rank == 1
+    echelon.extend([[1, 1]])
+    assert not echelon.consistent
+    with pytest.raises(ValueError):
+        echelon.solution()
+
+
 def test_certificate_that_fails_its_check_is_an_error(monkeypatch):
     monkeypatch.setattr(linalg, "verify_farkas", lambda system, cert: False)
     with pytest.raises(AssertionError, match="own check"):

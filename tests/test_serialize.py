@@ -24,6 +24,7 @@ from acforms.serialize import (SerializationError, canonical_dumps,
                                system_from_json, system_to_json,
                                witness_to_json)
 from conftest import S, zero_series
+from oracles import str_round_trip_fraction
 
 FR = Fraction
 
@@ -63,6 +64,24 @@ def test_fraction_parser_rejects_junk():
 def test_fraction_parser_accepts_only_canonical_strings(text):
     with pytest.raises(SerializationError):
         frac_from_str(text)
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.text(alphabet="-0123456789/", max_size=12),
+                 st.fractions().map(str)))
+def test_fraction_parser_accepts_what_the_str_round_trip_accepts(text):
+    expected = str_round_trip_fraction(text)
+    if expected is None:
+        with pytest.raises(SerializationError):
+            frac_from_str(text)
+    else:
+        parsed = frac_from_str(text)
+        assert type(parsed) is Fraction and parsed == expected
+
+
+@given(st.one_of(st.fractions(), st.integers()))
+def test_fraction_writer_matches_str_of_the_fraction(value):
+    assert frac_to_str(value) == str(Fraction(value))
 
 
 def test_fraction_parser_caps_digits_whatever_the_interpreter_limit():
