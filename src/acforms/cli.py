@@ -22,7 +22,7 @@ import glob as globmod
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -255,7 +255,7 @@ def _batch_worker(task: tuple[str, int | None]) -> tuple[dict, str | None]:
             row["guard_failures"] = guard.failures()
             return row, digest
         effective = order if order is not None else instance.d + 3
-        outcome = decide(sigma, effective)
+        outcome = decide(sigma, effective, guard)
     except _INPUT_ERRORS as exc:
         row["status"] = "error"
         row["message"] = str(exc)
@@ -300,7 +300,10 @@ def _cmd_batch(args) -> int:
 # parser
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="acforms",
         description="Build, verify and decide truncated almost closed 1-forms.")

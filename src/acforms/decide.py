@@ -23,31 +23,41 @@ Constant candidates are excluded by the unit condition
 
 which makes the change of generators invertible at the origin.  The decider
 takes one path, a scan over the degree prefixes d-1 .. k in increasing k.
-The assembled rows are scaled to integers once, and each branch feeds them
-to one `Echelon`, a degree block at a time, so every row is eliminated once
-per branch; a prefix's consistency and solution set are read off at its
-block boundary.
+The equations are built as integer rows, one block per degree with one
+scale, straight from the components' integer terms (`_integer_blocks`;
+`assemble_system` is their Fraction view).  One column pass, a `RowBasis`
+over the gauge row X0 = 0 followed by every block, scans each row once and
+gives each block's rows independent of the rows before them, and whether
+the gauged prefix is still consistent.  Paired with (constant candidate,
+-1), every row of [matrix | rhs] gives 0 and the gauge row gives -1, so the
+gauge row is never in the span of the equations, and a block's
+independent rows are the same with or without it.  Each branch
+feeds only those rows to one `Echelon`, so its solution sets are those of
+the full prefixes, and reads each prefix off at its block boundary.
 
-* The ungauged scan projects each prefix's solution set onto (Y0, Z0).  The
+* The ungauged scan checks whether each prefix forces (Y0, Z0).  The
   constant candidate solves every prefix, so none is inconsistent, and a
   longer prefix only adds equations, so a value forced on one prefix is
-  forced on the whole system.  The scan stops at the first prefix whose
-  projection is exactly {(0, 0)}, provided the leading forms of A, B are
+  forced on the whole system.  The scan stops at the first prefix that
+  forces (Y0, Z0) = (0, 0), provided the leading forms of A, B are
   independent.  Then every potential-induced solution must have
   1 + X0 != 0 (the unit condition degenerates to (1+X0)(1+W0) != 0, and a
   minimal-generator argument rules out 1 + X0 = 0), so it can be rescaled
   to X0 = 0, and the gauge X0 = 0 (one extra row) is equivalent for
   existence questions.
-* With the gauge, a fresh echelon is fed the gauge row, then the blocks
-  again.  The first inconsistent prefix gives the failing degree and a
-  Farkas certificate for that prefix with the gauge row appended: a proof
-  that no potential exists.
+* With the gauge, a fresh echelon is fed the gauge row, then the basis
+  rows of each block.  The first prefix the column pass finds
+  inconsistent never reaches it: it gives the failing degree, and the
+  column pass back-substitutes a Farkas certificate for that prefix with
+  the gauge row appended, built as Fractions only then: a proof that no
+  potential exists.
 * Without a gauge no refutation is attempted; the scan ran to the last
   prefix, which is the whole system.
 * Each consistent prefix of the branch taken records its affine dimension
-  and forced values per unknown block: the staged view.  When every prefix
-  is consistent, the unit condition is decided on the solution set of the
-  last one, giving feasible-or-degenerate.
+  and forced values per unknown block, read off the integer reduced rows:
+  the staged view.  When every prefix is consistent, the unit condition is
+  decided on the solution set of the last one, giving
+  feasible-or-degenerate.
 
 Columns are addressed by their position in `assemble_system`'s layout
 (`_column`), never by label.  Results are typed records: a `StageRecord`
@@ -67,13 +77,15 @@ drawn.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .ideals import TruncatedIdeal, ideal_contained_mod, ideal_equal_mod
-from .linalg import (AffineSystem, Echelon, FarkasCertificate, SolutionSet,
-                     farkas_certificate, functional_range, integer_rows,
-                     project_solution_set)
+from .linalg import (AffineSystem, Echelon, FarkasCertificate, RowBasis, SolutionSet,
+                     farkas_certificate, functional_range, matrix_rank)
 from .poly import HomogPoly, MismatchError, OneForm, TruncSeries, monomials
 
 UNKNOWN_NAMES = ("X", "Y", "Z", "W")
@@ -103,51 +115,90 @@ def _validate_sigma(sigma: OneForm, order: int) -> int:
     return d
 
 
+def _num_columns(top: int) -> int:
+    """Column count for unknown degrees 0 .. top: where degree top+1 would start."""
+    return _column("X", (top + 1, 0))
+
+
+def _column_labels(top: int) -> list[str]:
+    """`name:a,b` per column of unknown degrees 0 .. top, in `_column` order."""
+    return [f"{name}:{exp[0]},{exp[1]}" for j in range(top + 1)
+            for name in UNKNOWN_NAMES for exp in monomials(2, j)]
+
+
+def _integer_blocks(sigma: OneForm, d: int, order: int) -> list[tuple[int, list[list[int]]]]:
+    """Identity (*) as integer rows of [matrix | rhs], one block per equation
+    degree k = d-1 .. order-1: each block's rows times one positive integer,
+    its scale, paired with that scale.
+
+    The degree-k rows read the components of degrees k+1-(order-d) .. k+1,
+    whose integer terms are brought to the lcm of their denominators.  Row
+    i of the block is the monomial x^(k-i) y^i, as in `monomials`.
+    """
+    a, b = sigma.components
+    top = order - d
+    n = _num_columns(top)
+    terms = {(name, i): series.component(i)._integer_terms()
+             for name, series in (("A", a), ("B", b)) for i in range(max(d - top, 0), order + 1)}
+    blocks = []
+    for k in range(d - 1, order):
+        degrees = range(max(k + 1 - top, 0), k + 2)
+        scale = math.lcm(*[terms[name, i][1] for name in "AB" for i in degrees])
+        rows = [[0] * (n + 1) for _ in range(k + 1)]
+        for i in degrees:
+            j = k + 1 - i
+            for name in UNKNOWN_NAMES:
+                # X, Y enter through d/dy of their products, Z, W through -d/dx
+                poly, den = terms["A" if name in "XZ" else "B", i]
+                f = scale // den
+                for exp in monomials(2, j):
+                    c = _column(name, exp)
+                    for (e0, e1), v in poly:
+                        t0, t1 = e0 + exp[0], e1 + exp[1]
+                        if name in "XY":
+                            if t1:
+                                rows[t1 - 1][c] = f * v * t1
+                        elif t0:
+                            rows[t1][c] = -f * v * t0
+        # the right-hand side d/dx B_{k+1} - d/dy A_{k+1}
+        for name, sign, var in (("B", 1, 0), ("A", -1, 1)):
+            poly, den = terms[name, k + 1]
+            f = sign * (scale // den)
+            for exp, v in poly:
+                if exp[var]:
+                    rows[exp[1] - var][n] += f * v * exp[var]
+        blocks.append((scale, rows))
+    return blocks
+
+
+def _fraction_view(blocks: list[tuple[int, list[list[int]]]], d: int, top: int) -> AffineSystem:
+    """The integer blocks of equation degrees d-1, d, ... as an `AffineSystem`
+    over unknown degrees 0 .. top, each entry divided by its block's scale."""
+    zero = Fraction(0)
+    matrix: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    row_labels: list[str] = []
+    for k, (scale, rows) in enumerate(blocks, start=d - 1):
+        for i, row in enumerate(rows):
+            values = [Fraction(v, scale) if v else zero for v in row]
+            rhs.append(values.pop())
+            matrix.append(values)
+            row_labels.append(f"deg{k}:{k - i},{i}")
+    return AffineSystem(matrix=matrix, rhs=rhs, column_labels=_column_labels(top),
+                        row_labels=row_labels)
+
+
 def assemble_system(sigma: OneForm, order: int) -> AffineSystem:
     """One equation per monomial per degree d-1 .. order-1 of identity (*).
 
     Unknown columns are the coefficients of X, Y, Z, W in degrees
     0 .. order-d, laid out by unknown degree, then name, then monomial (see
     `_column`) and labelled `name:a,b` by exponent; rows are grouped by
-    equation degree and labelled `deg<k>:a,b` by degree and monomial.
+    equation degree and labelled `deg<k>:a,b` by degree and monomial.  This
+    is the Fraction view of `_integer_blocks`.
     """
     d = _validate_sigma(sigma, order)
-    a, b = sigma.components
-    top = order - d
-
-    columns: list[tuple[str, tuple[int, int]]] = []
-    for j in range(top + 1):
-        for name in UNKNOWN_NAMES:
-            for exp in monomials(2, j):
-                columns.append((name, exp))
-    col_labels = [f"{name}:{exp[0]},{exp[1]}" for name, exp in columns]
-
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    row_labels: list[str] = []
-    for k in range(d - 1, order):
-        basis = monomials(2, k)
-        index = {exp: i for i, exp in enumerate(basis)}
-        block = [[Fraction(0)] * len(columns) for _ in basis]
-        for c, (name, exp) in enumerate(columns):
-            j = sum(exp)
-            comp_degree = k + 1 - j
-            if not 0 <= comp_degree < sigma.trunc_order:
-                continue
-            series = a if name in ("X", "Z") else b
-            comp = series.component(comp_degree)
-            if comp.is_zero:
-                continue
-            prod = comp.shift(exp)
-            contrib = prod.partial(1) if name in ("X", "Y") else prod.partial(0).scale(-1)
-            for pexp, val in contrib.coeffs.items():
-                block[index[pexp]][c] = val
-        target = b.component(k + 1).partial(0).sub(a.component(k + 1).partial(1))
-        matrix.extend(block)
-        rhs.extend(target.coeff(exp) for exp in basis)
-        row_labels.extend(f"deg{k}:{exp[0]},{exp[1]}" for exp in basis)
-    return AffineSystem(matrix=matrix, rhs=rhs, column_labels=col_labels,
-                        row_labels=row_labels)
+    return _fraction_view(_integer_blocks(sigma, d, order), d, order - d)
 
 
 def with_gauge(system: AffineSystem) -> AffineSystem:
@@ -160,31 +211,11 @@ def with_gauge(system: AffineSystem) -> AffineSystem:
                         row_labels=list(system.row_labels) + [GAUGE_ROW_LABEL])
 
 
-def _prefix_rows(d: int, through_degree: int) -> int:
-    """Row count of the equation degrees d-1 .. through_degree: rows come
-    grouped by degree and the degree-k block has k+1 rows."""
-    return ((through_degree + 1) * (through_degree + 2) - (d - 1) * d) // 2
-
-
-def _prefix(system: AffineSystem, d: int, through_degree: int) -> AffineSystem:
-    """Rows of equation degree d-1 .. through_degree of an assembled system,
-    a slice by row count."""
-    n = _prefix_rows(d, through_degree)
-    return AffineSystem(matrix=system.matrix[:n], rhs=system.rhs[:n],
-                        column_labels=list(system.column_labels),
-                        row_labels=system.row_labels[:n])
-
-
 def _gauge_row(num_cols: int) -> list[int]:
     """The gauge row X0 = 0 of [matrix | rhs] as integers."""
     row = [0] * (num_cols + 1)
     row[_column("X", (0, 0))] = 1
     return row
-
-
-def _block(rows: list[list[int]], d: int, k: int) -> list[list[int]]:
-    """The equation-degree-k rows of an assembled system's rows."""
-    return rows[_prefix_rows(d, k - 1):_prefix_rows(d, k)]
 
 
 def trivial_solution(system: AffineSystem) -> list[Fraction]:
@@ -538,22 +569,43 @@ class DeciderOutcome:
     notes: list[str] = field(default_factory=list)
 
 
-def _stage_record(system: AffineSystem, d: int, order: int, k: int,
-                  solution: SolutionSet) -> StageRecord:
+def _stage_record(echelon: Echelon, reduced: list[list[int]], top: int, k: int,
+                  labels: list[str]) -> StageRecord:
     """Per unknown-degree block of a consistent prefix through degree k: the
-    dimension of its projection and its columns fixed on every solution."""
-    moving = {i for vec in solution.nullspace_basis for i, v in enumerate(vec) if v}
+    dimension of its projection and its columns fixed on every solution,
+    read off the integer reduced rows of the prefix's echelon.
+
+    With P the pivot columns, F the free ones and J the block's, the
+    projection has dimension |F & J| + rank R[P & J, F - J], R the reduced
+    rows; a column is fixed when it is a pivot column whose reduced row is
+    zero on every free column, and its value is then rhs / pivot.
+    """
+    n = echelon.ncols
+    rows = dict(zip(echelon.pivots, reduced))
+    free = [c for c in range(n) if c not in rows]
     blocks = []
-    for j in range(order - d + 1):
-        columns = range(_column("X", (j, 0)), _column("X", (j + 1, 0)))
-        dim, base = project_solution_set(solution, columns)
-        forced = {system.column_labels[c]: value for c, value in zip(columns, base)
-                  if c not in moving}
+    for j in range(top + 1):
+        lo, hi = _column("X", (j, 0)), _column("X", (j + 1, 0))
+        inside = [c for c in range(lo, hi) if c in rows]
+        outside = [f for f in free if not lo <= f < hi]
+        dim = hi - lo - len(inside) + matrix_rank([[rows[c][f] for f in outside]
+                                                   for c in inside])
+        forced = {labels[c]: Fraction(rows[c][n], rows[c][c]) for c in inside
+                  if not any(rows[c][f] for f in free)}
         blocks.append(BlockRecord(dim, forced))
     return StageRecord(k, True, tuple(blocks))
 
 
-def decide(sigma: OneForm, order: int) -> DeciderOutcome:
+def _column_pass(basis: RowBasis, blocks: list[tuple[int, list[list[int]]]]
+                 ) -> Iterator[tuple[list[list[int]], bool]]:
+    """Scan the blocks in order; per block, its rows that are independent of
+    the rows before them, and whether the rows scanned so far are consistent."""
+    for _, block in blocks:
+        start = basis.scanned
+        yield [block[i - start] for i in basis.extend(len(block))], basis.consistent
+
+
+def decide(sigma: OneForm, order: int, guard: GuardReport | None = None) -> DeciderOutcome:
     """Full decision pipeline; all outcomes are values, never exceptions.
 
     Verdicts: `infeasible` (with failing degree and Farkas certificate —
@@ -561,60 +613,69 @@ def decide(sigma: OneForm, order: int) -> DeciderOutcome:
     `feasible_up_to_M` (with reconstructed unknowns and potential candidate;
     explicitly inconclusive about genuine existence), or `degenerate` (the
     system is solvable but every solution fails the unit condition).
+    `guard` is `genericity_guard(sigma)` when the caller already has it.
     """
     d = _validate_sigma(sigma, order)
-    full = assemble_system(sigma, order)
-    n = full.num_cols
-    scales, rows = integer_rows(full)
+    top = order - d
+    blocks = _integer_blocks(sigma, d, order)
+    n = _num_columns(top)
+    labels = _column_labels(top)
     notes: list[str] = []
 
     # each integer row is its Fraction row times a positive integer, so the
-    # constant candidate solves the one exactly when it solves the other
-    support = [(c, int(v)) for c, v in enumerate(trivial_solution(full)) if v]
-    if any(sum(row[c] * v for c, v in support) != row[n] for row in rows):
+    # constant candidate X0 = W0 = -1 solves the one exactly when it solves
+    # the other
+    x0, w0 = _column("X", (0, 0)), _column("W", (0, 0))
+    if any(-row[x0] - row[w0] != row[n] for _, rows in blocks for row in rows):
         raise AssertionError("constant-candidate self-test failed: assembled "
                              "system is inconsistent with its own identity")
     notes.append("self-test: constant-candidate solution satisfies the system")
 
-    guard = genericity_guard(sigma)
+    guard = genericity_guard(sigma) if guard is None else guard
     independent = guard.check("leading_pair").passed
+    gauge_row = _gauge_row(n)
+    basis = RowBasis([gauge_row] + [row for _, rows in blocks for row in rows], n)
+    basis.extend(1)
+    scan, rescan = itertools.tee(_column_pass(basis, blocks))
+
     records: list[StageRecord] = []
     gauged = False
     echelon = Echelon(n)
-    for k in range(d - 1, order):
-        echelon.extend(_block(rows, d, k))
+    for k, (independent_rows, _) in enumerate(scan, start=d - 1):
+        echelon.extend(independent_rows)
         if not echelon.consistent:
             raise AssertionError("ungauged prefix reported infeasible despite the "
                                  "constant-candidate solution")
-        solution = echelon.solution()
-        dim0, base0 = project_solution_set(solution, [_column("Y", (0, 0)),
-                                                      _column("Z", (0, 0))])
-        forced_zero = dim0 == 0 and all(v == 0 for v in base0)
+        reduced = echelon.reduced()
+        record = _stage_record(echelon, reduced, top, k, labels)
+        degree0 = record.blocks[0].forced
+        forced_zero = all(degree0.get(labels[_column(name, (0, 0))]) == 0 for name in "YZ")
         if forced_zero and independent:
             gauged = True
             break
-        records.append(_stage_record(full, d, order, k, solution))
+        records.append(record)
 
     if gauged:
         branch, gauge = "forced_degree0", "X0=0"
         records = []
-        gauge_row = _gauge_row(n)
         echelon = Echelon(n)
         echelon.extend([gauge_row])
-        for k in range(d - 1, order):
-            echelon.extend(_block(rows, d, k))
-            if not echelon.consistent:
-                prefix = with_gauge(_prefix(full, d, k))
-                m = _prefix_rows(d, k)
-                certificate = farkas_certificate(prefix, scales[:m] + [1],
-                                                 rows[:m] + [gauge_row])
+        for k, (independent_rows, consistent) in enumerate(rescan, start=d - 1):
+            if not consistent:
+                failing = blocks[:k - d + 2]
+                prefix = with_gauge(_fraction_view(failing, d, top))
+                num, den = basis.combination(prefix.num_rows)
+                # the basis scanned the gauge row first; the prefix ends with it
+                scales = [scale for scale, rows in failing for _ in rows] + [1]
+                certificate = farkas_certificate(prefix, scales, num[1:] + num[:1], den)
                 records.extend(StageRecord(j, False) for j in range(k, order))
                 return DeciderOutcome(
                     verdict="infeasible", order=order, lowest_degree=d, failing_degree=k,
                     certificate=certificate, failing_system=prefix, staged=records,
                     gauge=gauge, branch=branch, guard=guard, notes=notes)
-            solution = echelon.solution()
-            records.append(_stage_record(full, d, order, k, solution))
+            echelon.extend(independent_rows)
+            reduced = echelon.reduced()
+            records.append(_stage_record(echelon, reduced, top, k, labels))
     else:
         branch, gauge = "open_degree0", "none"
         if forced_zero:
@@ -623,7 +684,7 @@ def decide(sigma: OneForm, order: int) -> DeciderOutcome:
 
     common = dict(order=order, lowest_degree=d, staged=records, gauge=gauge,
                   branch=branch, guard=guard, notes=notes)
-    unit = find_unit_solution(solution)
+    unit = find_unit_solution(echelon.solution(reduced))
     if unit is None:
         notes.append("every normalized solution fails the unit condition" if gauged
                      else "every solution fails the unit condition")
@@ -699,7 +760,8 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
     if d is None or d < 1:
         raise MismatchError("the 1-form must vanish at the origin and be nonzero")
     order = d + 3
-    system = assemble_system(sigma, order)
+    _validate_sigma(sigma, order)
+    blocks = _integer_blocks(sigma, d, order)
     ct, dt = tilde_transform(c, d_series)
     tilde_sum = ct.coeff((1, 0)) + dt.coeff((0, 1))
     functional = {_column("Z", (2, 0)): Fraction(2), _column("Y", (0, 2)): Fraction(-2)}
@@ -710,13 +772,11 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
         "predicted_second": 2 * tilde_sum / (d + 4),
     }
     # one echelon: the gauge row, the rows through degree d+1, then degree d+2
-    _, rows = integer_rows(system)
-    echelon = Echelon(system.num_cols)
-    echelon.extend([_gauge_row(system.num_cols)])
-    fed = 0
-    for key, through in (("first", d + 1), ("second", d + 2)):
-        echelon.extend(rows[fed:_prefix_rows(d, through)])
-        fed = _prefix_rows(d, through)
+    n = _num_columns(order - d)
+    echelon = Echelon(n)
+    echelon.extend([_gauge_row(n)])
+    for key, fed in (("first", blocks[:3]), ("second", blocks[3:])):
+        echelon.extend([row for _, rows in fed for row in rows])
         if not echelon.consistent:
             out[key] = {"feasible": False}
         else:

@@ -11,23 +11,30 @@ clears the entries above each pivot, last pivot first.
 
 * `Echelon` holds the pivot rows of the rows fed so far.  A new block is
   reduced by the stored pivot rows and then goes through the forward
-  pass, so nested systems, such as the decider's degree prefixes, are
-  eliminated once.  `solution()` reads the solution set off the reduced
-  echelon form, which is unique, so the particular point and nullspace
-  basis do not depend on the order or blocking of the rows.
-* `solve_affine` feeds a system as one block.  An inconsistent system
-  gets a Farkas certificate from `farkas_certificate`, a row combination
-  u with u.matrix = 0 and u.rhs = 1.  The transposed system
-  gets a forward pass only; u, with its free coordinates zero, is
-  back-substituted over the pivot rows with one common integer
-  denominator, which gives the vector the reduced echelon form would.
-  `verify_farkas` checks the certificate with integer dot products before
-  it is returned.
+  pass, so nested systems are eliminated once.  `reduced()` runs the
+  backward pass on a copy, and `solution()` reads the solution set off the
+  reduced echelon form, which is unique, so the particular point and
+  nullspace basis do not depend on the order or blocking of the rows.
+* `RowBasis` is the column pass: the forward pass over the transposed
+  system [matrix | rhs]^T with the target column (0, ..., 0, 1) appended,
+  scanned a block of columns, that is of original rows, at a time.  A
+  column that gets a pivot is a row independent of the rows before it, so
+  the pivots are the greedy row basis, and the rows up to any block
+  boundary are inconsistent exactly when the target column has become
+  zero below the pivots.  `combination` then back-substitutes the row
+  combination u with u.[matrix | rhs] = (0, ..., 0, 1), free coordinates
+  zero, over the pivot rows with one common integer denominator; that is
+  the vector the reduced echelon form would give, the unique solution
+  supported on the row basis.
+* `solve_affine` feeds a system to an `Echelon` as one block.  An
+  inconsistent system gets its Farkas certificate from one column pass
+  and `farkas_certificate`, which undoes the row scaling and checks the
+  result with `verify_farkas`, integer dot products only.
 * `matrix_rank` counts the pivots of an `Echelon` fed one block; it takes
   integer rows as they are and scales other rows to integers first.
 
-Solution sets and their projections address columns by index; labels live
-only on `AffineSystem`, where they are part of its JSON format.
+Solution sets address columns by index; labels live only on
+`AffineSystem`, where they are part of its JSON format.
 """
 
 from __future__ import annotations
@@ -119,20 +126,22 @@ def _combine(row: list[int], pivot_tail: list[int], c: int) -> list[int]:
     return [x // content for x in new] if content > 1 else new
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> list[int]:
+def _echelon(rows: list[list[int]], stop: int, start: int = 0, top: int = 0) -> list[int]:
     """Fraction-free forward elimination of integer rows in place.
 
-    Columns 0 .. ncols-1 are scanned left to right; the pivot is the first
+    Columns start .. stop-1 are scanned left to right over the rows from
+    `top` on, which must be zero left of `start`; the pivot is the first
     row at or below the current one with a nonzero entry, and every row
-    below it is cleared in the pivot column.  Returns the pivot columns: row
-    k of the result has its leading entry in column pivots[k], and the rows
-    past the last pivot are zero in the scanned columns.  Rows are replaced,
-    never mutated, so a shallow copy of the list keeps the caller's rows.
+    below it is cleared in the pivot column.  Returns the pivot columns:
+    row top+k of the result has its leading entry in column pivots[k], and
+    the rows past the last pivot are zero in the scanned columns, so a
+    later call can resume at column `stop`.  Rows are replaced, never
+    mutated, so a shallow copy of the list keeps the caller's rows.
     """
     m = len(rows)
     pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
+    for c in range(start, stop):
+        r = top + len(pivots)
         if r == m:
             break
         pivot = next((i for i in range(r, m) if rows[i][c]), None)
@@ -200,18 +209,25 @@ class Echelon:
         self.pivots += new
         self.rows += block[:len(new)]
 
-    def solution(self) -> SolutionSet:
+    def reduced(self) -> list[list[int]]:
+        """The pivot rows after the backward pass, on a copy: row k divided
+        by its entry in column pivots[k] is a row of the reduced echelon form."""
+        work = list(self.rows)  # the backward pass replaces rows, so keep ours
+        _reduce(work, self.pivots)
+        return work
+
+    def solution(self, reduced: list[list[int]] | None = None) -> SolutionSet:
         """Solution set of the rows of [matrix | rhs] fed so far.
 
-        It is read off the reduced echelon form: the particular point is
-        zero on the free columns, and there is one nullspace vector per free
-        column, left to right.
+        It is read off the reduced echelon form, from `reduced` when the
+        caller already has it: the particular point is zero on the free
+        columns, and there is one nullspace vector per free column, left to
+        right.
         """
         if not self.consistent:
             raise ValueError("inconsistent rows have no solution set")
         n = self.ncols
-        work = list(self.rows)  # the backward pass replaces rows, so keep ours
-        _reduce(work, self.pivots)
+        work = self.reduced() if reduced is None else reduced
         particular = [Fraction(0)] * n
         for row, c in zip(work, self.pivots):
             particular[c] = Fraction(row[n], row[c])
@@ -228,55 +244,89 @@ class Echelon:
         return SolutionSet(particular, basis)
 
 
-def integer_rows(system: AffineSystem) -> tuple[list[int], list[list[int]]]:
-    """Each row of [matrix | rhs] times the lcm of its denominators: the
-    lcms and the integer rows."""
-    scaled = [_scaled(list(row) + [b]) for row, b in zip(system.matrix, system.rhs)]
-    return [s for s, _ in scaled], [row for _, row in scaled]
+class RowBasis:
+    """The column pass: the greedy row basis of integer rows of
+    [matrix | rhs], taken in order a block at a time, and their consistency.
+
+    Row i of the input is column i of the transposed system, and the target
+    column (0, ..., 0, 1) follows the last row.  `extend(count)` scans the
+    next `count` columns with `_echelon`; each that gets a pivot is a row
+    independent of the rows before it.  The scanned rows are inconsistent
+    once no row below the pivots has a nonzero target entry: the target is
+    then in the span of the scanned columns, so some row combination u has
+    u.[matrix | rhs] = (0, ..., 0, 1).
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]], ncols: int) -> None:
+        self.target = len(rows)
+        self.work = [[row[c] for row in rows] + [int(c == ncols)] for c in range(ncols + 1)]
+        self.pivots: list[int] = []
+        self.scanned = 0
+
+    @property
+    def consistent(self) -> bool:
+        return any(row[self.target] for row in self.work[len(self.pivots):])
+
+    def extend(self, count: int) -> list[int]:
+        """Scan the next `count` rows; returns the indices of the independent ones."""
+        stop = self.scanned + count
+        new = _echelon(self.work, stop, self.scanned, len(self.pivots))
+        self.pivots += new
+        self.scanned = stop
+        return new
+
+    def combination(self, count: int) -> tuple[list[int], int]:
+        """Integer numerators over the first `count` rows, and their common
+        denominator, of the u with u.[matrix | rhs] = (0, ..., 0, 1) that
+        is zero off the row basis; those rows must be scanned and inconsistent.
+
+        u is back-substituted over the pivot rows of the first `count`
+        columns, which later scans leave unchanged.
+        """
+        pivots = [p for p in self.pivots if p < count]
+        if any(row[self.target] for row in self.work[len(pivots):]):
+            raise AssertionError("no row combination isolates the inconsistent right-hand side")
+        t = self.target
+        num = [0] * count
+        den = 1
+        for k in range(len(pivots) - 1, -1, -1):
+            row, p = self.work[k], pivots[k]
+            # u_p = (row[t] - sum of row[c] * u_c over later pivots) / row[p]
+            s = row[t] * den - sum(row[c] * num[c] for c in pivots[k + 1:] if row[c])
+            a = row[p]
+            num = [x * a for x in num] if a != 1 else num
+            num[p] = s
+            den *= a
+            g = math.gcd(den, *[num[c] for c in pivots[k:]])
+            if g > 1:
+                num = [x // g for x in num]
+                den //= g
+        return num, den
 
 
 def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
     """Exact solution set, or a verified Farkas certificate when inconsistent."""
-    scales, rows = integer_rows(system)
+    scaled = [_scaled(list(row) + [b]) for row, b in zip(system.matrix, system.rhs)]
+    rows = [row for _, row in scaled]
     echelon = Echelon(system.num_cols)
     echelon.extend(rows)
     if echelon.consistent:
         return echelon.solution()
-    return farkas_certificate(system, scales, rows)
+    basis = RowBasis(rows, system.num_cols)
+    basis.extend(len(rows))
+    return farkas_certificate(system, [s for s, _ in scaled], *basis.combination(len(rows)))
 
 
-def farkas_certificate(system: AffineSystem, scales: list[int],
-                       rows: list[list[int]]) -> FarkasCertificate:
-    """Solve u.[matrix | rhs] = (0, ..., 0, 1) for an inconsistent system
-    and check the result.
+def farkas_certificate(system: AffineSystem, scales: Sequence[int],
+                       num: Sequence[int], den: int) -> FarkasCertificate:
+    """The row combination u_i = num_i * scales_i / den, checked before it is
+    returned.
 
-    `rows` are the rows of [matrix | rhs] times `scales`, as `integer_rows`
-    gives them.  After the forward pass on the transposed integer system,
-    u = num / den with free coordinates zero is back-substituted over the
-    pivot rows, then the scaling is undone.  The system being inconsistent,
-    a solution must exist.
+    num / den is what `RowBasis.combination` gives for the rows of
+    [matrix | rhs] times `scales`, so u is the same combination of the
+    system's own rows.
     """
-    m, n = len(rows), system.num_cols
-    transposed = [[row[c] for row in rows] + [int(c == n)] for c in range(n + 1)]
-    pivots = _echelon(transposed, m)
-    if any(row[m] for row in transposed[len(pivots):]):
-        raise AssertionError("no row combination isolates the inconsistent right-hand side")
-    num = [0] * m
-    den = 1
-    for k in range(len(pivots) - 1, -1, -1):
-        row, p = transposed[k], pivots[k]
-        # u_p = (row[m] - sum of row[c] * u_c over later pivots) / row[p]
-        s = row[m] * den - sum(row[c] * num[c] for c in pivots[k + 1:] if row[c])
-        a = row[p]
-        num = [x * a for x in num] if a != 1 else num
-        num[p] = s
-        den *= a
-        g = math.gcd(den, *[num[c] for c in pivots[k:]])
-        if g > 1:
-            num = [x // g for x in num]
-            den //= g
-    u = [Fraction(num[i] * scales[i], den) for i in range(m)]
-    certificate = FarkasCertificate(u)
+    certificate = FarkasCertificate([Fraction(x * s, den) for x, s in zip(num, scales)])
     if not verify_farkas(system, certificate):
         raise AssertionError("Farkas certificate failed its own check")
     return certificate
@@ -331,19 +381,6 @@ def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     echelon = Echelon(len(work[0]))
     echelon.extend(work)
     return echelon.rank
-
-
-def project_solution_set(solution: SolutionSet,
-                         columns: Sequence[int]) -> tuple[int, list[Fraction]]:
-    """Project the affine set onto the coordinates with the given indices.
-
-    Returns (affine dimension, base point), the base point expressed in the
-    selected coordinates in the order given; the dimension is the rank of
-    the nullspace basis restricted to those coordinates.
-    """
-    base = [solution.particular[i] for i in columns]
-    restricted = [[vec[i] for i in columns] for vec in solution.nullspace_basis]
-    return matrix_rank(restricted), base
 
 
 def functional_range(solution: SolutionSet,

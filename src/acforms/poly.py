@@ -172,9 +172,9 @@ class HomogPoly:
 
     def _integer_terms(self) -> tuple[list[tuple[Exponent, int]], int]:
         """Terms scaled to integers by the lcm of the denominators, and that lcm."""
-        den = lcm(*(c.denominator for c in self.coeffs.values()))
-        return [(exp, c.numerator * (den // c.denominator))
-                for exp, c in self.coeffs.items()], den
+        pairs = [(exp, c.as_integer_ratio()) for exp, c in self.coeffs.items()]
+        den = lcm(*[q for _, (_, q) in pairs])
+        return [(exp, p * (den // q)) for exp, (p, q) in pairs], den
 
     def mul(self, other: HomogPoly) -> HomogPoly:
         if self.num_vars != other.num_vars:

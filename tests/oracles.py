@@ -5,9 +5,14 @@ dicts, nested-loop convolution, and a fresh Gaussian elimination — without
 calling the package's own engines, so agreement is meaningful evidence.
 The Fraction solver below imports only the data classes of `acforms.linalg`,
 so it can return the same types as the kernel it is checked against.  The
-one exception is `reduced_form_certificate`, the kernel's earlier
-certificate path: it reuses the kernel's forward and backward passes, because
-what it checks is the back-substitution that replaced the backward pass.
+exceptions are the package's earlier code kept as references:
+`reduced_form_certificate`, the kernel's earlier certificate path, reuses
+the kernel's forward and backward passes, because what it checks is the
+back-substitution that replaced the backward pass; `fraction_assemble_system`
+and `fraction_stage_record`, the decider's earlier Fraction assembly and
+staged records, use the polynomial arithmetic and the decider's records and
+column layout, because what they check is the integer rows and the integer
+read-off that replaced them.
 """
 
 from __future__ import annotations
@@ -16,8 +21,11 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
+from acforms.decide import (UNKNOWN_NAMES, BlockRecord, StageRecord, _column,
+                            _validate_sigma)
 from acforms.linalg import (AffineSystem, FarkasCertificate, SolutionSet, _echelon,
                             _reduce, _scaled)
+from acforms.poly import monomials
 
 
 def exponents(num_vars: int, degree: int) -> list[tuple[int, ...]]:
@@ -179,6 +187,89 @@ def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if rank == len(work):
             break
     return rank
+
+
+def project_solution_set(solution: SolutionSet,
+                         columns: Sequence[int]) -> tuple[int, list[Fraction]]:
+    """Project the affine set onto the coordinates with the given indices.
+
+    Returns (affine dimension, base point), the base point expressed in the
+    selected coordinates in the order given; the dimension is the rank of
+    the nullspace basis restricted to those coordinates.
+    """
+    base = [solution.particular[i] for i in columns]
+    restricted = [[vec[i] for i in columns] for vec in solution.nullspace_basis]
+    return rref_rank(restricted), base
+
+
+# --- the decider's earlier Fraction assembly and staged records --------------
+
+
+def fraction_assemble_system(sigma, order: int) -> AffineSystem:
+    """Identity (*) of `acforms.decide` for degrees d-1 .. order-1, assembled
+    column by column from Fraction products, shifts and derivatives."""
+    d = _validate_sigma(sigma, order)
+    a, b = sigma.components
+    top = order - d
+
+    columns: list[tuple[str, tuple[int, int]]] = []
+    for j in range(top + 1):
+        for name in UNKNOWN_NAMES:
+            for exp in monomials(2, j):
+                columns.append((name, exp))
+    col_labels = [f"{name}:{exp[0]},{exp[1]}" for name, exp in columns]
+
+    matrix: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    row_labels: list[str] = []
+    for k in range(d - 1, order):
+        basis = monomials(2, k)
+        index = {exp: i for i, exp in enumerate(basis)}
+        block = [[Fraction(0)] * len(columns) for _ in basis]
+        for c, (name, exp) in enumerate(columns):
+            comp_degree = k + 1 - sum(exp)
+            if not 0 <= comp_degree < sigma.trunc_order:
+                continue
+            series = a if name in ("X", "Z") else b
+            comp = series.component(comp_degree)
+            if comp.is_zero:
+                continue
+            prod = comp.shift(exp)
+            contrib = prod.partial(1) if name in ("X", "Y") else prod.partial(0).scale(-1)
+            for pexp, val in contrib.coeffs.items():
+                block[index[pexp]][c] = val
+        target = b.component(k + 1).partial(0).sub(a.component(k + 1).partial(1))
+        matrix.extend(block)
+        rhs.extend(target.coeff(exp) for exp in basis)
+        row_labels.extend(f"deg{k}:{exp[0]},{exp[1]}" for exp in basis)
+    return AffineSystem(matrix=matrix, rhs=rhs, column_labels=col_labels,
+                        row_labels=row_labels)
+
+
+def prefix_through(system: AffineSystem, through_degree: int) -> AffineSystem:
+    """The rows of an assembled system labelled with equation degree <= k."""
+    keep = [i for i, label in enumerate(system.row_labels)
+            if int(label[3:label.index(":")]) <= through_degree]
+    return AffineSystem(matrix=[system.matrix[i] for i in keep],
+                        rhs=[system.rhs[i] for i in keep],
+                        column_labels=list(system.column_labels),
+                        row_labels=[system.row_labels[i] for i in keep])
+
+
+def fraction_stage_record(system: AffineSystem, d: int, order: int, k: int,
+                          solution: SolutionSet) -> StageRecord:
+    """Per unknown-degree block of a consistent prefix through degree k: the
+    rank of the nullspace basis restricted to the block, and the block's
+    columns that no nullspace vector moves, at their particular values."""
+    moving = {i for vec in solution.nullspace_basis for i, v in enumerate(vec) if v}
+    blocks = []
+    for j in range(order - d + 1):
+        columns = range(_column("X", (j, 0)), _column("X", (j + 1, 0)))
+        dim, base = project_solution_set(solution, columns)
+        forced = {system.column_labels[c]: value for c, value in zip(columns, base)
+                  if c not in moving}
+        blocks.append(BlockRecord(dim, forced))
+    return StageRecord(k, True, tuple(blocks))
 
 
 # --- rational strings --------------------------------------------------------

@@ -448,7 +448,7 @@ def test_batch_reports_a_file_that_is_not_utf8(tmp_path, capsys):
 def test_batch_lets_internal_errors_propagate(tmp_path, monkeypatch):
     _write(tmp_path / "inst.json", _small_instance_payload(5))
 
-    def broken(sigma, order):
+    def broken(sigma, order, guard=None):
         raise AssertionError("internal check failed")
 
     monkeypatch.setattr(cli_module, "decide", broken)

@@ -16,14 +16,16 @@ from acforms.decide import (GAUGE_ROW_LABEL, UNKNOWN_NAMES,
                             integrate_closed, obstruction,
                             obstruction_pair_check, scaled_pair,
                             staged_report, tilde_transform, trivial_solution,
-                            verify_potential, with_gauge, _prefix)
+                            verify_potential, with_gauge, _fraction_view,
+                            _integer_blocks)
 from acforms.linalg import (AffineSystem, SolutionSet, functional_range,
                             residual, solve_affine, verify_farkas)
 from acforms.poly import MismatchError, OneForm, TruncSeries, monomials
 from acforms.prng import Stream
 from conftest import H, S, form, series_x, zero_series
-from oracles import (dict_component, poly_add, poly_mul, poly_partial,
-                     poly_scale, rref_rank, series_dict)
+from oracles import (dict_component, fraction_assemble_system, fraction_solve_affine,
+                     fraction_stage_record, poly_add, poly_mul, poly_partial,
+                     poly_scale, prefix_through, rref_rank, series_dict)
 
 FR = Fraction
 # the package re-exports the function `decide`, which hides the module
@@ -111,26 +113,53 @@ def test_trivial_solution_satisfies_any_assembled_system():
 
 
 def test_gauge_row_and_prefix_filtering():
-    system = assemble_system(_gradient_form(), 4)
+    sigma = _gradient_form()
+    system = assemble_system(sigma, 4)
     gauged = with_gauge(system)
     assert gauged.row_labels[-1] == GAUGE_ROW_LABEL
     assert gauged.rhs[-1] == 0
     assert gauged.num_rows == system.num_rows + 1
-    prefix = with_gauge(_prefix(system, 2, 2))
+    prefix = with_gauge(prefix_through(system, 2))
     assert GAUGE_ROW_LABEL in prefix.row_labels
     degrees = [int(lbl[3:lbl.index(":")]) for lbl in prefix.row_labels
                if not lbl.startswith("gauge:")]
     assert degrees and max(degrees) <= 2
-    # the row-count slice keeps exactly the rows labelled with degree <= k
+    # the Fraction view of the first blocks is the prefix through their
+    # degrees, with the columns of the whole system
+    blocks = _integer_blocks(sigma, 2, 4)
     for k in range(1, 4):
-        expected = [lbl for lbl in system.row_labels if int(lbl[3:lbl.index(":")]) <= k]
-        assert _prefix(system, 2, k).row_labels == expected
+        assert _fraction_view(blocks[:k], 2, 2) == prefix_through(system, k)
     # gauge forces the X constant to zero on the prefix
-    solved = solve_affine(with_gauge(_prefix(system, 2, 1)))
+    solved = solve_affine(with_gauge(prefix_through(system, 1)))
     assert isinstance(solved, SolutionSet)
     xi = system.column_labels.index("X:0,0")
     assert solved.particular[xi] == 0
     assert all(vec[xi] == 0 for vec in solved.nullspace_basis)
+
+
+def _assembly_cases():
+    """Forms with integer and with fractional coefficients, each at an order
+    whose unknown blocks reach past the lowest degree."""
+    half = S(2, 6, {2: {(2, 0): FR(1, 2), (1, 1): FR(-3, 7)}, 3: {(0, 3): FR(5, 3)}})
+    third = S(2, 6, {2: {(0, 2): FR(2, 9)}, 4: {(3, 1): FR(-1, 4), (0, 4): 6}})
+    return [(_gradient_form(), 5), (_radial_form(), 3), (form(half, third), 5),
+            (_build_generic(4, 9, seed=3, c_parts={1: {(1, 0): 1}}), 8),
+            (_build_generic(6, 10, seed=2), 9)]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_integer_blocks_are_the_fraction_rows_times_one_scale(case):
+    sigma, order = _assembly_cases()[case]
+    d = sigma.lowest_degree()
+    reference = fraction_assemble_system(sigma, order)
+    assert assemble_system(sigma, order) == reference
+    blocks = _integer_blocks(sigma, d, order)
+    assert [len(rows) for _, rows in blocks] == [k + 1 for k in range(d - 1, order)]
+    rows = [(scale, row) for scale, block in blocks for row in block]
+    assert len(rows) == reference.num_rows
+    for (scale, row), matrix_row, b in zip(rows, reference.matrix, reference.rhs):
+        assert scale > 0 and all(type(v) is int for v in row)
+        assert [FR(v, scale) for v in row] == matrix_row + [b]
 
 
 def test_assemble_input_validation():
@@ -339,12 +368,20 @@ def _guarded_refutable_form(truncation=22):
     raise AssertionError("no guard-passing seed in range")
 
 
-def _count_feeds(monkeypatch, sigma, order) -> list[list[int]]:
-    """Record, for each echelon the decider makes over the columns of the
-    assembled system, the row count of every block fed to it.  Any call of
-    `solve_affine` fails the test."""
+def _count_feeds(monkeypatch, sigma, order):
+    """Record what the decider eliminates over the columns of the assembled
+    system: the row count of every scan of the column pass, and for each
+    primal echelon the row count of every block fed to it.  Every row fed
+    to a primal echelon must raise its rank, and any call of `solve_affine`
+    fails the test."""
     num_cols = assemble_system(sigma, order).num_cols
+    scans: list[int] = []
     echelons: list[list[int]] = []
+
+    class CountingBasis(linalg.RowBasis):
+        def extend(self, count):
+            scans.append(count)
+            return super().extend(count)
 
     class Counting(linalg.Echelon):
         def __init__(self, ncols):
@@ -354,21 +391,36 @@ def _count_feeds(monkeypatch, sigma, order) -> list[list[int]]:
                 echelons.append(self.fed)
 
         def extend(self, rows):
-            self.fed.append(len(rows))
+            rank = self.rank
             super().extend(rows)
+            if self.ncols == num_cols:
+                assert self.rank == rank + len(rows), "a dependent row reached the primal"
+                self.fed.append(len(rows))
 
     def no_solve(system):
         raise AssertionError("the decider called solve_affine")
 
+    monkeypatch.setattr(decide_module, "RowBasis", CountingBasis)
     monkeypatch.setattr(decide_module, "Echelon", Counting)
     for module in (linalg, ideals):
         monkeypatch.setattr(module, "solve_affine", no_solve)
-    return echelons
+    return scans, echelons
 
 
 def _prefix_rows(d, k):
     """Rows of the ungauged prefix of equation degrees d-1 .. k."""
     return sum(j + 1 for j in range(d - 1, k + 1))
+
+
+def _block_ranks(sigma, order, gauge, through):
+    """Rank gained by each equation-degree block through `through`, after
+    the gauge row if `gauge`: the size of that block's row basis on a
+    consistent prefix."""
+    system = assemble_system(sigma, order)
+    head = [[FR(int(c == 0)) for c in range(system.num_cols)]] if gauge else []
+    ranks = [rref_rank(head + prefix_through(system, k).matrix)
+             for k in range(sigma.lowest_degree() - 2, through + 1)]
+    return [b - a for a, b in zip(ranks, ranks[1:])]
 
 
 def test_decide_refutes_guarded_generic_instance():
@@ -385,57 +437,65 @@ def test_decide_refutes_guarded_generic_instance():
 
 def test_feasible_gauged_decide_solves_each_system_once(monkeypatch):
     sigma = _gradient_form()
-    echelons = _count_feeds(monkeypatch, sigma, 5)
+    scans, echelons = _count_feeds(monkeypatch, sigma, 5)
     outcome = decide(sigma, 5)
     assert outcome.gauge == "X0=0" and outcome.verdict == "feasible_up_to_M"
     d, order = outcome.lowest_degree, outcome.order
-    # the 2-row degree d-1 block already forces (Y0, Z0) and picks the
-    # gauge; then the gauge row and every block once, which makes the full
-    # gauged system, so unit search needs no further elimination
+    # the column pass scans the gauge row, then every block once
+    assert scans == [1] + [k + 1 for k in range(d - 1, order)]
+    assert sum(scans) == assemble_system(sigma, order).num_rows + 1
+    # the degree d-1 block already forces (Y0, Z0) and picks the gauge; each
+    # primal echelon gets the basis rows of the blocks it needs, the gauged
+    # one the gauge row first, so unit search needs no further elimination
     ungauged, gauged = echelons
-    assert ungauged == [_prefix_rows(d, d - 1)] == [2]
-    assert gauged == [1] + [k + 1 for k in range(d - 1, order)]
-    assert sum(gauged) == assemble_system(sigma, order).num_rows + 1
+    assert ungauged == _block_ranks(sigma, order, False, d - 1)
+    assert gauged == [1] + _block_ranks(sigma, order, True, order - 1)
 
 
 def test_refuted_decide_stops_at_the_failing_prefix(monkeypatch):
     sigma = _guarded_refutable_form()
-    echelons = _count_feeds(monkeypatch, sigma, 21)
+    scans, echelons = _count_feeds(monkeypatch, sigma, 21)
     outcome = decide(sigma, 21)
     k, d = outcome.failing_degree, outcome.lowest_degree
     assert outcome.verdict == "infeasible" and k == 20
+    assert scans == [1] + [j + 1 for j in range(d - 1, k + 1)]
+    assert sum(scans) == outcome.failing_system.num_rows
+    # the failing block is caught by the column pass and never reaches the
+    # primal, which gets the gauge row and the row basis of the blocks below
     ungauged, gauged = echelons
-    assert ungauged == [d]
-    assert gauged == [1] + [j + 1 for j in range(d - 1, k + 1)]
-    assert sum(gauged) == outcome.failing_system.num_rows
+    assert ungauged == _block_ranks(sigma, 21, False, d - 1)
+    assert gauged == [1] + _block_ranks(sigma, 21, True, k - 1)
 
 
 def test_refutation_cost_follows_the_failing_degree(monkeypatch):
-    # order 27: the full ungauged system has 225 rows, but its 18-row
-    # degree d-1 block already picks the gauge; then the gauge row and each
-    # block through the failing degree 20 are fed once, and none above
+    # order 27: the full ungauged system has 225 rows, but the column pass
+    # scans the gauge row and each block through the failing degree 20 once,
+    # and none above; its 18-row degree d-1 block already picks the gauge
     sigma = _guarded_refutable_form(truncation=28)
-    echelons = _count_feeds(monkeypatch, sigma, 27)
+    scans, echelons = _count_feeds(monkeypatch, sigma, 27)
     outcome = decide(sigma, 27)
     d = outcome.lowest_degree
     assert outcome.verdict == "infeasible" and outcome.failing_degree == 20
     assert verify_farkas(outcome.failing_system, outcome.certificate)
     assert assemble_system(sigma, 27).num_rows == 225
-    assert echelons == [[_prefix_rows(d, d - 1)],
-                        [1] + [k + 1 for k in range(d - 1, 21)]]
-    assert sum(echelons[1]) == _prefix_rows(d, 20) + 1
+    assert scans == [1] + [k + 1 for k in range(d - 1, 21)]
+    assert sum(scans) == _prefix_rows(d, 20) + 1
+    assert echelons == [_block_ranks(sigma, 27, False, d - 1),
+                        [1] + _block_ranks(sigma, 27, True, 19)]
 
 
 def test_ungauged_decide_solves_each_prefix_once(monkeypatch):
     sigma = _radial_form()
-    echelons = _count_feeds(monkeypatch, sigma, 3)
+    scans, echelons = _count_feeds(monkeypatch, sigma, 3)
     outcome = decide(sigma, 3)
     assert outcome.gauge == "none"
-    # no prefix forces (Y0, Z0), so the scan feeds every block once, up to
-    # the full system, and its records are the staged view
+    # no prefix forces (Y0, Z0), so the scan goes through every block once,
+    # up to the full system, and the one primal echelon gets each block's
+    # row basis; its records are the staged view
+    assert scans == [1] + [k + 1 for k in range(outcome.lowest_degree - 1, outcome.order)]
+    assert sum(scans) == assemble_system(sigma, 3).num_rows + 1
     [fed] = echelons
-    assert fed == [k + 1 for k in range(outcome.lowest_degree - 1, outcome.order)]
-    assert sum(fed) == assemble_system(sigma, 3).num_rows
+    assert fed == _block_ranks(sigma, 3, False, outcome.order - 1)
     assert len(outcome.staged) == len(fed)
 
 
@@ -443,15 +503,17 @@ def test_dependent_leading_pair_scans_every_prefix(monkeypatch):
     # x^2 dx + y^3 dy: B_2 = 0, so the leading pair is dependent; the degree
     # 1 .. 2 prefix already forces (Y0, Z0) = (0, 0), but no gauge follows
     sigma = form(S(2, 5, {2: {(2, 0): 1}}), S(2, 5, {3: {(0, 3): 1}}))
-    echelons = _count_feeds(monkeypatch, sigma, 4)
+    scans, echelons = _count_feeds(monkeypatch, sigma, 4)
     outcome = decide(sigma, 4)
     assert outcome.verdict == "feasible_up_to_M"
     assert outcome.branch == "open_degree0" and outcome.gauge == "none"
     assert ("degree-0 coefficients forced but the leading pair is dependent; "
             "refutation path disabled") in outcome.notes
     assert [rec.through_degree for rec in outcome.staged] == [1, 2, 3]
+    assert list(itertools.accumulate(scans)) == [1] + [_prefix_rows(2, k) + 1
+                                                       for k in (1, 2, 3)]
     [fed] = echelons
-    assert list(itertools.accumulate(fed)) == [_prefix_rows(2, k) for k in (1, 2, 3)]
+    assert fed == _block_ranks(sigma, 4, False, 3)
     assert verify_potential(outcome.witness.phi, sigma, 4)
 
 
@@ -462,7 +524,7 @@ def test_staged_blocks_match_each_prefix_solution(sigma, order):
     d = outcome.lowest_degree
     system = assemble_system(sigma, order)
     for rec in outcome.staged:
-        prefix = _prefix(system, d, rec.through_degree)
+        prefix = prefix_through(system, rec.through_degree)
         solved = solve_affine(with_gauge(prefix) if outcome.gauge == "X0=0" else prefix)
         assert isinstance(solved, SolutionSet) and rec.feasible
         for j, block in enumerate(rec.blocks):
@@ -541,3 +603,23 @@ def test_obstruction_pair_check_structure_on_small_instance():
         assert "feasible" in stage
         if stage["feasible"]:
             assert "forced" in stage and "value" in stage
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_integer_stage_records_match_the_fraction_records(case):
+    sigma, order = [(_gradient_form(), 5), (_radial_form(), 3),
+                    (_build_generic(4, 9, seed=3, c_parts={1: {(1, 0): 1}}), 8),
+                    (_build_generic(6, 10, seed=2), 9),
+                    (_guarded_refutable_form(), 21)][case]
+    outcome = decide(sigma, order)
+    d = outcome.lowest_degree
+    system = assemble_system(sigma, order)
+    assert outcome.staged
+    for rec in outcome.staged:
+        prefix = prefix_through(system, rec.through_degree)
+        solved = fraction_solve_affine(with_gauge(prefix) if outcome.gauge == "X0=0"
+                                       else prefix)
+        if not rec.feasible:
+            assert not isinstance(solved, SolutionSet)
+            continue
+        assert rec == fraction_stage_record(system, d, order, rec.through_degree, solved)

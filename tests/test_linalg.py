@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from acforms import linalg
 from acforms.construct import Instance, build
-from acforms.decide import _prefix, assemble_system, with_gauge
+from acforms.decide import assemble_system, with_gauge
 from acforms.linalg import (AffineSystem, FarkasCertificate, SolutionSet,
-                            functional_range, matrix_rank,
-                            project_solution_set, residual,
-                            solve_affine, verify_farkas)
+                            farkas_certificate, functional_range, matrix_rank,
+                            residual, solve_affine, verify_farkas)
 from acforms.poly import OneForm, TruncSeries
 from conftest import H, S, zero_series
 from oracles import (fraction_matrix_rank, fraction_solve_affine, fraction_verify_farkas,
-                     reduced_form_certificate, rref_rank)
+                     prefix_through, project_solution_set, reduced_form_certificate,
+                     rref_rank)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 # zeros, small fractions and entries with denominators up to 10^6
@@ -219,6 +219,15 @@ def test_rank_matches_fraction_oracle(rows):
 # --- an echelon fed block by block ---------------------------------------------
 
 
+def _integer_rows(system):
+    return [linalg._scaled(list(row) + [b])[1] for row, b in zip(system.matrix, system.rhs)]
+
+
+def _prefix(system, end):
+    return AffineSystem(matrix=system.matrix[:end], rhs=system.rhs[:end],
+                        column_labels=system.column_labels)
+
+
 @st.composite
 def blocked_systems(draw):
     """A system and cut points splitting its rows into consecutive blocks,
@@ -232,13 +241,12 @@ def blocked_systems(draw):
 @given(blocked_systems())
 def test_echelon_fed_in_blocks_matches_each_prefix_solve(case):
     system, bounds = case
-    _, rows = linalg.integer_rows(system)
+    rows = _integer_rows(system)
     fed = [list(row) for row in rows]
     echelon = linalg.Echelon(system.num_cols)
     for start, end in zip(bounds, bounds[1:]):
         echelon.extend(fed[start:end])
-        prefix = AffineSystem(matrix=system.matrix[:end], rhs=system.rhs[:end],
-                              column_labels=system.column_labels)
+        prefix = _prefix(system, end)
         ref = fraction_solve_affine(prefix)
         out = solve_affine(prefix)
         assert echelon.consistent == isinstance(ref, SolutionSet) == isinstance(out, SolutionSet)
@@ -275,7 +283,7 @@ def _d6_prefix():
                               D=zero_series(3), seed=1))
     a, b = sigma.components
     bump = TruncSeries(2, a.trunc_order, {6: H(2, 6, {(0, 6): 1})})
-    return with_gauge(_prefix(assemble_system(OneForm((a.add(bump), b)), 9), 6, 8))
+    return with_gauge(prefix_through(assemble_system(OneForm((a.add(bump), b)), 9), 8))
 
 
 def test_real_d6_prefix_infeasible_matches_oracle():
@@ -347,3 +355,62 @@ def test_certificate_path_skips_the_backward_pass(monkeypatch):
     assert calls == []
     assert isinstance(solve_affine(_sys([[1, 1], [1, -1]], [1, 1])), SolutionSet)
     assert calls == [1]
+
+
+# --- the column pass ---------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=200)
+@given(blocked_systems())
+def test_column_pass_finds_each_prefix_basis_and_certificate(case):
+    """Fed block by block, the column pass picks the rows that raise the
+    rank, and at every inconsistent boundary its certificate is the
+    reduced-form certificate of the prefix."""
+    system, bounds = case
+    rows = _integer_rows(system)
+    scales = [linalg._scaled(list(row) + [b])[0] for row, b in zip(system.matrix, system.rhs)]
+    basis = linalg.RowBasis(rows, system.num_cols)
+    for start, end in zip(bounds, bounds[1:]):
+        new = basis.extend(end - start)
+        assert new == [i for i in range(start, end)
+                       if rref_rank(rows[:i + 1]) > rref_rank(rows[:i])]
+        prefix = _prefix(system, end)
+        ref = reduced_form_certificate(prefix)
+        assert basis.consistent == (ref is None)
+        if ref is not None:
+            cert = farkas_certificate(prefix, scales[:end], *basis.combination(end))
+            assert cert == ref
+    assert rows == _integer_rows(system)
+
+
+@settings(deadline=None, max_examples=200)
+@given(blocked_systems())
+def test_solution_set_from_basis_rows_equals_all_rows(case):
+    """An echelon fed only the rows the column pass keeps has the solution
+    set of one fed every row, at every consistent boundary."""
+    system, bounds = case
+    rows = _integer_rows(system)
+    basis = linalg.RowBasis(rows, system.num_cols)
+    kept, full = linalg.Echelon(system.num_cols), linalg.Echelon(system.num_cols)
+    for start, end in zip(bounds, bounds[1:]):
+        kept.extend([rows[i] for i in basis.extend(end - start)])
+        full.extend(rows[start:end])
+        assert kept.consistent == full.consistent == basis.consistent
+        if not basis.consistent:
+            break
+        assert kept.rank == full.rank == len(basis.pivots)
+        assert kept.solution() == full.solution() == fraction_solve_affine(_prefix(system, end))
+
+
+def test_certificate_of_an_early_prefix_survives_later_scans():
+    # the first two rows are inconsistent; scanning on leaves their
+    # certificate as it was
+    system = _sys([[1, 1], [2, 2], [1, 0], [0, 1]], [1, 3, 0, 0])
+    rows = _integer_rows(system)
+    basis = linalg.RowBasis(rows, 2)
+    assert basis.extend(2) == [0, 1] and not basis.consistent
+    early = basis.combination(2)
+    assert basis.extend(2) == [2]
+    assert basis.combination(2) == early
+    cert = farkas_certificate(_prefix(system, 2), [1, 1], *early)
+    assert cert == reduced_form_certificate(_prefix(system, 2))
