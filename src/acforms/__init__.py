@@ -18,8 +18,8 @@ from .decide import (ClosednessError, DeciderOutcome, GuardReport,
 from .ideals import (MembershipWitness, TruncatedIdeal, colength,
                      graded_cover_check, ideal_contained_mod, ideal_equal_mod,
                      membership_witness, min_power_in_ideal)
-from .linalg import (AffineSystem, FarkasCertificate, SolutionSet, residual,
-                     solve_affine, verify_farkas)
+from .linalg import (AffineSystem, FarkasCertificate, SolutionSet, solve_affine,
+                     verify_farkas)
 from .poly import HomogPoly, MismatchError, OneForm, TruncSeries
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "convergence_bound", "decide", "genericity_guard", "graded_cover_check",
     "ideal_contained_mod", "ideal_equal_mod", "init_leading",
     "integrate_closed", "membership_witness", "min_power_in_ideal", "multiplier_magnitude",
-    "obstruction", "obstruction_pair_check", "residual", "solve_affine",
+    "obstruction", "obstruction_pair_check", "solve_affine",
     "staged_report", "tilde_transform", "verify_almost_closed",
     "verify_farkas", "verify_potential", "with_gauge",
 ]

@@ -267,13 +267,18 @@ def _batch_worker(task: tuple[str, int | None]) -> tuple[dict, str | None]:
 
 
 def _cmd_batch(args) -> int:
+    if args.parallel < 1:
+        print(f"--parallel must be at least 1, not {args.parallel}", file=sys.stderr)
+        return EXIT_INPUT
     files = sorted(globmod.glob(args.instances))
     if not files:
         print(f"no instance files match {args.instances!r}", file=sys.stderr)
         return EXIT_INPUT
     tasks = [(path, args.order) for path in files]
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    # a forked pool starts all its workers at once, so start no idle ones
+    workers = min(args.parallel, len(files))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_worker, tasks))
     else:
         results = [_batch_worker(t) for t in tasks]
@@ -351,7 +356,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("instances", help="glob pattern of instance JSON files")
     p.add_argument("--order", type=int, default=None,
                    help="decision order (default: leading degree + 3 per instance)")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=int, default=1,
+                   help="worker processes, at most one per file (default: 1, serial)")
     common(p)
     p.set_defaults(func=_cmd_batch)
 

@@ -218,14 +218,6 @@ def _gauge_row(num_cols: int) -> list[int]:
     return row
 
 
-def trivial_solution(system: AffineSystem) -> list[Fraction]:
-    """X = W = -1, Y = Z = 0: the constant-candidate solution of (*)."""
-    point = [Fraction(0)] * system.num_cols
-    point[_column("X", (0, 0))] = Fraction(-1)
-    point[_column("W", (0, 0))] = Fraction(-1)
-    return point
-
-
 # ---------------------------------------------------------------------------
 # genericity guard
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import AffineSystem, Echelon, FarkasCertificate, matrix_rank, solve_affine
+from .linalg import Echelon, matrix_rank
 from .poly import (Exponent, HomogPoly, MismatchError, TruncSeries, graded_dim,
                    monomials)
 
@@ -57,10 +57,6 @@ class TruncatedIdeal:
         return self.generators[0].trunc_order
 
 
-def _coeff_vector(p: HomogPoly, basis: list[Exponent]) -> list[Fraction]:
-    return [p.coeff(exp) for exp in basis]
-
-
 def _shifted_row(terms: list[tuple[Exponent, int]], shift: Exponent,
                  index: dict[Exponent, int]) -> list[int]:
     """Integer coefficient row of x^shift times the given integer terms."""
@@ -70,26 +66,42 @@ def _shifted_row(terms: list[tuple[Exponent, int]], shift: Exponent,
     return row
 
 
+def _leading_rows(ideal: TruncatedIdeal, n: int, index: dict[Exponent, int]
+                  ) -> tuple[list[tuple[int, Exponent]], dict[int, int], list[list[int]]]:
+    """Integer rows of the degree-n components of m*g, over the generators g
+    with lowest(g) <= n and the monomials m of degree n - lowest(g).
+
+    That component is m times the leading form of g, which is scaled to
+    integers once: the row of (i, m) is scales[i] * m * lead(g_i) on the
+    monomials of `index`.  Returns the (i, m) of each row, the scales and
+    the rows.
+    """
+    shifts: list[tuple[int, Exponent]] = []
+    scales: dict[int, int] = {}
+    rows: list[list[int]] = []
+    for i, g in enumerate(ideal.generators):
+        low = g.lowest_degree()
+        if low is None or low > n:
+            continue
+        terms, scales[i] = g.component(low)._integer_terms()
+        for exp in monomials(ideal.num_vars, n - low):
+            shifts.append((i, exp))
+            rows.append(_shifted_row(terms, exp, index))
+    return shifts, scales, rows
+
+
 def graded_cover_check(ideal: TruncatedIdeal, n: int) -> bool:
     """True iff the ideal's leading forms span the whole degree-n graded piece.
 
     The spanning rows are m*g over generators g and monomials m of degree
     n - lowest(g): their degree-n component is m times the leading form of
-    g.  Each leading form is scaled to integers once; scaling a row does
-    not change the rank.
+    g.  Scaling a row does not change the rank.
     """
     if not 0 <= n < ideal.trunc_order:
         raise MismatchError(f"degree {n} outside the certified range [0, {ideal.trunc_order})")
-    nv = ideal.num_vars
-    index = {exp: i for i, exp in enumerate(monomials(nv, n))}
-    rows: list[list[int]] = []
-    for g in ideal.generators:
-        low = g.lowest_degree()
-        if low is None or low > n:
-            continue
-        terms, _ = g.component(low)._integer_terms()
-        rows.extend(_shifted_row(terms, exp, index) for exp in monomials(nv, n - low))
-    return matrix_rank(rows) == graded_dim(nv, n)
+    index = {exp: i for i, exp in enumerate(monomials(ideal.num_vars, n))}
+    _, _, rows = _leading_rows(ideal, n, index)
+    return matrix_rank(rows) == graded_dim(ideal.num_vars, n)
 
 
 def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
@@ -231,31 +243,23 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
         if not pending:
             break
         n = min(pending)
-        labels: list[str] = []
-        columns: list[tuple[int, Exponent]] = []
-        for i, (g, low) in enumerate(zip(ideal.generators, lows)):
-            if low is None or low > n:
-                continue
-            for exp in monomials(nv, n - low):
-                labels.append(f"g{i}:{','.join(map(str, exp))}")
-                columns.append((i, exp))
-        basis = monomials(nv, n)
-        index = {exp: row for row, exp in enumerate(basis)}
-        matrix = [[Fraction(0)] * len(columns) for _ in basis]
-        for c, (i, exp) in enumerate(columns):
-            for pexp, val in ideal.generators[i].component(lows[i]).shift(exp).coeffs.items():
-                matrix[index[pexp]][c] = val
-        rhs = _coeff_vector(residual[n], basis)
-        outcome = solve_affine(AffineSystem(matrix=matrix, rhs=rhs,
-                                            column_labels=labels))
-        if isinstance(outcome, FarkasCertificate):
+        # the stage's system has one column per row of _leading_rows, and
+        # the residual component, scaled to integers, as right-hand side;
+        # the point with free coordinates zero is exact under both scalings
+        index = {exp: row for row, exp in enumerate(monomials(nv, n))}
+        columns, scales, rows = _leading_rows(ideal, n, index)
+        rhs_terms, rhs_scale = residual[n]._integer_terms()
+        rhs = _shifted_row(rhs_terms, (0,) * nv, index)
+        echelon = Echelon(len(columns))
+        echelon.extend([[row[e] for row in rows] + [rhs[e]] for e in range(len(index))])
+        if not echelon.consistent:
             return n
         # each generator's cofactor piece of this stage, then one product
         # and one residual update per generator part
         pieces: dict[int, dict[Exponent, Fraction]] = {}
-        for (i, exp), weight in zip(columns, outcome.particular):
+        for (i, exp), weight in zip(columns, echelon.solution().particular):
             if weight != 0:
-                pieces.setdefault(i, {})[exp] = weight
+                pieces.setdefault(i, {})[exp] = weight * scales[i] / rhs_scale
         for i, terms in pieces.items():
             deg = n - lows[i]
             piece = HomogPoly.from_terms(nv, deg, terms)

@@ -30,8 +30,8 @@ clears the entries above each pivot, last pivot first.
   inconsistent system gets its Farkas certificate from one column pass
   and `farkas_certificate`, which undoes the row scaling and checks the
   result with `verify_farkas`, integer dot products only.
-* `matrix_rank` counts the pivots of an `Echelon` fed one block; it takes
-  integer rows as they are and scales other rows to integers first.
+* `matrix_rank` counts the pivots of an `Echelon` fed integer rows as one
+  block.
 
 Solution sets address columns by index; labels live only on
 `AffineSystem`, where they are part of its JSON format.
@@ -354,32 +354,13 @@ def verify_farkas(system: AffineSystem, certificate: FarkasCertificate) -> bool:
     return not any(acc[:-1]) and acc[-1] != 0
 
 
-def residual(system: AffineSystem, point: Sequence[Fraction]) -> list[Fraction]:
-    """matrix . point - rhs, for exactness checks."""
-    if len(point) != system.num_cols:
-        raise ValueError("point length mismatch")
-    out = []
-    for row, b in zip(system.matrix, system.rhs):
-        acc = Fraction(0)
-        for a, v in zip(row, point):
-            if a != 0 and v != 0:
-                acc += a * v
-        out.append(acc - b)
-    return out
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Exact rank: the pivot count of an `Echelon` fed the rows as one block.
-
-    Integer rows go to the kernel as they are; any other row is scaled to
-    integers first, which does not change the rank.
-    """
-    work = [row if type(row) is list and set(map(type, row)) <= {int} else _scaled(row)[1]
-            for row in rows]
-    if not work:
+def matrix_rank(rows: Sequence[list[int]]) -> int:
+    """Exact rank of integer rows: the pivot count of an `Echelon` fed them
+    as one block."""
+    if not rows:
         return 0
-    echelon = Echelon(len(work[0]))
-    echelon.extend(work)
+    echelon = Echelon(len(rows[0]))
+    echelon.extend(rows)
     return echelon.rank
 
 

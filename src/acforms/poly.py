@@ -297,14 +297,6 @@ class TruncSeries:
                 table[p.degree] = p
         return cls(num_vars, trunc_order, table)
 
-    @classmethod
-    def constant(cls, num_vars: int, trunc_order: int, value: RationalLike) -> TruncSeries:
-        c = _frac(value)
-        if c == 0:
-            return cls.zero(num_vars, trunc_order)
-        part = HomogPoly(num_vars, 0, {(0,) * num_vars: c})
-        return cls(num_vars, trunc_order, {0: part})
-
     def component(self, degree: int) -> HomogPoly:
         if not 0 <= degree < self.trunc_order:
             raise MismatchError(f"component of degree {degree} not certified below order {self.trunc_order}")
@@ -393,11 +385,6 @@ class TruncSeries:
             if not dp.is_zero and dp.degree < order:
                 parts.append(dp)
         return TruncSeries.from_parts(self.num_vars, order, parts)
-
-    def norm_below(self, order: int) -> Fraction:
-        """Max coefficient norm over components of degree < order."""
-        vals = [p.norm() for k, p in self.parts.items() if k < order]
-        return max(vals, default=Fraction(0))
 
     def __str__(self) -> str:
         if not self.parts:

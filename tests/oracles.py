@@ -12,7 +12,10 @@ back-substitution that replaced the backward pass; `fraction_assemble_system`
 and `fraction_stage_record`, the decider's earlier Fraction assembly and
 staged records, use the polynomial arithmetic and the decider's records and
 column layout, because what they check is the integer rows and the integer
-read-off that replaced them.
+read-off that replaced them; `fraction_membership_witness`, the ideal
+engine's earlier membership stages, uses the polynomial arithmetic and the
+witness type, because what it checks is the integer stage solve that
+replaced its Fraction systems.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from typing import Sequence
 
 from acforms.decide import (UNKNOWN_NAMES, BlockRecord, StageRecord, _column,
                             _validate_sigma)
+from acforms.ideals import MembershipWitness, TruncatedIdeal
 from acforms.linalg import (AffineSystem, FarkasCertificate, SolutionSet, _echelon,
                             _reduce, _scaled)
-from acforms.poly import monomials
+from acforms.poly import HomogPoly, TruncSeries, monomials
 
 
 def exponents(num_vars: int, degree: int) -> list[tuple[int, ...]]:
@@ -63,6 +67,20 @@ def rref_rank(rows: list[list[Fraction]]) -> int:
 
 def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
     return rref_rank(vectors + [target]) == rref_rank(vectors)
+
+
+def residual(system: AffineSystem, point: Sequence[Fraction]) -> list[Fraction]:
+    """matrix . point - rhs, for exactness checks."""
+    if len(point) != system.num_cols:
+        raise ValueError("point length mismatch")
+    out = []
+    for row, b in zip(system.matrix, system.rhs):
+        acc = Fraction(0)
+        for a, v in zip(row, point):
+            if a != 0 and v != 0:
+                acc += a * v
+        out.append(acc - b)
+    return out
 
 
 # --- the original Fraction solver ---------------------------------------------
@@ -246,6 +264,14 @@ def fraction_assemble_system(sigma, order: int) -> AffineSystem:
                         row_labels=row_labels)
 
 
+def trivial_solution(system: AffineSystem) -> list[Fraction]:
+    """X = W = -1, Y = Z = 0: the constant-candidate solution of (*)."""
+    point = [Fraction(0)] * system.num_cols
+    point[_column("X", (0, 0))] = Fraction(-1)
+    point[_column("W", (0, 0))] = Fraction(-1)
+    return point
+
+
 def prefix_through(system: AffineSystem, through_degree: int) -> AffineSystem:
     """The rows of an assembled system labelled with equation degree <= k."""
     keep = [i for i, label in enumerate(system.row_labels)
@@ -270,6 +296,72 @@ def fraction_stage_record(system: AffineSystem, d: int, order: int, k: int,
                   if c not in moving}
         blocks.append(BlockRecord(dim, forced))
     return StageRecord(k, True, tuple(blocks))
+
+
+# --- the ideal engine's earlier Fraction membership stages ------------------
+
+
+def fraction_membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
+                                order: int) -> MembershipWitness | int:
+    """`acforms.ideals.membership_witness` with each graded stage solved as a
+    labelled Fraction system by `fraction_solve_affine`: one column per
+    generator g and monomial m of degree n - lowest(g), holding the
+    coefficients of m * lead(g), and the residual's degree-n component as
+    right-hand side.  The stage's particular point gives the cofactor
+    pieces; an inconsistent stage returns its degree."""
+    nv = ideal.num_vars
+    lows = [g.lowest_degree() for g in ideal.generators]
+    residual: dict[int, HomogPoly] = {k: p for k, p in target.parts.items() if k < order}
+    cofactors: list[dict[int, HomogPoly]] = [{} for _ in ideal.generators]
+    while True:
+        pending = [k for k, p in residual.items() if not p.is_zero]
+        if not pending:
+            break
+        n = min(pending)
+        labels: list[str] = []
+        columns: list[tuple[int, tuple[int, ...]]] = []
+        for i, low in enumerate(lows):
+            if low is None or low > n:
+                continue
+            for exp in monomials(nv, n - low):
+                labels.append(f"g{i}:{','.join(map(str, exp))}")
+                columns.append((i, exp))
+        basis = monomials(nv, n)
+        index = {exp: row for row, exp in enumerate(basis)}
+        matrix = [[Fraction(0)] * len(columns) for _ in basis]
+        for c, (i, exp) in enumerate(columns):
+            for pexp, val in ideal.generators[i].component(lows[i]).shift(exp).coeffs.items():
+                matrix[index[pexp]][c] = val
+        rhs = [residual[n].coeff(exp) for exp in basis]
+        outcome = fraction_solve_affine(AffineSystem(matrix=matrix, rhs=rhs,
+                                                     column_labels=labels))
+        if isinstance(outcome, FarkasCertificate):
+            return n
+        pieces: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        for (i, exp), weight in zip(columns, outcome.particular):
+            if weight != 0:
+                pieces.setdefault(i, {})[exp] = weight
+        for i, terms in pieces.items():
+            deg = n - lows[i]
+            piece = HomogPoly.from_terms(nv, deg, terms)
+            merged = cofactors[i].get(deg, HomogPoly.zero(nv, deg)).add(piece)
+            if merged.is_zero:
+                cofactors[i].pop(deg, None)
+            else:
+                cofactors[i][deg] = merged
+            for j, part in ideal.generators[i].parts.items():
+                if deg + j < order:
+                    nxt = residual.get(deg + j, HomogPoly.zero(nv, deg + j)).sub(piece.mul(part))
+                    if nxt.is_zero:
+                        residual.pop(deg + j, None)
+                    else:
+                        residual[deg + j] = nxt
+    series = []
+    for table, low in zip(cofactors, lows):
+        cap = order - low if low is not None else order
+        series.append(TruncSeries(nv, max(cap, 1), dict(table)))
+    return MembershipWitness(target=target.truncate(order),
+                             cofactors=tuple(series), valid_order=order)
 
 
 # --- rational strings --------------------------------------------------------

@@ -487,6 +487,57 @@ def test_batch_rows_match_decide(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _recording_pool(monkeypatch):
+    """Replace the process pool by one that records its worker count and
+    maps in this process; returns the list of worker counts."""
+    created: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    return created
+
+
+def test_batch_starts_at_most_one_worker_per_file(tmp_path, monkeypatch, capsys):
+    for seed in (5, 8, 16):
+        _write(tmp_path / f"inst_{seed:02d}.json", _small_instance_payload(seed))
+    created = _recording_pool(monkeypatch)
+    summaries = []
+    for pattern, parallel in (("inst_*.json", "8"), ("inst_*.json", "2"),
+                              ("inst_05.json", "4"), ("inst_*.json", "1")):
+        out = tmp_path / f"out_{len(summaries)}"
+        assert main(["batch", str(tmp_path / pattern), "--parallel", parallel,
+                     "--out", str(out)]) == EXIT_OK
+        summaries.append(load_json(str(out / "summary.json"))["runs"])
+    # one file or one worker runs serially, without a pool
+    assert created == [3, 2]
+    assert summaries[0] == summaries[1] == summaries[3]
+    assert summaries[2] == summaries[0][:1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_batch_rejects_fewer_than_one_worker(tmp_path, monkeypatch, capsys, parallel):
+    _write(tmp_path / "inst.json", _small_instance_payload(5))
+    created = _recording_pool(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["batch", str(tmp_path / "*.json"), "--parallel", parallel,
+                 "--out", str(out)]) == EXIT_INPUT
+    assert "--parallel must be at least 1" in capsys.readouterr().err
+    assert created == [] and not out.exists()
+
+
 def test_batch_empty_glob_is_input_error(tmp_path, capsys):
     assert main(["batch", str(tmp_path / "nothing_*.json")]) == EXIT_INPUT
     assert "no instance files match" in capsys.readouterr().err

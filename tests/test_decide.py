@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import acforms
 from acforms import ideals, linalg
 from acforms.construct import Instance, build
 from acforms.decide import (GAUGE_ROW_LABEL, UNKNOWN_NAMES,
@@ -15,17 +16,18 @@ from acforms.decide import (GAUGE_ROW_LABEL, UNKNOWN_NAMES,
                             decide, find_unit_solution, genericity_guard,
                             integrate_closed, obstruction,
                             obstruction_pair_check, scaled_pair,
-                            staged_report, tilde_transform, trivial_solution,
+                            staged_report, tilde_transform,
                             verify_potential, with_gauge, _fraction_view,
                             _integer_blocks)
 from acforms.linalg import (AffineSystem, SolutionSet, functional_range,
-                            residual, solve_affine, verify_farkas)
+                            solve_affine, verify_farkas)
 from acforms.poly import MismatchError, OneForm, TruncSeries, monomials
 from acforms.prng import Stream
 from conftest import H, S, form, series_x, zero_series
 from oracles import (dict_component, fraction_assemble_system, fraction_solve_affine,
                      fraction_stage_record, poly_add, poly_mul, poly_partial,
-                     poly_scale, prefix_through, rref_rank, series_dict)
+                     poly_scale, prefix_through, residual, rref_rank, series_dict,
+                     trivial_solution)
 
 FR = Fraction
 # the package re-exports the function `decide`, which hides the module
@@ -402,8 +404,9 @@ def _count_feeds(monkeypatch, sigma, order):
 
     monkeypatch.setattr(decide_module, "RowBasis", CountingBasis)
     monkeypatch.setattr(decide_module, "Echelon", Counting)
-    for module in (linalg, ideals):
-        monkeypatch.setattr(module, "solve_affine", no_solve)
+    for module in (acforms, linalg, ideals, decide_module):
+        if hasattr(module, "solve_affine"):
+            monkeypatch.setattr(module, "solve_affine", no_solve)
     return scans, echelons
 
 

@@ -14,7 +14,8 @@ from acforms.poly import HomogPoly, MismatchError, TruncSeries, monomials
 from acforms.prng import Stream
 from conftest import H, S, zero_series
 from oracles import (brute_colength, brute_cover_degree, brute_leading_cover,
-                     brute_member, brute_min_power, series_dict)
+                     brute_member, brute_min_power, fraction_membership_witness,
+                     series_dict)
 
 ORDER = 8
 
@@ -291,17 +292,19 @@ def test_witness_makes_one_product_per_generator_part_per_stage(monkeypatch):
     parts = {id(p): (i, k) for i, g in enumerate((g1, g2)) for k, p in g.parts.items()}
     stages: list[int] = []
     products: list[tuple[int, tuple[int, int] | None]] = []
-    real_solve, real_mul = ideals_module.solve_affine, HomogPoly.mul
+    real_mul = HomogPoly.mul
 
-    def counting_solve(system):
-        stages.append(len(system.rhs))
-        return real_solve(system)
+    class CountingEchelon(ideals_module.Echelon):
+        # one echelon per stage, holding one column per (generator, monomial)
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            stages.append(ncols)
 
     def counting_mul(self, other):
         products.append((len(stages), parts.get(id(other))))
         return real_mul(self, other)
 
-    monkeypatch.setattr(ideals_module, "solve_affine", counting_solve)
+    monkeypatch.setattr(ideals_module, "Echelon", CountingEchelon)
     monkeypatch.setattr(HomogPoly, "mul", counting_mul)
     wit = membership_witness(target, ideal, 7)
     monkeypatch.undo()
@@ -312,6 +315,89 @@ def test_witness_makes_one_product_per_generator_part_per_stage(monkeypatch):
     assert len(set(products)) == len(products)
     assert len(products) <= len(stages) * (len(g1.parts) + len(g2.parts))
     assert (len(stages), len(products)) == (4, 13)
+
+
+def _assert_same_membership(target, ideal, order):
+    """The integer stages give the Fraction reference's answer: the same
+    failing degree, or the same cofactors and valid order."""
+    got = membership_witness(target, ideal, order)
+    ref = fraction_membership_witness(target, ideal, order)
+    if isinstance(ref, int):
+        assert got == ref
+    else:
+        assert isinstance(got, MembershipWitness), f"failed at degree {got}"
+        assert (got.cofactors, got.valid_order) == (ref.cofactors, ref.valid_order)
+        assert got.verify(ideal)
+    return got
+
+
+def _series(draw, nv, trunc, low, coefficients):
+    """A series with a few random terms in each degree low .. trunc-1."""
+    parts = [HomogPoly.from_terms(nv, k, draw(st.dictionaries(
+        st.sampled_from(monomials(nv, k)), coefficients, max_size=3)))
+        for k in range(low, trunc)]
+    return TruncSeries.from_parts(nv, trunc, parts)
+
+
+@st.composite
+def membership_problems(draw):
+    """An ideal in 2 or 3 variables and a target: a combination of the
+    generators, with one random term added half of the time.
+
+    Each generator's coefficients share one denominator, drawn per
+    generator, so the generators' integer scales differ; lowest degree 0
+    gives a generator with a constant term, and a zero generator may be
+    inserted anywhere.
+    """
+    nv = draw(st.integers(2, 3))
+    trunc = 6 if nv == 2 else 5
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        den = draw(st.sampled_from([1, 2, 3, 5, 7, 12]))
+        numerators = st.integers(-4, 4).map(lambda v, den=den: Fraction(v, den))
+        low = draw(st.sampled_from([0, 1, 1, 2, 2, 2]))
+        gens.append(_series(draw, nv, trunc, low, numerators))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), zero_series(trunc, nv))
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    target = zero_series(trunc, nv)
+    for g in gens:
+        target = target.add(_series(draw, nv, trunc, 0, coefficients).mul(g).truncate(trunc))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, trunc - 1))
+        extra = {draw(st.sampled_from(monomials(nv, k))): draw(coefficients.filter(bool))}
+        target = target.add(S(nv, trunc, {k: extra}))
+    return target, TruncatedIdeal(tuple(gens)), draw(st.integers(1, trunc))
+
+
+@settings(deadline=None, max_examples=80)
+@given(membership_problems())
+def test_membership_matches_fraction_stages(problem):
+    _assert_same_membership(*problem)
+
+
+def test_membership_matches_fraction_stages_on_corpus():
+    # per ideal, a combination of the generators with cofactors of mixed
+    # denominators, and the same plus every monomial of degrees low+1 .. 6
+    # with coefficient 1/k in degree k, low the combination's lowest
+    # degree; over the corpus some target passes every stage and some
+    # stage fails after the stage at degree low has passed
+    outcomes = set()
+    for ideal in CORPUS:
+        nv = ideal.num_vars
+        cofactor = S(nv, ORDER, {0: {(0,) * nv: Fraction(1, 2)},
+                                 1: {e: Fraction(k + 1, 3) for k, e in enumerate(monomials(nv, 1))}})
+        member = zero_series(ORDER, nv)
+        for g in ideal.generators:
+            member = member.add(cofactor.mul(g).truncate(ORDER))
+        low = member.lowest_degree()
+        dense = S(nv, ORDER, {k: {e: Fraction(1, k) for e in monomials(nv, k)}
+                              for k in range(low + 1, 7)})
+        for target in (member, member.add(dense)):
+            got = _assert_same_membership(target, ideal, 7)
+            outcomes.add("witness" if isinstance(got, MembershipWitness)
+                         else "failed later" if got > low else "failed first")
+    assert {"witness", "failed later"} <= outcomes
 
 
 @settings(deadline=None, max_examples=40)

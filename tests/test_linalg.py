@@ -10,12 +10,12 @@ from acforms.construct import Instance, build
 from acforms.decide import assemble_system, with_gauge
 from acforms.linalg import (AffineSystem, FarkasCertificate, SolutionSet,
                             farkas_certificate, functional_range, matrix_rank,
-                            residual, solve_affine, verify_farkas)
+                            solve_affine, verify_farkas)
 from acforms.poly import OneForm, TruncSeries
 from conftest import H, S, zero_series
 from oracles import (fraction_matrix_rank, fraction_solve_affine, fraction_verify_farkas,
                      prefix_through, project_solution_set, reduced_form_certificate,
-                     rref_rank)
+                     residual, rref_rank)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 # zeros, small fractions and entries with denominators up to 10^6
@@ -110,10 +110,15 @@ def test_empty_rows_solve_trivially():
 # --- rank and span helpers ---------------------------------------------------
 
 
+def _scaled_rows(rows):
+    """Each row times the lcm of its denominators, as integers, for `matrix_rank`."""
+    return [linalg._scaled(row)[1] for row in rows]
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=1, max_size=6))
 def test_matrix_rank_matches_brute_elimination(rows):
-    assert matrix_rank(rows) == rref_rank(rows)
+    assert matrix_rank(_scaled_rows(rows)) == rref_rank(rows)
 
 
 # --- solution-set geometry ---------------------------------------------------
@@ -213,7 +218,7 @@ def test_inconsistent_systems_with_wide_left_null_space(system):
 @settings(deadline=None, max_examples=200)
 @given(matrices())
 def test_rank_matches_fraction_oracle(rows):
-    assert matrix_rank(rows) == fraction_matrix_rank(rows) == rref_rank(rows)
+    assert matrix_rank(_scaled_rows(rows)) == fraction_matrix_rank(rows) == rref_rank(rows)
 
 
 # --- an echelon fed block by block ---------------------------------------------
@@ -289,7 +294,7 @@ def _d6_prefix():
 def test_real_d6_prefix_infeasible_matches_oracle():
     system = _d6_prefix()
     assert (system.num_rows, system.num_cols) == (31, 40)
-    assert system.num_rows - matrix_rank(system.matrix) == 3
+    assert system.num_rows - matrix_rank(_scaled_rows(system.matrix)) == 3
     _assert_matches_oracle(system)
     assert isinstance(solve_affine(system), FarkasCertificate)
 

@@ -275,19 +275,6 @@ def test_series_partial_drops_one_order(s):
             {e: c for e, c in series_dict(s).items() if sum(e) == k + 1}, 0)
 
 
-def test_series_norm_below():
-    s = S(2, 5, {1: {(1, 0): 3}, 3: {(0, 3): -7}})
-    assert s.norm_below(2) == 3
-    assert s.norm_below(5) == 7
-    assert zero_series(5).norm_below(5) == 0
-
-
-def test_series_constant_and_zero():
-    one = TruncSeries.constant(2, 4, 1)
-    assert one.component(0).coeff((0, 0)) == 1
-    assert TruncSeries.constant(2, 4, 0).is_zero()
-
-
 # --- one-forms ---------------------------------------------------------------
 
 
