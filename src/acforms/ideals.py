@@ -7,13 +7,18 @@ ideals of interest contain a power of the maximal ideal m = (x1, ..., xn):
   is spanned by monomial multiples of the generators' leading forms.  Cover
   at n implies cover at every larger degree (multiply covering combinations
   by the variables), so the least covered degree N certifies m^N inside the
-  ideal of the complete local ring by successive approximation.
+  ideal of the complete local ring by successive approximation.  The rank
+  is at most the row count, sum over g of dim of degree n - lowest(g), so
+  no rank is taken when that count is below the dimension of the graded
+  piece: two degree-d generators in two variables give 2(n - d + 1) rows
+  for n + 1 monomials, and only the least covered degree 2d - 1 is ranked.
 * `colength` counts the dimension of the quotient ring once such an N is
   known: monomials of degree < N modulo the image of the generators.
 * `membership_witness` runs the successive-approximation loop explicitly,
   peeling the lowest unresolved component of the residual with a graded
-  solve and accumulating cofactors; the returned witness re-verifies by
-  plain re-multiplication, independent of the solver.
+  solve, whose point with free coordinates zero is back-substituted, and
+  accumulating cofactors; the returned witness re-verifies by plain
+  re-multiplication, independent of the solver.
 
 No Groebner machinery: the graded rank checks are complete for ideals that
 contain a power of m, and every positive answer doubles as a certificate.
@@ -24,7 +29,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .linalg import Echelon, matrix_rank
 from .poly import (Exponent, HomogPoly, MismatchError, TruncSeries, graded_dim,
@@ -99,9 +103,13 @@ def graded_cover_check(ideal: TruncatedIdeal, n: int) -> bool:
     """
     if not 0 <= n < ideal.trunc_order:
         raise MismatchError(f"degree {n} outside the certified range [0, {ideal.trunc_order})")
-    index = {exp: i for i, exp in enumerate(monomials(ideal.num_vars, n))}
+    nv, dim = ideal.num_vars, graded_dim(ideal.num_vars, n)
+    lows = [g.lowest_degree() for g in ideal.generators]
+    if sum(graded_dim(nv, n - low) for low in lows if low is not None and low <= n) < dim:
+        return False  # the rank is at most the row count
+    index = {exp: i for i, exp in enumerate(monomials(nv, n))}
     _, _, rows = _leading_rows(ideal, n, index)
-    return matrix_rank(rows) == graded_dim(ideal.num_vars, n)
+    return matrix_rank(rows) == dim
 
 
 def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
@@ -137,11 +145,10 @@ def _image_vectors(ideal: TruncatedIdeal, order: int) -> tuple[list[Exponent], l
         low = g.lowest_degree()
         if low is None:
             continue
-        scaled = {j: part._integer_terms() for j, part in g.parts.items() if j < order}
-        common = lcm(*[den for _, den in scaled.values()])
+        scaled, _ = g._integer_parts(order)
         for mdeg in range(0, order - low):
-            terms = [(exp, v * (common // den)) for j, (part, den) in scaled.items()
-                     if mdeg + j < order for exp, v in part]
+            terms = [(exp, v) for j, part in scaled.items() if mdeg + j < order
+                     for exp, v in part]
             vectors.extend(_shifted_row(terms, exp, index) for exp in monomials(nv, mdeg))
     return basis, vectors
 
@@ -257,7 +264,7 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
         # each generator's cofactor piece of this stage, then one product
         # and one residual update per generator part
         pieces: dict[int, dict[Exponent, Fraction]] = {}
-        for (i, exp), weight in zip(columns, echelon.solution().particular):
+        for (i, exp), weight in zip(columns, echelon.particular()):
             if weight != 0:
                 pieces.setdefault(i, {})[exp] = weight * scales[i] / rhs_scale
         for i, terms in pieces.items():

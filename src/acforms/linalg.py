@@ -6,15 +6,26 @@ integers by the lcm of its denominators, and fraction-free elimination
 so no Fraction arithmetic runs inside the loops.  The pivot rule is
 deterministic: columns are scanned left to right and the first row at or
 below the current one with a nonzero entry is used.  A forward pass gives
-the row echelon form; Gauss-Jordan is completed by a backward pass that
-clears the entries above each pivot, last pivot first.
+the row echelon form; a row it clears in column c is already zero left of
+c, so only its tail from c on is combined, and the content of the tail is
+the content of the row.  Gauss-Jordan is completed by a backward pass that
+clears the entries above each pivot, last pivot first; the rows it clears,
+like new rows reduced by stored pivot rows, are not zero left of the
+pivot column and are combined whole.
+
+One back-substitution, over forward pivot rows with one common integer
+denominator, reads off the point that is zero on the free coordinates: the
+particular point of a consistent `Echelon` and the Farkas combination of an
+inconsistent `RowBasis` prefix.
 
 * `Echelon` holds the pivot rows of the rows fed so far.  A new block is
   reduced by the stored pivot rows and then goes through the forward
-  pass, so nested systems are eliminated once.  `reduced()` runs the
-  backward pass on a copy, and `solution()` reads the solution set off the
-  reduced echelon form, which is unique, so the particular point and
-  nullspace basis do not depend on the order or blocking of the rows.
+  pass, so nested systems are eliminated once.  `particular()`
+  back-substitutes the particular point without the backward pass.
+  `reduced()` runs the backward pass on a copy, and `solution()` reads the
+  solution set off the reduced echelon form, which is unique, so the
+  particular point and nullspace basis do not depend on the order or
+  blocking of the rows.
 * `RowBasis` is the column pass: the forward pass over the transposed
   system [matrix | rhs]^T with the target column (0, ..., 0, 1) appended,
   scanned a block of columns, that is of original rows, at a time.  A
@@ -23,9 +34,8 @@ clears the entries above each pivot, last pivot first.
   boundary are inconsistent exactly when the target column has become
   zero below the pivots.  `combination` then back-substitutes the row
   combination u with u.[matrix | rhs] = (0, ..., 0, 1), free coordinates
-  zero, over the pivot rows with one common integer denominator; that is
-  the vector the reduced echelon form would give, the unique solution
-  supported on the row basis.
+  zero; that is the vector the reduced echelon form would give, the unique
+  solution supported on the row basis.
 * `solve_affine` feeds a system to an `Echelon` as one block.  An
   inconsistent system gets its Farkas certificate from one column pass
   and `farkas_certificate`, which undoes the row scaling and checks the
@@ -150,8 +160,10 @@ def _echelon(rows: list[list[int]], stop: int, start: int = 0, top: int = 0) -> 
         rows[r], rows[pivot] = rows[pivot], rows[r]
         tail = rows[r][c:]
         for i in range(r + 1, m):
-            if rows[i][c]:
-                rows[i] = _combine(rows[i], tail, c)
+            row = rows[i]
+            if row[c]:
+                # zero left of c, so only the tail needs arithmetic
+                rows[i] = row[:c] + _combine(row[c:], tail, 0)
         pivots.append(c)
     return pivots
 
@@ -170,6 +182,33 @@ def _reduce(rows: list[list[int]], pivots: list[int]) -> None:
         for i in range(k):
             if rows[i][c]:
                 rows[i] = _combine(rows[i], tail, c)
+
+
+def _back_substitute(rows: Sequence[list[int]], pivots: Sequence[int], target: int,
+                     width: int) -> tuple[list[int], int]:
+    """Integer numerators of length `width`, and their common denominator,
+    of the x that is zero off the pivot columns and has
+    sum(rows[k][c] * x[c] for c < width) = rows[k][target] for every pivot
+    row k.
+
+    Row k must be zero in the pivot columns of rows 0 .. k-1, so x is read
+    from the last pivot row to the first.
+    """
+    num = [0] * width
+    den = 1
+    for k in range(len(pivots) - 1, -1, -1):
+        row, p = rows[k], pivots[k]
+        # x_p = (row[target] - sum of row[c] * x_c over later pivots) / row[p]
+        s = row[target] * den - sum(row[c] * num[c] for c in pivots[k + 1:] if row[c])
+        a = row[p]
+        num = [x * a for x in num] if a != 1 else num
+        num[p] = s
+        den *= a
+        g = math.gcd(den, *[num[c] for c in pivots[k:]])
+        if g > 1:
+            num = [x // g for x in num]
+            den //= g
+    return num, den
 
 
 class Echelon:
@@ -215,6 +254,15 @@ class Echelon:
         work = list(self.rows)  # the backward pass replaces rows, so keep ours
         _reduce(work, self.pivots)
         return work
+
+    def particular(self) -> list[Fraction]:
+        """The solution of the rows fed so far that is zero on the free
+        columns, back-substituted over the pivot rows without the backward
+        pass; it is the particular point of `solution()`."""
+        if not self.consistent:
+            raise ValueError("inconsistent rows have no solution set")
+        num, den = _back_substitute(self.rows, self.pivots, self.ncols, self.ncols)
+        return [Fraction(x, den) for x in num]
 
     def solution(self, reduced: list[list[int]] | None = None) -> SolutionSet:
         """Solution set of the rows of [matrix | rhs] fed so far.
@@ -286,22 +334,7 @@ class RowBasis:
         pivots = [p for p in self.pivots if p < count]
         if any(row[self.target] for row in self.work[len(pivots):]):
             raise AssertionError("no row combination isolates the inconsistent right-hand side")
-        t = self.target
-        num = [0] * count
-        den = 1
-        for k in range(len(pivots) - 1, -1, -1):
-            row, p = self.work[k], pivots[k]
-            # u_p = (row[t] - sum of row[c] * u_c over later pivots) / row[p]
-            s = row[t] * den - sum(row[c] * num[c] for c in pivots[k + 1:] if row[c])
-            a = row[p]
-            num = [x * a for x in num] if a != 1 else num
-            num[p] = s
-            den *= a
-            g = math.gcd(den, *[num[c] for c in pivots[k:]])
-            if g > 1:
-                num = [x // g for x in num]
-                den //= g
-        return num, den
+        return _back_substitute(self.work, pivots, self.target, count)
 
 
 def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:

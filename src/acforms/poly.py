@@ -14,11 +14,12 @@ nonzero degree of the other factor (its truncation order when it is zero) —
 unknown tails only reach a product degree after being shifted up by the
 other factor's lowest degree.
 
-Products do no Fraction arithmetic in their inner loop: each factor is
-scaled once by the lcm of its denominators (its content, in the sense of
-von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 6), the integer
-products are summed per exponent, and one Fraction is built per nonzero
-output term over the product of the two denominators.  `shift` multiplies
+Products, of polynomials and of series, do no Fraction arithmetic in their
+inner loop: each factor is scaled once by the lcm of its denominators (its
+content, in the sense of von zur Gathen and Gerhard, *Modern Computer
+Algebra*, ch. 6), the integer products are summed per degree and exponent,
+and one Fraction is built per nonzero output term over the product of the
+two denominators.  `shift` multiplies
 by a monomial with no arithmetic at all.
 
 Validation happens where polynomials enter: the public constructor,
@@ -74,6 +75,15 @@ def graded_dim(num_vars: int, degree: int) -> int:
     if degree < 0:
         return 0
     return comb(degree + num_vars - 1, num_vars - 1)
+
+
+def _add_products(acc: dict[Exponent, int], terms_a: list[tuple[Exponent, int]],
+                  terms_b: list[tuple[Exponent, int]]) -> None:
+    """Add every product of an integer term of a and one of b into acc."""
+    for ea, va in terms_a:
+        for eb, vb in terms_b:
+            exp = tuple(map(operator.add, ea, eb))
+            acc[exp] = acc.get(exp, 0) + va * vb
 
 
 @dataclass(frozen=True)
@@ -182,10 +192,7 @@ class HomogPoly:
         terms_a, den_a = self._integer_terms()
         terms_b, den_b = other._integer_terms()
         acc: dict[Exponent, int] = {}
-        for ea, va in terms_a:
-            for eb, vb in terms_b:
-                exp = tuple(map(operator.add, ea, eb))
-                acc[exp] = acc.get(exp, 0) + va * vb
+        _add_products(acc, terms_a, terms_b)
         den = den_a * den_b
         return HomogPoly._trusted(self.num_vars, self.degree + other.degree,
                                   {exp: Fraction(v, den) for exp, v in acc.items() if v})
@@ -352,27 +359,38 @@ class TruncSeries:
         the lowest stored degree, or the truncation order for the zero series."""
         return min(self.parts) if self.parts else self.trunc_order
 
+    def _integer_parts(self, below: int) -> tuple[dict[int, list[tuple[Exponent, int]]], int]:
+        """The parts of degree < below as integer terms over one common
+        factor, the lcm of their denominators, and that factor."""
+        scaled = {k: p._integer_terms() for k, p in self.parts.items() if k < below}
+        common = lcm(*[den for _, den in scaled.values()])
+        return {k: [(exp, v * (common // den)) for exp, v in terms]
+                for k, (terms, den) in scaled.items()}, common
+
     def mul(self, other: TruncSeries) -> TruncSeries:
-        """Product, certified as far as the operands' unknown tails allow."""
+        """Product, certified as far as the operands' unknown tails allow.
+
+        Each factor is scaled to integers once, the integer products are
+        summed per degree and exponent, and one Fraction is built per
+        nonzero output term."""
         self._check_vars(other)
-        order = min(self.trunc_order + other._effective_lowest(),
-                    other.trunc_order + self._effective_lowest())
-        acc: dict[int, HomogPoly] = {}
-        for i, p in self.parts.items():
-            for j, q in other.parts.items():
-                k = i + j
-                if k >= order:
+        low_a, low_b = self._effective_lowest(), other._effective_lowest()
+        order = min(self.trunc_order + low_b, other.trunc_order + low_a)
+        parts_a, den_a = self._integer_parts(order - low_b)
+        parts_b, den_b = other._integer_parts(order - low_a)
+        acc: dict[int, dict[Exponent, int]] = {}
+        for i, terms_a in parts_a.items():
+            for j, terms_b in parts_b.items():
+                if i + j >= order:
                     continue
-                prod = p.mul(q)
-                if prod.is_zero:
-                    continue
-                if k in acc:
-                    acc[k] = acc[k].add(prod)
-                    if acc[k].is_zero:
-                        del acc[k]
-                else:
-                    acc[k] = prod
-        return TruncSeries(self.num_vars, order, acc)
+                _add_products(acc.setdefault(i + j, {}), terms_a, terms_b)
+        den = den_a * den_b
+        parts: dict[int, HomogPoly] = {}
+        for k, out in acc.items():
+            coeffs = {exp: Fraction(v, den) for exp, v in out.items() if v}
+            if coeffs:
+                parts[k] = HomogPoly._trusted(self.num_vars, k, coeffs)
+        return TruncSeries(self.num_vars, order, parts)
 
     def partial(self, var: int) -> TruncSeries:
         """Termwise derivative; the certified order drops by one."""

@@ -218,6 +218,31 @@ def test_principal_ideal_has_no_power():
     assert colength(ideal, 7) is None
 
 
+def test_cover_checks_rank_only_where_the_rows_can_cover(monkeypatch):
+    ranks: list[int] = []
+    real_rank = ideals_module.matrix_rank
+
+    def counting_rank(rows):
+        ranks.append(len(rows))
+        return real_rank(rows)
+
+    monkeypatch.setattr(ideals_module, "matrix_rank", counting_rank)
+    # two degree-d generators in two variables give 2(n - d + 1) rows for
+    # the n + 1 monomials of degree n, too few below n = 2d - 1
+    for d in (1, 2, 3, 4):
+        ranks.clear()
+        pair = (_mono_series(2, (d, 0)), _binomial_series(2, (d, 0), 1, (0, d), 1))
+        assert min_power_in_ideal(TruncatedIdeal(pair), ORDER - 1) == 2 * d - 1
+        assert ranks == [2 * d]
+    # x, y and x + y give at least as many rows as monomials from degree 1
+    # on, yet never cover z^n, so every such degree still takes its rank
+    ranks.clear()
+    x, y = _mono_series(3, (1, 0, 0)), _mono_series(3, (0, 1, 0))
+    x_plus_y = _binomial_series(3, (1, 0, 0), 1, (0, 1, 0), 1)
+    assert min_power_in_ideal(TruncatedIdeal((x, y, x_plus_y)), 3) is None
+    assert ranks == [3, 9, 18]
+
+
 # --- containment and equality ------------------------------------------------
 
 

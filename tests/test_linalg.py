@@ -258,6 +258,7 @@ def test_echelon_fed_in_blocks_matches_each_prefix_solve(case):
         assert echelon.rank == rref_rank(prefix.matrix)
         if echelon.consistent:
             assert echelon.solution() == out == ref
+            assert echelon.particular() == ref.particular
     assert fed == rows
 
 
