@@ -22,7 +22,7 @@ import argparse
 from fractions import Fraction
 
 from acforms import (Instance, TruncSeries, affine_series, build,
-                     genericity_guard, obstruction_pair_check, tilde_transform)
+                     genericity_guard, obstruction_pair_check)
 
 
 def first_guarded(d: int, N: int, c: TruncSeries, d_series: TruncSeries,
@@ -63,8 +63,6 @@ def main(argv: list[str] | None = None) -> int:
             d_series = affine_series(args.d0, Fraction(0), Fraction(t), trunc)
             seed, sigma = first_guarded(d, N, c, d_series, args.start_seed)
             report = obstruction_pair_check(sigma, c, d_series)
-            ct, dt = tilde_transform(c, d_series)
-            shifted = ct.coeff((1, 0)) + dt.coeff((0, 1))
             forced = []
             for key in ("first", "second"):
                 stage = report[key]
@@ -75,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
             if expected is not None and flag != expected:
                 mismatches += 1
             print(f"{s:>3} {t:>3} {seed:>5}  {fmt(report['obstruction']):>9} "
-                  f"{fmt(shifted):>9} {fmt(report['predicted_first']):>9} "
+                  f"{fmt(report['tilde_obstruction']):>9} {fmt(report['predicted_first']):>9} "
                   f"{fmt(report['predicted_second']):>9} {fmt(forced[0]):>9} "
                   f"{fmt(forced[1]):>9}  {flag}")
 

@@ -7,9 +7,12 @@ name, is written next to them.  Identical inputs and parameters therefore
 reproduce every artifact, the manifest included, byte-exactly in any
 `--out` directory.
 
-Seven commands (`_COMMANDS`) share one runner: load and hash the inputs,
-compute one artifact, emit, print, exit 0 or 10.  `build`, `decide` and
-`batch` emit several artifacts or have their own exit codes.
+Nine commands (`_COMMANDS`) share one runner: load and hash the inputs;
+compute the artifacts, text lines and exit code; emit; print the first
+artifact; exit.  `batch` has its own driver: a glob of inputs and a worker
+pool.  The payloads of the construction log, obstruction, tilde, min-power,
+colength, verify-potential, convergence bound and batch summary are built
+here; every other artifact format lives in `serialize`.
 
 Exit codes: 0 success / feasible / verified; 10 refuted / failed check;
 11 degenerate; 2 malformed input or unsatisfied precondition.
@@ -59,7 +62,6 @@ def _emit(out_dir: str | None, command: str, parameters: dict,
     manifest["core_sha256"] = core_hash
     if out_dir is not None:
         directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
         manifest["outputs"] = {
             name: {"sha256": serialize.dump_json(str(directory / name), art)}
             for name, art in stamped.items()}
@@ -80,32 +82,26 @@ def _print(payload, fmt: str, text_lines) -> None:
 # commands
 
 
-def _cmd_build(args) -> int:
-    instance, in_hash = _load(args.instance, serialize.instance_from_json)
+def _build(instance: construct.Instance):
     sigma, state = construct.build(instance)
     report = construct.verify_almost_closed(sigma, instance.C, instance.D)
     if not report.ok:
         print(f"construction failed its own residual check at degree "
               f"{report.first_failure}", file=sys.stderr)
-        return 1
+        return {}, [], 1
     log = {"kind": "construction_log",
            "d": instance.d, "N": instance.N, "seed": instance.seed,
            "mode": instance.mode,
            "norms": {str(k): {name: _frac(v) for name, v in sorted(row.items())}
                      for k, row in sorted(state.norm_log.items())}}
-    artifacts = _emit(args.out, "build", {}, {"instance": in_hash},
-                      {"sigma.json": serialize.one_form_to_json(sigma),
-                       "log.json": log})
-    _print(artifacts["sigma.json"], args.format,
-           [f"built d={instance.d} N={instance.N} seed={instance.seed} "
-            f"mode={instance.mode}; almost-closed residuals clean below "
-            f"{report.checked_below}"])
-    return EXIT_OK
+    return ({"sigma.json": serialize.one_form_to_json(sigma), "log.json": log},
+            [f"built d={instance.d} N={instance.N} seed={instance.seed} "
+             f"mode={instance.mode}; almost-closed residuals clean below "
+             f"{report.checked_below}"], EXIT_OK)
 
 
-def _cmd_decide(args) -> int:
-    sigma, s_hash = _load(args.sigma, serialize.one_form_from_json)
-    outcome = decide(sigma, args.order)
+def _decide(sigma: OneForm, order: int):
+    outcome = decide(sigma, order)
     artifacts = {"outcome.json": serialize.outcome_to_json(outcome)}
     if outcome.certificate is not None:
         system_json = serialize.system_to_json(outcome.failing_system)
@@ -115,33 +111,27 @@ def _cmd_decide(args) -> int:
             system_hash=serialize.sha256_of_payload(system_json))
     if outcome.witness is not None:
         artifacts["phi.json"] = serialize.witness_to_json(outcome.witness)
-    stamped = _emit(args.out, "decide", {"order": args.order},
-                    {"sigma": s_hash}, artifacts)
     text = [f"verdict: {outcome.verdict} (order {outcome.order}, "
             f"branch {outcome.branch}, gauge {outcome.gauge})"]
     if outcome.failing_degree is not None:
         text.append(f"first failing degree: {outcome.failing_degree}")
     text.append(staged_report(outcome))
-    _print(stamped["outcome.json"], args.format, text)
-    if outcome.verdict == "infeasible":
-        return EXIT_REFUTED
-    if outcome.verdict == "degenerate":
-        return EXIT_DEGENERATE
-    return EXIT_OK
+    code = {"infeasible": EXIT_REFUTED, "degenerate": EXIT_DEGENERATE}
+    return artifacts, text, code.get(outcome.verdict, EXIT_OK)
 
 
 def _verify_ac(sigma: OneForm, c: TruncSeries, d: TruncSeries):
     report = construct.verify_almost_closed(sigma, c, d)
     status = "pass" if report.ok else f"fail at degree {report.first_failure}"
-    return ("report.json", serialize.report_to_json(report),
+    return ({"report.json": serialize.report_to_json(report)},
             [f"almost-closed check: {status} (residuals checked below "
-             f"{report.checked_below})"], report.ok)
+             f"{report.checked_below})"], EXIT_OK if report.ok else EXIT_REFUTED)
 
 
 def _obstruction(c: TruncSeries, d: TruncSeries):
     value = obstruction(c, d)
-    return ("obstruction.json", {"kind": "obstruction", "value": _frac(value)},
-            [f"obstruction: {value}"], True)
+    return ({"obstruction.json": {"kind": "obstruction", "value": _frac(value)}},
+            [f"obstruction: {value}"], EXIT_OK)
 
 
 def _tilde(c: TruncSeries, d: TruncSeries):
@@ -151,48 +141,50 @@ def _tilde(c: TruncSeries, d: TruncSeries):
                "C1_tilde": {"x": _frac(ct.coeff((1, 0))), "y": _frac(ct.coeff((0, 1)))},
                "D1_tilde": {"x": _frac(dt.coeff((1, 0))), "y": _frac(dt.coeff((0, 1)))},
                "obstruction": _frac(value)}
-    return ("tilde.json", payload,
+    return ({"tilde.json": payload},
             [f"shifted linear parts: C1~ = {ct}, D1~ = {dt}",
-             f"obstruction (invariant under the shift): {value}"], True)
+             f"obstruction (invariant under the shift): {value}"], EXIT_OK)
 
 
 def _ideal_min_power(ideal: ideals.TruncatedIdeal, bound: int):
     found = ideals.min_power_in_ideal(ideal, bound)
     text = (f"smallest n with m^n contained (graded cover): {found}"
             if found is not None else f"no containment found up to {bound}")
-    return ("min_power.json", {"kind": "min_power", "max": bound, "value": found},
-            [text], found is not None)
+    return ({"min_power.json": {"kind": "min_power", "max": bound, "value": found}},
+            [text], EXIT_OK if found is not None else EXIT_REFUTED)
 
 
 def _ideal_colength(ideal: ideals.TruncatedIdeal, bound: int):
     value = ideals.colength(ideal, bound)
     text = (f"colength: {value}" if value is not None
             else f"not finite-colength below {bound}")
-    return ("colength.json", {"kind": "colength", "max": bound, "value": value},
-            [text], value is not None)
+    return ({"colength.json": {"kind": "colength", "max": bound, "value": value}},
+            [text], EXIT_OK if value is not None else EXIT_REFUTED)
 
 
 def _verify_potential(phi: TruncSeries, omega: OneForm, order: int):
     ok = verify_potential(phi, omega, order)
-    return ("verify_potential.json", {"kind": "verify_potential", "order": order, "ok": ok},
-            [f"gradient ideal equals component ideal mod m^{order}: {ok}"], ok)
+    return ({"verify_potential.json": {"kind": "verify_potential", "order": order, "ok": ok}},
+            [f"gradient ideal equals component ideal mod m^{order}: {ok}"],
+            EXIT_OK if ok else EXIT_REFUTED)
 
 
 def _converge_bound(c: TruncSeries, d: TruncSeries):
     cc, beta, radius = construct.convergence_bound(c, d)
     payload = {"kind": "convergence_bound", "magnitude": _frac(cc),
                "growth_ratio": _frac(beta), "radius_lower_bound": _frac(radius)}
-    return ("bound.json", payload,
+    return ({"bound.json": payload},
             [f"multiplier magnitude: {cc}", f"growth ratio: {beta}",
-             f"radius lower bound: {radius}"], True)
+             f"radius lower bound: {radius}"], EXIT_OK)
 
 
 @dataclass(frozen=True)
 class _Command:
     """Inputs are (argument, reader); an argument's name is its manifest key.
     `option` is the one required integer option, the run's only parameter,
-    passed to `compute` after the inputs.  `compute` returns (artifact file
-    name, artifact, text lines, ok)."""
+    passed to `compute` after the inputs.  `compute` returns (artifacts by
+    file name, text lines, exit code); the runner prints the first artifact
+    and writes none when there are none."""
 
     help: str
     inputs: tuple[tuple[str, Callable], ...]
@@ -205,8 +197,12 @@ _MULTIPLIERS = (("C", serialize.series_from_json), ("D", serialize.series_from_j
 _IDEAL = (("ideal", serialize.ideal_from_json),)
 
 _COMMANDS = {
+    "build": _Command("construct an instance from a JSON request",
+                      (("instance", serialize.instance_from_json),), None, _build),
     "verify-ac": _Command("check A_y - B_x = C*A + D*B degreewise",
                           (("sigma", _FORM),) + _MULTIPLIERS, None, _verify_ac),
+    "decide": _Command("decide potential feasibility up to an order",
+                       (("sigma", _FORM),), "order", _decide),
     "obstruction": _Command("the scalar C1_x + D1_y", _MULTIPLIERS, None, _obstruction),
     "tilde": _Command("linear parts shifted by the forced degree-1 unknown",
                       _MULTIPLIERS, None, _tilde),
@@ -229,10 +225,11 @@ def _run(name: str, args) -> int:
         value, input_hashes[argument] = _load(getattr(args, argument), reader)
         values.append(value)
     parameters = {command.option: getattr(args, command.option)} if command.option else {}
-    file_name, artifact, text, ok = command.compute(*values, *parameters.values())
-    stamped = _emit(args.out, name, parameters, input_hashes, {file_name: artifact})
-    _print(stamped[file_name], args.format, text)
-    return EXIT_OK if ok else EXIT_REFUTED
+    artifacts, text, code = command.compute(*values, *parameters.values())
+    if artifacts:
+        stamped = _emit(args.out, name, parameters, input_hashes, artifacts)
+        _print(stamped[next(iter(artifacts))], args.format, text)
+    return code
 
 
 def _batch_worker(task: tuple[str, int | None]) -> tuple[dict, str | None]:
@@ -330,19 +327,9 @@ def _parser() -> argparse.ArgumentParser:
         p.set_defaults(func=partial(_run, name))
 
     # commands in the order `acforms --help` lists them
-    p = sub.add_parser("build", help="construct an instance from a JSON request")
-    p.add_argument("instance")
-    common(p)
-    p.set_defaults(func=_cmd_build)
-
+    table(sub, "build")
     table(sub, "verify-ac")
-
-    p = sub.add_parser("decide", help="decide potential feasibility up to an order")
-    p.add_argument("sigma")
-    p.add_argument("--order", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_decide)
-
+    table(sub, "decide")
     table(sub, "obstruction")
     table(sub, "tilde")
     p = sub.add_parser("ideal", help="graded ideal computations")

@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .ideals import TruncatedIdeal, ideal_contained_mod, ideal_equal_mod
+from .ideals import TruncatedIdeal, _shifted_row, ideal_contained_mod, ideal_equal_mod
 from .linalg import (AffineSystem, Echelon, FarkasCertificate, RowBasis, SolutionSet,
                      farkas_certificate, functional_range, matrix_rank)
 from .poly import HomogPoly, MismatchError, OneForm, TruncSeries, monomials
@@ -203,10 +203,9 @@ def assemble_system(sigma: OneForm, order: int) -> AffineSystem:
 
 def with_gauge(system: AffineSystem) -> AffineSystem:
     """Append the normalization row X0 = 0."""
-    row = [Fraction(0)] * system.num_cols
-    row[_column("X", (0, 0))] = Fraction(1)
+    *row, rhs = map(Fraction, _gauge_row(system.num_cols))
     return AffineSystem(matrix=[list(r) for r in system.matrix] + [row],
-                        rhs=list(system.rhs) + [Fraction(0)],
+                        rhs=list(system.rhs) + [rhs],
                         column_labels=list(system.column_labels),
                         row_labels=list(system.row_labels) + [GAUGE_ROW_LABEL])
 
@@ -250,18 +249,6 @@ class GuardReport:
         return [c.name for c in self.checks if not c.passed]
 
 
-def _coefficient_rows(polys: list[HomogPoly], degree: int) -> list[list[int]]:
-    """The polynomials' coefficient rows, each scaled to integers."""
-    index = {exp: i for i, exp in enumerate(monomials(2, degree))}
-    rows = []
-    for p in polys:
-        row = [0] * len(index)
-        for exp, v in p._integer_terms()[0]:
-            row[index[exp]] = v
-        rows.append(row)
-    return rows
-
-
 def genericity_guard(sigma: OneForm) -> GuardReport:
     """Rank conditions the staged elimination relies on, per leading block.
 
@@ -282,12 +269,13 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
     ad, bd = a.component(d), b.component(d)
     adx, ady = ad.partial(0), ad.partial(1)
     bdx, bdy = bd.partial(0), bd.partial(1)
+    one = [(0, 0)]
     lin = [(1, 0), (0, 1)]
     quad = [(2, 0), (1, 1), (0, 2)]
     cub = [(3, 0), (2, 1), (1, 2), (0, 3)]
 
-    def mults(exps: list[tuple[int, int]], polys: list[HomogPoly]) -> list[HomogPoly]:
-        return [p.shift(e) for p in polys for e in exps]
+    def mults(exps: list[tuple[int, int]], polys: list[HomogPoly]) -> list[tuple]:
+        return [(p, e) for p in polys for e in exps]
 
     have_next = sigma.trunc_order > d + 1
     if have_next:
@@ -295,19 +283,18 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
         ad1x, ad1y = ad1.partial(0), ad1.partial(1)
         bd1x, bd1y = bd1.partial(0), bd1.partial(1)
 
-    # (name, least d, degree, polynomials, expected rank, joins): a joint
-    # family is the reduction family just before it plus the polynomials
-    # listed, so its rank is read after extending that family's echelon
-    table: list[tuple[str, int, int, list[HomogPoly] | None, int, bool]] = [
-        ("leading_pair", 1, d, [ad, bd], 2, False),
-        ("degree0_forcing", 3, d - 1, [adx, ady, bdy], 3, False),
-        ("stage_d", 5, d,
-         [ad] + mults(lin, [adx, ady]) + [bd] + mults(lin, [bdx, bdy]), 6, False),
+    # (name, least d, degree, (polynomial, shift) pairs, expected rank,
+    # joins): each pair is the row of x^shift times the polynomial; a joint
+    # family is the reduction family just before it plus the pairs listed,
+    # so its rank is read after extending that family's echelon
+    table: list[tuple[str, int, int, list | None, int, bool]] = [
+        ("leading_pair", 1, d, mults(one, [ad, bd]), 2, False),
+        ("degree0_forcing", 3, d - 1, mults(one, [adx, ady, bdy]), 3, False),
+        ("stage_d", 5, d, mults(one, [ad, bd]) + mults(lin, [adx, ady, bdx, bdy]), 6, False),
         ("stage_d1_reduction", 7, d + 1,
-         mults(lin, [ad]) + mults(quad, [adx, ady]) + mults(lin, [bd])
-         + mults(quad, [bdx, bdy]), 9, False),
+         mults(lin, [ad, bd]) + mults(quad, [adx, ady, bdx, bdy]), 9, False),
         ("stage_d1_joint", 13, d + 1,
-         ([ad1] + mults(lin, [ad1x, ad1y]) + [bd1] + mults(lin, [bd1x, bd1y]))
+         (mults(one, [ad1, bd1]) + mults(lin, [ad1x, ad1y, bd1x, bd1y]))
          if have_next else None, 15, True),
         ("stage_d2_reduction", 9, d + 2,
          mults(quad, [ad, bd]) + mults(cub, [adx, ady, bdx, bdy]), 12, False),
@@ -317,13 +304,14 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
     ]
     checks = []
     echelon: Echelon | None = None
-    for name, min_d, degree, polys, expected, joins in table:
-        applicable = d >= min_d and polys is not None
+    for name, min_d, degree, family, expected, joins in table:
+        applicable = d >= min_d and family is not None
         actual = None
         if applicable:
             if echelon is None or not joins:
                 echelon = Echelon(degree + 1)
-            echelon.extend(_coefficient_rows(polys, degree))
+            index = {exp: i for i, exp in enumerate(monomials(2, degree))}
+            echelon.extend([_shifted_row(p._integer_terms()[0], e, index) for p, e in family])
             actual = echelon.rank
         passed = (actual == expected) if applicable else True
         checks.append(GuardCheck(name, applicable, expected, actual, passed))

@@ -16,9 +16,12 @@ ideals of interest contain a power of the maximal ideal m = (x1, ..., xn):
   known: monomials of degree < N modulo the image of the generators.
 * `membership_witness` runs the successive-approximation loop explicitly,
   peeling the lowest unresolved component of the residual with a graded
-  solve, whose point with free coordinates zero is back-substituted, and
-  accumulating cofactors; the returned witness re-verifies by plain
-  re-multiplication, independent of the solver.
+  solve, whose point with free coordinates zero is back-substituted.  The
+  residual and the cofactors are truncated series: per stage and
+  generator, the solved piece is added to the cofactor and one series
+  product, piece times generator, is subtracted from the residual.  The
+  returned witness re-verifies by plain re-multiplication, independent of
+  the solver.
 
 No Groebner machinery: the graded rank checks are complete for ideals that
 contain a power of m, and every positive answer doubles as a certificate.
@@ -242,55 +245,35 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
                             f"({target.trunc_order}, {ideal.trunc_order})")
     nv = ideal.num_vars
     lows = [g.lowest_degree() for g in ideal.generators]
-    residual: dict[int, HomogPoly] = {k: p for k, p in target.parts.items() if k < order}
-    cofactors: list[dict[int, HomogPoly]] = [{} for _ in ideal.generators]
+    residual = target.truncate(order)
+    cofactors = [TruncSeries.zero(nv, max(order - (low or 0), 1)) for low in lows]
 
-    while True:
-        pending = [k for k, p in residual.items() if not p.is_zero]
-        if not pending:
-            break
-        n = min(pending)
+    while not residual.is_zero():
+        n = residual.lowest_degree()
         # the stage's system has one column per row of _leading_rows, and
         # the residual component, scaled to integers, as right-hand side;
         # the point with free coordinates zero is exact under both scalings
         index = {exp: row for row, exp in enumerate(monomials(nv, n))}
         columns, scales, rows = _leading_rows(ideal, n, index)
-        rhs_terms, rhs_scale = residual[n]._integer_terms()
+        rhs_terms, rhs_scale = residual.component(n)._integer_terms()
         rhs = _shifted_row(rhs_terms, (0,) * nv, index)
         echelon = Echelon(len(columns))
         echelon.extend([[row[e] for row in rows] + [rhs[e]] for e in range(len(index))])
         if not echelon.consistent:
             return n
-        # each generator's cofactor piece of this stage, then one product
-        # and one residual update per generator part
+        # each generator's cofactor piece of this stage, certified below
+        # order - lowest(g), so its product with g is certified below order
         pieces: dict[int, dict[Exponent, Fraction]] = {}
         for (i, exp), weight in zip(columns, echelon.particular()):
             if weight != 0:
                 pieces.setdefault(i, {})[exp] = weight * scales[i] / rhs_scale
         for i, terms in pieces.items():
             deg = n - lows[i]
-            piece = HomogPoly.from_terms(nv, deg, terms)
-            merged = cofactors[i].get(deg, HomogPoly.zero(nv, deg)).add(piece)
-            if merged.is_zero:
-                cofactors[i].pop(deg, None)
-            else:
-                cofactors[i][deg] = merged
-            for j, part in ideal.generators[i].parts.items():
-                t = deg + j
-                if t >= order:
-                    continue
-                nxt = residual.get(t, HomogPoly.zero(nv, t)).sub(piece.mul(part))
-                if nxt.is_zero:
-                    residual.pop(t, None)
-                else:
-                    residual[t] = nxt
-        if n in residual and not residual[n].is_zero:
+            piece = TruncSeries(nv, order - lows[i], {deg: HomogPoly.from_terms(nv, deg, terms)})
+            cofactors[i] = cofactors[i].add(piece)
+            residual = residual.sub(piece.mul(ideal.generators[i]))
+        if residual.lowest_degree() == n:
             raise AssertionError(f"degree {n} residual survived its own solve")
 
-    series = []
-    for i, table in enumerate(cofactors):
-        low = lows[i]
-        cap = order - low if low is not None else order
-        series.append(TruncSeries(nv, max(cap, 1), dict(table)))
     return MembershipWitness(target=target.truncate(order),
-                             cofactors=tuple(series), valid_order=order)
+                             cofactors=tuple(cofactors), valid_order=order)

@@ -7,9 +7,12 @@ reproducibility is part of the contract.  `sha256_of_payload` over the
 canonical encoding is the content hash used to link certificates to the
 systems they refute and outputs to their run manifests.
 
-Every artifact format lives here, each writer next to its reader where one
-exists.  Readers raise `SerializationError`, and nothing else, on a
-malformed payload.
+The formats of the package's records live here, each writer next to its
+reader where one exists; the command-line module builds the payloads of
+its own reports (construction log, scalar and ideal results, batch
+summary) itself.
+Readers raise `SerializationError`, and nothing else, on a malformed
+payload, and `dump_json` raises it on a path it cannot write.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
 from .construct import AlmostClosedReport, HypothesisError, Instance
@@ -91,10 +95,15 @@ def sha256_of_bytes(data: bytes) -> str:
 
 
 def dump_json(path: str, obj: Any) -> str:
-    """Write canonical JSON (trailing newline) and return the content hash."""
+    """Write canonical JSON (trailing newline), creating missing parent
+    directories, and return the content hash."""
     text = canonical_dumps(obj) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SerializationError(f"cannot write {path}: {exc}") from None
     return sha256_of_bytes(text.encode("ascii"))
 
 

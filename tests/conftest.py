@@ -5,8 +5,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from acforms.poly import HomogPoly, OneForm, TruncSeries
+
+# a failing property test prints a @reproduce_failure(...) line, so it replays
+# without the local example database
+settings.register_profile("acforms", print_blob=True)
+settings.load_profile("acforms")
 
 _ACCEPTANCE: dict[str, str] = {}
 

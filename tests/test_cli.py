@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 
 import acforms.cli as cli_module
+import acforms.construct as construct_module
 from acforms.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, EXIT_REFUTED, main
-from acforms.construct import Instance, build
+from acforms.construct import AlmostClosedReport, Instance, build
 from acforms.decide import DeciderOutcome, genericity_guard
 from acforms.ideals import TruncatedIdeal
 from acforms.linalg import verify_farkas
 from acforms.poly import OneForm
-from acforms.serialize import (certificate_from_json, dump_json,
+from acforms.serialize import (SerializationError, certificate_from_json, dump_json,
                                ideal_to_json, instance_to_json, load_json,
                                one_form_to_json, series_to_json,
                                sha256_of_payload, system_from_json)
@@ -141,6 +142,47 @@ def test_obstruction_rejects_non_integer_exponent(tmp_path, capsys):
 def test_missing_input_file_is_reported(tmp_path, capsys):
     assert main(["decide", str(tmp_path / "absent.json"), "--order", "4"]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+def _small_build_instance():
+    return Instance(d=3, N=7, C=S(2, 3, {0: {(0, 0): 1}}), D=zero_series(3), seed=5)
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["build", "decide", "batch"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, command, under_file):
+    # --out names an existing file, or a path below one
+    _write(tmp_path / "instance.json", instance_to_json(_small_build_instance()))
+    _write(tmp_path / "sigma.json", _gradient_sigma_payload())
+    argv = {"build": ["build", str(tmp_path / "instance.json")],
+            "decide": ["decide", str(tmp_path / "sigma.json"), "--order", "5"],
+            "batch": ["batch", str(tmp_path / "instance.json")]}[command]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / "run" if under_file else blocker
+    assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {blocker}")
+    assert captured.out == ""
+    assert blocker.read_text() == "kept\n"
+
+
+def test_dump_json_onto_a_directory_is_a_serialization_error(tmp_path):
+    with pytest.raises(SerializationError, match="cannot write"):
+        dump_json(str(tmp_path), {"kind": "anything"})
+
+
+def test_build_self_check_failure_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    instance_path = tmp_path / "instance.json"
+    _write(instance_path, instance_to_json(_small_build_instance()))
+    failing = AlmostClosedReport(ok=False, first_failure=4, residuals={}, checked_below=7)
+    monkeypatch.setattr(construct_module, "verify_almost_closed", lambda sigma, c, d: failing)
+    out = tmp_path / "run"
+    assert main(["build", str(instance_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "construction failed its own residual check at degree 4\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # --- verify-ac -------------------------------------------------------------------

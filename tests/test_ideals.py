@@ -306,7 +306,7 @@ def test_witness_rejects_tampering():
     assert not bad.verify(squares)
 
 
-def test_witness_makes_one_product_per_generator_part_per_stage(monkeypatch):
+def test_witness_makes_one_series_product_per_generator_per_stage(monkeypatch):
     # two generators with two and three parts; the target has every
     # monomial of degrees 3 .. 6, so each stage solves for several columns
     # per generator
@@ -314,10 +314,10 @@ def test_witness_makes_one_product_per_generator_part_per_stage(monkeypatch):
     g2 = S(2, ORDER, {2: {(0, 2): 1}, 3: {(3, 0): -2}, 4: {(2, 2): 1}})
     ideal = TruncatedIdeal((g1, g2))
     target = S(2, ORDER, {k: {e: 1 for e in monomials(2, k)} for k in range(3, 7)})
-    parts = {id(p): (i, k) for i, g in enumerate((g1, g2)) for k, p in g.parts.items()}
+    generators = {id(g1): 0, id(g2): 1}
     stages: list[int] = []
-    products: list[tuple[int, tuple[int, int] | None]] = []
-    real_mul = HomogPoly.mul
+    products: list[tuple[int, int | None]] = []
+    real_mul = TruncSeries.mul
 
     class CountingEchelon(ideals_module.Echelon):
         # one echelon per stage, holding one column per (generator, monomial)
@@ -326,20 +326,20 @@ def test_witness_makes_one_product_per_generator_part_per_stage(monkeypatch):
             stages.append(ncols)
 
     def counting_mul(self, other):
-        products.append((len(stages), parts.get(id(other))))
+        products.append((len(stages), generators.get(id(other))))
         return real_mul(self, other)
 
     monkeypatch.setattr(ideals_module, "Echelon", CountingEchelon)
-    monkeypatch.setattr(HomogPoly, "mul", counting_mul)
+    monkeypatch.setattr(TruncSeries, "mul", counting_mul)
     wit = membership_witness(target, ideal, 7)
     monkeypatch.undo()
     assert isinstance(wit, MembershipWitness) and wit.verify(ideal)
-    # every product is a cofactor piece times a generator part, at most
-    # once per (stage, part)
-    assert all(part is not None for _, part in products)
+    # every product is a cofactor piece times a whole generator, at most
+    # once per (stage, generator)
+    assert all(g is not None for _, g in products)
     assert len(set(products)) == len(products)
-    assert len(products) <= len(stages) * (len(g1.parts) + len(g2.parts))
-    assert (len(stages), len(products)) == (4, 13)
+    assert len(products) <= len(stages) * len(ideal.generators)
+    assert (len(stages), len(products)) == (4, 7)
 
 
 def _assert_same_membership(target, ideal, order):
