@@ -31,7 +31,7 @@ from typing import Callable
 
 from . import construct, ideals, serialize
 from .decide import (decide, genericity_guard, obstruction, staged_report,
-                     tilde_transform, verify_potential)
+                     tilde_obstruction, tilde_transform, verify_potential)
 from .poly import MismatchError, OneForm, TruncSeries
 
 EXIT_OK = 0
@@ -82,12 +82,14 @@ def _print(payload, fmt: str, text_lines) -> None:
 # commands
 
 
+_RESIDUAL_FAILURE = "construction failed its own residual check at degree {}"
+
+
 def _build(instance: construct.Instance):
     sigma, state = construct.build(instance)
     report = construct.verify_almost_closed(sigma, instance.C, instance.D)
     if not report.ok:
-        print(f"construction failed its own residual check at degree "
-              f"{report.first_failure}", file=sys.stderr)
+        print(_RESIDUAL_FAILURE.format(report.first_failure), file=sys.stderr)
         return {}, [], 1
     log = {"kind": "construction_log",
            "d": instance.d, "N": instance.N, "seed": instance.seed,
@@ -136,7 +138,7 @@ def _obstruction(c: TruncSeries, d: TruncSeries):
 
 def _tilde(c: TruncSeries, d: TruncSeries):
     ct, dt = tilde_transform(c, d)
-    value = ct.coeff((1, 0)) + dt.coeff((0, 1))
+    value = tilde_obstruction(ct, dt)
     payload = {"kind": "tilde_transform",
                "C1_tilde": {"x": _frac(ct.coeff((1, 0))), "y": _frac(ct.coeff((0, 1)))},
                "D1_tilde": {"x": _frac(dt.coeff((1, 0))), "y": _frac(dt.coeff((0, 1)))},
@@ -233,11 +235,12 @@ def _run(name: str, args) -> int:
 
 
 def _batch_worker(task: tuple[str, int | None]) -> tuple[dict, str | None]:
-    """One instance pipeline: build, guard, decide.  Pure and picklable.
+    """One instance pipeline: build, the construction's residual check,
+    guard, decide.  Pure and picklable.
 
     Returns the summary row and the input hash, which is None when the file
-    did not load as an instance.  Input errors become a row with status
-    `error`; anything else propagates.
+    did not load as an instance.  Input errors and a failed residual check
+    become a row with status `error`; anything else propagates.
     """
     path, order = task
     row: dict = {"file": path}
@@ -246,6 +249,11 @@ def _batch_worker(task: tuple[str, int | None]) -> tuple[dict, str | None]:
         instance, digest = _load(path, serialize.instance_from_json)
         row.update(seed=instance.seed, d=instance.d, N=instance.N)
         sigma, _ = construct.build(instance)
+        report = construct.verify_almost_closed(sigma, instance.C, instance.D)
+        if not report.ok:
+            row["status"] = "error"
+            row["message"] = _RESIDUAL_FAILURE.format(report.first_failure)
+            return row, digest
         guard = genericity_guard(sigma)
         if not guard.passed:
             row["status"] = "guard_rejected"

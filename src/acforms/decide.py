@@ -266,41 +266,41 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
     if d is None:
         raise MismatchError("zero form has no leading data to check")
     a, b = sigma.components
-    ad, bd = a.component(d), b.component(d)
-    adx, ady = ad.partial(0), ad.partial(1)
-    bdx, bdy = bd.partial(0), bd.partial(1)
     one = [(0, 0)]
     lin = [(1, 0), (0, 1)]
     quad = [(2, 0), (1, 1), (0, 2)]
     cub = [(3, 0), (2, 1), (1, 2), (0, 3)]
 
-    def mults(exps: list[tuple[int, int]], polys: list[HomogPoly]) -> list[tuple]:
+    def derivatives(p: HomogPoly, q: HomogPoly) -> list[list[tuple]]:
+        """Integer terms of p_x, p_y, q_y and q_x, the last left out when
+        it equals p_y, as it does for an almost closed form."""
+        px, py, qx, qy = p.partial(0), p.partial(1), q.partial(0), q.partial(1)
+        return [t._integer_terms()[0] for t in [px, py, qy] + ([qx] if qx != py else [])]
+
+    def mults(exps: list[tuple[int, int]], polys: list[list[tuple]]) -> list[tuple]:
         return [(p, e) for p in polys for e in exps]
 
+    lead = [a.component(d)._integer_terms()[0], b.component(d)._integer_terms()[0]]
+    dd = derivatives(a.component(d), b.component(d))
     have_next = sigma.trunc_order > d + 1
     if have_next:
-        ad1, bd1 = a.component(d + 1), b.component(d + 1)
-        ad1x, ad1y = ad1.partial(0), ad1.partial(1)
-        bd1x, bd1y = bd1.partial(0), bd1.partial(1)
+        dd1 = derivatives(a.component(d + 1), b.component(d + 1))
 
-    # (name, least d, degree, (polynomial, shift) pairs, expected rank,
+    # (name, least d, degree, (integer terms, shift) pairs, expected rank,
     # joins): each pair is the row of x^shift times the polynomial; a joint
     # family is the reduction family just before it plus the pairs listed,
-    # so its rank is read after extending that family's echelon
+    # so its rank is read after extending that family's echelon.  Past the
+    # leading pair no family lists A_k, B_k or their multiples: by Euler,
+    # k * P = x * P_x + y * P_y, so those rows lie in the span of the
+    # family's derivative rows
     table: list[tuple[str, int, int, list | None, int, bool]] = [
-        ("leading_pair", 1, d, mults(one, [ad, bd]), 2, False),
-        ("degree0_forcing", 3, d - 1, mults(one, [adx, ady, bdy]), 3, False),
-        ("stage_d", 5, d, mults(one, [ad, bd]) + mults(lin, [adx, ady, bdx, bdy]), 6, False),
-        ("stage_d1_reduction", 7, d + 1,
-         mults(lin, [ad, bd]) + mults(quad, [adx, ady, bdx, bdy]), 9, False),
-        ("stage_d1_joint", 13, d + 1,
-         (mults(one, [ad1, bd1]) + mults(lin, [ad1x, ad1y, bd1x, bd1y]))
-         if have_next else None, 15, True),
-        ("stage_d2_reduction", 9, d + 2,
-         mults(quad, [ad, bd]) + mults(cub, [adx, ady, bdx, bdy]), 12, False),
-        ("stage_d2_joint", 18, d + 2,
-         (mults(lin, [ad1, bd1]) + mults(quad, [ad1x, ad1y, bd1x, bd1y]))
-         if have_next else None, 21, True),
+        ("leading_pair", 1, d, mults(one, lead), 2, False),
+        ("degree0_forcing", 3, d - 1, mults(one, dd[:3]), 3, False),
+        ("stage_d", 5, d, mults(lin, dd), 6, False),
+        ("stage_d1_reduction", 7, d + 1, mults(quad, dd), 9, False),
+        ("stage_d1_joint", 13, d + 1, mults(lin, dd1) if have_next else None, 15, True),
+        ("stage_d2_reduction", 9, d + 2, mults(cub, dd), 12, False),
+        ("stage_d2_joint", 18, d + 2, mults(quad, dd1) if have_next else None, 21, True),
     ]
     checks = []
     echelon: Echelon | None = None
@@ -311,7 +311,7 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
             if echelon is None or not joins:
                 echelon = Echelon(degree + 1)
             index = {exp: i for i, exp in enumerate(monomials(2, degree))}
-            echelon.extend([_shifted_row(p._integer_terms()[0], e, index) for p, e in family])
+            echelon.extend([_shifted_row(terms, e, index) for terms, e in family])
             actual = echelon.rank
         passed = (actual == expected) if applicable else True
         checks.append(GuardCheck(name, applicable, expected, actual, passed))
@@ -725,6 +725,12 @@ def tilde_transform(c: TruncSeries, d: TruncSeries) -> tuple[HomogPoly, HomogPol
     return c1.add(shift.scale(c0)), d1.add(shift.scale(d0))
 
 
+def tilde_obstruction(ct: HomogPoly, dt: HomogPoly) -> Fraction:
+    """The obstruction C~1_x + D~1_y of the shifted linear parts that
+    `tilde_transform` returns."""
+    return ct.coeff((1, 0)) + dt.coeff((0, 1))
+
+
 def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries) -> dict:
     """Consistency of the two overlapping forced constraints on the
     degree-2 unknown block.
@@ -742,8 +748,7 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
     order = d + 3
     _validate_sigma(sigma, order)
     blocks = _integer_blocks(sigma, d, order)
-    ct, dt = tilde_transform(c, d_series)
-    tilde_sum = ct.coeff((1, 0)) + dt.coeff((0, 1))
+    tilde_sum = tilde_obstruction(*tilde_transform(c, d_series))
     functional = {_column("Z", (2, 0)): Fraction(2), _column("Y", (0, 2)): Fraction(-2)}
     out: dict = {
         "obstruction": obstruction(c, d_series),

@@ -13,15 +13,26 @@ ideals of interest contain a power of the maximal ideal m = (x1, ..., xn):
   piece: two degree-d generators in two variables give 2(n - d + 1) rows
   for n + 1 monomials, and only the least covered degree 2d - 1 is ranked.
 * `colength` counts the dimension of the quotient ring once such an N is
-  known: monomials of degree < N modulo the image of the generators.
+  known: monomials of degree < N modulo the image of the generators.  The
+  image is ranked one degree at a time, as the Hilbert-Samuel function is
+  (Greuel and Pfister, *A Singular Introduction to Commutative Algebra*,
+  ch. 5): the spanning rows m*g are block-triangular by their lowest
+  degree, so the rank is the sum of the ranks of the degree-n slices of
+  the rows starting at degree n, the cover check's rows plus rows carried
+  in.  Only a dependent slice needs the rows' higher-degree tails, and its
+  zero-sliced combinations are carried to their next nonzero degree; two
+  coprime leading forms give no dependent slice below N, so no full row
+  is built.  The full image rows stay for `ideal_contained_mod` and
+  `ideal_equal_mod`.
 * `membership_witness` runs the successive-approximation loop explicitly,
-  peeling the lowest unresolved component of the residual with a graded
-  solve, whose point with free coordinates zero is back-substituted.  The
-  residual and the cofactors are truncated series: per stage and
-  generator, the solved piece is added to the cofactor and one series
-  product, piece times generator, is subtracted from the residual.  The
-  returned witness re-verifies by plain re-multiplication, independent of
-  the solver.
+  one degree n at a time: the residual's degree-n component
+  r_n = t_n - sum of c_{i,k} * g_{i,n-k} over the cofactor parts found so
+  far is summed as integer products over one denominator, and a graded
+  solve, whose point with free coordinates zero is back-substituted, gives
+  each generator's cofactor part of degree n - lowest(g_i).  Cofactor
+  parts stay integers over one denominator until the Fractions of the
+  returned witness are built; the witness re-verifies by plain series
+  re-multiplication, independent of the solver.
 
 No Groebner machinery: the graded rank checks are complete for ideals that
 contain a power of m, and every positive answer doubles as a certificate.
@@ -32,10 +43,14 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, lcm
 
-from .linalg import Echelon, matrix_rank
-from .poly import (Exponent, HomogPoly, MismatchError, TruncSeries, graded_dim,
-                   monomials)
+from .linalg import Echelon, _echelon, matrix_rank
+from .poly import (Exponent, HomogPoly, MismatchError, TruncSeries, _add_products,
+                   graded_dim, monomials)
+
+_Terms = list[tuple[Exponent, int]]     # integer terms of a homogeneous part
 
 
 @dataclass(frozen=True)
@@ -64,7 +79,7 @@ class TruncatedIdeal:
         return self.generators[0].trunc_order
 
 
-def _shifted_row(terms: list[tuple[Exponent, int]], shift: Exponent,
+def _shifted_row(terms: _Terms, shift: Exponent,
                  index: dict[Exponent, int]) -> list[int]:
     """Integer coefficient row of x^shift times the given integer terms."""
     row = [0] * len(index)
@@ -131,6 +146,15 @@ def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
     return None
 
 
+def _image_row(parts: dict[int, _Terms], shift: Exponent,
+               order: int, index: dict[Exponent, int]) -> list[int]:
+    """Integer row of x^shift times the series whose integer parts are given,
+    truncated below `order`, on the monomials of `index`."""
+    below = order - sum(shift)
+    return _shifted_row([term for j, part in parts.items() if j < below for term in part],
+                        shift, index)
+
+
 def _image_vectors(ideal: TruncatedIdeal, order: int) -> tuple[list[Exponent], list[list[int]]]:
     """Spanning vectors of the ideal's image in R / m^order, as integer rows.
 
@@ -148,12 +172,49 @@ def _image_vectors(ideal: TruncatedIdeal, order: int) -> tuple[list[Exponent], l
         low = g.lowest_degree()
         if low is None:
             continue
-        scaled, _ = g._integer_parts(order)
-        for mdeg in range(0, order - low):
-            terms = [(exp, v) for j, part in scaled.items() if mdeg + j < order
-                     for exp, v in part]
-            vectors.extend(_shifted_row(terms, exp, index) for exp in monomials(nv, mdeg))
+        parts, _ = g._integer_parts(order)
+        vectors.extend(_image_row(parts, exp, order, index)
+                       for mdeg in range(0, order - low) for exp in monomials(nv, mdeg))
     return basis, vectors
+
+
+def _graded_rank(ideal: TruncatedIdeal, order: int) -> int:
+    """Rank of the ideal's image in R / m^order, one degree at a time.
+
+    The spanning rows m*g of `_image_vectors` are block-triangular by their
+    lowest degree deg(m) + lowest(g), so the rank is the sum over n of the
+    rank of the degree-n slices of the rows whose lowest degree is n: the
+    rows of `_leading_rows`, plus rows carried in.  Only a dependent slice
+    needs the rows' higher-degree tails: their full integer rows are
+    eliminated over degree n's columns, and each row that comes out zero
+    there is carried to its next nonzero degree, or dropped when it has
+    none below `order`.
+    """
+    nv = ideal.num_vars
+    graded = [monomials(nv, n) for n in range(order)]
+    index = {exp: i for i, exp in enumerate(e for piece in graded for e in piece)}
+    starts = [0, *accumulate(map(len, graded))]
+    parts: dict[int, dict[int, _Terms]] = {}
+    carried: dict[int, list[list[int]]] = {}
+    rank = 0
+    for n, piece in enumerate(graded):
+        lo, hi = starts[n], starts[n + 1]
+        shifts, _, rows = _leading_rows(ideal, n, {exp: k for k, exp in enumerate(piece)})
+        held = carried.pop(n, [])
+        slices = rows + [row[lo:hi] for row in held]
+        slice_rank = matrix_rank(slices)
+        rank += slice_rank
+        if slice_rank == len(slices):
+            continue
+        for i in {i for i, _ in shifts} - parts.keys():
+            parts[i] = ideal.generators[i]._integer_parts(order)[0]
+        full = [_image_row(parts[i], exp, order, index) for i, exp in shifts] + held
+        for row in full[len(_echelon(full, hi, lo)):]:
+            later = next((k for k in range(n + 1, order) if any(row[starts[k]:starts[k + 1]])),
+                         None)
+            if later is not None:
+                carried.setdefault(later, []).append(row)
+    return rank
 
 
 def colength(ideal: TruncatedIdeal, max_n: int) -> int | None:
@@ -166,8 +227,7 @@ def colength(ideal: TruncatedIdeal, max_n: int) -> int | None:
     found = min_power_in_ideal(ideal, max_n)
     if found is None:
         return None
-    basis, vectors = _image_vectors(ideal, found)
-    return len(basis) - matrix_rank(vectors)
+    return sum(graded_dim(ideal.num_vars, n) for n in range(found)) - _graded_rank(ideal, found)
 
 
 def ideal_contained_mod(inner: TruncatedIdeal, outer: TruncatedIdeal, order: int) -> bool:
@@ -226,15 +286,31 @@ class MembershipWitness:
         return all(res.component(k).is_zero for k in range(self.valid_order))
 
 
+def _degree_residual(base: _Terms, base_den: int,
+                     products: list[tuple[_Terms, int, _Terms]]) -> tuple[_Terms, int]:
+    """base / base_den minus the sum of a * b / den over the products
+    (a, den, b), as integer terms over one denominator in lowest terms;
+    no terms when the difference is zero."""
+    common = lcm(base_den, *[den for _, den, _ in products])
+    acc = {exp: v * (common // base_den) for exp, v in base}
+    for a, den, b in products:
+        f = common // den
+        _add_products(acc, [(exp, -f * v) for exp, v in a], b)
+    terms = [(exp, v) for exp, v in acc.items() if v]
+    g = gcd(common, *[v for _, v in terms])
+    return [(exp, v // g) for exp, v in terms], common // g
+
+
 def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
                        order: int) -> MembershipWitness | int:
     """Successive-approximation membership of `target` below degree `order`.
 
-    Each stage solves the graded problem writing the lowest unresolved
-    residual component as a combination of the generators' leading forms,
-    then subtracts the full products; the residual's lowest degree strictly
-    increases.  Returns the witness, or the first degree whose graded
-    problem is unsolvable.  Cofactor degrees never exceed
+    Stage n solves the graded problem writing the degree-n residual
+    r_n = t_n - sum over i and k of c_{i,k} * g_{i,n-k} as a combination of
+    the generators' leading forms; its solution is each generator's
+    cofactor part of degree n - lowest(g_i), so r_n vanishes afterwards and
+    later residuals see it.  Returns the witness, or the first degree whose
+    graded problem is unsolvable.  Cofactor degrees never exceed
     order - 1 - lowest(generator); later degrees cannot affect the residual
     below `order`.
     """
@@ -245,35 +321,49 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
                             f"({target.trunc_order}, {ideal.trunc_order})")
     nv = ideal.num_vars
     lows = [g.lowest_degree() for g in ideal.generators]
-    residual = target.truncate(order)
-    cofactors = [TruncSeries.zero(nv, max(order - (low or 0), 1)) for low in lows]
+    # target and generators as integer terms, each over one denominator; the
+    # cofactor parts pieces[i][k] likewise, each over its own denominator
+    target_parts, target_den = target._integer_parts(order)
+    gens = [g._integer_parts(order) for g in ideal.generators]
+    pieces: list[dict[int, tuple[_Terms, int]]] = [{} for _ in lows]
 
-    while not residual.is_zero():
-        n = residual.lowest_degree()
+    for n in range(order):
+        residual, scale = _degree_residual(
+            target_parts.get(n, []), target_den,
+            [(terms, den * gens[i][1], gens[i][0][n - k])
+             for i, table in enumerate(pieces) for k, (terms, den) in table.items()
+             if n - k in gens[i][0]])
+        if not residual:
+            continue
         # the stage's system has one column per row of _leading_rows, and
-        # the residual component, scaled to integers, as right-hand side;
-        # the point with free coordinates zero is exact under both scalings
+        # r_n times `scale` as right-hand side; the point with free
+        # coordinates zero is exact under both scalings
         index = {exp: row for row, exp in enumerate(monomials(nv, n))}
         columns, scales, rows = _leading_rows(ideal, n, index)
-        rhs_terms, rhs_scale = residual.component(n)._integer_terms()
-        rhs = _shifted_row(rhs_terms, (0,) * nv, index)
+        rhs = _shifted_row(residual, (0,) * nv, index)
         echelon = Echelon(len(columns))
         echelon.extend([[row[e] for row in rows] + [rhs[e]] for e in range(len(index))])
         if not echelon.consistent:
             return n
-        # each generator's cofactor piece of this stage, certified below
-        # order - lowest(g), so its product with g is certified below order
-        pieces: dict[int, dict[Exponent, Fraction]] = {}
-        for (i, exp), weight in zip(columns, echelon.particular()):
-            if weight != 0:
-                pieces.setdefault(i, {})[exp] = weight * scales[i] / rhs_scale
-        for i, terms in pieces.items():
-            deg = n - lows[i]
-            piece = TruncSeries(nv, order - lows[i], {deg: HomogPoly.from_terms(nv, deg, terms)})
-            cofactors[i] = cofactors[i].add(piece)
-            residual = residual.sub(piece.mul(ideal.generators[i]))
-        if residual.lowest_degree() == n:
+        num, den = echelon.particular()
+        solved: dict[int, _Terms] = {}
+        for (i, exp), weight in zip(columns, num):
+            if weight:
+                solved.setdefault(i, []).append((exp, weight * scales[i]))
+        for i, terms in solved.items():
+            g = gcd(den * scale, *[v for _, v in terms])
+            pieces[i][n - lows[i]] = [(exp, v // g) for exp, v in terms], den * scale // g
+        # the new parts times the leading forms must cancel r_n
+        left, _ = _degree_residual(residual, scale, [
+            (part, part_den * gens[i][1], gens[i][0][lows[i]])
+            for i in solved for part, part_den in [pieces[i][n - lows[i]]]])
+        if left:
             raise AssertionError(f"degree {n} residual survived its own solve")
 
-    return MembershipWitness(target=target.truncate(order),
-                             cofactors=tuple(cofactors), valid_order=order)
+    cofactors = tuple(
+        TruncSeries(nv, max(order - (low or 0), 1), {
+            k: HomogPoly.from_terms(nv, k, {exp: Fraction(v, den) for exp, v in terms})
+            for k, (terms, den) in table.items()})
+        for table, low in zip(pieces, lows))
+    return MembershipWitness(target=target.truncate(order), cofactors=cofactors,
+                             valid_order=order)

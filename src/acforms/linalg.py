@@ -21,7 +21,8 @@ inconsistent `RowBasis` prefix.
 * `Echelon` holds the pivot rows of the rows fed so far.  A new block is
   reduced by the stored pivot rows and then goes through the forward
   pass, so nested systems are eliminated once.  `particular()`
-  back-substitutes the particular point without the backward pass.
+  back-substitutes the particular point, as integers over one
+  denominator, without the backward pass.
   `reduced()` runs the backward pass on a copy, and `solution()` reads the
   solution set off the reduced echelon form, which is unique, so the
   particular point and nullspace basis do not depend on the order or
@@ -255,14 +256,14 @@ class Echelon:
         _reduce(work, self.pivots)
         return work
 
-    def particular(self) -> list[Fraction]:
-        """The solution of the rows fed so far that is zero on the free
-        columns, back-substituted over the pivot rows without the backward
-        pass; it is the particular point of `solution()`."""
+    def particular(self) -> tuple[list[int], int]:
+        """Integer numerators and their common denominator of the solution
+        of the rows fed so far that is zero on the free columns,
+        back-substituted over the pivot rows without the backward pass; it
+        is the particular point of `solution()`."""
         if not self.consistent:
             raise ValueError("inconsistent rows have no solution set")
-        num, den = _back_substitute(self.rows, self.pivots, self.ncols, self.ncols)
-        return [Fraction(x, den) for x in num]
+        return _back_substitute(self.rows, self.pivots, self.ncols, self.ncols)
 
     def solution(self, reduced: list[list[int]] | None = None) -> SolutionSet:
         """Solution set of the rows of [matrix | rhs] fed so far.

@@ -15,7 +15,10 @@ column layout, because what they check is the integer rows and the integer
 read-off that replaced them; `fraction_membership_witness`, the ideal
 engine's earlier membership stages, uses the polynomial arithmetic and the
 witness type, because what it checks is the integer stage solve that
-replaced its Fraction systems.
+replaced its Fraction systems; `full_family_guard`, the genericity guard
+with every row family it first ranked, uses the guard's records, row
+builder and `Echelon`, because what it checks is that the rows the guard
+leaves out never change a rank.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from acforms.decide import (UNKNOWN_NAMES, BlockRecord, StageRecord, _column,
-                            _validate_sigma)
-from acforms.ideals import MembershipWitness, TruncatedIdeal
-from acforms.linalg import (AffineSystem, FarkasCertificate, SolutionSet, _echelon,
+from acforms.decide import (UNKNOWN_NAMES, BlockRecord, GuardCheck, GuardReport,
+                            StageRecord, _column, _validate_sigma)
+from acforms.ideals import MembershipWitness, TruncatedIdeal, _shifted_row
+from acforms.linalg import (AffineSystem, Echelon, FarkasCertificate, SolutionSet, _echelon,
                             _reduce, _scaled)
-from acforms.poly import HomogPoly, TruncSeries, monomials
+from acforms.poly import HomogPoly, MismatchError, OneForm, TruncSeries, monomials
 
 
 def exponents(num_vars: int, degree: int) -> list[tuple[int, ...]]:
@@ -362,6 +365,72 @@ def fraction_membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
         series.append(TruncSeries(nv, max(cap, 1), dict(table)))
     return MembershipWitness(target=target.truncate(order),
                              cofactors=tuple(series), valid_order=order)
+
+
+# --- the decider's earlier guard families ---------------------------------
+
+
+def full_family_guard(sigma: OneForm) -> GuardReport:
+    """`acforms.decide.genericity_guard` with every family as it was first
+    written: the A_k, B_k rows and their multiples next to the derivative
+    rows that span them, both of p_y and q_x when they are equal, and the
+    integer terms of a polynomial taken once per shift."""
+    if sigma.num_vars != 2:
+        raise MismatchError("the guard handles 1-forms in two variables")
+    d = sigma.lowest_degree()
+    if d is None:
+        raise MismatchError("zero form has no leading data to check")
+    a, b = sigma.components
+    ad, bd = a.component(d), b.component(d)
+    adx, ady = ad.partial(0), ad.partial(1)
+    bdx, bdy = bd.partial(0), bd.partial(1)
+    one = [(0, 0)]
+    lin = [(1, 0), (0, 1)]
+    quad = [(2, 0), (1, 1), (0, 2)]
+    cub = [(3, 0), (2, 1), (1, 2), (0, 3)]
+
+    def mults(exps: list[tuple[int, int]], polys: list[HomogPoly]) -> list[tuple]:
+        return [(p, e) for p in polys for e in exps]
+
+    have_next = sigma.trunc_order > d + 1
+    if have_next:
+        ad1, bd1 = a.component(d + 1), b.component(d + 1)
+        ad1x, ad1y = ad1.partial(0), ad1.partial(1)
+        bd1x, bd1y = bd1.partial(0), bd1.partial(1)
+
+    # (name, least d, degree, (polynomial, shift) pairs, expected rank,
+    # joins): each pair is the row of x^shift times the polynomial; a joint
+    # family is the reduction family just before it plus the pairs listed,
+    # so its rank is read after extending that family's echelon
+    table: list[tuple[str, int, int, list | None, int, bool]] = [
+        ("leading_pair", 1, d, mults(one, [ad, bd]), 2, False),
+        ("degree0_forcing", 3, d - 1, mults(one, [adx, ady, bdy]), 3, False),
+        ("stage_d", 5, d, mults(one, [ad, bd]) + mults(lin, [adx, ady, bdx, bdy]), 6, False),
+        ("stage_d1_reduction", 7, d + 1,
+         mults(lin, [ad, bd]) + mults(quad, [adx, ady, bdx, bdy]), 9, False),
+        ("stage_d1_joint", 13, d + 1,
+         (mults(one, [ad1, bd1]) + mults(lin, [ad1x, ad1y, bd1x, bd1y]))
+         if have_next else None, 15, True),
+        ("stage_d2_reduction", 9, d + 2,
+         mults(quad, [ad, bd]) + mults(cub, [adx, ady, bdx, bdy]), 12, False),
+        ("stage_d2_joint", 18, d + 2,
+         (mults(lin, [ad1, bd1]) + mults(quad, [ad1x, ad1y, bd1x, bd1y]))
+         if have_next else None, 21, True),
+    ]
+    checks = []
+    echelon: Echelon | None = None
+    for name, min_d, degree, family, expected, joins in table:
+        applicable = d >= min_d and family is not None
+        actual = None
+        if applicable:
+            if echelon is None or not joins:
+                echelon = Echelon(degree + 1)
+            index = {exp: i for i, exp in enumerate(monomials(2, degree))}
+            echelon.extend([_shifted_row(p._integer_terms()[0], e, index) for p, e in family])
+            actual = echelon.rank
+        passed = (actual == expected) if applicable else True
+        checks.append(GuardCheck(name, applicable, expected, actual, passed))
+    return GuardReport(lowest_degree=d, checks=tuple(checks))
 
 
 # --- rational strings --------------------------------------------------------

@@ -439,6 +439,22 @@ def test_batch_mixes_guard_rejections_and_decisions(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_batch_turns_a_failed_residual_check_into_an_error_row(tmp_path, monkeypatch, capsys):
+    # the row carries the message `build` prints for the same failure
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    _write(batch / "a.json", _small_instance_payload(5))
+    failing = AlmostClosedReport(ok=False, first_failure=4, residuals={}, checked_below=7)
+    monkeypatch.setattr(construct_module, "verify_almost_closed", lambda sigma, c, d: failing)
+    out = tmp_path / "out"
+    assert main(["batch", str(batch / "*.json"), "--out", str(out)]) == EXIT_INPUT
+    (row,) = load_json(str(out / "summary.json"))["runs"]
+    assert row["status"] == "error" and row["seed"] == 5
+    assert row["message"] == "construction failed its own residual check at degree 4"
+    assert "guard_failures" not in row and "order" not in row
+    capsys.readouterr()
+
+
 def test_batch_turns_bad_instances_into_error_rows(tmp_path, capsys):
     batch = tmp_path / "batch"
     batch.mkdir()

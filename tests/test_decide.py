@@ -25,7 +25,7 @@ from acforms.poly import MismatchError, OneForm, TruncSeries, monomials
 from acforms.prng import Stream
 from conftest import H, S, form, series_x, zero_series
 from oracles import (dict_component, fraction_assemble_system, fraction_solve_affine,
-                     fraction_stage_record, poly_add, poly_mul, poly_partial,
+                     fraction_stage_record, full_family_guard, poly_add, poly_mul, poly_partial,
                      poly_scale, prefix_through, residual, rref_rank, series_dict,
                      trivial_solution)
 
@@ -206,6 +206,33 @@ def test_guard_applicability_ladder():
                      "stage_d": True, "stage_d1_reduction": False,
                      "stage_d1_joint": False, "stage_d2_reduction": False,
                      "stage_d2_joint": False}
+
+
+def _not_almost_closed_form(d=6, trunc=10, seed=4):
+    """Random A and B with every degree d .. trunc-1 filled: A_y != B_x."""
+    stream = Stream(seed)
+    parts = [{k: {e: stream.int_between(-3, 3) for e in monomials(2, k)}
+              for k in range(d, trunc)} for _ in range(2)]
+    return form(S(2, trunc, parts[0]), S(2, trunc, parts[1]))
+
+
+def _guard_cases():
+    x2 = S(2, 6, {2: {(2, 0): 1}})
+    cases = [_radial_form(), form(x2, x2.scale(FR(3))), _not_almost_closed_form()]
+    for d in range(4, 19):
+        for seed in (1, 2):
+            cases.append(_build_generic(d, d + 4, seed, c_parts={1: {(1, 0): 1}}))
+            cases.append(_build_generic(d, d + 4, seed))
+    return cases
+
+
+def test_guard_matches_the_full_families():
+    # the guard leaves out rows in the span of others; every report,
+    # passing or failing, must equal the one over the full families
+    reports = [genericity_guard(sigma) for sigma in _guard_cases()]
+    assert reports == [full_family_guard(sigma) for sigma in _guard_cases()]
+    assert {r.passed for r in reports} == {True, False}
+    assert all(r.check("stage_d2_joint").applicable for r in reports[-4:])
 
 
 def test_guard_rejects_bad_input():

@@ -179,6 +179,74 @@ def test_colength_matches_brute_quotient(ideal):
         assert value == brute_colength(gens, ideal.num_vars, found)
 
 
+def _record_carries(monkeypatch) -> list[int]:
+    """The first column of each `_echelon` call the ideal engine makes
+    itself; only `colength`'s carry path makes one."""
+    starts: list[int] = []
+    real_echelon = ideals_module._echelon
+
+    def recording_echelon(rows, stop, start=0, top=0):
+        starts.append(start)
+        return real_echelon(rows, stop, start, top)
+
+    monkeypatch.setattr(ideals_module, "_echelon", recording_echelon)
+    return starts
+
+
+def test_colength_carries_a_dependent_degree(monkeypatch):
+    # y * (x^2 + y^3) - x * (xy) = y^4: the degree-3 slices of the four rows
+    # x^3, x^2 y, x^2 y, x y^2 are dependent, and the zero-sliced row is
+    # carried to degree 4
+    eliminations = _record_carries(monkeypatch)
+    ideal = TruncatedIdeal((_binomial_series(2, (2, 0), 1, (0, 3), 1),
+                            _mono_series(2, (1, 1)), _mono_series(2, (0, 5))))
+    assert min_power_in_ideal(ideal, ORDER - 1) == 5
+    assert colength(ideal, ORDER - 1) == 5 == brute_colength(_dicts(ideal), 2, 5)
+    # the first carry is at degree 3, whose columns start after the 3
+    # monomials of degree at most 1 and the 3 of degree 2
+    assert eliminations[0] == 6
+
+
+@st.composite
+def colength_ideals(draw):
+    """More generators than variables in 2 or 3 variables: a power of each
+    variable and one or two monomials of degree 2, each plus up to two
+    terms in {-1, 1} per higher degree.  Leading monomials that share a
+    factor make slices dependent below the least covered degree."""
+    nv = draw(st.integers(2, 3))
+    trunc = 7 if nv == 2 else 5
+    leads = [tuple(draw(st.integers(1, trunc - 3)) if j == i else 0 for j in range(nv))
+             for i in range(nv)]
+    leads += draw(st.lists(st.sampled_from(monomials(nv, 2)), min_size=1, max_size=2))
+    gens = []
+    for lead in leads:
+        low = sum(lead)
+        parts = [HomogPoly.from_terms(nv, low, {lead: 1})]
+        parts += [HomogPoly.from_terms(nv, k, draw(st.dictionaries(
+            st.sampled_from(monomials(nv, k)), st.sampled_from([-1, 1]), max_size=2)))
+            for k in range(low + 1, trunc)]
+        gens.append(TruncSeries.from_parts(nv, trunc, parts))
+    return TruncatedIdeal(tuple(gens))
+
+
+def test_graded_colength_matches_the_image_rank(monkeypatch):
+    carries = _record_carries(monkeypatch)
+
+    @settings(deadline=None, max_examples=60)
+    @given(colength_ideals())
+    def check(ideal):
+        found = min_power_in_ideal(ideal, ideal.trunc_order - 1)
+        value = colength(ideal, ideal.trunc_order - 1)
+        assert found is not None    # a power of every variable is a leading form
+        basis, vectors = ideals_module._image_vectors(ideal, found)
+        assert value == len(basis) - ideals_module.matrix_rank(vectors)
+        assert value == brute_colength(_dicts(ideal), ideal.num_vars, found)
+
+    check()
+    # some drawn ideal had a dependent slice, so the carry path ran
+    assert carries
+
+
 # --- anchor values -----------------------------------------------------------
 
 
@@ -306,18 +374,17 @@ def test_witness_rejects_tampering():
     assert not bad.verify(squares)
 
 
-def test_witness_makes_one_series_product_per_generator_per_stage(monkeypatch):
+def test_witness_stages_make_no_series_products(monkeypatch):
     # two generators with two and three parts; the target has every
     # monomial of degrees 3 .. 6, so each stage solves for several columns
-    # per generator
+    # per generator, and each stage's residual needs the products of
+    # earlier cofactor parts with later generator parts
     g1 = S(2, ORDER, {2: {(2, 0): 1}, 3: {(0, 3): 1}})
     g2 = S(2, ORDER, {2: {(0, 2): 1}, 3: {(3, 0): -2}, 4: {(2, 2): 1}})
     ideal = TruncatedIdeal((g1, g2))
     target = S(2, ORDER, {k: {e: 1 for e in monomials(2, k)} for k in range(3, 7)})
-    generators = {id(g1): 0, id(g2): 1}
     stages: list[int] = []
-    products: list[tuple[int, int | None]] = []
-    real_mul = TruncSeries.mul
+    series_ops: list[str] = []
 
     class CountingEchelon(ideals_module.Echelon):
         # one echelon per stage, holding one column per (generator, monomial)
@@ -325,21 +392,23 @@ def test_witness_makes_one_series_product_per_generator_per_stage(monkeypatch):
             super().__init__(ncols)
             stages.append(ncols)
 
-    def counting_mul(self, other):
-        products.append((len(stages), generators.get(id(other))))
-        return real_mul(self, other)
+    def forbidden(name):
+        real = getattr(TruncSeries, name)
+
+        def counting(self, other):
+            series_ops.append(name)
+            return real(self, other)
+        return counting
 
     monkeypatch.setattr(ideals_module, "Echelon", CountingEchelon)
-    monkeypatch.setattr(TruncSeries, "mul", counting_mul)
+    for name in ("mul", "sub"):
+        monkeypatch.setattr(TruncSeries, name, forbidden(name))
     wit = membership_witness(target, ideal, 7)
     monkeypatch.undo()
+    # the residual of each degree is built from integer terms only
+    assert series_ops == []
+    assert len(stages) == 4
     assert isinstance(wit, MembershipWitness) and wit.verify(ideal)
-    # every product is a cofactor piece times a whole generator, at most
-    # once per (stage, generator)
-    assert all(g is not None for _, g in products)
-    assert len(set(products)) == len(products)
-    assert len(products) <= len(stages) * len(ideal.generators)
-    assert (len(stages), len(products)) == (4, 7)
 
 
 def _assert_same_membership(target, ideal, order):
