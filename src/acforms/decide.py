@@ -86,7 +86,8 @@ from typing import Iterator
 from .ideals import TruncatedIdeal, _shifted_row, ideal_contained_mod, ideal_equal_mod
 from .linalg import (AffineSystem, Echelon, FarkasCertificate, RowBasis, SolutionSet,
                      farkas_certificate, functional_range, matrix_rank)
-from .poly import HomogPoly, MismatchError, OneForm, TruncSeries, monomials
+from .poly import (_FIELD_BITS, _FIELD_MASK, HomogPoly, MismatchError, OneForm, TruncSeries,
+                   _packed_monomials, _unpack, monomials)
 
 UNKNOWN_NAMES = ("X", "Y", "Z", "W")
 GAUGE_ROW_LABEL = "gauge:X:0,0"
@@ -133,7 +134,8 @@ def _integer_blocks(sigma: OneForm, d: int, order: int) -> list[tuple[int, list[
 
     The degree-k rows read the components of degrees k+1-(order-d) .. k+1,
     whose integer terms are brought to the lcm of their denominators.  Row
-    i of the block is the monomial x^(k-i) y^i, as in `monomials`.
+    i of the block is the monomial x^(k-i) y^i, as in `monomials`: the low
+    field of its packed key.
     """
     a, b = sigma.components
     top = order - d
@@ -151,10 +153,11 @@ def _integer_blocks(sigma: OneForm, d: int, order: int) -> list[tuple[int, list[
                 # X, Y enter through d/dy of their products, Z, W through -d/dx
                 poly, den = terms["A" if name in "XZ" else "B", i]
                 f = scale // den
-                for exp in monomials(2, j):
+                for exp, shift in zip(monomials(2, j), _packed_monomials(2, j)):
                     c = _column(name, exp)
-                    for (e0, e1), v in poly:
-                        t0, t1 = e0 + exp[0], e1 + exp[1]
+                    for key, v in poly:
+                        t = key + shift
+                        t0, t1 = t >> _FIELD_BITS, t & _FIELD_MASK
                         if name in "XY":
                             if t1:
                                 rows[t1 - 1][c] = f * v * t1
@@ -164,7 +167,8 @@ def _integer_blocks(sigma: OneForm, d: int, order: int) -> list[tuple[int, list[
         for name, sign, var in (("B", 1, 0), ("A", -1, 1)):
             poly, den = terms[name, k + 1]
             f = sign * (scale // den)
-            for exp, v in poly:
+            for key, v in poly:
+                exp = _unpack(key, 2)
                 if exp[var]:
                     rows[exp[1] - var][n] += f * v * exp[var]
         blocks.append((scale, rows))
@@ -266,10 +270,7 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
     if d is None:
         raise MismatchError("zero form has no leading data to check")
     a, b = sigma.components
-    one = [(0, 0)]
-    lin = [(1, 0), (0, 1)]
-    quad = [(2, 0), (1, 1), (0, 2)]
-    cub = [(3, 0), (2, 1), (1, 2), (0, 3)]
+    one, lin, quad, cub = (_packed_monomials(2, k) for k in range(4))
 
     def derivatives(p: HomogPoly, q: HomogPoly) -> list[list[tuple]]:
         """Integer terms of p_x, p_y, q_y and q_x, the last left out when
@@ -277,8 +278,8 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
         px, py, qx, qy = p.partial(0), p.partial(1), q.partial(0), q.partial(1)
         return [t._integer_terms()[0] for t in [px, py, qy] + ([qx] if qx != py else [])]
 
-    def mults(exps: list[tuple[int, int]], polys: list[list[tuple]]) -> list[tuple]:
-        return [(p, e) for p in polys for e in exps]
+    def mults(shifts: tuple[int, ...], polys: list[list[tuple]]) -> list[tuple]:
+        return [(p, e) for p in polys for e in shifts]
 
     lead = [a.component(d)._integer_terms()[0], b.component(d)._integer_terms()[0]]
     dd = derivatives(a.component(d), b.component(d))
@@ -286,8 +287,8 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
     if have_next:
         dd1 = derivatives(a.component(d + 1), b.component(d + 1))
 
-    # (name, least d, degree, (integer terms, shift) pairs, expected rank,
-    # joins): each pair is the row of x^shift times the polynomial; a joint
+    # (name, least d, degree, (integer terms, packed shift) pairs, expected
+    # rank, joins): each pair is the row of x^shift times the polynomial; a joint
     # family is the reduction family just before it plus the pairs listed,
     # so its rank is read after extending that family's echelon.  Past the
     # leading pair no family lists A_k, B_k or their multiples: by Euler,
@@ -310,7 +311,7 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
         if applicable:
             if echelon is None or not joins:
                 echelon = Echelon(degree + 1)
-            index = {exp: i for i, exp in enumerate(monomials(2, degree))}
+            index = {key: i for i, key in enumerate(_packed_monomials(2, degree))}
             echelon.extend([_shifted_row(terms, e, index) for terms, e in family])
             actual = echelon.rank
         passed = (actual == expected) if applicable else True

@@ -34,23 +34,25 @@ ideals of interest contain a power of the maximal ideal m = (x1, ..., xn):
   returned witness are built; the witness re-verifies by plain series
   re-multiplication, independent of the solver.
 
+Rows and residuals are built from integer terms keyed by packed exponents
+(see `poly`): a column index maps packed monomial keys to positions, a
+shifted row adds one packed shift to each key, and tuples appear only at the
+public boundary, in the returned witness's cofactors.
+
 No Groebner machinery: the graded rank checks are complete for ideals that
 contain a power of m, and every positive answer doubles as a certificate.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from typing import Iterable
 
 from .linalg import Echelon, _echelon, matrix_rank
-from .poly import (Exponent, HomogPoly, MismatchError, TruncSeries, _add_products,
-                   graded_dim, monomials)
-
-_Terms = list[tuple[Exponent, int]]     # integer terms of a homogeneous part
+from .poly import (HomogPoly, IntTerms, MismatchError, TruncSeries, _add_products,
+                   _packed_monomials, graded_dim)
 
 
 @dataclass(frozen=True)
@@ -79,26 +81,33 @@ class TruncatedIdeal:
         return self.generators[0].trunc_order
 
 
-def _shifted_row(terms: _Terms, shift: Exponent,
-                 index: dict[Exponent, int]) -> list[int]:
-    """Integer coefficient row of x^shift times the given integer terms."""
+def _index(num_vars: int, degrees: Iterable[int]) -> dict[int, int]:
+    """Column of each packed monomial of the given degrees, degree by degree
+    and in `monomials` order within a degree."""
+    return {key: i for i, key in enumerate(
+        key for n in degrees for key in _packed_monomials(num_vars, n))}
+
+
+def _shifted_row(terms: IntTerms, shift: int, index: dict[int, int]) -> list[int]:
+    """Integer coefficient row of the packed monomial `shift` times the given
+    integer terms."""
     row = [0] * len(index)
-    for exp, v in terms:
-        row[index[tuple(map(operator.add, exp, shift))]] = v
+    for key, v in terms:
+        row[index[key + shift]] = v
     return row
 
 
-def _leading_rows(ideal: TruncatedIdeal, n: int, index: dict[Exponent, int]
-                  ) -> tuple[list[tuple[int, Exponent]], dict[int, int], list[list[int]]]:
+def _leading_rows(ideal: TruncatedIdeal, n: int, index: dict[int, int]
+                  ) -> tuple[list[tuple[int, int]], dict[int, int], list[list[int]]]:
     """Integer rows of the degree-n components of m*g, over the generators g
     with lowest(g) <= n and the monomials m of degree n - lowest(g).
 
     That component is m times the leading form of g, which is scaled to
     integers once: the row of (i, m) is scales[i] * m * lead(g_i) on the
     monomials of `index`.  Returns the (i, m) of each row, the scales and
-    the rows.
+    the rows; each m is a packed key.
     """
-    shifts: list[tuple[int, Exponent]] = []
+    shifts: list[tuple[int, int]] = []
     scales: dict[int, int] = {}
     rows: list[list[int]] = []
     for i, g in enumerate(ideal.generators):
@@ -106,9 +115,9 @@ def _leading_rows(ideal: TruncatedIdeal, n: int, index: dict[Exponent, int]
         if low is None or low > n:
             continue
         terms, scales[i] = g.component(low)._integer_terms()
-        for exp in monomials(ideal.num_vars, n - low):
-            shifts.append((i, exp))
-            rows.append(_shifted_row(terms, exp, index))
+        for shift in _packed_monomials(ideal.num_vars, n - low):
+            shifts.append((i, shift))
+            rows.append(_shifted_row(terms, shift, index))
     return shifts, scales, rows
 
 
@@ -125,8 +134,7 @@ def graded_cover_check(ideal: TruncatedIdeal, n: int) -> bool:
     lows = [g.lowest_degree() for g in ideal.generators]
     if sum(graded_dim(nv, n - low) for low in lows if low is not None and low <= n) < dim:
         return False  # the rank is at most the row count
-    index = {exp: i for i, exp in enumerate(monomials(nv, n))}
-    _, _, rows = _leading_rows(ideal, n, index)
+    _, _, rows = _leading_rows(ideal, n, _index(nv, [n]))
     return matrix_rank(rows) == dim
 
 
@@ -137,7 +145,7 @@ def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
     propagates upward and successive approximation converges); None only
     means no cover was found up to max_n.
     """
-    if max_n >= ideal.trunc_order:
+    if not 0 <= max_n < ideal.trunc_order:
         raise MismatchError(f"max degree {max_n} outside the certified range "
                             f"[0, {ideal.trunc_order})")
     for n in range(0, max_n + 1):
@@ -146,36 +154,36 @@ def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
     return None
 
 
-def _image_row(parts: dict[int, _Terms], shift: Exponent,
-               order: int, index: dict[Exponent, int]) -> list[int]:
-    """Integer row of x^shift times the series whose integer parts are given,
-    truncated below `order`, on the monomials of `index`."""
-    below = order - sum(shift)
+def _image_row(parts: dict[int, IntTerms], shift: int, below: int,
+               index: dict[int, int]) -> list[int]:
+    """Integer row of the packed monomial `shift` times the parts of degree
+    < below whose integer terms are given, on the monomials of `index`."""
     return _shifted_row([term for j, part in parts.items() if j < below for term in part],
                         shift, index)
 
 
-def _image_vectors(ideal: TruncatedIdeal, order: int) -> tuple[list[Exponent], list[list[int]]]:
+def _image_vectors(ideal: TruncatedIdeal, order: int) -> tuple[list[int], list[list[int]]]:
     """Spanning vectors of the ideal's image in R / m^order, as integer rows.
 
     Every residue of an ideal element is a polynomial combination of the
     generators truncated below `order`, so monomial multiples m*g with
     deg(m) + lowest(g) < order span the image.  The parts of each generator
     below `order` are scaled to integers by one common factor; scaling a row
-    does not change any rank taken of these rows.
+    does not change any rank taken of these rows.  Returns the packed
+    monomials below `order` in column order, and the rows.
     """
     nv = ideal.num_vars
-    basis = [exp for j in range(order) for exp in monomials(nv, j)]
-    index = {exp: i for i, exp in enumerate(basis)}
+    index = _index(nv, range(order))
     vectors: list[list[int]] = []
     for g in ideal.generators:
         low = g.lowest_degree()
         if low is None:
             continue
         parts, _ = g._integer_parts(order)
-        vectors.extend(_image_row(parts, exp, order, index)
-                       for mdeg in range(0, order - low) for exp in monomials(nv, mdeg))
-    return basis, vectors
+        vectors.extend(_image_row(parts, shift, order - mdeg, index)
+                       for mdeg in range(0, order - low)
+                       for shift in _packed_monomials(nv, mdeg))
+    return list(index), vectors
 
 
 def _graded_rank(ideal: TruncatedIdeal, order: int) -> int:
@@ -191,15 +199,15 @@ def _graded_rank(ideal: TruncatedIdeal, order: int) -> int:
     none below `order`.
     """
     nv = ideal.num_vars
-    graded = [monomials(nv, n) for n in range(order)]
-    index = {exp: i for i, exp in enumerate(e for piece in graded for e in piece)}
-    starts = [0, *accumulate(map(len, graded))]
-    parts: dict[int, dict[int, _Terms]] = {}
+    index = _index(nv, range(order))
+    starts = [0, *accumulate(graded_dim(nv, n) for n in range(order))]
+    lows = [g.lowest_degree() for g in ideal.generators]
+    parts: dict[int, dict[int, IntTerms]] = {}
     carried: dict[int, list[list[int]]] = {}
     rank = 0
-    for n, piece in enumerate(graded):
+    for n in range(order):
         lo, hi = starts[n], starts[n + 1]
-        shifts, _, rows = _leading_rows(ideal, n, {exp: k for k, exp in enumerate(piece)})
+        shifts, _, rows = _leading_rows(ideal, n, _index(nv, [n]))
         held = carried.pop(n, [])
         slices = rows + [row[lo:hi] for row in held]
         slice_rank = matrix_rank(slices)
@@ -208,7 +216,8 @@ def _graded_rank(ideal: TruncatedIdeal, order: int) -> int:
             continue
         for i in {i for i, _ in shifts} - parts.keys():
             parts[i] = ideal.generators[i]._integer_parts(order)[0]
-        full = [_image_row(parts[i], exp, order, index) for i, exp in shifts] + held
+        full = [_image_row(parts[i], shift, order - n + lows[i], index)
+                for i, shift in shifts] + held
         for row in full[len(_echelon(full, hi, lo)):]:
             later = next((k for k in range(n + 1, order) if any(row[starts[k]:starts[k + 1]])),
                          None)
@@ -286,19 +295,19 @@ class MembershipWitness:
         return all(res.component(k).is_zero for k in range(self.valid_order))
 
 
-def _degree_residual(base: _Terms, base_den: int,
-                     products: list[tuple[_Terms, int, _Terms]]) -> tuple[_Terms, int]:
+def _degree_residual(base: IntTerms, base_den: int,
+                     products: list[tuple[IntTerms, int, IntTerms]]) -> tuple[IntTerms, int]:
     """base / base_den minus the sum of a * b / den over the products
     (a, den, b), as integer terms over one denominator in lowest terms;
     no terms when the difference is zero."""
     common = lcm(base_den, *[den for _, den, _ in products])
-    acc = {exp: v * (common // base_den) for exp, v in base}
+    acc = {key: v * (common // base_den) for key, v in base}
     for a, den, b in products:
         f = common // den
-        _add_products(acc, [(exp, -f * v) for exp, v in a], b)
-    terms = [(exp, v) for exp, v in acc.items() if v]
+        _add_products(acc, [(key, -f * v) for key, v in a], b)
+    terms = [(key, v) for key, v in acc.items() if v]
     g = gcd(common, *[v for _, v in terms])
-    return [(exp, v // g) for exp, v in terms], common // g
+    return [(key, v // g) for key, v in terms], common // g
 
 
 def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
@@ -325,7 +334,7 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
     # cofactor parts pieces[i][k] likewise, each over its own denominator
     target_parts, target_den = target._integer_parts(order)
     gens = [g._integer_parts(order) for g in ideal.generators]
-    pieces: list[dict[int, tuple[_Terms, int]]] = [{} for _ in lows]
+    pieces: list[dict[int, tuple[IntTerms, int]]] = [{} for _ in lows]
 
     for n in range(order):
         residual, scale = _degree_residual(
@@ -338,21 +347,21 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
         # the stage's system has one column per row of _leading_rows, and
         # r_n times `scale` as right-hand side; the point with free
         # coordinates zero is exact under both scalings
-        index = {exp: row for row, exp in enumerate(monomials(nv, n))}
+        index = _index(nv, [n])
         columns, scales, rows = _leading_rows(ideal, n, index)
-        rhs = _shifted_row(residual, (0,) * nv, index)
+        rhs = _shifted_row(residual, 0, index)
         echelon = Echelon(len(columns))
         echelon.extend([[row[e] for row in rows] + [rhs[e]] for e in range(len(index))])
         if not echelon.consistent:
             return n
         num, den = echelon.particular()
-        solved: dict[int, _Terms] = {}
-        for (i, exp), weight in zip(columns, num):
+        solved: dict[int, IntTerms] = {}
+        for (i, shift), weight in zip(columns, num):
             if weight:
-                solved.setdefault(i, []).append((exp, weight * scales[i]))
+                solved.setdefault(i, []).append((shift, weight * scales[i]))
         for i, terms in solved.items():
             g = gcd(den * scale, *[v for _, v in terms])
-            pieces[i][n - lows[i]] = [(exp, v // g) for exp, v in terms], den * scale // g
+            pieces[i][n - lows[i]] = [(key, v // g) for key, v in terms], den * scale // g
         # the new parts times the leading forms must cancel r_n
         left, _ = _degree_residual(residual, scale, [
             (part, part_den * gens[i][1], gens[i][0][lows[i]])
@@ -362,7 +371,7 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
 
     cofactors = tuple(
         TruncSeries(nv, max(order - (low or 0), 1), {
-            k: HomogPoly.from_terms(nv, k, {exp: Fraction(v, den) for exp, v in terms})
+            k: HomogPoly._from_integer_terms(nv, k, terms, den)
             for k, (terms, den) in table.items()})
         for table, low in zip(pieces, lows))
     return MembershipWitness(target=target.truncate(order), cofactors=cofactors,

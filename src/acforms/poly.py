@@ -22,6 +22,16 @@ and one Fraction is built per nonzero output term over the product of the
 two denominators.  `shift` multiplies
 by a monomial with no arithmetic at all.
 
+Inside those integer terms an exponent is a packed key: one int with a
+field of `_FIELD_BITS` bits per variable, first variable in the highest
+field, so the key of a product monomial is the sum of its factors' keys
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  Integer terms are refused from
+degree `_DEGREE_BOUND` on, which keeps every field of a sum of two keys
+below 2^_FIELD_BITS.  Keys are unpacked once per output term, when the
+Fraction result is built; `HomogPoly.coeffs` and everything public or
+serialized keep exponent tuples.
+
 Validation happens where polynomials enter: the public constructor,
 `from_terms` and the `serialize` readers check every exponent and reject
 stored zeros.  Arithmetic results (`add`, `sub`, `scale`, `mul`, `shift`,
@@ -35,6 +45,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -77,13 +88,46 @@ def graded_dim(num_vars: int, degree: int) -> int:
     return comb(degree + num_vars - 1, num_vars - 1)
 
 
-def _add_products(acc: dict[Exponent, int], terms_a: list[tuple[Exponent, int]],
-                  terms_b: list[tuple[Exponent, int]]) -> None:
+_FIELD_BITS = 20
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_DEGREE_BOUND = 1 << (_FIELD_BITS - 1)     # least degree that is not packed
+
+IntTerms = list[tuple[int, int]]     # (packed key, integer coefficient) pairs
+
+
+def _check_packable(degree: int) -> None:
+    if degree >= _DEGREE_BOUND:
+        raise MismatchError(f"degree {degree} reaches the packing bound {_DEGREE_BOUND}")
+
+
+def _pack(exp: Exponent) -> int:
+    key = 0
+    for e in exp:
+        key = key << _FIELD_BITS | e
+    return key
+
+
+def _unpack(key: int, num_vars: int) -> Exponent:
+    exp = [key & _FIELD_MASK]
+    for _ in range(num_vars - 1):
+        key >>= _FIELD_BITS
+        exp.append(key & _FIELD_MASK)
+    return tuple(reversed(exp))
+
+
+@cache
+def _packed_monomials(num_vars: int, degree: int) -> tuple[int, ...]:
+    """Packed keys of `monomials(num_vars, degree)`, in that order."""
+    _check_packable(degree)
+    return tuple(_pack(exp) for exp in monomials(num_vars, degree))
+
+
+def _add_products(acc: dict[int, int], terms_a: IntTerms, terms_b: IntTerms) -> None:
     """Add every product of an integer term of a and one of b into acc."""
-    for ea, va in terms_a:
-        for eb, vb in terms_b:
-            exp = tuple(map(operator.add, ea, eb))
-            acc[exp] = acc.get(exp, 0) + va * vb
+    for ka, va in terms_a:
+        for kb, vb in terms_b:
+            key = ka + kb
+            acc[key] = acc.get(key, 0) + va * vb
 
 
 @dataclass(frozen=True)
@@ -180,22 +224,30 @@ class HomogPoly:
         return HomogPoly._trusted(self.num_vars, self.degree,
                                   {exp: c * f for exp, c in self.coeffs.items()})
 
-    def _integer_terms(self) -> tuple[list[tuple[Exponent, int]], int]:
-        """Terms scaled to integers by the lcm of the denominators, and that lcm."""
-        pairs = [(exp, c.as_integer_ratio()) for exp, c in self.coeffs.items()]
+    def _integer_terms(self) -> tuple[IntTerms, int]:
+        """Terms scaled to integers by the lcm of the denominators, keyed by
+        packed exponents, and that lcm."""
+        _check_packable(self.degree)
+        pairs = [(_pack(exp), c.as_integer_ratio()) for exp, c in self.coeffs.items()]
         den = lcm(*[q for _, (_, q) in pairs])
-        return [(exp, p * (den // q)) for exp, (p, q) in pairs], den
+        return [(key, p * (den // q)) for key, (p, q) in pairs], den
+
+    @classmethod
+    def _from_integer_terms(cls, num_vars: int, degree: int,
+                            terms: Iterable[tuple[int, int]], den: int) -> HomogPoly:
+        """The polynomial of packed integer terms over `den`, zeros dropped."""
+        return cls._trusted(num_vars, degree, {_unpack(key, num_vars): Fraction(v, den)
+                                               for key, v in terms if v})
 
     def mul(self, other: HomogPoly) -> HomogPoly:
         if self.num_vars != other.num_vars:
             raise MismatchError(f"variable counts differ: {self.num_vars} vs {other.num_vars}")
         terms_a, den_a = self._integer_terms()
         terms_b, den_b = other._integer_terms()
-        acc: dict[Exponent, int] = {}
+        acc: dict[int, int] = {}
         _add_products(acc, terms_a, terms_b)
-        den = den_a * den_b
-        return HomogPoly._trusted(self.num_vars, self.degree + other.degree,
-                                  {exp: Fraction(v, den) for exp, v in acc.items() if v})
+        return HomogPoly._from_integer_terms(self.num_vars, self.degree + other.degree,
+                                             acc.items(), den_a * den_b)
 
     def shift(self, exp: Exponent) -> HomogPoly:
         """Product with the monomial x^exp: exponents move, coefficients are reused."""
@@ -359,12 +411,12 @@ class TruncSeries:
         the lowest stored degree, or the truncation order for the zero series."""
         return min(self.parts) if self.parts else self.trunc_order
 
-    def _integer_parts(self, below: int) -> tuple[dict[int, list[tuple[Exponent, int]]], int]:
+    def _integer_parts(self, below: int) -> tuple[dict[int, IntTerms], int]:
         """The parts of degree < below as integer terms over one common
         factor, the lcm of their denominators, and that factor."""
         scaled = {k: p._integer_terms() for k, p in self.parts.items() if k < below}
         common = lcm(*[den for _, den in scaled.values()])
-        return {k: [(exp, v * (common // den)) for exp, v in terms]
+        return {k: [(key, v * (common // den)) for key, v in terms]
                 for k, (terms, den) in scaled.items()}, common
 
     def mul(self, other: TruncSeries) -> TruncSeries:
@@ -378,19 +430,15 @@ class TruncSeries:
         order = min(self.trunc_order + low_b, other.trunc_order + low_a)
         parts_a, den_a = self._integer_parts(order - low_b)
         parts_b, den_b = other._integer_parts(order - low_a)
-        acc: dict[int, dict[Exponent, int]] = {}
+        acc: dict[int, dict[int, int]] = {}
         for i, terms_a in parts_a.items():
             for j, terms_b in parts_b.items():
                 if i + j >= order:
                     continue
                 _add_products(acc.setdefault(i + j, {}), terms_a, terms_b)
-        den = den_a * den_b
-        parts: dict[int, HomogPoly] = {}
-        for k, out in acc.items():
-            coeffs = {exp: Fraction(v, den) for exp, v in out.items() if v}
-            if coeffs:
-                parts[k] = HomogPoly._trusted(self.num_vars, k, coeffs)
-        return TruncSeries(self.num_vars, order, parts)
+        products = (HomogPoly._from_integer_terms(self.num_vars, k, out.items(), den_a * den_b)
+                    for k, out in acc.items())
+        return TruncSeries(self.num_vars, order, {p.degree: p for p in products if not p.is_zero})
 
     def partial(self, var: int) -> TruncSeries:
         """Termwise derivative; the certified order drops by one."""

@@ -155,10 +155,8 @@ def series_from_json(data: Any) -> TruncSeries:
             raise SerializationError(f"duplicate exponent {exp}")
         bucket[exp] = coeff
     try:
-        parts = {k: HomogPoly.from_terms(num_vars, k, terms)
-                 for k, terms in buckets.items()}
         return TruncSeries(num_vars, order,
-                           {k: p for k, p in parts.items() if not p.is_zero})
+                           {k: HomogPoly(num_vars, k, terms) for k, terms in buckets.items()})
     except ValueError as exc:
         raise SerializationError(str(exc)) from None
 

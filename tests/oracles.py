@@ -32,7 +32,7 @@ from acforms.decide import (UNKNOWN_NAMES, BlockRecord, GuardCheck, GuardReport,
 from acforms.ideals import MembershipWitness, TruncatedIdeal, _shifted_row
 from acforms.linalg import (AffineSystem, Echelon, FarkasCertificate, SolutionSet, _echelon,
                             _reduce, _scaled)
-from acforms.poly import HomogPoly, MismatchError, OneForm, TruncSeries, monomials
+from acforms.poly import HomogPoly, MismatchError, OneForm, TruncSeries, _pack, monomials
 
 
 def exponents(num_vars: int, degree: int) -> list[tuple[int, ...]]:
@@ -425,8 +425,9 @@ def full_family_guard(sigma: OneForm) -> GuardReport:
         if applicable:
             if echelon is None or not joins:
                 echelon = Echelon(degree + 1)
-            index = {exp: i for i, exp in enumerate(monomials(2, degree))}
-            echelon.extend([_shifted_row(p._integer_terms()[0], e, index) for p, e in family])
+            index = {_pack(exp): i for i, exp in enumerate(monomials(2, degree))}
+            echelon.extend([_shifted_row(p._integer_terms()[0], _pack(e), index)
+                            for p, e in family])
             actual = echelon.rank
         passed = (actual == expected) if applicable else True
         checks.append(GuardCheck(name, applicable, expected, actual, passed))

@@ -16,7 +16,7 @@ from acforms.construct import AlmostClosedReport, Instance, build
 from acforms.decide import DeciderOutcome, genericity_guard
 from acforms.ideals import TruncatedIdeal
 from acforms.linalg import verify_farkas
-from acforms.poly import OneForm
+from acforms.poly import _DEGREE_BOUND, OneForm
 from acforms.serialize import (SerializationError, certificate_from_json, dump_json,
                                ideal_to_json, instance_to_json, load_json,
                                one_form_to_json, series_to_json,
@@ -213,6 +213,19 @@ def test_verify_ac_pass_and_fail(tmp_path):
     assert report["ok"] is False and report["first_failure"] == 0
 
 
+def test_verify_ac_refuses_a_degree_at_the_packing_bound(tmp_path, capsys):
+    top = _DEGREE_BOUND
+    sp = tmp_path / "sigma.json"
+    _write(sp, one_form_to_json(form(S(2, top + 2, {top: {(top, 0): 1}}),
+                                     zero_series(top + 2))))
+    cp = tmp_path / "c.json"
+    _write(cp, series_to_json(series_x(2)))
+    out = tmp_path / "out"
+    assert main(["verify-ac", str(sp), str(cp), str(cp), "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    assert "packing bound" in capsys.readouterr().err
+
+
 # --- decide ----------------------------------------------------------------------
 
 
@@ -382,6 +395,16 @@ def test_ideal_not_found_exits_10(tmp_path, capsys):
     assert main(["ideal", "colength", str(ip), "--max", "7"]) == EXIT_REFUTED
     assert main(["ideal", "min-power", str(ip), "--max", "9"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["min-power", "colength"])
+def test_ideal_negative_max_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    ip = tmp_path / "ideal.json"
+    _write(ip, _square_ideal_payload())
+    out = tmp_path / "out"
+    assert main(["ideal", command, str(ip), "--max", "-1", "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    assert "outside the certified range" in capsys.readouterr().err
 
 
 # --- verify-potential ----------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acforms.poly import (HomogPoly, MismatchError, OneForm, TruncSeries,
+from acforms.poly import (_DEGREE_BOUND, HomogPoly, MismatchError, OneForm, TruncSeries,
                           graded_dim, monomials)
 from acforms.serialize import SerializationError, series_from_json
 from conftest import H, S, form, series_x, zero_series
@@ -138,6 +138,77 @@ def test_homog_mul_matches_oracle_on_wide_denominators(pair):
     prod = p.mul(q)
     assert prod.degree == p.degree + q.degree
     assert dict(prod.coeffs) == poly_mul(dict(p.coeffs), dict(q.coeffs))
+
+
+# --- packed exponent keys ----------------------------------------------------
+
+
+@st.composite
+def packed_homog(draw, num_vars):
+    """Sparse, of a small degree or one just below the packing bound, with
+    exponents drawn from both ends of each field."""
+    degree = draw(st.one_of(st.integers(0, 4),
+                            st.integers(_DEGREE_BOUND - 3, _DEGREE_BOUND - 1)))
+
+    def exponent():
+        rest, exp = degree, []
+        for _ in range(num_vars - 1):
+            e = draw(st.one_of(st.integers(0, min(rest, 2)),
+                               st.integers(max(rest - 2, 0), rest)))
+            exp.append(e)
+            rest -= e
+        return (*exp, rest)
+
+    return HomogPoly.from_terms(num_vars, degree, {
+        exponent(): draw(fractions) for _ in range(draw(st.integers(0, 4)))})
+
+
+@st.composite
+def packed_series(draw, num_vars):
+    parts = [draw(packed_homog(num_vars)) for _ in range(draw(st.integers(0, 3)))]
+    trunc = max([p.degree + 1 for p in parts], default=1) + draw(st.integers(0, 2))
+    return TruncSeries.from_parts(num_vars, trunc, parts)
+
+
+def _packed_pairs(strategy):
+    return st.sampled_from([2, 3]).flatmap(lambda nv: st.tuples(strategy(nv), strategy(nv)))
+
+
+@settings(deadline=None)
+@given(_packed_pairs(packed_homog))
+def test_packed_homog_mul_matches_oracle_near_the_bound(pair):
+    p, q = pair
+    prod = p.mul(q)
+    assert prod.degree == p.degree + q.degree
+    assert dict(prod.coeffs) == poly_mul(dict(p.coeffs), dict(q.coeffs))
+
+
+@settings(deadline=None)
+@given(_packed_pairs(packed_series))
+def test_packed_series_mul_matches_oracle_near_the_bound(pair):
+    s, t = pair
+    prod = s.mul(t)
+    expected: dict = {}
+    for e, c in poly_mul(series_dict(s), series_dict(t)).items():
+        if sum(e) < prod.trunc_order:
+            expected.setdefault(sum(e), {})[e] = c
+    assert {k: dict(p.coeffs) for k, p in prod.parts.items()} == expected
+
+
+@pytest.mark.parametrize("num_vars", [2, 3])
+def test_packing_bound_one_degree_below_and_at(num_vars):
+    below, at = _DEGREE_BOUND - 1, _DEGREE_BOUND
+    corners = [tuple(below if i == j else 0 for i in range(num_vars)) for j in range(num_vars)]
+    p = HomogPoly.from_terms(num_vars, below, {e: j + 1 for j, e in enumerate(corners)})
+    # every field of a product of corners reaches 2 * below, the largest sum
+    assert dict(p.mul(p).coeffs) == poly_mul(dict(p.coeffs), dict(p.coeffs))
+    series_p = TruncSeries(num_vars, below + 1, {below: p})
+    assert series_p.mul(series_p).parts[2 * below] == p.mul(p)
+    q = HomogPoly.from_terms(num_vars, at, {(at,) + (0,) * (num_vars - 1): 1})
+    series_q = TruncSeries(num_vars, at + 1, {at: q})
+    for product in (lambda: p.mul(q), lambda: q.mul(p), lambda: series_q.mul(series_p)):
+        with pytest.raises(MismatchError, match="packing bound"):
+            product()
 
 
 @settings(deadline=None)
