@@ -18,20 +18,19 @@ from .decide import (ClosednessError, DeciderOutcome, GuardReport,
 from .ideals import (MembershipWitness, TruncatedIdeal, colength,
                      graded_cover_check, ideal_contained_mod, ideal_equal_mod,
                      membership_witness, min_power_in_ideal)
-from .linalg import (AffineSystem, FarkasCertificate, SolutionSet, solve_affine,
-                     verify_farkas)
+from .linalg import AffineSystem, FarkasCertificate, verify_farkas
 from .poly import HomogPoly, MismatchError, OneForm, TruncSeries
 
 __all__ = [
     "AffineSystem", "AlmostClosedReport", "ClosednessError",
     "ConstructionState", "DeciderOutcome", "FarkasCertificate", "GuardReport",
     "HomogPoly", "HypothesisError", "Instance", "MembershipWitness",
-    "MismatchError", "OneForm", "SolutionSet", "TruncSeries", "TruncatedIdeal",
+    "MismatchError", "OneForm", "TruncSeries", "TruncatedIdeal",
     "affine_series", "assemble_system", "build", "colength",
     "convergence_bound", "decide", "genericity_guard", "graded_cover_check",
     "ideal_contained_mod", "ideal_equal_mod", "init_leading",
     "integrate_closed", "membership_witness", "min_power_in_ideal", "multiplier_magnitude",
-    "obstruction", "obstruction_pair_check", "solve_affine",
+    "obstruction", "obstruction_pair_check",
     "staged_report", "tilde_transform", "verify_almost_closed",
     "verify_farkas", "verify_potential", "with_gauge",
 ]

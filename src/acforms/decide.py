@@ -63,11 +63,14 @@ Columns are addressed by their position in `assemble_system`'s layout
 (`_column`), never by label.  Results are typed records: a `StageRecord`
 per prefix with a `BlockRecord` per unknown degree, and a `PotentialWitness`.
 
-The unit condition is decided exactly: particular point first, then
-symbolic expansion of the restricted quadratic; if it is not identically
-zero on the solution set, a nonzero point is found by zeroing all but the
-(at most two) variables of a surviving monomial and scanning {-1, 0, 1} per
-variable, which is complete for per-variable degree <= 2.
+The unit condition is decided exactly on the last prefix's integer reduced
+rows, which give X0, Y0, Z0, W0 (columns 0 .. 3) of the particular point
+and of each free column's nullspace direction: particular point first,
+then symbolic expansion of the restricted quadratic in the free columns'
+weights; if it is not identically zero on the solution set, a nonzero point
+is found by zeroing all but the (at most two) weights of a surviving
+monomial and scanning {-1, 0, 1} per weight, which is complete for
+per-variable degree <= 2.  The point is then read off the same rows.
 
 The genericity guard measures the explicit leading-coefficient ranks that
 the staged elimination relies on; seeds failing any applicable check are
@@ -84,8 +87,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .ideals import TruncatedIdeal, _shifted_row, ideal_contained_mod, ideal_equal_mod
-from .linalg import (AffineSystem, Echelon, FarkasCertificate, RowBasis, SolutionSet,
-                     farkas_certificate, functional_range, matrix_rank)
+from .linalg import (AffineSystem, Echelon, FarkasCertificate, RowBasis, farkas_certificate,
+                     matrix_rank)
 from .poly import (_FIELD_BITS, _FIELD_MASK, HomogPoly, MismatchError, OneForm, TruncSeries,
                    _packed_monomials, _unpack, monomials)
 
@@ -323,44 +326,55 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
 # unit condition
 
 
-def _unit_value(point: list[Fraction]) -> Fraction:
-    x0, y0, z0, w0 = point[:4]
-    return (1 + x0) * (1 + w0) - y0 * z0
-
-
-def find_unit_solution(solution: SolutionSet) -> list[Fraction] | None:
+def find_unit_solution(echelon: Echelon, reduced: list[list[int]]) -> list[Fraction] | None:
     """A solution with (1+X0)(1+W0) - Y0 Z0 != 0, or None if none exists.
 
-    The particular point is tried first.  Otherwise the quadratic is
-    expanded symbolically in the nullspace weights; if some coefficient
-    survives, its monomial names at most two weights, and a {-1,0,1} scan
-    over just those two (complete for per-variable degree <= 2) produces a
-    nonzero point.  Returns None only when the quadratic is identically zero
-    on the solution set.  X0, Y0, Z0, W0 are the first four coordinates.
+    The solutions are read off `reduced`, the echelon's integer reduced rows
+    R: with weights w_f on the free columns f, a solution has x_f = w_f and
+    x_c = (R[c][n] - sum R[c][f] w_f) / R[c][c] on each pivot column c.  The
+    particular point, every weight zero, is tried first.  Otherwise the
+    quadratic is expanded symbolically in the weights, from columns 0 .. 3
+    (X0, Y0, Z0, W0) of the particular point and of each free column's
+    direction, which is 1 at f and -R[c][f] / R[c][c] at each pivot c; if
+    some coefficient survives, its monomial names at most two weights, and
+    a {-1,0,1} scan over just those two (complete for per-variable degree
+    <= 2) produces a nonzero point.  Returns None only when the quadratic
+    is identically zero on the solution set.
     """
-    if _unit_value(solution.particular) != 0:
-        return list(solution.particular)
+    n = echelon.ncols
+    rows = dict(zip(echelon.pivots, reduced))
 
-    xp, yp, zp, wp = solution.particular[:4]
-    coords = [vec[:4] for vec in solution.nullspace_basis]
-    m = len(coords)
+    def point(weights: dict[int, Fraction]) -> list[Fraction]:
+        out = [weights.get(c, Fraction(0)) for c in range(n)]
+        for c, row in rows.items():
+            out[c] = (row[n] - sum((row[f] * w for f, w in weights.items()), Fraction(0))
+                      ) / row[c]
+        return out
+
+    xp, yp, zp, wp = (Fraction(rows[c][n], rows[c][c]) if c in rows else Fraction(0)
+                      for c in range(4))
+    if (1 + xp) * (1 + wp) - yp * zp != 0:
+        return point({})
+    # a free column that moves none of X0 .. W0 does not enter the quadratic
+    coords = {}
+    for f in range(n):
+        if f not in rows:
+            vec = [Fraction(-rows[c][f], rows[c][c]) if c in rows else Fraction(int(c == f))
+                   for c in range(4)]
+            if any(vec):
+                coords[f] = vec
     linear = {}
-    for i in range(m):
-        xi, yi, zi, wi = coords[i]
+    for i, (xi, yi, zi, wi) in coords.items():
         c = (1 + xp) * wi + xi * (1 + wp) - yp * zi - yi * zp
         if c != 0:
             linear[i] = c
     quadratic = {}
-    for i in range(m):
+    for i, j in itertools.combinations_with_replacement(coords, 2):
         xi, yi, zi, wi = coords[i]
-        for j in range(i, m):
-            xj, yj, zj, wj = coords[j]
-            if i == j:
-                c = xi * wi - yi * zi
-            else:
-                c = xi * wj + xj * wi - yi * zj - yj * zi
-            if c != 0:
-                quadratic[(i, j)] = c
+        xj, yj, zj, wj = coords[j]
+        c = xi * wi - yi * zi if i == j else xi * wj + xj * wi - yi * zj - yj * zi
+        if c != 0:
+            quadratic[(i, j)] = c
     # the particular point failed above, so the constant term is zero
     if not linear and not quadratic:
         return None
@@ -380,8 +394,7 @@ def find_unit_solution(solution: SolutionSet) -> list[Fraction] | None:
         assignments = [{**a, var: g} for a in assignments for g in grid]
     for assign in assignments:
         if value(assign) != 0:
-            weights = [assign.get(i, Fraction(0)) for i in range(m)]
-            return solution.point(weights)
+            return point(assign)
     raise AssertionError("restricted nonzero quadratic vanished on its own grid")
 
 
@@ -665,7 +678,7 @@ def decide(sigma: OneForm, order: int, guard: GuardReport | None = None) -> Deci
 
     common = dict(order=order, lowest_degree=d, staged=records, gauge=gauge,
                   branch=branch, guard=guard, notes=notes)
-    unit = find_unit_solution(echelon.solution(reduced))
+    unit = find_unit_solution(echelon, reduced)
     if unit is None:
         notes.append("every normalized solution fails the unit condition" if gauged
                      else "every solution fails the unit condition")
@@ -750,7 +763,7 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
     _validate_sigma(sigma, order)
     blocks = _integer_blocks(sigma, d, order)
     tilde_sum = tilde_obstruction(*tilde_transform(c, d_series))
-    functional = {_column("Z", (2, 0)): Fraction(2), _column("Y", (0, 2)): Fraction(-2)}
+    functional = {_column("Z", (2, 0)): 2, _column("Y", (0, 2)): -2}
     out: dict = {
         "obstruction": obstruction(c, d_series),
         "tilde_obstruction": tilde_sum,
@@ -766,7 +779,16 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
         if not echelon.consistent:
             out[key] = {"feasible": False}
         else:
-            forced, value = functional_range(echelon.solution(), functional)
+            # on the solution with free values x_f, pivot column i is
+            # (R[i][n] - sum R[i][f] x_f) / R[i][i]: the functional is forced
+            # when its terms cancel on every free column, and its value at
+            # x_f = 0 is the sum of w * R[i][n] / R[i][i] over its pivot columns
+            reduced = dict(zip(echelon.pivots, echelon.reduced()))
+            forced = all(sum(Fraction(-w * reduced[i][f], reduced[i][i]) if i in reduced
+                             else w * (i == f) for i, w in functional.items()) == 0
+                         for f in range(n) if f not in reduced)
+            value = sum((Fraction(w * reduced[i][n], reduced[i][i])
+                         for i, w in functional.items() if i in reduced), Fraction(0))
             out[key] = {"feasible": True, "forced": forced, "value": value}
     first, second = out["first"], out["second"]
     out["consistent"] = second["feasible"] and not (

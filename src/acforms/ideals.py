@@ -266,6 +266,9 @@ def ideal_equal_mod(lhs: TruncatedIdeal, rhs: TruncatedIdeal, order: int) -> boo
 def _check_mod_order(a: TruncatedIdeal, b: TruncatedIdeal, order: int) -> None:
     if a.num_vars != b.num_vars:
         raise MismatchError("ideals live in different variable counts")
+    if order < 0:
+        # m^0 = R, so order 0 compares images in the zero ring; below it there is no quotient
+        raise MismatchError(f"modulus degree {order} is negative")
     if order > a.trunc_order or order > b.trunc_order:
         raise MismatchError(f"modulus degree {order} exceeds a truncation order "
                             f"({a.trunc_order}, {b.trunc_order})")

@@ -23,9 +23,8 @@ inconsistent `RowBasis` prefix.
   pass, so nested systems are eliminated once.  `particular()`
   back-substitutes the particular point, as integers over one
   denominator, without the backward pass.
-  `reduced()` runs the backward pass on a copy, and `solution()` reads the
-  solution set off the reduced echelon form, which is unique, so the
-  particular point and nullspace basis do not depend on the order or
+  `reduced()` runs the backward pass on a copy; the reduced echelon form
+  is unique, so what callers read off it does not depend on the order or
   blocking of the rows.
 * `RowBasis` is the column pass: the forward pass over the transposed
   system [matrix | rhs]^T with the target column (0, ..., 0, 1) appended,
@@ -37,15 +36,11 @@ inconsistent `RowBasis` prefix.
   combination u with u.[matrix | rhs] = (0, ..., 0, 1), free coordinates
   zero; that is the vector the reduced echelon form would give, the unique
   solution supported on the row basis.
-* `solve_affine` feeds a system to an `Echelon` as one block.  An
-  inconsistent system gets its Farkas certificate from one column pass
-  and `farkas_certificate`, which undoes the row scaling and checks the
-  result with `verify_farkas`, integer dot products only.
+* `farkas_certificate` undoes the row scaling of a column-pass
+  combination and checks the result with `verify_farkas`, integer dot
+  products only.
 * `matrix_rank` counts the pivots of an `Echelon` fed integer rows as one
   block.
-
-Solution sets address columns by index; labels live only on
-`AffineSystem`, where they are part of its JSON format.
 """
 
 from __future__ import annotations
@@ -81,33 +76,6 @@ class AffineSystem:
     @property
     def num_cols(self) -> int:
         return len(self.column_labels)
-
-
-@dataclass
-class SolutionSet:
-    """Affine solution set: particular point plus a nullspace basis.
-
-    Coordinates follow the columns of the solved system.  The basis vectors
-    are linearly independent, so the affine dimension is their count.
-    """
-
-    particular: list[Fraction]
-    nullspace_basis: list[list[Fraction]]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.nullspace_basis)
-
-    def point(self, weights: Sequence[Fraction]) -> list[Fraction]:
-        if len(weights) != len(self.nullspace_basis):
-            raise ValueError("one weight per basis vector required")
-        out = list(self.particular)
-        for w, vec in zip(weights, self.nullspace_basis):
-            if w == 0:
-                continue
-            for i, v in enumerate(vec):
-                out[i] += w * v
-        return out
 
 
 @dataclass
@@ -259,38 +227,10 @@ class Echelon:
     def particular(self) -> tuple[list[int], int]:
         """Integer numerators and their common denominator of the solution
         of the rows fed so far that is zero on the free columns,
-        back-substituted over the pivot rows without the backward pass; it
-        is the particular point of `solution()`."""
+        back-substituted over the pivot rows without the backward pass."""
         if not self.consistent:
             raise ValueError("inconsistent rows have no solution set")
         return _back_substitute(self.rows, self.pivots, self.ncols, self.ncols)
-
-    def solution(self, reduced: list[list[int]] | None = None) -> SolutionSet:
-        """Solution set of the rows of [matrix | rhs] fed so far.
-
-        It is read off the reduced echelon form, from `reduced` when the
-        caller already has it: the particular point is zero on the free
-        columns, and there is one nullspace vector per free column, left to
-        right.
-        """
-        if not self.consistent:
-            raise ValueError("inconsistent rows have no solution set")
-        n = self.ncols
-        work = self.reduced() if reduced is None else reduced
-        particular = [Fraction(0)] * n
-        for row, c in zip(work, self.pivots):
-            particular[c] = Fraction(row[n], row[c])
-        pivot_set = set(self.pivots)
-        basis: list[list[Fraction]] = []
-        for fcol in range(n):
-            if fcol in pivot_set:
-                continue
-            vec = [Fraction(0)] * n
-            vec[fcol] = Fraction(1)
-            for row, c in zip(work, self.pivots):
-                vec[c] = Fraction(-row[fcol], row[c])
-            basis.append(vec)
-        return SolutionSet(particular, basis)
 
 
 class RowBasis:
@@ -338,19 +278,6 @@ class RowBasis:
         return _back_substitute(self.work, pivots, self.target, count)
 
 
-def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
-    """Exact solution set, or a verified Farkas certificate when inconsistent."""
-    scaled = [_scaled(list(row) + [b]) for row, b in zip(system.matrix, system.rhs)]
-    rows = [row for _, row in scaled]
-    echelon = Echelon(system.num_cols)
-    echelon.extend(rows)
-    if echelon.consistent:
-        return echelon.solution()
-    basis = RowBasis(rows, system.num_cols)
-    basis.extend(len(rows))
-    return farkas_certificate(system, [s for s, _ in scaled], *basis.combination(len(rows)))
-
-
 def farkas_certificate(system: AffineSystem, scales: Sequence[int],
                        num: Sequence[int], den: int) -> FarkasCertificate:
     """The row combination u_i = num_i * scales_i / den, checked before it is
@@ -396,19 +323,3 @@ def matrix_rank(rows: Sequence[list[int]]) -> int:
     echelon = Echelon(len(rows[0]))
     echelon.extend(rows)
     return echelon.rank
-
-
-def functional_range(solution: SolutionSet,
-                     weights: dict[int, Fraction]) -> tuple[bool, Fraction]:
-    """Range of a linear functional sum(w_i * v_i) over the set, keyed by
-    coordinate index.
-
-    Returns (forced, value): forced means the functional is constant on the
-    solution set, in which case value is that constant; otherwise value is
-    the functional at the particular point.
-    """
-    at_particular = sum((w * solution.particular[i] for i, w in weights.items()), Fraction(0))
-    for vec in solution.nullspace_basis:
-        if sum((w * vec[i] for i, w in weights.items()), Fraction(0)) != 0:
-            return False, at_particular
-    return True, at_particular

@@ -3,9 +3,15 @@
 Everything here recomputes results from first principles — plain exponent
 dicts, nested-loop convolution, and a fresh Gaussian elimination — without
 calling the package's own engines, so agreement is meaningful evidence.
-The Fraction solver below imports only the data classes of `acforms.linalg`,
-so it can return the same types as the kernel it is checked against.  The
-exceptions are the package's earlier code kept as references:
+The Fraction solver below imports only the data classes of `acforms.linalg`
+and returns the `SolutionSet` kept here.  The exceptions are the package's
+earlier code kept as references: `solve_affine`, the kernel's earlier
+solve, feeds an `Echelon` and a `RowBasis` and reads the `SolutionSet` off
+the integer reduced rows (`echelon_solution`), so the differential tests of
+`acforms.linalg` reach the integer kernel through it;
+`fraction_find_unit_solution` and `functional_range`, the decider's earlier
+unit search and forced-functional test, read a `SolutionSet`, because what
+they check is the read-off from the reduced rows that replaced them;
 `reduced_form_certificate`, the kernel's earlier certificate path, reuses
 the kernel's forward and backward passes, because what it checks is the
 back-substitution that replaced the backward pass; `fraction_assemble_system`
@@ -24,14 +30,15 @@ leaves out never change a rank.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from acforms.decide import (UNKNOWN_NAMES, BlockRecord, GuardCheck, GuardReport,
                             StageRecord, _column, _validate_sigma)
 from acforms.ideals import MembershipWitness, TruncatedIdeal, _shifted_row
-from acforms.linalg import (AffineSystem, Echelon, FarkasCertificate, SolutionSet, _echelon,
-                            _reduce, _scaled)
+from acforms.linalg import (AffineSystem, Echelon, FarkasCertificate, RowBasis, _echelon,
+                            _reduce, _scaled, farkas_certificate)
 from acforms.poly import HomogPoly, MismatchError, OneForm, TruncSeries, _pack, monomials
 
 
@@ -84,6 +91,157 @@ def residual(system: AffineSystem, point: Sequence[Fraction]) -> list[Fraction]:
                 acc += a * v
         out.append(acc - b)
     return out
+
+
+# --- solution sets --------------------------------------------------------------
+
+
+@dataclass
+class SolutionSet:
+    """Affine solution set: particular point plus a nullspace basis.
+
+    Coordinates follow the columns of the solved system.  The basis vectors
+    are linearly independent, so the affine dimension is their count.
+    """
+
+    particular: list[Fraction]
+    nullspace_basis: list[list[Fraction]]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.nullspace_basis)
+
+    def point(self, weights: Sequence[Fraction]) -> list[Fraction]:
+        if len(weights) != len(self.nullspace_basis):
+            raise ValueError("one weight per basis vector required")
+        out = list(self.particular)
+        for w, vec in zip(weights, self.nullspace_basis):
+            if w == 0:
+                continue
+            for i, v in enumerate(vec):
+                out[i] += w * v
+        return out
+
+
+def echelon_solution(echelon: Echelon, reduced: list[list[int]] | None = None) -> SolutionSet:
+    """Solution set of the rows of [matrix | rhs] fed to `echelon` so far.
+
+    It is read off the reduced echelon form, from `reduced` when the caller
+    already has it: the particular point is zero on the free columns, and
+    there is one nullspace vector per free column, left to right.
+    """
+    if not echelon.consistent:
+        raise ValueError("inconsistent rows have no solution set")
+    n = echelon.ncols
+    work = echelon.reduced() if reduced is None else reduced
+    particular = [Fraction(0)] * n
+    for row, c in zip(work, echelon.pivots):
+        particular[c] = Fraction(row[n], row[c])
+    pivot_set = set(echelon.pivots)
+    basis: list[list[Fraction]] = []
+    for fcol in range(n):
+        if fcol in pivot_set:
+            continue
+        vec = [Fraction(0)] * n
+        vec[fcol] = Fraction(1)
+        for row, c in zip(work, echelon.pivots):
+            vec[c] = Fraction(-row[fcol], row[c])
+        basis.append(vec)
+    return SolutionSet(particular, basis)
+
+
+def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
+    """Exact solution set through the integer kernel, or a verified Farkas
+    certificate when inconsistent: the system fed to an `Echelon` as one
+    block, and an inconsistent one's certificate from one column pass and
+    `farkas_certificate`."""
+    scaled = [_scaled(list(row) + [b]) for row, b in zip(system.matrix, system.rhs)]
+    rows = [row for _, row in scaled]
+    echelon = Echelon(system.num_cols)
+    echelon.extend(rows)
+    if echelon.consistent:
+        return echelon_solution(echelon)
+    basis = RowBasis(rows, system.num_cols)
+    basis.extend(len(rows))
+    return farkas_certificate(system, [s for s, _ in scaled], *basis.combination(len(rows)))
+
+
+def functional_range(solution: SolutionSet,
+                     weights: dict[int, Fraction]) -> tuple[bool, Fraction]:
+    """Range of a linear functional sum(w_i * v_i) over the set, keyed by
+    coordinate index.
+
+    Returns (forced, value): forced means the functional is constant on the
+    solution set, in which case value is that constant; otherwise value is
+    the functional at the particular point.
+    """
+    at_particular = sum((w * solution.particular[i] for i, w in weights.items()), Fraction(0))
+    for vec in solution.nullspace_basis:
+        if sum((w * vec[i] for i, w in weights.items()), Fraction(0)) != 0:
+            return False, at_particular
+    return True, at_particular
+
+
+def unit_value(point: Sequence[Fraction]) -> Fraction:
+    """(1 + X0)(1 + W0) - Y0 Z0 at a point whose first four coordinates are
+    X0, Y0, Z0, W0."""
+    x0, y0, z0, w0 = point[:4]
+    return (1 + x0) * (1 + w0) - y0 * z0
+
+
+def fraction_find_unit_solution(solution: SolutionSet) -> list[Fraction] | None:
+    """`acforms.decide.find_unit_solution` over a full `SolutionSet`.
+
+    The particular point is tried first.  Otherwise the quadratic is
+    expanded symbolically in the nullspace weights; if some coefficient
+    survives, its monomial names at most two weights, and a {-1,0,1} scan
+    over just those two produces a nonzero point.  Returns None only when
+    the quadratic is identically zero on the solution set.  X0, Y0, Z0, W0
+    are the first four coordinates.
+    """
+    if unit_value(solution.particular) != 0:
+        return list(solution.particular)
+
+    xp, yp, zp, wp = solution.particular[:4]
+    coords = [vec[:4] for vec in solution.nullspace_basis]
+    m = len(coords)
+    linear = {}
+    for i in range(m):
+        xi, yi, zi, wi = coords[i]
+        c = (1 + xp) * wi + xi * (1 + wp) - yp * zi - yi * zp
+        if c != 0:
+            linear[i] = c
+    quadratic = {}
+    for i in range(m):
+        xi, yi, zi, wi = coords[i]
+        for j in range(i, m):
+            xj, yj, zj, wj = coords[j]
+            if i == j:
+                c = xi * wi - yi * zi
+            else:
+                c = xi * wj + xj * wi - yi * zj - yj * zi
+            if c != 0:
+                quadratic[(i, j)] = c
+    if not linear and not quadratic:
+        return None
+    support = (min(linear),) if linear else min(quadratic)
+
+    def value(assign: dict[int, Fraction]) -> Fraction:
+        total = Fraction(0)
+        for i, c in linear.items():
+            total += c * assign.get(i, Fraction(0))
+        for (i, j), c in quadratic.items():
+            total += c * assign.get(i, Fraction(0)) * assign.get(j, Fraction(0))
+        return total
+
+    grid = [Fraction(0), Fraction(1), Fraction(-1)]
+    assignments: list[dict[int, Fraction]] = [{}]
+    for var in support:
+        assignments = [{**a, var: g} for a in assignments for g in grid]
+    for assign in assignments:
+        if value(assign) != 0:
+            return solution.point([assign.get(i, Fraction(0)) for i in range(m)])
+    raise AssertionError("restricted nonzero quadratic vanished on its own grid")
 
 
 # --- the original Fraction solver ---------------------------------------------

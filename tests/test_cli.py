@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import acforms
 import acforms.cli as cli_module
 import acforms.construct as construct_module
 from acforms.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, EXIT_REFUTED, main
@@ -422,6 +423,19 @@ def test_verify_potential_pass_and_fail(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("order", [-1, -5])
+def test_verify_potential_negative_order_exits_2_and_writes_nothing(tmp_path, capsys, order):
+    sp = tmp_path / "sigma.json"
+    _write(sp, _gradient_sigma_payload())
+    phi = tmp_path / "phi.json"
+    _write(phi, series_to_json(S(2, 8, {3: {(3, 0): FR(1, 3), (0, 3): FR(1, 3)}})))
+    out = tmp_path / "out"
+    assert main(["verify-potential", str(phi), str(sp), "--order", str(order),
+                 "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    assert "negative" in capsys.readouterr().err
+
+
 def test_verify_potential_witness_without_phi_is_input_error(tmp_path, capsys):
     sp = tmp_path / "sigma.json"
     _write(sp, _gradient_sigma_payload())
@@ -636,3 +650,15 @@ def test_module_invocation_round_trip(tmp_path):
                            str(cp), str(dp)], capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout.strip())["value"] == "1"
+
+
+# --- package surface ----------------------------------------------------------------
+
+
+def test_every_public_name_resolves():
+    """`from acforms import *` fails on a name left in `__all__` after its
+    definition is removed."""
+    namespace: dict = {}
+    exec("from acforms import *", namespace)
+    assert set(acforms.__all__) <= namespace.keys()
+    assert len(set(acforms.__all__)) == len(acforms.__all__)

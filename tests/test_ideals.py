@@ -343,6 +343,19 @@ def test_mod_order_requires_certified_range():
         min_power_in_ideal(squares, ORDER)
 
 
+def test_mod_order_rejects_a_negative_modulus():
+    maximal = TruncatedIdeal((_mono_series(2, (1, 0)), _mono_series(2, (0, 1))))
+    x_only = TruncatedIdeal((_mono_series(2, (1, 0)),))
+    for order in (-1, -5):
+        with pytest.raises(MismatchError, match="negative"):
+            ideal_equal_mod(maximal, x_only, order)
+        with pytest.raises(MismatchError, match="negative"):
+            ideal_contained_mod(maximal, x_only, order)
+    # R / m^0 is the zero ring, where every two ideals agree
+    assert ideal_equal_mod(maximal, x_only, 0)
+    assert not ideal_equal_mod(maximal, x_only, 2)
+
+
 # --- membership witnesses ----------------------------------------------------
 
 

@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 from acforms import linalg
 from acforms.construct import Instance, build
 from acforms.decide import assemble_system, with_gauge
-from acforms.linalg import (AffineSystem, FarkasCertificate, SolutionSet,
-                            farkas_certificate, functional_range, matrix_rank,
-                            solve_affine, verify_farkas)
+from acforms.linalg import (AffineSystem, FarkasCertificate, farkas_certificate, matrix_rank,
+                            verify_farkas)
 from acforms.poly import OneForm, TruncSeries
 from conftest import H, S, zero_series
-from oracles import (fraction_matrix_rank, fraction_solve_affine, fraction_verify_farkas,
-                     prefix_through, project_solution_set, reduced_form_certificate,
-                     residual, rref_rank)
+# `solve_affine` and `echelon_solution` run the integer kernel and read its
+# reduced rows into a `SolutionSet`
+from oracles import (SolutionSet, echelon_solution, fraction_matrix_rank, fraction_solve_affine,
+                     fraction_verify_farkas, functional_range, prefix_through,
+                     project_solution_set, reduced_form_certificate, residual, rref_rank,
+                     solve_affine)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 # zeros, small fractions and entries with denominators up to 10^6
@@ -257,7 +259,7 @@ def test_echelon_fed_in_blocks_matches_each_prefix_solve(case):
         assert echelon.consistent == isinstance(ref, SolutionSet) == isinstance(out, SolutionSet)
         assert echelon.rank == rref_rank(prefix.matrix)
         if echelon.consistent:
-            assert echelon.solution() == out == ref
+            assert echelon_solution(echelon) == out == ref
             num, den = echelon.particular()
             assert [Fraction(x, den) for x in num] == ref.particular
     assert fed == rows
@@ -270,7 +272,7 @@ def test_echelon_has_no_solution_set_once_inconsistent():
     echelon.extend([[1, 1]])
     assert not echelon.consistent
     with pytest.raises(ValueError):
-        echelon.solution()
+        echelon_solution(echelon)
 
 
 def test_certificate_that_fails_its_check_is_an_error(monkeypatch):
@@ -406,7 +408,8 @@ def test_solution_set_from_basis_rows_equals_all_rows(case):
         if not basis.consistent:
             break
         assert kept.rank == full.rank == len(basis.pivots)
-        assert kept.solution() == full.solution() == fraction_solve_affine(_prefix(system, end))
+        assert (echelon_solution(kept) == echelon_solution(full)
+                == fraction_solve_affine(_prefix(system, end)))
 
 
 def test_certificate_of_an_early_prefix_survives_later_scans():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from acforms.construct import Instance, build
 from acforms.decide import PotentialWitness, assemble_system
 from acforms.ideals import TruncatedIdeal
-from acforms.linalg import AffineSystem, FarkasCertificate, solve_affine
+from acforms.linalg import AffineSystem, FarkasCertificate
 from acforms.poly import OneForm
 from acforms.serialize import (SerializationError, canonical_dumps,
                                certificate_from_json, certificate_to_json,
@@ -24,7 +24,7 @@ from acforms.serialize import (SerializationError, canonical_dumps,
                                system_from_json, system_to_json,
                                witness_to_json)
 from conftest import S, zero_series
-from oracles import str_round_trip_fraction
+from oracles import solve_affine, str_round_trip_fraction
 
 FR = Fraction
 
