@@ -1,4 +1,4 @@
-"""Command-line drivers: build instances, verify, decide, audit certificates.
+"""Command-line drivers: build, check and decide forms; obstructions, ideal invariants, bounds.
 
 Artifact discipline: every command hashes its parsed inputs and parameters
 into a run-manifest core; each emitted JSON artifact is stamped with that

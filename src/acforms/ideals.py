@@ -22,8 +22,9 @@ ideals of interest contain a power of the maximal ideal m = (x1, ..., xn):
   in.  Only a dependent slice needs the rows' higher-degree tails, and its
   zero-sliced combinations are carried to their next nonzero degree; two
   coprime leading forms give no dependent slice below N, so no full row
-  is built.  The full image rows stay for `ideal_contained_mod` and
-  `ideal_equal_mod`.
+  is built.  `ideal_contained_mod` and `ideal_equal_mod` compare these
+  graded ranks: one ideal's image lies in another's iff adding its
+  generators leaves the other's rank unchanged.
 * `membership_witness` runs the successive-approximation loop explicitly,
   one degree n at a time: the residual's degree-n component
   r_n = t_n - sum of c_{i,k} * g_{i,n-k} over the cofactor parts found so
@@ -154,49 +155,20 @@ def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
     return None
 
 
-def _image_row(parts: dict[int, IntTerms], shift: int, below: int,
-               index: dict[int, int]) -> list[int]:
-    """Integer row of the packed monomial `shift` times the parts of degree
-    < below whose integer terms are given, on the monomials of `index`."""
-    return _shifted_row([term for j, part in parts.items() if j < below for term in part],
-                        shift, index)
-
-
-def _image_vectors(ideal: TruncatedIdeal, order: int) -> tuple[list[int], list[list[int]]]:
-    """Spanning vectors of the ideal's image in R / m^order, as integer rows.
-
-    Every residue of an ideal element is a polynomial combination of the
-    generators truncated below `order`, so monomial multiples m*g with
-    deg(m) + lowest(g) < order span the image.  The parts of each generator
-    below `order` are scaled to integers by one common factor; scaling a row
-    does not change any rank taken of these rows.  Returns the packed
-    monomials below `order` in column order, and the rows.
-    """
-    nv = ideal.num_vars
-    index = _index(nv, range(order))
-    vectors: list[list[int]] = []
-    for g in ideal.generators:
-        low = g.lowest_degree()
-        if low is None:
-            continue
-        parts, _ = g._integer_parts(order)
-        vectors.extend(_image_row(parts, shift, order - mdeg, index)
-                       for mdeg in range(0, order - low)
-                       for shift in _packed_monomials(nv, mdeg))
-    return list(index), vectors
-
-
 def _graded_rank(ideal: TruncatedIdeal, order: int) -> int:
     """Rank of the ideal's image in R / m^order, one degree at a time.
 
-    The spanning rows m*g of `_image_vectors` are block-triangular by their
-    lowest degree deg(m) + lowest(g), so the rank is the sum over n of the
-    rank of the degree-n slices of the rows whose lowest degree is n: the
-    rows of `_leading_rows`, plus rows carried in.  Only a dependent slice
-    needs the rows' higher-degree tails: their full integer rows are
-    eliminated over degree n's columns, and each row that comes out zero
-    there is carried to its next nonzero degree, or dropped when it has
-    none below `order`.
+    Every residue of an ideal element is a polynomial combination of the
+    generators truncated below `order`, so the monomial multiples m*g with
+    deg(m) + lowest(g) < order span the image.  These rows are
+    block-triangular by their lowest degree deg(m) + lowest(g), so the rank
+    is the sum over n of the rank of the degree-n slices of the rows whose
+    lowest degree is n: the rows of `_leading_rows`, plus rows carried in.
+    Only a dependent slice needs the rows' higher-degree tails: their full
+    integer rows, each generator's parts below `order` scaled by one common
+    factor, are eliminated over degree n's columns, and each row that comes
+    out zero there is carried to its next nonzero degree, or dropped when it
+    has none below `order`.
     """
     nv = ideal.num_vars
     index = _index(nv, range(order))
@@ -216,7 +188,9 @@ def _graded_rank(ideal: TruncatedIdeal, order: int) -> int:
             continue
         for i in {i for i, _ in shifts} - parts.keys():
             parts[i] = ideal.generators[i]._integer_parts(order)[0]
-        full = [_image_row(parts[i], shift, order - n + lows[i], index)
+        # m*g keeps the parts of g below order - deg(m) = order - n + lowest(g)
+        full = [_shifted_row([term for j, part in parts[i].items()
+                              if j < order - n + lows[i] for term in part], shift, index)
                 for i, shift in shifts] + held
         for row in full[len(_echelon(full, hi, lo)):]:
             later = next((k for k in range(n + 1, order) if any(row[starts[k]:starts[k + 1]])),
@@ -239,28 +213,24 @@ def colength(ideal: TruncatedIdeal, max_n: int) -> int | None:
     return sum(graded_dim(ideal.num_vars, n) for n in range(found)) - _graded_rank(ideal, found)
 
 
+def _image_rank(order: int, *ideals: TruncatedIdeal) -> int:
+    """Rank of the sum of the ideals' images in R / m^order: the graded rank
+    over all their generators, each truncated below `order` so that they
+    share one truncation order."""
+    return _graded_rank(TruncatedIdeal(tuple(
+        g.truncate(order) for ideal in ideals for g in ideal.generators)), order)
+
+
 def ideal_contained_mod(inner: TruncatedIdeal, outer: TruncatedIdeal, order: int) -> bool:
     """True iff the image of `inner` in R / m^order lies inside that of `outer`."""
     _check_mod_order(inner, outer, order)
-    basis, vo = _image_vectors(outer, order)
-    _, vi = _image_vectors(inner, order)
-    echelon = Echelon(len(basis))
-    echelon.extend(vo)
-    rank_outer = echelon.rank
-    echelon.extend(vi)
-    return echelon.rank == rank_outer
+    return _image_rank(order, outer, inner) == _image_rank(order, outer)
 
 
 def ideal_equal_mod(lhs: TruncatedIdeal, rhs: TruncatedIdeal, order: int) -> bool:
     """True iff the two ideals have the same image in R / m^order."""
     _check_mod_order(lhs, rhs, order)
-    basis, vl = _image_vectors(lhs, order)
-    _, vr = _image_vectors(rhs, order)
-    echelon = Echelon(len(basis))
-    echelon.extend(vl)
-    rank_l = echelon.rank
-    echelon.extend(vr)
-    return rank_l == matrix_rank(vr) == echelon.rank
+    return _image_rank(order, lhs) == _image_rank(order, lhs, rhs) == _image_rank(order, rhs)
 
 
 def _check_mod_order(a: TruncatedIdeal, b: TruncatedIdeal, order: int) -> None:

@@ -343,7 +343,8 @@ class TruncSeries:
     @classmethod
     def from_parts(cls, num_vars: int, trunc_order: int,
                    parts: Iterable[HomogPoly]) -> TruncSeries:
-        """Collect homogeneous pieces (zeros dropped, degrees must be distinct)."""
+        """Collect homogeneous pieces: pieces of one degree are added, and zero
+        pieces and sums that cancel are dropped."""
         table: dict[int, HomogPoly] = {}
         for p in parts:
             if p.is_zero:

@@ -15,7 +15,7 @@ from acforms.prng import Stream
 from conftest import H, S, zero_series
 from oracles import (brute_colength, brute_cover_degree, brute_leading_cover,
                      brute_member, brute_min_power, fraction_membership_witness,
-                     series_dict)
+                     ideal_image_vectors, rref_rank, series_dict)
 
 ORDER = 8
 
@@ -181,7 +181,7 @@ def test_colength_matches_brute_quotient(ideal):
 
 def _record_carries(monkeypatch) -> list[int]:
     """The first column of each `_echelon` call the ideal engine makes
-    itself; only `colength`'s carry path makes one."""
+    itself; only `_graded_rank`'s carry path makes one."""
     starts: list[int] = []
     real_echelon = ideals_module._echelon
 
@@ -238,9 +238,12 @@ def test_graded_colength_matches_the_image_rank(monkeypatch):
         found = min_power_in_ideal(ideal, ideal.trunc_order - 1)
         value = colength(ideal, ideal.trunc_order - 1)
         assert found is not None    # a power of every variable is a leading form
-        basis, vectors = ideals_module._image_vectors(ideal, found)
-        assert value == len(basis) - ideals_module.matrix_rank(vectors)
         assert value == brute_colength(_dicts(ideal), ideal.num_vars, found)
+        # the graded rank is the Fraction image rank at every order, also
+        # below the least covered degree
+        for order in range(ideal.trunc_order + 1):
+            _, vectors = ideal_image_vectors(_dicts(ideal), ideal.num_vars, order)
+            assert ideals_module._graded_rank(ideal, order) == rref_rank(vectors)
 
     check()
     # some drawn ideal had a dependent slice, so the carry path ran
@@ -331,6 +334,83 @@ def test_equality_is_an_equivalence_on_sampled_pairs():
         for rhs in ideals:
             if ideal_equal_mod(lhs, rhs, 6):
                 assert ideal_equal_mod(rhs, lhs, 6)
+
+
+@st.composite
+def comparison_pairs(draw):
+    """Two ideals in 2 or 3 variables and a modulus order up to both
+    truncation orders.
+
+    The left ideal has one to three generators of mixed lowest degrees and
+    denominators, and sometimes a zero generator.  The right ideal is, by a
+    drawn kind, the same ideal on other generators (the first times a unit,
+    the others plus multiples of the first, shuffled), the left ideal plus
+    one more generator, or an independent ideal; it may be truncated one
+    degree lower.
+    """
+    nv = draw(st.integers(2, 3))
+    trunc = 6 if nv == 2 else 5
+
+    def generators():
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            den = draw(st.sampled_from([1, 2, 3, 5]))
+            numerators = st.integers(-3, 3).map(lambda v, den=den: Fraction(v, den))
+            gens.append(_series(draw, nv, trunc, draw(st.sampled_from([0, 1, 1, 2, 2, 3])),
+                                numerators))
+        if draw(st.booleans()):
+            gens.insert(draw(st.integers(0, len(gens))), zero_series(trunc, nv))
+        return gens
+
+    coefficients = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    lhs = generators()
+    kind = draw(st.sampled_from(["same", "larger", "independent"]))
+    if kind == "same":
+        unit = S(nv, trunc, {0: {(0,) * nv: draw(coefficients.filter(bool))}}).add(
+            _series(draw, nv, trunc, 1, coefficients))
+        rhs = [unit.mul(lhs[0]).truncate(trunc)]
+        rhs += [g.add(_series(draw, nv, trunc, 0, coefficients).mul(lhs[0]).truncate(trunc))
+                for g in lhs[1:]]
+        rhs = draw(st.permutations(rhs))
+    elif kind == "larger":
+        rhs = lhs + generators()[:1]
+    else:
+        rhs = generators()
+    if draw(st.booleans()):
+        rhs = [g.truncate(trunc - 1) for g in rhs]
+    order = draw(st.integers(0, min(trunc, rhs[0].trunc_order)))
+    return kind, TruncatedIdeal(tuple(lhs)), TruncatedIdeal(tuple(rhs)), order
+
+
+def _brute_contained(inner, outer, order):
+    nv = outer.num_vars
+    _, vo = ideal_image_vectors(_dicts(outer), nv, order)
+    _, vi = ideal_image_vectors(_dicts(inner), nv, order)
+    return rref_rank(vo + vi) == rref_rank(vo)
+
+
+def test_comparisons_match_the_fraction_image():
+    answers: set[tuple[str, bool]] = set()
+
+    @settings(deadline=None, max_examples=80)
+    @given(comparison_pairs())
+    def check(pair):
+        kind, lhs, rhs, order = pair
+        inside = ideal_contained_mod(lhs, rhs, order)
+        outside = ideal_contained_mod(rhs, lhs, order)
+        assert inside == _brute_contained(lhs, rhs, order)
+        assert outside == _brute_contained(rhs, lhs, order)
+        equal = ideal_equal_mod(lhs, rhs, order)
+        assert equal == ideal_equal_mod(rhs, lhs, order) == (inside and outside)
+        if kind == "same":
+            assert equal
+        if kind == "larger":
+            assert inside
+        answers.update({("contained", inside), ("contained", outside), ("equal", equal)})
+
+    check()
+    assert answers == {(name, value) for name in ("contained", "equal")
+                       for value in (True, False)}
 
 
 def test_mod_order_requires_certified_range():
