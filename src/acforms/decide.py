@@ -25,13 +25,13 @@ which makes the change of generators invertible at the origin.  The decider
 takes one path, a scan over the degree prefixes d-1 .. k in increasing k.
 The equations are built as integer rows, one block per degree with one
 scale, straight from the components' integer terms (`_integer_blocks`;
-`assemble_system` is their Fraction view).  One column pass, a `RowBasis`
-over the gauge row X0 = 0 followed by every block, scans each row once and
-gives each block's rows independent of the rows before them, and whether
-the gauged prefix is still consistent.  Paired with (constant candidate,
--1), every row of [matrix | rhs] gives 0 and the gauge row gives -1, so the
-gauge row is never in the span of the equations, and a block's
-independent rows are the same with or without it.  Each branch
+`assemble_system` stores each row at its block's scale).  One column pass,
+a `RowBasis` over the gauge row X0 = 0 followed by every block, scans each
+row once and gives each block's rows independent of the rows before them,
+and whether the gauged prefix is still consistent.  Paired with
+(constant candidate, -1), every row of [matrix | rhs] gives 0 and the gauge
+row gives -1, so the gauge row is never in the span of the equations, and
+a block's independent rows are the same with or without it.  Each branch
 feeds only those rows to one `Echelon`, so its solution sets are those of
 the full prefixes, and reads each prefix off at its block boundary.
 
@@ -49,8 +49,9 @@ the full prefixes, and reads each prefix off at its block boundary.
   rows of each block.  The first prefix the column pass finds
   inconsistent never reaches it: it gives the failing degree, and the
   column pass back-substitutes a Farkas certificate for that prefix with
-  the gauge row appended, built as Fractions only then: a proof that no
-  potential exists.
+  the gauge row appended: a proof that no potential exists.  The failing
+  system is that prefix's integer blocks, handed over without a Fraction,
+  and only the certificate's entries are built as Fractions.
 * Without a gauge no refutation is attempted; the scan ran to the last
   prefix, which is the whole system.
 * Each consistent prefix of the branch taken records its affine dimension
@@ -178,21 +179,15 @@ def _integer_blocks(sigma: OneForm, d: int, order: int) -> list[tuple[int, list[
     return blocks
 
 
-def _fraction_view(blocks: list[tuple[int, list[list[int]]]], d: int, top: int) -> AffineSystem:
+def _block_system(blocks: list[tuple[int, list[list[int]]]], d: int, top: int) -> AffineSystem:
     """The integer blocks of equation degrees d-1, d, ... as an `AffineSystem`
-    over unknown degrees 0 .. top, each entry divided by its block's scale."""
-    zero = Fraction(0)
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    row_labels: list[str] = []
-    for k, (scale, rows) in enumerate(blocks, start=d - 1):
-        for i, row in enumerate(rows):
-            values = [Fraction(v, scale) if v else zero for v in row]
-            rhs.append(values.pop())
-            matrix.append(values)
-            row_labels.append(f"deg{k}:{k - i},{i}")
-    return AffineSystem(matrix=matrix, rhs=rhs, column_labels=_column_labels(top),
-                        row_labels=row_labels)
+    over unknown degrees 0 .. top, each row stored at its block's scale."""
+    return AffineSystem(
+        rows=[row for _, rows in blocks for row in rows],
+        scales=[scale for scale, rows in blocks for _ in rows],
+        column_labels=_column_labels(top),
+        row_labels=[f"deg{k}:{k - i},{i}" for k, (_, rows) in enumerate(blocks, start=d - 1)
+                    for i in range(len(rows))])
 
 
 def assemble_system(sigma: OneForm, order: int) -> AffineSystem:
@@ -201,20 +196,19 @@ def assemble_system(sigma: OneForm, order: int) -> AffineSystem:
     Unknown columns are the coefficients of X, Y, Z, W in degrees
     0 .. order-d, laid out by unknown degree, then name, then monomial (see
     `_column`) and labelled `name:a,b` by exponent; rows are grouped by
-    equation degree and labelled `deg<k>:a,b` by degree and monomial.  This
-    is the Fraction view of `_integer_blocks`.
+    equation degree and labelled `deg<k>:a,b` by degree and monomial.  The
+    rows are those of `_integer_blocks`, at their blocks' scales.
     """
     d = _validate_sigma(sigma, order)
-    return _fraction_view(_integer_blocks(sigma, d, order), d, order - d)
+    return _block_system(_integer_blocks(sigma, d, order), d, order - d)
 
 
 def with_gauge(system: AffineSystem) -> AffineSystem:
-    """Append the normalization row X0 = 0."""
-    *row, rhs = map(Fraction, _gauge_row(system.num_cols))
-    return AffineSystem(matrix=[list(r) for r in system.matrix] + [row],
-                        rhs=list(system.rhs) + [rhs],
+    """Append the normalization row X0 = 0, at scale 1."""
+    return AffineSystem(rows=system.rows + [_gauge_row(system.num_cols)],
+                        scales=system.scales + [1],
                         column_labels=list(system.column_labels),
-                        row_labels=list(system.row_labels) + [GAUGE_ROW_LABEL])
+                        row_labels=system.row_labels + [GAUGE_ROW_LABEL])
 
 
 def _gauge_row(num_cols: int) -> list[int]:
@@ -443,6 +437,12 @@ def integrate_closed(eta: OneForm, order: int) -> TruncSeries:
     for k in range(order - 1):
         if not resid.component(k).is_zero:
             raise ClosednessError(k)
+    return _radial_potential(eta, order)
+
+
+def _radial_potential(eta: OneForm, order: int) -> TruncSeries:
+    """The radial integral of `integrate_closed`, for a caller that has
+    already checked its closedness and truncation order."""
     one, two = eta.components
     parts = {}
     for k in range(order):
@@ -515,7 +515,9 @@ def _reconstruct(sigma: OneForm, order: int, point: list[Fraction]) -> Potential
     if extension <= order:
         raise AssertionError(
             f"system solution left a nonzero closedness residual at degree {extension - 1}")
-    phi = integrate_closed(eta, extension)
+    # eta is closed below extension - 1 and certified below extension, which
+    # is what integrate_closed would check again
+    phi = _radial_potential(eta, extension)
     grads = (phi.partial(0), phi.partial(1))
     if not ideal_contained_mod(TruncatedIdeal(grads),
                                TruncatedIdeal(sigma.components), order):
@@ -656,12 +658,10 @@ def decide(sigma: OneForm, order: int, guard: GuardReport | None = None) -> Deci
         echelon.extend([gauge_row])
         for k, (independent_rows, consistent) in enumerate(rescan, start=d - 1):
             if not consistent:
-                failing = blocks[:k - d + 2]
-                prefix = with_gauge(_fraction_view(failing, d, top))
+                prefix = with_gauge(_block_system(blocks[:k - d + 2], d, top))
                 num, den = basis.combination(prefix.num_rows)
                 # the basis scanned the gauge row first; the prefix ends with it
-                scales = [scale for scale, rows in failing for _ in rows] + [1]
-                certificate = farkas_certificate(prefix, scales, num[1:] + num[:1], den)
+                certificate = farkas_certificate(prefix, num[1:] + num[:1], den)
                 records.extend(StageRecord(j, False) for j in range(k, order))
                 return DeciderOutcome(
                     verdict="infeasible", order=order, lowest_degree=d, failing_degree=k,

@@ -261,11 +261,35 @@ class MembershipWitness:
         return acc
 
     def verify(self, ideal: TruncatedIdeal) -> bool:
-        """Independent re-multiplication check of the defining invariant."""
-        res = self.residual(ideal)
-        if res.trunc_order < self.valid_order:
+        """Independent re-multiplication check of the defining invariant: the
+        `residual` is certified and zero below valid_order.  Its order is
+        that of the series arithmetic; its terms are summed as integer
+        products over one denominator in one table, as a packed key fixes
+        its degree."""
+        if len(self.cofactors) != len(ideal.generators):
+            raise MismatchError("cofactor count does not match generator count")
+        nv = self.target.num_vars
+        if any(s.num_vars != nv for s in (*self.cofactors, *ideal.generators)):
+            raise MismatchError("target, cofactors and generators disagree on variable count")
+        below = self.valid_order
+        if any(min(c.trunc_order + g._effective_lowest(), g.trunc_order + c._effective_lowest())
+               < below for c, g in zip(self.cofactors, ideal.generators)):
             return False
-        return all(res.component(k).is_zero for k in range(self.valid_order))
+        if self.target.trunc_order < below:
+            return False
+        target, target_den = self.target._integer_parts(below)
+        pairs = [(c._integer_parts(below), g._integer_parts(below))
+                 for c, g in zip(self.cofactors, ideal.generators)]
+        common = lcm(target_den, *[c_den * g_den for (_, c_den), (_, g_den) in pairs])
+        acc = {key: v * (common // target_den) for terms in target.values() for key, v in terms}
+        for (c_parts, c_den), (g_parts, g_den) in pairs:
+            f = -(common // (c_den * g_den))
+            for i, c_terms in c_parts.items():
+                scaled = [(key, f * v) for key, v in c_terms]
+                for j, g_terms in g_parts.items():
+                    if i + j < below:
+                        _add_products(acc, scaled, g_terms)
+        return not any(acc.values())
 
 
 def _degree_residual(base: IntTerms, base_den: int,

@@ -41,6 +41,12 @@ inconsistent `RowBasis` prefix.
   products only.
 * `matrix_rank` counts the pivots of an `Echelon` fed integer rows as one
   block.
+
+An `AffineSystem` stores what the kernel reads, integer rows of
+[matrix | rhs] with one positive scale each, so the decider, the
+serializer and `verify_farkas` build no Fraction of it.  `matrix` and `rhs`
+are a Fraction view built on first access, and equality compares rational
+entries, whatever scale a row is stored at.
 """
 
 from __future__ import annotations
@@ -48,34 +54,64 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 
-@dataclass
+@dataclass(eq=False)
 class AffineSystem:
-    """matrix . v = rhs with labelled columns (and optionally rows)."""
+    """matrix . v = rhs with labelled columns (and optionally rows), stored
+    as integer rows of [matrix | rhs] with one positive scale per row: row i
+    of [matrix | rhs] is rows[i] / scales[i]."""
 
-    matrix: list[list[Fraction]]
-    rhs: list[Fraction]
+    rows: list[list[int]]
+    scales: list[int]
     column_labels: list[str]
     row_labels: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if len(self.rhs) != len(self.matrix):
-            raise ValueError(f"{len(self.matrix)} rows but {len(self.rhs)} right-hand entries")
-        for row in self.matrix:
-            if len(row) != len(self.column_labels):
-                raise ValueError(f"row width {len(row)} != {len(self.column_labels)} labels")
-        if self.row_labels and len(self.row_labels) != len(self.matrix):
+        if len(self.scales) != len(self.rows):
+            raise ValueError(f"{len(self.rows)} rows but {len(self.scales)} scales")
+        if any(s <= 0 for s in self.scales):
+            raise ValueError("row scales must be positive")
+        width = len(self.column_labels) + 1
+        for row in self.rows:
+            if len(row) != width:
+                raise ValueError(f"row width {len(row) - 1} != {width - 1} labels")
+        if self.row_labels and len(self.row_labels) != len(self.rows):
             raise ValueError("row label count mismatch")
+
+    @cached_property
+    def _fractions(self) -> tuple[list[list[Fraction]], list[Fraction]]:
+        rows = [[Fraction(v, s) for v in row] for row, s in zip(self.rows, self.scales)]
+        return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+    @property
+    def matrix(self) -> list[list[Fraction]]:
+        return self._fractions[0]
+
+    @property
+    def rhs(self) -> list[Fraction]:
+        return self._fractions[1]
 
     @property
     def num_rows(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
 
     @property
     def num_cols(self) -> int:
         return len(self.column_labels)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal labels and equal rational entries: rows[i] * t == other.rows[i] * s
+        for the scales s, t of the two rows."""
+        if not isinstance(other, AffineSystem):
+            return NotImplemented
+        return (self.column_labels == other.column_labels
+                and self.row_labels == other.row_labels
+                and len(self.rows) == len(other.rows)
+                and all(a == b if s == t else [x * t for x in a] == [y * s for y in b]
+                        for a, s, b, t in zip(self.rows, self.scales, other.rows, other.scales)))
 
 
 @dataclass
@@ -83,12 +119,6 @@ class FarkasCertificate:
     """Row combination u with u.matrix = 0 and u.rhs != 0."""
 
     row_combination: list[Fraction]
-
-
-def _scaled(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(lcm of the denominators, the row times that lcm as integers)."""
-    lcm = math.lcm(*[v.denominator for v in row])
-    return lcm, [v.numerator * (lcm // v.denominator) for v in row]
 
 
 def _combine(row: list[int], pivot_tail: list[int], c: int) -> list[int]:
@@ -278,16 +308,15 @@ class RowBasis:
         return _back_substitute(self.work, pivots, self.target, count)
 
 
-def farkas_certificate(system: AffineSystem, scales: Sequence[int],
-                       num: Sequence[int], den: int) -> FarkasCertificate:
-    """The row combination u_i = num_i * scales_i / den, checked before it is
-    returned.
+def farkas_certificate(system: AffineSystem, num: Sequence[int], den: int) -> FarkasCertificate:
+    """The row combination u_i = num_i * scales_i / den of the system's rows,
+    checked before it is returned.
 
-    num / den is what `RowBasis.combination` gives for the rows of
-    [matrix | rhs] times `scales`, so u is the same combination of the
-    system's own rows.
+    num / den is what `RowBasis.combination` gives for the system's integer
+    rows, each row i / scales_i of the system, so u is the same combination
+    of its rational rows.
     """
-    certificate = FarkasCertificate([Fraction(x * s, den) for x, s in zip(num, scales)])
+    certificate = FarkasCertificate([Fraction(x * s, den) for x, s in zip(num, system.scales)])
     if not verify_farkas(system, certificate):
         raise AssertionError("Farkas certificate failed its own check")
     return certificate
@@ -296,20 +325,19 @@ def farkas_certificate(system: AffineSystem, scales: Sequence[int],
 def verify_farkas(system: AffineSystem, certificate: FarkasCertificate) -> bool:
     """Independent certificate check: integer dot products, no elimination.
 
-    Each row of [matrix | rhs] with a nonzero weight u_i is scaled to
-    integers by s_i, the weights u_i / s_i are brought to integers by one
-    common factor, and the weighted column sums and the weighted rhs sum
-    are then exact integer dot products.
+    Row i of [matrix | rhs] is rows[i] / s_i, so its weight u_i becomes
+    u_i / s_i on the stored integer row; those weights are brought to
+    integers by one common factor, and the weighted column sums and the
+    weighted rhs sum are then exact integer dot products.
     """
     u = certificate.row_combination
     if len(u) != system.num_rows:
         raise ValueError(f"combination length {len(u)} != {system.num_rows} rows")
-    used = [(ui, _scaled(list(system.matrix[i]) + [system.rhs[i]]))
-            for i, ui in enumerate(u) if ui != 0]
+    used = [(ui, s, row) for ui, s, row in zip(u, system.scales, system.rows) if ui != 0]
     # u_i / s_i = numerator / (denominator * s_i)
-    common = math.lcm(*[ui.denominator * s for ui, (s, _) in used])
+    common = math.lcm(*[ui.denominator * s for ui, s, _ in used])
     acc = [0] * (system.num_cols + 1)
-    for ui, (s, row) in used:
+    for ui, s, row in used:
         w = ui.numerator * (common // (ui.denominator * s))
         acc = [a + w * x for a, x in zip(acc, row)]
     return not any(acc[:-1]) and acc[-1] != 0

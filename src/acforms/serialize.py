@@ -13,12 +13,19 @@ its own reports (construction log, scalar and ideal results, batch
 summary) itself.
 Readers raise `SerializationError`, and nothing else, on a malformed
 payload, and `dump_json` raises it on a path it cannot write.
+
+One canonical-rational parser, `_rational_parts`, serves every reader.
+An `AffineSystem` is written from its integer rows, each entry v / s as
+`str(Fraction(v, s))` would write it, and read back into integer rows with
+one scale each, with no Fraction built.  The series reader checks each
+term once and builds its parts without `HomogPoly`'s per-term check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -47,24 +54,32 @@ _RATIONAL = re.compile(r"0|-?[1-9][0-9]{0,4299}(/[1-9][0-9]{0,4299})?")
 _ZERO = Fraction(0)
 
 
-def frac_from_str(text: Any) -> Fraction:
-    """Parse the canonical form `frac_to_str` writes: `p` or `p/q` in lowest
-    terms, q > 1, no sign on zero, no leading zeros, no spaces."""
+def _rational_parts(text: Any) -> tuple[int, int]:
+    """Numerator and denominator of the canonical form `frac_to_str` writes:
+    `p` or `p/q` in lowest terms, q > 1, no sign on zero, no leading zeros,
+    no spaces."""
     if text == "0":
-        return _ZERO
+        return 0, 1
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise SerializationError(f"expected a rational string p/q, got {text!r}")
     num, _, den = text.partition("/")
     try:
+        p = int(num)
         if not den:
-            return Fraction(int(num))
+            return p, 1
         q = int(den)
-        value = Fraction(int(num), q)
     except ValueError as exc:     # an interpreter int/str limit below 4300 digits
         raise SerializationError(f"bad rational {text!r}: {exc}") from None
-    if q == 1 or value.denominator != q:
-        raise SerializationError(f"rational {text!r} is not canonical; write {value}")
-    return value
+    if q == 1 or math.gcd(p, q) != 1:
+        raise SerializationError(f"rational {text!r} is not canonical; write {Fraction(p, q)}")
+    return p, q
+
+
+def frac_from_str(text: Any) -> Fraction:
+    """Parse the canonical form `frac_to_str` writes (see `_rational_parts`)."""
+    if text == "0":
+        return _ZERO
+    return Fraction(*_rational_parts(text))
 
 
 def _json_int(value: Any, name: str) -> int:
@@ -76,7 +91,8 @@ def _json_int(value: Any, name: str) -> int:
 
 def _json_list(value: Any, name: str, of: type = object) -> list:
     """A JSON list field; with `of=str`, a list of JSON strings."""
-    if not isinstance(value, list) or not all(isinstance(v, of) for v in value):
+    if not isinstance(value, list) or (of is not object
+                                       and not all(isinstance(v, of) for v in value)):
         raise SerializationError(f"{name} must be a list{' of strings' if of is str else ''}, "
                                  f"got {value!r}")
     return value
@@ -142,21 +158,26 @@ def series_from_json(data: Any) -> TruncSeries:
         raw_terms = data["terms"]
     except KeyError as exc:
         raise SerializationError(f"bad series fields: missing {exc}") from None
+    # each term is checked here once, so the parts skip HomogPoly's own check
     buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
     for entry in _json_list(raw_terms, "series terms"):
         if not isinstance(entry, dict) or "exp" not in entry or "coeff" not in entry:
             raise SerializationError(f"bad series term {entry!r}")
-        exp = tuple(_json_int(e, "exponent") for e in _json_list(entry["exp"], "exponent"))
+        exp = tuple(_json_list(entry["exp"], "exponent"))
+        if len(exp) != num_vars or not all(type(e) is int and e >= 0 for e in exp):
+            for e in exp:
+                _json_int(e, "exponent")
+            raise SerializationError(f"exponent {exp} is not {num_vars} non-negative integers")
         coeff = frac_from_str(entry["coeff"])
-        if coeff == 0:
+        if not coeff:
             raise SerializationError(f"stored zero coefficient at {exp}")
         bucket = buckets.setdefault(sum(exp), {})
         if exp in bucket:
             raise SerializationError(f"duplicate exponent {exp}")
         bucket[exp] = coeff
     try:
-        return TruncSeries(num_vars, order,
-                           {k: HomogPoly(num_vars, k, terms) for k, terms in buckets.items()})
+        return TruncSeries(num_vars, order, {k: HomogPoly._trusted(num_vars, k, terms)
+                                             for k, terms in buckets.items()})
     except ValueError as exc:
         raise SerializationError(str(exc)) from None
 
@@ -178,22 +199,51 @@ def one_form_from_json(data: Any) -> OneForm:
 
 
 def system_to_json(system: AffineSystem) -> dict:
+    # v / s through one gcd, as str(Fraction(v, s)) writes it
+    gcd = math.gcd
+    rows = [[str(v) for v in row] if s == 1 else
+            ["0" if not v else f"{v // g}/{s // g}" if (g := gcd(v, s)) != s else str(v // s)
+             for v in row]
+            for row, s in zip(system.rows, system.scales)]
     return {"kind": "affine_system",
             "column_labels": list(system.column_labels),
             "row_labels": list(system.row_labels),
-            "matrix": [[frac_to_str(v) for v in row] for row in system.matrix],
-            "rhs": [frac_to_str(v) for v in system.rhs]}
+            "matrix": [row[:-1] for row in rows],
+            "rhs": [row[-1] for row in rows]}
+
+
+def _integer_row(texts: list, memo: dict[str, tuple[int, int]]) -> tuple[int, list[int]]:
+    """Canonical rational strings as (scale, integers): the lcm of their
+    denominators, and each entry times it.  `memo` holds the strings
+    already parsed."""
+    parts = []
+    for i, text in enumerate(texts):
+        if text != "0":
+            got = memo.get(text) if type(text) is str else None
+            if got is None:
+                got = memo[text] = _rational_parts(text)
+            parts.append((i, got))
+    scale = math.lcm(*[q for _, (_, q) in parts])
+    row = [0] * len(texts)
+    for i, (p, q) in parts:
+        row[i] = p if q == scale else p * (scale // q)
+    return scale, row
 
 
 def system_from_json(data: Any) -> AffineSystem:
     data = _expect_kind(data, "affine_system")
     try:
-        matrix = [[frac_from_str(v) for v in _json_list(row, "matrix row")]
-                  for row in _json_list(data["matrix"], "matrix")]
-        rhs = [frac_from_str(v) for v in _json_list(data["rhs"], "rhs")]
+        matrix = _json_list(data["matrix"], "matrix")
+        rhs = _json_list(data["rhs"], "rhs")
+        if len(rhs) != len(matrix):
+            raise ValueError(f"{len(matrix)} rows but {len(rhs)} right-hand entries")
+        memo: dict[str, tuple[int, int]] = {}
+        scaled = [_integer_row(_json_list(row, "matrix row") + [b], memo)
+                  for row, b in zip(matrix, rhs)]
         cols = _json_list(data["column_labels"], "column_labels", str)
         rows = _json_list(data.get("row_labels", []), "row_labels", str)
-        return AffineSystem(matrix=matrix, rhs=rhs, column_labels=cols, row_labels=rows)
+        return AffineSystem(rows=[row for _, row in scaled], scales=[s for s, _ in scaled],
+                            column_labels=cols, row_labels=rows)
     except (KeyError, ValueError) as exc:
         raise SerializationError(f"bad affine system: {exc}") from None
 

@@ -12,6 +12,10 @@ the integer reduced rows (`echelon_solution`), so the differential tests of
 `fraction_find_unit_solution` and `functional_range`, the decider's earlier
 unit search and forced-functional test, read a `SolutionSet`, because what
 they check is the read-off from the reduced rows that replaced them;
+`fraction_system_to_json`, the earlier writer of failing systems, and
+`fraction_verify_witness`, the earlier witness check, read the Fraction
+view and the Fraction series arithmetic of the package, because what they
+check is the integer writer and check that replaced them;
 `reduced_form_certificate`, the kernel's earlier certificate path, reuses
 the kernel's forward and backward passes, because what it checks is the
 back-substitution that replaced the backward pass; `fraction_assemble_system`
@@ -29,6 +33,7 @@ leaves out never change a rank.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +43,7 @@ from acforms.decide import (UNKNOWN_NAMES, BlockRecord, GuardCheck, GuardReport,
                             StageRecord, _column, _validate_sigma)
 from acforms.ideals import MembershipWitness, TruncatedIdeal, _shifted_row
 from acforms.linalg import (AffineSystem, Echelon, FarkasCertificate, RowBasis, _echelon,
-                            _reduce, _scaled, farkas_certificate)
+                            _reduce, farkas_certificate)
 from acforms.poly import HomogPoly, MismatchError, OneForm, TruncSeries, _pack, monomials
 
 
@@ -77,6 +82,24 @@ def rref_rank(rows: list[list[Fraction]]) -> int:
 
 def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
     return rref_rank(vectors + [target]) == rref_rank(vectors)
+
+
+def scaled_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(lcm of the denominators, the row times that lcm as integers)."""
+    lcm = math.lcm(*[v.denominator for v in row])
+    return lcm, [v.numerator * (lcm // v.denominator) for v in row]
+
+
+def fraction_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
+                    column_labels: list[str], row_labels: list[str] | None = None
+                    ) -> AffineSystem:
+    """The `AffineSystem` of rational entries, each row of [matrix | rhs]
+    stored scaled to integers by the lcm of its denominators."""
+    if len(rhs) != len(matrix):
+        raise ValueError(f"{len(matrix)} rows but {len(rhs)} right-hand entries")
+    scaled = [scaled_row([*row, b]) for row, b in zip(matrix, rhs)]
+    return AffineSystem([row for _, row in scaled], [s for s, _ in scaled],
+                        list(column_labels), list(row_labels or []))
 
 
 def residual(system: AffineSystem, point: Sequence[Fraction]) -> list[Fraction]:
@@ -155,15 +178,14 @@ def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
     certificate when inconsistent: the system fed to an `Echelon` as one
     block, and an inconsistent one's certificate from one column pass and
     `farkas_certificate`."""
-    scaled = [_scaled(list(row) + [b]) for row, b in zip(system.matrix, system.rhs)]
-    rows = [row for _, row in scaled]
+    rows = system.rows
     echelon = Echelon(system.num_cols)
     echelon.extend(rows)
     if echelon.consistent:
         return echelon_solution(echelon)
     basis = RowBasis(rows, system.num_cols)
     basis.extend(len(rows))
-    return farkas_certificate(system, [s for s, _ in scaled], *basis.combination(len(rows)))
+    return farkas_certificate(system, *basis.combination(len(rows)))
 
 
 def functional_range(solution: SolutionSet,
@@ -314,7 +336,7 @@ def reduced_form_certificate(system: AffineSystem) -> FarkasCertificate | None:
     original system is consistent.
     """
     m, n = system.num_rows, system.num_cols
-    scaled = [_scaled(list(row) + [b]) for row, b in zip(system.matrix, system.rhs)]
+    scaled = [scaled_row(list(row) + [b]) for row, b in zip(system.matrix, system.rhs)]
     transposed = [[row[c] for _, row in scaled] + [int(c == n)] for c in range(n + 1)]
     pivots = _echelon(transposed, m)
     if any(row[m] for row in transposed[len(pivots):]):
@@ -343,6 +365,16 @@ def fraction_verify_farkas(system: AffineSystem, certificate: FarkasCertificate)
         if ui != 0:
             acc += ui * system.rhs[i]
     return acc != 0
+
+
+def fraction_system_to_json(system: AffineSystem) -> dict:
+    """The earlier `acforms.serialize.system_to_json`: every entry of the
+    Fraction view written as `str` of the Fraction."""
+    return {"kind": "affine_system",
+            "column_labels": list(system.column_labels),
+            "row_labels": list(system.row_labels),
+            "matrix": [[str(v) for v in row] for row in system.matrix],
+            "rhs": [str(v) for v in system.rhs]}
 
 
 def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -421,8 +453,8 @@ def fraction_assemble_system(sigma, order: int) -> AffineSystem:
         matrix.extend(block)
         rhs.extend(target.coeff(exp) for exp in basis)
         row_labels.extend(f"deg{k}:{exp[0]},{exp[1]}" for exp in basis)
-    return AffineSystem(matrix=matrix, rhs=rhs, column_labels=col_labels,
-                        row_labels=row_labels)
+    return fraction_system(matrix=matrix, rhs=rhs, column_labels=col_labels,
+                           row_labels=row_labels)
 
 
 def trivial_solution(system: AffineSystem) -> list[Fraction]:
@@ -437,8 +469,8 @@ def prefix_through(system: AffineSystem, through_degree: int) -> AffineSystem:
     """The rows of an assembled system labelled with equation degree <= k."""
     keep = [i for i, label in enumerate(system.row_labels)
             if int(label[3:label.index(":")]) <= through_degree]
-    return AffineSystem(matrix=[system.matrix[i] for i in keep],
-                        rhs=[system.rhs[i] for i in keep],
+    return AffineSystem(rows=[system.rows[i] for i in keep],
+                        scales=[system.scales[i] for i in keep],
                         column_labels=list(system.column_labels),
                         row_labels=[system.row_labels[i] for i in keep])
 
@@ -494,8 +526,7 @@ def fraction_membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
             for pexp, val in ideal.generators[i].component(lows[i]).shift(exp).coeffs.items():
                 matrix[index[pexp]][c] = val
         rhs = [residual[n].coeff(exp) for exp in basis]
-        outcome = fraction_solve_affine(AffineSystem(matrix=matrix, rhs=rhs,
-                                                     column_labels=labels))
+        outcome = fraction_solve_affine(fraction_system(matrix, rhs, labels))
         if isinstance(outcome, FarkasCertificate):
             return n
         pieces: dict[int, dict[tuple[int, ...], Fraction]] = {}
@@ -523,6 +554,16 @@ def fraction_membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
         series.append(TruncSeries(nv, max(cap, 1), dict(table)))
     return MembershipWitness(target=target.truncate(order),
                              cofactors=tuple(series), valid_order=order)
+
+
+def fraction_verify_witness(witness: MembershipWitness, ideal: TruncatedIdeal) -> bool:
+    """The earlier `MembershipWitness.verify`: the Fraction residual, target
+    minus the series products of cofactors and generators, is certified and
+    zero below the valid order."""
+    res = witness.residual(ideal)
+    if res.trunc_order < witness.valid_order:
+        return False
+    return all(res.component(k).is_zero for k in range(witness.valid_order))
 
 
 # --- the decider's earlier guard families ---------------------------------

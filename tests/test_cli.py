@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ from acforms.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, EXIT_REFUTED, main
 from acforms.construct import AlmostClosedReport, Instance, build
 from acforms.decide import DeciderOutcome, genericity_guard
 from acforms.ideals import TruncatedIdeal
-from acforms.linalg import verify_farkas
+from acforms.linalg import AffineSystem, verify_farkas
 from acforms.poly import _DEGREE_BOUND, OneForm
 from acforms.serialize import (SerializationError, certificate_from_json, dump_json,
                                ideal_to_json, instance_to_json, load_json,
@@ -309,6 +310,28 @@ def test_emitted_certificate_audits_standalone(refuted_run):
     system = system_from_json(sys_payload)
     certificate = certificate_from_json(cert_payload)
     assert verify_farkas(system, certificate)
+
+
+def test_refutation_and_audit_build_no_fraction_view(tmp_path, monkeypatch, capsys):
+    """`decide`, its artifacts and the README audit run on the stored integer
+    rows: building an `AffineSystem`'s Fraction view fails the run."""
+    def refuse(self):
+        raise AssertionError("the Fraction view of an AffineSystem was built")
+
+    monkeypatch.setattr(AffineSystem, "_fractions", property(refuse))
+    sp = tmp_path / "sigma.json"
+    _write(sp, one_form_to_json(_first_guarded_refutable()[1]))
+    out = tmp_path / "run"
+    assert main(["decide", str(sp), "--order", "21", "--out", str(out)]) == EXIT_REFUTED
+    capsys.readouterr()
+    system = load_json(str(out / "failing_system.json"))
+    cert = load_json(str(out / "certificate.json"))
+    system.pop("manifest_sha256")
+    cert.pop("manifest_sha256")
+    assert cert["system_sha256"] == sha256_of_payload(system)
+    assert verify_farkas(system_from_json(system), certificate_from_json(cert))
+    with pytest.raises(AssertionError, match="Fraction view"):
+        system_from_json(system).matrix
 
 
 def test_decide_degenerate_exit_code(tmp_path, monkeypatch, capsys):
@@ -646,8 +669,12 @@ def test_module_invocation_round_trip(tmp_path):
     dp = tmp_path / "d.json"
     _write(cp, series_to_json(S(2, 2, {1: {(1, 0): 1}})))
     _write(dp, series_to_json(zero_series(2)))
+    # the child imports the package the suite imported, installed or not
+    package_root = str(Path(acforms.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "acforms", "obstruction",
-                           str(cp), str(dp)], capture_output=True, text=True)
+                           str(cp), str(dp)], capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout.strip())["value"] == "1"
 

@@ -16,17 +16,17 @@ from acforms.decide import (GAUGE_ROW_LABEL, UNKNOWN_NAMES,
                             integrate_closed, obstruction,
                             obstruction_pair_check, scaled_pair,
                             staged_report, tilde_transform,
-                            verify_potential, with_gauge, _fraction_view,
+                            verify_potential, with_gauge, _block_system,
                             _integer_blocks)
-from acforms.linalg import AffineSystem, FarkasCertificate, verify_farkas
+from acforms.linalg import FarkasCertificate, verify_farkas
 from acforms.poly import MismatchError, OneForm, TruncSeries, monomials
 from acforms.prng import Stream
 from conftest import H, S, form, series_x, zero_series
 from oracles import (SolutionSet, dict_component, fraction_assemble_system,
                      fraction_find_unit_solution, fraction_solve_affine, fraction_stage_record,
                      full_family_guard, functional_range, poly_add, poly_mul, poly_partial,
-                     poly_scale, prefix_through, residual, rref_rank, series_dict, solve_affine,
-                     trivial_solution, unit_value)
+                     fraction_system, poly_scale, prefix_through, residual, rref_rank,
+                     scaled_row, series_dict, solve_affine, trivial_solution, unit_value)
 
 FR = Fraction
 # the package re-exports the function `decide`, which hides the module
@@ -125,11 +125,11 @@ def test_gauge_row_and_prefix_filtering():
     degrees = [int(lbl[3:lbl.index(":")]) for lbl in prefix.row_labels
                if not lbl.startswith("gauge:")]
     assert degrees and max(degrees) <= 2
-    # the Fraction view of the first blocks is the prefix through their
-    # degrees, with the columns of the whole system
+    # the system of the first blocks is the prefix through their degrees,
+    # with the columns of the whole system
     blocks = _integer_blocks(sigma, 2, 4)
     for k in range(1, 4):
-        assert _fraction_view(blocks[:k], 2, 2) == prefix_through(system, k)
+        assert _block_system(blocks[:k], 2, 2) == prefix_through(system, k)
     # gauge forces the X constant to zero on the prefix
     solved = solve_affine(with_gauge(prefix_through(system, 1)))
     assert isinstance(solved, SolutionSet)
@@ -245,16 +245,15 @@ def test_guard_rejects_bad_input():
 
 
 def _degree0_system(rows, rhs):
-    return AffineSystem(matrix=[[FR(v) for v in row] for row in rows],
-                        rhs=[FR(v) for v in rhs],
-                        column_labels=["X:0,0", "Y:0,0", "Z:0,0", "W:0,0"])
+    return fraction_system([[FR(v) for v in row] for row in rows],
+                           [FR(v) for v in rhs], ["X:0,0", "Y:0,0", "Z:0,0", "W:0,0"])
 
 
 def _unit_search(system):
     """`find_unit_solution` as `decide` calls it: on the integer reduced rows
     of an `Echelon` fed the rows of a consistent system."""
     echelon = linalg.Echelon(system.num_cols)
-    echelon.extend([linalg._scaled(list(row) + [b])[1]
+    echelon.extend([scaled_row(list(row) + [b])[1]
                     for row, b in zip(system.matrix, system.rhs)])
     assert echelon.consistent
     return find_unit_solution(echelon, echelon.reduced())
@@ -325,14 +324,14 @@ def unit_systems(draw):
         # the point is the particular point and (1+X0)(1+W0) - Y0 Z0 = 0
         matrix.append([FR(int(c == 0)) for c in range(n)])
         echelon = linalg.Echelon(n)
-        echelon.extend([linalg._scaled(row + [FR(0)])[1] for row in matrix])
+        echelon.extend([scaled_row(row + [FR(0)])[1] for row in matrix])
         point = [v if c in echelon.pivots else FR(0) for c, v in enumerate(point)]
         point[0], point[draw(st.sampled_from([1, 2]))] = FR(-1), FR(0)
     order = draw(st.permutations(range(len(matrix))))
     matrix = [matrix[i] for i in order]
     rhs = [sum((a * x for a, x in zip(row, point)), FR(0)) for row in matrix]
-    return kind, AffineSystem(matrix=matrix, rhs=rhs,
-                              column_labels=[f"u{c}" for c in range(n)])
+    return kind, fraction_system(matrix=matrix, rhs=rhs,
+                                 column_labels=[f"u{c}" for c in range(n)])
 
 
 @settings(deadline=None, max_examples=300)

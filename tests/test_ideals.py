@@ -1,6 +1,7 @@
 """Truncated ideal engine against brute-force span oracles."""
 
 import importlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from acforms.prng import Stream
 from conftest import H, S, zero_series
 from oracles import (brute_colength, brute_cover_degree, brute_leading_cover,
                      brute_member, brute_min_power, fraction_membership_witness,
-                     ideal_image_vectors, rref_rank, series_dict)
+                     fraction_verify_witness, ideal_image_vectors, rref_rank, series_dict)
 
 ORDER = 8
 
@@ -613,3 +614,70 @@ def test_random_combinations_yield_verified_witnesses(seed):
                              ideal, order)
     assert isinstance(wit, MembershipWitness), f"failed at degree {wit}"
     assert wit.verify(ideal)
+
+
+def _assert_verify_matches_fraction_residual(witness, ideal):
+    """The integer check gives the Fraction residual's verdict, or raises
+    `MismatchError` where the residual raises it."""
+    try:
+        expected = fraction_verify_witness(witness, ideal)
+    except MismatchError:
+        with pytest.raises(MismatchError):
+            witness.verify(ideal)
+        return None
+    assert witness.verify(ideal) == expected
+    return expected
+
+
+def _witness_variants(witness, extra):
+    """The witness, one cofactor with the term `extra` added, each cofactor
+    truncated below the valid order, a cofactor dropped or repeated, and
+    valid orders one below and one above."""
+    variants = [witness, replace(witness, valid_order=max(witness.valid_order - 1, 0)),
+                replace(witness, valid_order=witness.valid_order + 1),
+                replace(witness, cofactors=witness.cofactors[1:]),
+                replace(witness, cofactors=witness.cofactors + witness.cofactors[:1])]
+    for i, c in enumerate(witness.cofactors):
+        swap = list(witness.cofactors)
+        swap[i] = c.add(extra.truncate(min(extra.trunc_order, c.trunc_order)))
+        variants.append(replace(witness, cofactors=tuple(swap)))
+        if c.trunc_order > 1:
+            swap[i] = c.truncate(c.trunc_order // 2)
+            variants.append(replace(witness, cofactors=tuple(swap)))
+    return variants
+
+
+def test_verify_matches_the_fraction_residual_on_corpus():
+    verdicts, checked = set(), 0
+    for ideal in CORPUS:
+        nv = ideal.num_vars
+        cofactor = S(nv, ORDER, {0: {(0,) * nv: Fraction(1, 2)},
+                                 1: {e: Fraction(k + 1, 3) for k, e in enumerate(monomials(nv, 1))}})
+        member = zero_series(ORDER, nv)
+        for g in ideal.generators:
+            member = member.add(cofactor.mul(g).truncate(ORDER))
+        witness = membership_witness(member, ideal, 7)
+        if not isinstance(witness, MembershipWitness):
+            continue    # a stage of this ideal fails; no witness to check
+        checked += 1
+        extra = S(nv, ORDER, {1: {monomials(nv, 1)[-1]: Fraction(-5, 7)}})
+        for variant in _witness_variants(witness, extra):
+            verdicts.add(_assert_verify_matches_fraction_residual(variant, ideal))
+        other = TruncatedIdeal(tuple(zero_series(ORDER, 3 if nv == 2 else 2)
+                                     for _ in ideal.generators))
+        verdicts.add(_assert_verify_matches_fraction_residual(witness, other))
+    assert verdicts == {True, False, None} and checked >= len(CORPUS) // 2
+
+
+@settings(deadline=None, max_examples=40)
+@given(membership_problems(), st.data())
+def test_verify_matches_the_fraction_residual(problem, data):
+    target, ideal, order = problem
+    witness = membership_witness(target, ideal, order)
+    if not isinstance(witness, MembershipWitness):
+        return
+    nv = ideal.num_vars
+    k = data.draw(st.integers(0, order - 1))
+    extra = S(nv, order, {k: {data.draw(st.sampled_from(monomials(nv, k))): Fraction(1, 3)}})
+    for variant in _witness_variants(witness, extra):
+        _assert_verify_matches_fraction_residual(variant, ideal)

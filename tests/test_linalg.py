@@ -15,9 +15,9 @@ from conftest import H, S, zero_series
 # `solve_affine` and `echelon_solution` run the integer kernel and read its
 # reduced rows into a `SolutionSet`
 from oracles import (SolutionSet, echelon_solution, fraction_matrix_rank, fraction_solve_affine,
-                     fraction_verify_farkas, functional_range, prefix_through,
+                     fraction_system, fraction_verify_farkas, functional_range, prefix_through,
                      project_solution_set, reduced_form_certificate, residual, rref_rank,
-                     solve_affine)
+                     scaled_row, solve_affine)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 # zeros, small fractions and entries with denominators up to 10^6
@@ -38,15 +38,15 @@ def systems(draw, max_rows=6, max_cols=5):
     """Possibly empty systems: no rows, or rows of width zero."""
     cols = draw(st.integers(0, max_cols))
     rows = draw(st.integers(0, max_rows))
-    return AffineSystem(matrix=_rows(draw, rows, cols), rhs=_rows(draw, 1, rows)[0],
-                        column_labels=[f"u{i}" for i in range(cols)])
+    return fraction_system(_rows(draw, rows, cols), _rows(draw, 1, rows)[0],
+                           [f"u{i}" for i in range(cols)])
 
 
 def _sys(matrix, rhs, labels=None):
     matrix = [[Fraction(v) for v in row] for row in matrix]
     labels = labels or [f"u{i}" for i in range(len(matrix[0]))]
-    return AffineSystem(matrix=matrix, rhs=[Fraction(v) for v in rhs],
-                        column_labels=labels)
+    return fraction_system(matrix=matrix, rhs=[Fraction(v) for v in rhs],
+                           column_labels=labels)
 
 
 # --- dichotomy ---------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_infeasible_gets_verified_certificate():
 
 
 def test_empty_rows_solve_trivially():
-    out = solve_affine(AffineSystem(matrix=[], rhs=[], column_labels=["a", "b"]))
+    out = solve_affine(fraction_system(matrix=[], rhs=[], column_labels=["a", "b"]))
     assert isinstance(out, SolutionSet)
     assert out.dimension == 2
 
@@ -114,7 +114,7 @@ def test_empty_rows_solve_trivially():
 
 def _scaled_rows(rows):
     """Each row times the lcm of its denominators, as integers, for `matrix_rank`."""
-    return [linalg._scaled(row)[1] for row in rows]
+    return [scaled_row(row)[1] for row in rows]
 
 
 @settings(deadline=None, max_examples=150)
@@ -181,8 +181,8 @@ def inconsistent_systems(draw, max_base=4, max_cols=5):
                        for j in range(cols)])
         rhs.append(sum((c * b for c, b in zip(coeffs, base_rhs)), Fraction(0)) + shift)
     order = draw(st.permutations(range(len(matrix))))
-    return AffineSystem(matrix=[matrix[i] for i in order], rhs=[rhs[i] for i in order],
-                        column_labels=[f"u{i}" for i in range(cols)])
+    return fraction_system([matrix[i] for i in order], [rhs[i] for i in order],
+                           [f"u{i}" for i in range(cols)])
 
 
 def _assert_certificate(system, cert):
@@ -227,12 +227,12 @@ def test_rank_matches_fraction_oracle(rows):
 
 
 def _integer_rows(system):
-    return [linalg._scaled(list(row) + [b])[1] for row, b in zip(system.matrix, system.rhs)]
+    """Copies of the stored integer rows of [matrix | rhs]."""
+    return [list(row) for row in system.rows]
 
 
 def _prefix(system, end):
-    return AffineSystem(matrix=system.matrix[:end], rhs=system.rhs[:end],
-                        column_labels=system.column_labels)
+    return AffineSystem(system.rows[:end], system.scales[:end], system.column_labels)
 
 
 @st.composite
@@ -377,7 +377,6 @@ def test_column_pass_finds_each_prefix_basis_and_certificate(case):
     reduced-form certificate of the prefix."""
     system, bounds = case
     rows = _integer_rows(system)
-    scales = [linalg._scaled(list(row) + [b])[0] for row, b in zip(system.matrix, system.rhs)]
     basis = linalg.RowBasis(rows, system.num_cols)
     for start, end in zip(bounds, bounds[1:]):
         new = basis.extend(end - start)
@@ -387,7 +386,7 @@ def test_column_pass_finds_each_prefix_basis_and_certificate(case):
         ref = reduced_form_certificate(prefix)
         assert basis.consistent == (ref is None)
         if ref is not None:
-            cert = farkas_certificate(prefix, scales[:end], *basis.combination(end))
+            cert = farkas_certificate(prefix, *basis.combination(end))
             assert cert == ref
     assert rows == _integer_rows(system)
 
@@ -422,5 +421,5 @@ def test_certificate_of_an_early_prefix_survives_later_scans():
     early = basis.combination(2)
     assert basis.extend(2) == [2]
     assert basis.combination(2) == early
-    cert = farkas_certificate(_prefix(system, 2), [1, 1], *early)
+    cert = farkas_certificate(_prefix(system, 2), *early)
     assert cert == reduced_form_certificate(_prefix(system, 2))

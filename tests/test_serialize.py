@@ -1,6 +1,7 @@
 """JSON artifacts: round trips, canonical hashing, malformed payloads."""
 
 import copy
+import math
 import sys
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from acforms.construct import Instance, build
 from acforms.decide import PotentialWitness, assemble_system
 from acforms.ideals import TruncatedIdeal
-from acforms.linalg import AffineSystem, FarkasCertificate
+from acforms.linalg import AffineSystem, FarkasCertificate, verify_farkas
 from acforms.poly import OneForm
 from acforms.serialize import (SerializationError, canonical_dumps,
                                certificate_from_json, certificate_to_json,
@@ -24,7 +25,8 @@ from acforms.serialize import (SerializationError, canonical_dumps,
                                system_from_json, system_to_json,
                                witness_to_json)
 from conftest import S, zero_series
-from oracles import solve_affine, str_round_trip_fraction
+from oracles import (fraction_solve_affine, fraction_system, fraction_system_to_json,
+                     fraction_verify_farkas, solve_affine, str_round_trip_fraction)
 
 FR = Fraction
 
@@ -172,8 +174,8 @@ def test_system_and_certificate_round_trip():
     assert back.column_labels == system.column_labels
     assert back.row_labels == system.row_labels
 
-    infeasible = AffineSystem(matrix=[[FR(1)], [FR(1)]], rhs=[FR(0), FR(1)],
-                              column_labels=["u"])
+    infeasible = fraction_system(matrix=[[FR(1)], [FR(1)]], rhs=[FR(0), FR(1)],
+                                 column_labels=["u"])
     cert = solve_affine(infeasible)
     assert isinstance(cert, FarkasCertificate)
     payload = certificate_to_json(cert, system_hash="abc123")
@@ -184,8 +186,7 @@ def test_system_and_certificate_round_trip():
 
 
 def _system_payload(**changes):
-    system = AffineSystem(matrix=[[FR(1), FR(2)]], rhs=[FR(3)], column_labels=["a", "b"],
-                          row_labels=["r"])
+    system = fraction_system([[FR(1), FR(2)]], [FR(3)], ["a", "b"], ["r"])
     return {**system_to_json(system), **changes}
 
 
@@ -198,6 +199,73 @@ def test_system_reader_requires_lists_of_strings(changes):
     assert system_from_json(_system_payload()).column_labels == ["a", "b"]
     with pytest.raises(SerializationError):
         system_from_json(_system_payload(**changes))
+
+
+_NON_CANONICAL = ["2/4", "3/1", "-0", "01", " 1", 1, True]
+
+
+@pytest.mark.parametrize("entry", _NON_CANONICAL, ids=repr)
+@pytest.mark.parametrize("place", ["matrix", "rhs"])
+def test_system_reader_rejects_non_canonical_entries(place, entry):
+    payload = (_system_payload(matrix=[["1", entry]]) if place == "matrix"
+               else _system_payload(rhs=[entry]))
+    with pytest.raises(SerializationError):
+        system_from_json(payload)
+
+
+@st.composite
+def integer_row_systems(draw):
+    """Systems stored as integer rows with one scale each: rows of mixed
+    sign, zero rows, rows at scale 1, and rows stored at a multiple of their
+    least scale, so that some entries reduce to integers under a larger
+    scale.  The last row is a combination of the others with a shifted
+    right-hand side, so the system is inconsistent."""
+    cols = draw(st.integers(0, 4))
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    rational = [draw(st.one_of(st.just([Fraction(0)] * (cols + 1)),
+                               st.lists(entries, min_size=cols + 1, max_size=cols + 1)))
+                for _ in range(draw(st.integers(1, 4)))]
+    weights = draw(st.lists(st.integers(-2, 2), min_size=len(rational), max_size=len(rational)))
+    combined = [sum((w * row[c] for w, row in zip(weights, rational)), Fraction(0))
+                for c in range(cols + 1)]
+    combined[-1] += draw(entries.filter(bool))
+    rational.append(combined)
+    rows, scales = [], []
+    for row in rational:
+        least = math.lcm(*[v.denominator for v in row])
+        scale = least * draw(st.sampled_from([1, 1, 2, 6, 35]))
+        rows.append([int(v * scale) for v in row])
+        scales.append(scale)
+    order = draw(st.permutations(range(len(rows))))
+    return AffineSystem([rows[i] for i in order], [scales[i] for i in order],
+                        [f"u{c}" for c in range(cols)], [f"r{i}" for i in order])
+
+
+@settings(deadline=None, max_examples=150)
+@given(integer_row_systems(), st.data())
+def test_integer_rows_write_read_and_verify_as_fractions(system, data):
+    payload = system_to_json(system)
+    assert canonical_dumps(payload) == canonical_dumps(fraction_system_to_json(system))
+    back = system_from_json(payload)
+    assert back == system
+    assert back.matrix == system.matrix and back.rhs == system.rhs
+    certificate = fraction_solve_affine(system)
+    assert isinstance(certificate, FarkasCertificate)
+    u = list(certificate.row_combination)
+    i = data.draw(st.integers(0, len(u) - 1))
+    u[i] += data.draw(st.sampled_from([Fraction(1), Fraction(-1, 3), Fraction(7, 2)]))
+    for candidate in (certificate, FarkasCertificate(u)):
+        expected = fraction_verify_farkas(system, candidate)
+        assert verify_farkas(system, candidate) == verify_farkas(back, candidate) == expected
+    assert verify_farkas(back, certificate)
+
+
+def test_system_equality_ignores_the_row_scale():
+    plain = AffineSystem([[1, -2, 3]], [2], ["a", "b"])
+    assert plain == AffineSystem([[3, -6, 9]], [6], ["a", "b"])
+    assert plain != AffineSystem([[3, -6, 9]], [2], ["a", "b"])
+    assert plain != AffineSystem([[1, -2, 3]], [2], ["a", "c"])
+    assert plain.matrix == [[FR(1, 2), FR(-1)]] and plain.rhs == [FR(3, 2)]
 
 
 def test_ideal_round_trip():
