@@ -27,51 +27,49 @@ The equations are built as integer rows, one block per degree with one
 scale, straight from the components' integer terms (`_integer_blocks`;
 `assemble_system` stores each row at its block's scale).  One column pass,
 a `RowBasis` over the gauge row X0 = 0 followed by every block, scans each
-row once and gives each block's rows independent of the rows before them,
-and whether the gauged prefix is still consistent.  Paired with
-(constant candidate, -1), every row of [matrix | rhs] gives 0 and the gauge
-row gives -1, so the gauge row is never in the span of the equations, and
-a block's independent rows are the same with or without it.  Each branch
-feeds only those rows to one `Echelon`, so its solution sets are those of
-the full prefixes, and reads each prefix off at its block boundary.
+row once; at each block boundary it gives whether the gauged prefix is
+consistent and a basis of its kernel {t : [gauge; matrix | rhs].t = 0},
+from which each prefix is read, with no other elimination.  Paired with
+rhs -1, the constant candidate t* solves every row of [matrix | rhs] but
+not the gauge row, so the gauged kernel plus t* is the ungauged kernel.
 
-* The ungauged scan checks whether each prefix forces (Y0, Z0).  The
+* The ungauged view checks whether each prefix forces (Y0, Z0).  The
   constant candidate solves every prefix, so none is inconsistent, and a
   longer prefix only adds equations, so a value forced on one prefix is
-  forced on the whole system.  The scan stops at the first prefix that
-  forces (Y0, Z0) = (0, 0), provided the leading forms of A, B are
+  forced on the whole system.  The ungauged view ends at the first prefix
+  that forces (Y0, Z0) = (0, 0), provided the leading forms of A, B are
   independent.  Then every potential-induced solution must have
   1 + X0 != 0 (the unit condition degenerates to (1+X0)(1+W0) != 0, and a
   minimal-generator argument rules out 1 + X0 = 0), so it can be rescaled
   to X0 = 0, and the gauge X0 = 0 (one extra row) is equivalent for
   existence questions.
-* With the gauge, a fresh echelon is fed the gauge row, then the basis
-  rows of each block.  The first prefix the column pass finds
-  inconsistent never reaches it: it gives the failing degree, and the
-  column pass back-substitutes a Farkas certificate for that prefix with
-  the gauge row appended: a proof that no potential exists.  The failing
-  system is that prefix's integer blocks, handed over without a Fraction,
-  and only the certificate's entries are built as Fractions.
+* With the gauge, every prefix is read in the gauged view, from the
+  kernels kept so far, and the scan stops at the first inconsistent
+  gauged prefix, which may come before the one that picked the gauge.  It
+  gives the failing degree, and the column pass back-substitutes a Farkas
+  certificate for that prefix with the gauge row appended: a proof that
+  no potential exists.  The failing system is that prefix's integer
+  blocks, handed over without a Fraction, and only the certificate's
+  entries are built as Fractions.
 * Without a gauge no refutation is attempted; the scan ran to the last
   prefix, which is the whole system.
 * Each consistent prefix of the branch taken records its affine dimension
-  and forced values per unknown block, read off the integer reduced rows:
-  the staged view.  When every prefix is consistent, the unit condition is
-  decided on the solution set of the last one, giving
-  feasible-or-degenerate.
+  and forced values per unknown block, read off its kernel: the staged
+  view.  When every prefix is consistent, the unit condition is decided on
+  the solution set of the last one, giving feasible-or-degenerate.
 
 Columns are addressed by their position in `assemble_system`'s layout
 (`_column`), never by label.  Results are typed records: a `StageRecord`
 per prefix with a `BlockRecord` per unknown degree, and a `PotentialWitness`.
 
-The unit condition is decided exactly on the last prefix's integer reduced
-rows, which give X0, Y0, Z0, W0 (columns 0 .. 3) of the particular point
-and of each free column's nullspace direction: particular point first,
-then symbolic expansion of the restricted quadratic in the free columns'
-weights; if it is not identically zero on the solution set, a nonzero point
-is found by zeroing all but the (at most two) weights of a surviving
-monomial and scanning {-1, 0, 1} per weight, which is complete for
-per-variable degree <= 2.  The point is then read off the same rows.
+The unit condition is decided exactly on the last prefix's solution set, as
+`linalg.parametrize` reads it off the kernel: X0, Y0, Z0, W0 (columns
+0 .. 3) of the particular point and of each free column's direction give
+the particular point first, then symbolic expansion of the restricted
+quadratic in the free columns' weights; if it is not identically zero on
+the solution set, a nonzero point is found by zeroing all but the (at most
+two) weights of a surviving monomial and scanning {-1, 0, 1} per weight,
+which is complete for per-variable degree <= 2.
 
 The genericity guard measures the explicit leading-coefficient ranks that
 the staged elimination relies on; seeds failing any applicable check are
@@ -85,11 +83,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 from .ideals import TruncatedIdeal, _shifted_row, ideal_contained_mod, ideal_equal_mod
 from .linalg import (AffineSystem, Echelon, FarkasCertificate, RowBasis, farkas_certificate,
-                     matrix_rank)
+                     matrix_rank, parametrize)
 from .poly import (_FIELD_BITS, _FIELD_MASK, HomogPoly, MismatchError, OneForm, TruncSeries,
                    _packed_monomials, _unpack, monomials)
 
@@ -320,43 +317,33 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
 # unit condition
 
 
-def find_unit_solution(echelon: Echelon, reduced: list[list[int]]) -> list[Fraction] | None:
+def find_unit_solution(particular: list[Fraction], directions: dict[int, list[Fraction]]
+                       ) -> list[Fraction] | None:
     """A solution with (1+X0)(1+W0) - Y0 Z0 != 0, or None if none exists.
 
-    The solutions are read off `reduced`, the echelon's integer reduced rows
-    R: with weights w_f on the free columns f, a solution has x_f = w_f and
-    x_c = (R[c][n] - sum R[c][f] w_f) / R[c][c] on each pivot column c.  The
-    particular point, every weight zero, is tried first.  Otherwise the
-    quadratic is expanded symbolically in the weights, from columns 0 .. 3
-    (X0, Y0, Z0, W0) of the particular point and of each free column's
-    direction, which is 1 at f and -R[c][f] / R[c][c] at each pivot c; if
-    some coefficient survives, its monomial names at most two weights, and
-    a {-1,0,1} scan over just those two (complete for per-variable degree
-    <= 2) produces a nonzero point.  Returns None only when the quadratic
-    is identically zero on the solution set.
+    The solutions are particular + sum of w_f * directions[f] over weights
+    w_f, as `linalg.parametrize` gives them: each direction is 1 at its
+    free column f and 0 at the other free columns, and the particular point
+    is 0 on all of them.  The particular point is tried first.  Otherwise
+    the quadratic is expanded symbolically in the weights, from columns
+    0 .. 3 (X0, Y0, Z0, W0) of the particular point and of each direction;
+    if some coefficient survives, its monomial names at most two weights,
+    and a {-1,0,1} scan over just those two (complete for per-variable
+    degree <= 2) produces a nonzero point.  Returns None only when the
+    quadratic is identically zero on the solution set.
     """
-    n = echelon.ncols
-    rows = dict(zip(echelon.pivots, reduced))
-
     def point(weights: dict[int, Fraction]) -> list[Fraction]:
-        out = [weights.get(c, Fraction(0)) for c in range(n)]
-        for c, row in rows.items():
-            out[c] = (row[n] - sum((row[f] * w for f, w in weights.items()), Fraction(0))
-                      ) / row[c]
+        out = list(particular)
+        for f, w in weights.items():
+            if w:
+                out = [x + w * y for x, y in zip(out, directions[f])]
         return out
 
-    xp, yp, zp, wp = (Fraction(rows[c][n], rows[c][c]) if c in rows else Fraction(0)
-                      for c in range(4))
+    xp, yp, zp, wp = particular[:4]
     if (1 + xp) * (1 + wp) - yp * zp != 0:
         return point({})
     # a free column that moves none of X0 .. W0 does not enter the quadratic
-    coords = {}
-    for f in range(n):
-        if f not in rows:
-            vec = [Fraction(-rows[c][f], rows[c][c]) if c in rows else Fraction(int(c == f))
-                   for c in range(4)]
-            if any(vec):
-                coords[f] = vec
+    coords = {f: vec[:4] for f, vec in sorted(directions.items()) if any(vec[:4])}
     linear = {}
     for i, (xi, yi, zi, wi) in coords.items():
         c = (1 + xp) * wi + xi * (1 + wp) - yp * zi - yi * zp
@@ -565,40 +552,55 @@ class DeciderOutcome:
     notes: list[str] = field(default_factory=list)
 
 
-def _stage_record(echelon: Echelon, reduced: list[list[int]], top: int, k: int,
+def _with_candidate(kernel: list[list[int]], touched: set[int], n: int) -> list[list[int]]:
+    """The ungauged kernel of a prefix from its gauged one.
+
+    The constant candidate X0 = W0 = -1, paired with rhs -1, solves every
+    row of [matrix | rhs] but not the gauge row, so it spans the gap.  Its
+    W0 entry is left out while no row touches W0, whose unit vector is then
+    in the kernel; the gauge row touches X0.
+    """
+    candidate = [0] * (n + 1)
+    for c in (_column("X", (0, 0)), _column("W", (0, 0)), n):
+        if c == n or c in touched:
+            candidate[c] = -1
+    return [candidate] + kernel
+
+
+def _stage_record(k: int, kernel: list[list[int]], touched: set[int], top: int,
                   labels: list[str]) -> StageRecord:
     """Per unknown-degree block of a consistent prefix through degree k: the
-    dimension of its projection and its columns fixed on every solution,
-    read off the integer reduced rows of the prefix's echelon.
+    dimension of its projection and its columns fixed on every solution.
 
-    With P the pivot columns, F the free ones and J the block's, the
-    projection has dimension |F & J| + rank R[P & J, F - J], R the reduced
-    rows; a column is fixed when it is a pivot column whose reduced row is
-    zero on every free column, and its value is then rhs / pivot.
+    `kernel` spans, with the unit vectors of the columns outside `touched`,
+    the t with [matrix | rhs].t = 0.  One p with p_rhs != 0 gives the
+    solution -p / p_rhs, and the others, less their rhs multiple of p, span
+    the directions.  A block J's projection has dimension |J - touched| +
+    the rank of the directions restricted to J; a touched column is fixed
+    when every direction is zero there.
     """
-    n = echelon.ncols
-    rows = dict(zip(echelon.pivots, reduced))
-    free = [c for c in range(n) if c not in rows]
+    n = len(labels)
+    p = next(t for t in kernel if t[n])
+    directions = [[p[n] * x - t[n] * y for x, y in zip(t, p)] for t in kernel if t is not p]
     blocks = []
     for j in range(top + 1):
         lo, hi = _column("X", (j, 0)), _column("X", (j + 1, 0))
-        inside = [c for c in range(lo, hi) if c in rows]
-        outside = [f for f in free if not lo <= f < hi]
-        dim = hi - lo - len(inside) + matrix_rank([[rows[c][f] for f in outside]
-                                                   for c in inside])
-        forced = {labels[c]: Fraction(rows[c][n], rows[c][c]) for c in inside
-                  if not any(rows[c][f] for f in free)}
+        inside = [c for c in range(lo, hi) if c in touched]
+        dim = hi - lo - len(inside) + matrix_rank([t[lo:hi] for t in directions])
+        forced = {labels[c]: Fraction(-p[c], p[n]) for c in inside
+                  if not any(t[c] for t in directions)}
         blocks.append(BlockRecord(dim, forced))
     return StageRecord(k, True, tuple(blocks))
 
 
-def _column_pass(basis: RowBasis, blocks: list[tuple[int, list[list[int]]]]
-                 ) -> Iterator[tuple[list[list[int]], bool]]:
-    """Scan the blocks in order; per block, its rows that are independent of
-    the rows before them, and whether the rows scanned so far are consistent."""
-    for _, block in blocks:
-        start = basis.scanned
-        yield [block[i - start] for i in basis.extend(len(block))], basis.consistent
+def _solutions(basis: RowBasis, kernel: list[list[int]]
+               ) -> tuple[list[Fraction], dict[int, list[Fraction]]] | None:
+    """`parametrize` over `kernel`, read off `basis` on its scanned rows,
+    and the unit vectors of the columns no scanned row touches."""
+    n = basis.ncols
+    touched = set(basis.columns)
+    return parametrize(kernel + [[int(i == c) for i in range(n + 1)]
+                                 for c in range(n) if c not in touched])
 
 
 def decide(sigma: OneForm, order: int, guard: GuardReport | None = None) -> DeciderOutcome:
@@ -629,47 +631,47 @@ def decide(sigma: OneForm, order: int, guard: GuardReport | None = None) -> Deci
 
     guard = genericity_guard(sigma) if guard is None else guard
     independent = guard.check("leading_pair").passed
-    gauge_row = _gauge_row(n)
-    basis = RowBasis([gauge_row] + [row for _, rows in blocks for row in rows], n)
+    basis = RowBasis([_gauge_row(n)] + [row for _, rows in blocks for row in rows], n)
     basis.extend(1)
-    scan, rescan = itertools.tee(_column_pass(basis, blocks))
 
+    # one scan: each prefix's gauged kernel is kept, and read in the
+    # ungauged view until a prefix forces (Y0, Z0) = (0, 0); once that
+    # picks the gauge, the scan stops at the first inconsistent gauged
+    # prefix, which may lie before it
     records: list[StageRecord] = []
-    gauged = False
-    echelon = Echelon(n)
-    for k, (independent_rows, _) in enumerate(scan, start=d - 1):
-        echelon.extend(independent_rows)
-        if not echelon.consistent:
-            raise AssertionError("ungauged prefix reported infeasible despite the "
-                                 "constant-candidate solution")
-        reduced = echelon.reduced()
-        record = _stage_record(echelon, reduced, top, k, labels)
-        degree0 = record.blocks[0].forced
-        forced_zero = all(degree0.get(labels[_column(name, (0, 0))]) == 0 for name in "YZ")
-        if forced_zero and independent:
-            gauged = True
+    prefixes: list[tuple[int, list[list[int]], set[int]]] = []
+    gauged, failing = False, None
+    for k, (_, rows) in enumerate(blocks, start=d - 1):
+        basis.extend(len(rows))
+        if failing is None and not basis.consistent:
+            failing = k
+        kernel, touched = basis.kernel(), set(basis.columns)
+        prefixes.append((k, kernel, touched))
+        if not gauged:
+            kernel = _with_candidate(kernel, touched, n)
+            record = _stage_record(k, kernel, touched, top, labels)
+            degree0 = record.blocks[0].forced
+            forced_zero = all(degree0.get(labels[_column(name, (0, 0))]) == 0 for name in "YZ")
+            gauged = forced_zero and independent
+            records.append(record)
+        if gauged and failing is not None:
             break
-        records.append(record)
 
     if gauged:
         branch, gauge = "forced_degree0", "X0=0"
-        records = []
-        echelon = Echelon(n)
-        echelon.extend([gauge_row])
-        for k, (independent_rows, consistent) in enumerate(rescan, start=d - 1):
-            if not consistent:
-                prefix = with_gauge(_block_system(blocks[:k - d + 2], d, top))
-                num, den = basis.combination(prefix.num_rows)
-                # the basis scanned the gauge row first; the prefix ends with it
-                certificate = farkas_certificate(prefix, num[1:] + num[:1], den)
-                records.extend(StageRecord(j, False) for j in range(k, order))
-                return DeciderOutcome(
-                    verdict="infeasible", order=order, lowest_degree=d, failing_degree=k,
-                    certificate=certificate, failing_system=prefix, staged=records,
-                    gauge=gauge, branch=branch, guard=guard, notes=notes)
-            echelon.extend(independent_rows)
-            reduced = echelon.reduced()
-            records.append(_stage_record(echelon, reduced, top, k, labels))
+        records = [_stage_record(k, kernel, touched, top, labels)
+                   for k, kernel, touched in prefixes if failing is None or k < failing]
+        if failing is not None:
+            prefix = with_gauge(_block_system(blocks[:failing - d + 2], d, top))
+            num, den = basis.combination(prefix.num_rows)
+            # the basis scanned the gauge row first; the prefix ends with it
+            certificate = farkas_certificate(prefix, num[1:] + num[:1], den)
+            records.extend(StageRecord(j, False) for j in range(failing, order))
+            return DeciderOutcome(
+                verdict="infeasible", order=order, lowest_degree=d, failing_degree=failing,
+                certificate=certificate, failing_system=prefix, staged=records,
+                gauge=gauge, branch=branch, guard=guard, notes=notes)
+        kernel = prefixes[-1][1]
     else:
         branch, gauge = "open_degree0", "none"
         if forced_zero:
@@ -678,7 +680,7 @@ def decide(sigma: OneForm, order: int, guard: GuardReport | None = None) -> Deci
 
     common = dict(order=order, lowest_degree=d, staged=records, gauge=gauge,
                   branch=branch, guard=guard, notes=notes)
-    unit = find_unit_solution(echelon, reduced)
+    unit = find_unit_solution(*_solutions(basis, kernel))
     if unit is None:
         notes.append("every normalized solution fails the unit condition" if gauged
                      else "every solution fails the unit condition")
@@ -770,25 +772,22 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
         "predicted_first": 2 * tilde_sum / (d + 3),
         "predicted_second": 2 * tilde_sum / (d + 4),
     }
-    # one echelon: the gauge row, the rows through degree d+1, then degree d+2
+    # one column pass: the gauge row, the rows through degree d+1, then degree d+2
     n = _num_columns(order - d)
-    echelon = Echelon(n)
-    echelon.extend([_gauge_row(n)])
+    basis = RowBasis([_gauge_row(n)] + [row for _, rows in blocks for row in rows], n)
+    basis.extend(1)
     for key, fed in (("first", blocks[:3]), ("second", blocks[3:])):
-        echelon.extend([row for _, rows in fed for row in rows])
-        if not echelon.consistent:
+        basis.extend(sum(len(rows) for _, rows in fed))
+        solutions = _solutions(basis, basis.kernel())
+        if solutions is None:
             out[key] = {"feasible": False}
         else:
-            # on the solution with free values x_f, pivot column i is
-            # (R[i][n] - sum R[i][f] x_f) / R[i][i]: the functional is forced
-            # when its terms cancel on every free column, and its value at
-            # x_f = 0 is the sum of w * R[i][n] / R[i][i] over its pivot columns
-            reduced = dict(zip(echelon.pivots, echelon.reduced()))
-            forced = all(sum(Fraction(-w * reduced[i][f], reduced[i][i]) if i in reduced
-                             else w * (i == f) for i, w in functional.items()) == 0
-                         for f in range(n) if f not in reduced)
-            value = sum((Fraction(w * reduced[i][n], reduced[i][i])
-                         for i, w in functional.items() if i in reduced), Fraction(0))
+            # the functional is forced when it is zero on every direction;
+            # its value is taken at the particular point
+            particular, directions = solutions
+            forced = all(sum(w * vec[i] for i, w in functional.items()) == 0
+                         for vec in directions.values())
+            value = sum((w * particular[i] for i, w in functional.items()), Fraction(0))
             out[key] = {"feasible": True, "forced": forced, "value": value}
     first, second = out["first"], out["second"]
     out["consistent"] = second["feasible"] and not (

@@ -166,9 +166,11 @@ def _graded_rank(ideal: TruncatedIdeal, order: int) -> int:
     lowest degree is n: the rows of `_leading_rows`, plus rows carried in.
     Only a dependent slice needs the rows' higher-degree tails: their full
     integer rows, each generator's parts below `order` scaled by one common
-    factor, are eliminated over degree n's columns, and each row that comes
-    out zero there is carried to its next nonzero degree, or dropped when it
-    has none below `order`.
+    factor, are eliminated over degree n's columns, which ranks the slice,
+    and each row that comes out zero there is carried to its next nonzero
+    degree, or dropped when it has none below `order`.  A slice with more
+    rows than degree-n monomials is dependent, so it is ranked by that
+    elimination alone.
     """
     nv = ideal.num_vars
     index = _index(nv, range(order))
@@ -177,22 +179,28 @@ def _graded_rank(ideal: TruncatedIdeal, order: int) -> int:
     parts: dict[int, dict[int, IntTerms]] = {}
     carried: dict[int, list[list[int]]] = {}
     rank = 0
-    for n in range(order):
+    # no row has its lowest degree below the least lowest degree
+    for n in range(min((low for low in lows if low is not None), default=order), order):
         lo, hi = starts[n], starts[n + 1]
         shifts, _, rows = _leading_rows(ideal, n, _index(nv, [n]))
         held = carried.pop(n, [])
-        slices = rows + [row[lo:hi] for row in held]
-        slice_rank = matrix_rank(slices)
-        rank += slice_rank
-        if slice_rank == len(slices):
-            continue
+        # more rows than degree-n monomials are dependent without a rank
+        if len(rows) + len(held) <= hi - lo:
+            slice_rank = matrix_rank(rows + [row[lo:hi] for row in held])
+            if slice_rank == len(rows) + len(held):
+                rank += slice_rank
+                continue
         for i in {i for i, _ in shifts} - parts.keys():
             parts[i] = ideal.generators[i]._integer_parts(order)[0]
         # m*g keeps the parts of g below order - deg(m) = order - n + lowest(g)
         full = [_shifted_row([term for j, part in parts[i].items()
                               if j < order - n + lows[i] for term in part], shift, index)
                 for i, shift in shifts] + held
-        for row in full[len(_echelon(full, hi, lo)):]:
+        # the full rows are zero left of degree n, so their pivots over its
+        # columns are the slice rank
+        pivots = _echelon(full, hi, lo)
+        rank += len(pivots)
+        for row in full[len(pivots):]:
             later = next((k for k in range(n + 1, order) if any(row[starts[k]:starts[k + 1]])),
                          None)
             if later is not None:

@@ -23,19 +23,22 @@ inconsistent `RowBasis` prefix.
   pass, so nested systems are eliminated once.  `particular()`
   back-substitutes the particular point, as integers over one
   denominator, without the backward pass.
-  `reduced()` runs the backward pass on a copy; the reduced echelon form
-  is unique, so what callers read off it does not depend on the order or
-  blocking of the rows.
 * `RowBasis` is the column pass: the forward pass over the transposed
   system [matrix | rhs]^T with the target column (0, ..., 0, 1) appended,
-  scanned a block of columns, that is of original rows, at a time.  A
-  column that gets a pivot is a row independent of the rows before it, so
-  the pivots are the greedy row basis, and the rows up to any block
-  boundary are inconsistent exactly when the target column has become
-  zero below the pivots.  `combination` then back-substitutes the row
-  combination u with u.[matrix | rhs] = (0, ..., 0, 1), free coordinates
-  zero; that is the vector the reduced echelon form would give, the unique
-  solution supported on the row basis.
+  scanned a block of columns, that is of original rows, at a time, with
+  the transform of its column operations carried along.  A column that
+  gets a pivot is a row independent of the rows before it, so the pivots
+  are the greedy row basis, and the rows up to any block boundary are
+  inconsistent exactly when the target column has become zero below the
+  pivots.  `combination` then back-substitutes the row combination u with
+  u.[matrix | rhs] = (0, ..., 0, 1), free coordinates zero; that is the
+  vector the reduced echelon form would give, the unique solution
+  supported on the row basis.  `kernel()` reads a basis of the kernel of
+  the rows scanned so far off the transform of the rows below the pivots,
+  so one pass gives every prefix's solution set.
+* `parametrize` turns kernel vectors into the parametrization the reduced
+  echelon form gives, by the forward and backward passes over the
+  vectors, right to left.
 * `farkas_certificate` undoes the row scaling of a column-pass
   combination and checks the result with `verify_farkas`, integer dot
   products only.
@@ -55,6 +58,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 
@@ -193,20 +197,22 @@ def _back_substitute(rows: Sequence[list[int]], pivots: Sequence[int], target: i
     Row k must be zero in the pivot columns of rows 0 .. k-1, so x is read
     from the last pivot row to the first.
     """
-    num = [0] * width
+    xs: list[int] = []  # numerators of x at pivots[k:]
     den = 1
     for k in range(len(pivots) - 1, -1, -1):
         row, p = rows[k], pivots[k]
         # x_p = (row[target] - sum of row[c] * x_c over later pivots) / row[p]
-        s = row[target] * den - sum(row[c] * num[c] for c in pivots[k + 1:] if row[c])
+        s = row[target] * den - sum(row[c] * x for c, x in zip(pivots[k + 1:], xs) if row[c])
         a = row[p]
-        num = [x * a for x in num] if a != 1 else num
-        num[p] = s
+        xs = [s] + ([x * a for x in xs] if a != 1 else xs)
         den *= a
-        g = math.gcd(den, *[num[c] for c in pivots[k:]])
+        g = math.gcd(den, *xs)
         if g > 1:
-            num = [x // g for x in num]
+            xs = [x // g for x in xs]
             den //= g
+    num = [0] * width
+    for c, x in zip(pivots, xs):
+        num[c] = x
     return num, den
 
 
@@ -247,13 +253,6 @@ class Echelon:
         self.pivots += new
         self.rows += block[:len(new)]
 
-    def reduced(self) -> list[list[int]]:
-        """The pivot rows after the backward pass, on a copy: row k divided
-        by its entry in column pivots[k] is a row of the reduced echelon form."""
-        work = list(self.rows)  # the backward pass replaces rows, so keep ours
-        _reduce(work, self.pivots)
-        return work
-
     def particular(self) -> tuple[list[int], int]:
         """Integer numerators and their common denominator of the solution
         of the rows fed so far that is zero on the free columns,
@@ -265,34 +264,91 @@ class Echelon:
 
 class RowBasis:
     """The column pass: the greedy row basis of integer rows of
-    [matrix | rhs], taken in order a block at a time, and their consistency.
+    [matrix | rhs], taken in order a block at a time, their consistency and
+    their kernel.
 
-    Row i of the input is column i of the transposed system, and the target
-    column (0, ..., 0, 1) follows the last row.  `extend(count)` scans the
-    next `count` columns with `_echelon`; each that gets a pivot is a row
-    independent of the rows before it.  The scanned rows are inconsistent
-    once no row below the pivots has a nonzero target entry: the target is
-    then in the span of the scanned columns, so some row combination u has
-    u.[matrix | rhs] = (0, ..., 0, 1).
+    Row i of the input is column i of the transposed system, and column c
+    of [matrix | rhs] is a work row, carried as its T-part over the
+    coordinates [rhs, *columns]: the combination of columns of
+    [matrix | rhs] the work row is (Cohen, *A Course in Computational
+    Algebraic Number Theory*, section 2.3).  Its entry in column i is
+    T.(row i on those coordinates), worked out when row i is scanned; its
+    rhs coordinate is its entry in the target column (0, ..., 0, 1) past
+    the last row.  A matrix column gets its work row, with a unit T-part,
+    and its T coordinate, appended to `columns`, only when a scanned row
+    first has a nonzero entry in it; until then that row is zero in every
+    scanned column and changes no pivot.  A row's entries not yet scanned
+    are combinations of its T-part, so its content is that of its scanned
+    entries and T-part.  New work rows go ahead of the rows already below
+    the pivots, so the newest columns take the pivots first and the
+    kernel's entries stay small: with new rows last, the kernel of a
+    feasible d=18 order-27 decide reached 2038-bit entries, against 996.
+
+    `extend(count)` scans the next `count` columns with `_echelon`; each
+    that gets a pivot is a row independent of the rows before it, and its
+    pivot row is kept for `combination`.  The rows left below the pivots
+    are zero in every scanned column, so their T-parts are a basis of the
+    kernel of the scanned rows on the touched columns.  The scanned rows
+    are inconsistent once none of those has a nonzero rhs coordinate: the
+    target is then in the span of the scanned columns, so some row
+    combination u has u.[matrix | rhs] = (0, ..., 0, 1).
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int) -> None:
-        self.target = len(rows)
-        self.work = [[row[c] for row in rows] + [int(c == ncols)] for c in range(ncols + 1)]
+        self.rows = rows
+        self.ncols = ncols
+        self.columns: list[int] = []
         self.pivots: list[int] = []
+        # (first row scanned with it, its entries from that row on, T-part)
+        self.pivot_rows: list[tuple[int, list[int], list[int]]] = []
+        self.below: list[list[int]] = [[1]]
         self.scanned = 0
 
     @property
     def consistent(self) -> bool:
-        return any(row[self.target] for row in self.work[len(self.pivots):])
+        return any(t[0] for t in self.below)
+
+    def _coordinates(self, row: Sequence[int]) -> list[int]:
+        """A row of the input on the coordinates [rhs, *columns]."""
+        return [row[self.ncols]] + [row[c] for c in self.columns]
 
     def extend(self, count: int) -> list[int]:
         """Scan the next `count` rows; returns the indices of the independent ones."""
-        stop = self.scanned + count
-        new = _echelon(self.work, stop, self.scanned, len(self.pivots))
-        self.pivots += new
-        self.scanned = stop
-        return new
+        start = self.scanned
+        block = self.rows[start:start + count]
+        touched = set(self.columns)
+        new = [c for c, column in enumerate(zip(*block))
+               if c < self.ncols and c not in touched and any(column)]
+        pad = [0] * len(new)
+        below = [t + pad for t in self.below]
+        self.columns += new
+        coordinates = [self._coordinates(row) for row in block]
+        work = []  # the new columns' rows first, so that they take the pivots first
+        for i, c in enumerate(new, start=len(self.columns) - len(new) + 1):
+            unit = [0] * (len(self.columns) + 1)
+            unit[i] = 1
+            work.append([row[c] for row in block] + unit)
+        work += [[sum(map(mul, t, x)) for x in coordinates] + t for t in below]
+        found = _echelon(work, count)
+        self.pivot_rows += [(start, row[:count], row[count:]) for row in work[:len(found)]]
+        self.below = [row[count:] for row in work[len(found):]]
+        self.scanned += count
+        independent = [start + p for p in found]
+        self.pivots += independent
+        return independent
+
+    def kernel(self) -> list[list[int]]:
+        """A basis of the t with [scanned rows].t = 0 that are zero on every
+        untouched column, as vectors over the columns of [matrix | rhs]:
+        the T-parts below the pivots.  With the unit vector of each
+        untouched column they span the kernel of the scanned rows."""
+        out = []
+        for t in self.below:
+            v = [0] * self.ncols + [t[0]]
+            for c, x in zip(self.columns, t[1:]):
+                v[c] = x
+            out.append(v)
+        return out
 
     def combination(self, count: int) -> tuple[list[int], int]:
         """Integer numerators over the first `count` rows, and their common
@@ -300,12 +356,54 @@ class RowBasis:
         is zero off the row basis; those rows must be scanned and inconsistent.
 
         u is back-substituted over the pivot rows of the first `count`
-        columns, which later scans leave unchanged.
+        columns, which later scans leave unchanged.  It reads them only in
+        pivot columns and the target column; their entries in the pivot
+        columns scanned after them are worked out from their T-parts.
         """
-        pivots = [p for p in self.pivots if p < count]
-        if any(row[self.target] for row in self.work[len(pivots):]):
+        k = sum(p < count for p in self.pivots)
+        if self.consistent or any(t[0] for _, _, t in self.pivot_rows[k:]):
             raise AssertionError("no row combination isolates the inconsistent right-hand side")
-        return _back_substitute(self.work, pivots, self.target, count)
+        pivots = self.pivots[:k]
+        coordinates = {p: self._coordinates(self.rows[p]) for p in pivots}
+        rows = []
+        for start, entries, t in self.pivot_rows[:k]:
+            row = [0] * count + [t[0]]
+            for p in pivots:
+                if p >= start:
+                    row[p] = entries[p - start] if p < start + len(entries) else \
+                        sum(map(mul, t, coordinates[p]))
+            rows.append(row)
+        return _back_substitute(rows, pivots, count, count)
+
+
+def parametrize(kernel: Sequence[list[int]]
+                ) -> tuple[list[Fraction], dict[int, list[Fraction]]] | None:
+    """The solutions x of [matrix | rhs].(x, -1) = 0, given vectors t over
+    the columns of [matrix | rhs] that span its kernel, or None when every t
+    has t_rhs = 0 and the system is inconsistent.
+
+    The solutions are the particular point plus any combination of the
+    directions, keyed by their free columns in increasing order: the
+    vectors are eliminated right to left, rhs first, and brought to reduced
+    form, so each direction's free column is its last nonzero position, it
+    is 1 there and 0 on the other free columns, and the particular point is
+    0 on every free column.  That is the parametrization the reduced
+    echelon form of [matrix | rhs] gives.
+    """
+    if not kernel:
+        return None
+    n = len(kernel[0]) - 1
+    # position i of a work row is column n - i of [matrix | rhs]
+    work = [t[n::-1] for t in kernel]
+    pivots = _echelon(work, n + 1)
+    if pivots[:1] != [0]:
+        return None
+    _reduce(work, pivots)
+    head = work[0]
+    particular = [Fraction(-head[n - c], head[0]) for c in range(n)]
+    directions = {n - p: [Fraction(row[n - c], row[p]) for c in range(n)]
+                  for row, p in reversed(list(zip(work[1:], pivots[1:])))}
+    return particular, directions
 
 
 def farkas_certificate(system: AffineSystem, num: Sequence[int], den: int) -> FarkasCertificate:

@@ -7,11 +7,12 @@ The Fraction solver below imports only the data classes of `acforms.linalg`
 and returns the `SolutionSet` kept here.  The exceptions are the package's
 earlier code kept as references: `solve_affine`, the kernel's earlier
 solve, feeds an `Echelon` and a `RowBasis` and reads the `SolutionSet` off
-the integer reduced rows (`echelon_solution`), so the differential tests of
+the integer reduced rows (`echelon_solution`, over `reduced_rows`, the
+backward pass `Echelon` once ran on a copy), so the differential tests of
 `acforms.linalg` reach the integer kernel through it;
 `fraction_find_unit_solution` and `functional_range`, the decider's earlier
 unit search and forced-functional test, read a `SolutionSet`, because what
-they check is the read-off from the reduced rows that replaced them;
+they check is the read-off from the column pass's kernel that replaced them;
 `fraction_system_to_json`, the earlier writer of failing systems, and
 `fraction_verify_witness`, the earlier witness check, read the Fraction
 view and the Fraction series arithmetic of the package, because what they
@@ -41,6 +42,7 @@ from typing import Sequence
 
 from acforms.decide import (UNKNOWN_NAMES, BlockRecord, GuardCheck, GuardReport,
                             StageRecord, _column, _validate_sigma)
+from acforms import linalg
 from acforms.ideals import MembershipWitness, TruncatedIdeal, _shifted_row
 from acforms.linalg import (AffineSystem, Echelon, FarkasCertificate, RowBasis, _echelon,
                             _reduce, farkas_certificate)
@@ -146,17 +148,26 @@ class SolutionSet:
         return out
 
 
-def echelon_solution(echelon: Echelon, reduced: list[list[int]] | None = None) -> SolutionSet:
+def reduced_rows(echelon: Echelon) -> list[list[int]]:
+    """The echelon's pivot rows after the backward pass, on a copy: row k
+    divided by its entry in column pivots[k] is a row of the reduced
+    echelon form, which is unique."""
+    work = list(echelon.rows)  # the backward pass replaces rows, so keep the echelon's
+    linalg._reduce(work, echelon.pivots)
+    return work
+
+
+def echelon_solution(echelon: Echelon) -> SolutionSet:
     """Solution set of the rows of [matrix | rhs] fed to `echelon` so far.
 
-    It is read off the reduced echelon form, from `reduced` when the caller
-    already has it: the particular point is zero on the free columns, and
-    there is one nullspace vector per free column, left to right.
+    It is read off the reduced echelon form: the particular point is zero
+    on the free columns, and there is one nullspace vector per free column,
+    left to right.
     """
     if not echelon.consistent:
         raise ValueError("inconsistent rows have no solution set")
     n = echelon.ncols
-    work = echelon.reduced() if reduced is None else reduced
+    work = reduced_rows(echelon)
     particular = [Fraction(0)] * n
     for row, c in zip(work, echelon.pivots):
         particular[c] = Fraction(row[n], row[c])

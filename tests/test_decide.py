@@ -250,13 +250,12 @@ def _degree0_system(rows, rhs):
 
 
 def _unit_search(system):
-    """`find_unit_solution` as `decide` calls it: on the integer reduced rows
-    of an `Echelon` fed the rows of a consistent system."""
-    echelon = linalg.Echelon(system.num_cols)
-    echelon.extend([scaled_row(list(row) + [b])[1]
-                    for row, b in zip(system.matrix, system.rhs)])
-    assert echelon.consistent
-    return find_unit_solution(echelon, echelon.reduced())
+    """`find_unit_solution` as `decide` calls it: on the solution set read
+    off the column pass's kernel of a consistent system."""
+    basis = linalg.RowBasis(system.rows, system.num_cols)
+    basis.extend(system.num_rows)
+    assert basis.consistent
+    return find_unit_solution(*decide_module._solutions(basis, basis.kernel()))
 
 
 def test_unit_search_detects_identically_zero():
@@ -451,12 +450,11 @@ def _guarded_refutable_form(truncation=22):
 
 def _count_feeds(monkeypatch, sigma, order):
     """Record what the decider eliminates over the columns of the assembled
-    system: the row count of every scan of the column pass, and for each
-    primal echelon the row count of every block fed to it.  Every row fed
-    to a primal echelon must raise its rank."""
+    system: the row count of every scan of the column pass, and the column
+    count of every `Echelon` built over those columns."""
     num_cols = assemble_system(sigma, order).num_cols
     scans: list[int] = []
-    echelons: list[list[int]] = []
+    echelons: list[int] = []
 
     class CountingBasis(linalg.RowBasis):
         def extend(self, count):
@@ -466,36 +464,18 @@ def _count_feeds(monkeypatch, sigma, order):
     class Counting(linalg.Echelon):
         def __init__(self, ncols):
             super().__init__(ncols)
-            self.fed: list[int] = []
             if ncols == num_cols:
-                echelons.append(self.fed)
-
-        def extend(self, rows):
-            rank = self.rank
-            super().extend(rows)
-            if self.ncols == num_cols:
-                assert self.rank == rank + len(rows), "a dependent row reached the primal"
-                self.fed.append(len(rows))
+                echelons.append(ncols)
 
     monkeypatch.setattr(decide_module, "RowBasis", CountingBasis)
     monkeypatch.setattr(decide_module, "Echelon", Counting)
+    monkeypatch.setattr(linalg, "Echelon", Counting)
     return scans, echelons
 
 
 def _prefix_rows(d, k):
     """Rows of the ungauged prefix of equation degrees d-1 .. k."""
     return sum(j + 1 for j in range(d - 1, k + 1))
-
-
-def _block_ranks(sigma, order, gauge, through):
-    """Rank gained by each equation-degree block through `through`, after
-    the gauge row if `gauge`: the size of that block's row basis on a
-    consistent prefix."""
-    system = assemble_system(sigma, order)
-    head = [[FR(int(c == 0)) for c in range(system.num_cols)]] if gauge else []
-    ranks = [rref_rank(head + prefix_through(system, k).matrix)
-             for k in range(sigma.lowest_degree() - 2, through + 1)]
-    return [b - a for a, b in zip(ranks, ranks[1:])]
 
 
 def test_decide_refutes_guarded_generic_instance():
@@ -519,12 +499,9 @@ def test_feasible_gauged_decide_solves_each_system_once(monkeypatch):
     # the column pass scans the gauge row, then every block once
     assert scans == [1] + [k + 1 for k in range(d - 1, order)]
     assert sum(scans) == assemble_system(sigma, order).num_rows + 1
-    # the degree d-1 block already forces (Y0, Z0) and picks the gauge; each
-    # primal echelon gets the basis rows of the blocks it needs, the gauged
-    # one the gauge row first, so unit search needs no further elimination
-    ungauged, gauged = echelons
-    assert ungauged == _block_ranks(sigma, order, False, d - 1)
-    assert gauged == [1] + _block_ranks(sigma, order, True, order - 1)
+    # every prefix, staged view and unit search included, is read off the
+    # column pass's kernel: no echelon runs over the system's columns
+    assert echelons == []
 
 
 def test_refuted_decide_stops_at_the_failing_prefix(monkeypatch):
@@ -535,11 +512,9 @@ def test_refuted_decide_stops_at_the_failing_prefix(monkeypatch):
     assert outcome.verdict == "infeasible" and k == 20
     assert scans == [1] + [j + 1 for j in range(d - 1, k + 1)]
     assert sum(scans) == outcome.failing_system.num_rows
-    # the failing block is caught by the column pass and never reaches the
-    # primal, which gets the gauge row and the row basis of the blocks below
-    ungauged, gauged = echelons
-    assert ungauged == _block_ranks(sigma, 21, False, d - 1)
-    assert gauged == [1] + _block_ranks(sigma, 21, True, k - 1)
+    # the failing block is caught by the column pass, and no echelon runs
+    # over the system's columns
+    assert echelons == []
 
 
 def test_refutation_cost_follows_the_failing_degree(monkeypatch):
@@ -555,8 +530,7 @@ def test_refutation_cost_follows_the_failing_degree(monkeypatch):
     assert assemble_system(sigma, 27).num_rows == 225
     assert scans == [1] + [k + 1 for k in range(d - 1, 21)]
     assert sum(scans) == _prefix_rows(d, 20) + 1
-    assert echelons == [_block_ranks(sigma, 27, False, d - 1),
-                        [1] + _block_ranks(sigma, 27, True, 19)]
+    assert echelons == []
 
 
 def test_ungauged_decide_solves_each_prefix_once(monkeypatch):
@@ -565,13 +539,12 @@ def test_ungauged_decide_solves_each_prefix_once(monkeypatch):
     outcome = decide(sigma, 3)
     assert outcome.gauge == "none"
     # no prefix forces (Y0, Z0), so the scan goes through every block once,
-    # up to the full system, and the one primal echelon gets each block's
-    # row basis; its records are the staged view
+    # up to the full system, and each prefix's ungauged kernel gives its
+    # record of the staged view
     assert scans == [1] + [k + 1 for k in range(outcome.lowest_degree - 1, outcome.order)]
     assert sum(scans) == assemble_system(sigma, 3).num_rows + 1
-    [fed] = echelons
-    assert fed == _block_ranks(sigma, 3, False, outcome.order - 1)
-    assert len(outcome.staged) == len(fed)
+    assert echelons == []
+    assert len(outcome.staged) == len(scans) - 1
 
 
 def test_dependent_leading_pair_scans_every_prefix(monkeypatch):
@@ -587,8 +560,7 @@ def test_dependent_leading_pair_scans_every_prefix(monkeypatch):
     assert [rec.through_degree for rec in outcome.staged] == [1, 2, 3]
     assert list(itertools.accumulate(scans)) == [1] + [_prefix_rows(2, k) + 1
                                                        for k in (1, 2, 3)]
-    [fed] = echelons
-    assert fed == _block_ranks(sigma, 4, False, 3)
+    assert echelons == []
     assert verify_potential(outcome.witness.phi, sigma, 4)
 
 
@@ -725,3 +697,56 @@ def test_integer_stage_records_match_the_fraction_records(case):
             assert not isinstance(solved, SolutionSet)
             continue
         assert rec == fraction_stage_record(system, d, order, rec.through_degree, solved)
+
+
+@st.composite
+def candidate_block_systems(draw):
+    """(top, blocks): integer blocks, each at scale 1, in the decider's
+    column layout over unknown degrees 0 .. top, every row solved by the
+    constant candidate X0 = W0 = -1 (its rhs is minus its X0 and W0
+    entries).  Sparse entries leave columns untouched for a while; a row
+    X0 = -1, when drawn, makes every gauged prefix from its block on
+    inconsistent."""
+    top = draw(st.integers(0, 2))
+    n = decide_module._num_columns(top)
+    x0, w0 = decide_module._column("X", (0, 0)), decide_module._column("W", (0, 0))
+    entry = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2, -3])
+    blocks = []
+    for _ in range(top + 1):
+        rows = [draw(st.lists(entry, min_size=n, max_size=n))
+                for _ in range(draw(st.integers(1, 4)))]
+        blocks.append((1, [row + [-row[x0] - row[w0]] for row in rows]))
+    if draw(st.booleans()):
+        blocks[draw(st.integers(0, top))][1].append([int(c == x0) for c in range(n)] + [-1])
+    return top, blocks
+
+
+@settings(deadline=None, max_examples=200)
+@given(candidate_block_systems())
+def test_kernel_read_prefixes_match_the_fraction_solve(case):
+    """At every block boundary of one column pass over the gauge row and the
+    blocks, the gauged kernel and the ungauged one (the gauged kernel with
+    the constant candidate) give the staged record and the unit point of
+    the prefix's Fraction solution set, gauged and ungauged; an
+    inconsistent prefix has no solution set."""
+    top, blocks = case
+    d = 2
+    system = _block_system(blocks, d, top)
+    n, labels = system.num_cols, system.column_labels
+    basis = linalg.RowBasis([decide_module._gauge_row(n)] + system.rows, n)
+    basis.extend(1)
+    for k, (_, rows) in enumerate(blocks, start=d - 1):
+        basis.extend(len(rows))
+        kernel, touched = basis.kernel(), set(basis.columns)
+        prefix = prefix_through(system, k)
+        for view, reference in ((kernel, with_gauge(prefix)),
+                                (decide_module._with_candidate(kernel, touched, n), prefix)):
+            solved = fraction_solve_affine(reference)
+            if not isinstance(solved, SolutionSet):
+                assert view is kernel and not basis.consistent
+                assert decide_module._solutions(basis, view) is None
+                continue
+            record = decide_module._stage_record(k, view, touched, top, labels)
+            assert record == fraction_stage_record(system, d, d + top, k, solved)
+            unit = find_unit_solution(*decide_module._solutions(basis, view))
+            assert unit == fraction_find_unit_solution(solved)

@@ -395,20 +395,34 @@ def test_column_pass_finds_each_prefix_basis_and_certificate(case):
 @given(blocked_systems())
 def test_solution_set_from_basis_rows_equals_all_rows(case):
     """An echelon fed only the rows the column pass keeps has the solution
-    set of one fed every row, at every consistent boundary."""
+    set of one fed every row, at every consistent boundary.  The column
+    pass's kernel, with the unit vectors of the untouched columns, is a
+    basis of the prefix's kernel, and `parametrize` reads the Fraction
+    solver's particular point and nullspace basis off it."""
     system, bounds = case
+    n = system.num_cols
     rows = _integer_rows(system)
-    basis = linalg.RowBasis(rows, system.num_cols)
-    kept, full = linalg.Echelon(system.num_cols), linalg.Echelon(system.num_cols)
+    basis = linalg.RowBasis(rows, n)
+    kept, full = linalg.Echelon(n), linalg.Echelon(n)
     for start, end in zip(bounds, bounds[1:]):
         kept.extend([rows[i] for i in basis.extend(end - start)])
         full.extend(rows[start:end])
-        assert kept.consistent == full.consistent == basis.consistent
+        prefix = _prefix(system, end)
+        units = [[int(i == c) for i in range(n + 1)] for c in range(n) if c not in basis.columns]
+        kernel = basis.kernel() + units
+        assert len(kernel) == n + 1 - rref_rank([row + [b] for row, b in
+                                                 zip(prefix.matrix, prefix.rhs)])
+        assert all(sum(x * t for x, t in zip(row, v)) == 0 for row in rows[:end] for v in kernel)
+        solutions = linalg.parametrize(kernel)
+        assert kept.consistent == full.consistent == basis.consistent == (solutions is not None)
         if not basis.consistent:
             break
         assert kept.rank == full.rank == len(basis.pivots)
-        assert (echelon_solution(kept) == echelon_solution(full)
-                == fraction_solve_affine(_prefix(system, end)))
+        ref = fraction_solve_affine(prefix)
+        assert echelon_solution(kept) == echelon_solution(full) == ref
+        particular, directions = solutions
+        assert particular == ref.particular
+        assert list(directions.values()) == ref.nullspace_basis
 
 
 def test_certificate_of_an_early_prefix_survives_later_scans():
