@@ -10,11 +10,9 @@ instance builder with growth bounds), `ideals` (truncated ideal engine),
 from .construct import (AlmostClosedReport, ConstructionState, HypothesisError,
                         Instance, affine_series, build, convergence_bound,
                         init_leading, multiplier_magnitude, verify_almost_closed)
-from .decide import (ClosednessError, DeciderOutcome, GuardReport,
-                     assemble_system, decide, genericity_guard,
-                     integrate_closed, obstruction, obstruction_pair_check,
-                     staged_report, tilde_transform, verify_potential,
-                     with_gauge)
+from .decide import (DeciderOutcome, GuardReport, decide, genericity_guard,
+                     obstruction, obstruction_pair_check, staged_report,
+                     tilde_transform, verify_potential, with_gauge)
 from .ideals import (MembershipWitness, TruncatedIdeal, colength,
                      graded_cover_check, ideal_contained_mod, ideal_equal_mod,
                      membership_witness, min_power_in_ideal)
@@ -22,14 +20,14 @@ from .linalg import AffineSystem, FarkasCertificate, verify_farkas
 from .poly import HomogPoly, MismatchError, OneForm, TruncSeries
 
 __all__ = [
-    "AffineSystem", "AlmostClosedReport", "ClosednessError",
+    "AffineSystem", "AlmostClosedReport",
     "ConstructionState", "DeciderOutcome", "FarkasCertificate", "GuardReport",
     "HomogPoly", "HypothesisError", "Instance", "MembershipWitness",
     "MismatchError", "OneForm", "TruncSeries", "TruncatedIdeal",
-    "affine_series", "assemble_system", "build", "colength",
+    "affine_series", "build", "colength",
     "convergence_bound", "decide", "genericity_guard", "graded_cover_check",
     "ideal_contained_mod", "ideal_equal_mod", "init_leading",
-    "integrate_closed", "membership_witness", "min_power_in_ideal", "multiplier_magnitude",
+    "membership_witness", "min_power_in_ideal", "multiplier_magnitude",
     "obstruction", "obstruction_pair_check",
     "staged_report", "tilde_transform", "verify_almost_closed",
     "verify_farkas", "verify_potential", "with_gauge",

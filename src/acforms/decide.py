@@ -10,7 +10,7 @@ per degree:
 
     -A_y + B_x = (XA + YB)_y - (ZA + WB)_x.            (*)
 
-`assemble_system` collects (*) for degrees d-1 .. M-1 over the unknown
+`_integer_blocks` collects (*) for degrees d-1 .. M-1 over the unknown
 coefficients of X, Y, Z, W in degrees 0 .. M-d.  Any true potential
 truncates to a solution, so infeasibility of the truncated system refutes
 potential existence; feasibility remains inconclusive.
@@ -25,7 +25,7 @@ which makes the change of generators invertible at the origin.  The decider
 takes one path, a scan over the degree prefixes d-1 .. k in increasing k.
 The equations are built as integer rows, one block per degree with one
 scale, straight from the components' integer terms (`_integer_blocks`;
-`assemble_system` stores each row at its block's scale).  One column pass,
+`_block_system` stores each row at its block's scale).  One column pass,
 a `RowBasis` over the gauge row X0 = 0 followed by every block, scans each
 row once; at each block boundary it gives whether the gauged prefix is
 consistent and a basis of its kernel {t : [gauge; matrix | rhs].t = 0},
@@ -58,9 +58,9 @@ not the gauge row, so the gauged kernel plus t* is the ungauged kernel.
   view.  When every prefix is consistent, the unit condition is decided on
   the solution set of the last one, giving feasible-or-degenerate.
 
-Columns are addressed by their position in `assemble_system`'s layout
-(`_column`), never by label.  Results are typed records: a `StageRecord`
-per prefix with a `BlockRecord` per unknown degree, and a `PotentialWitness`.
+Columns are addressed by their position in the layout of `_column`, never
+by label.  Results are typed records: a `StageRecord` per prefix with a
+`BlockRecord` per unknown degree, and a `PotentialWitness`.
 
 The unit condition is decided exactly on the last prefix's solution set, as
 `linalg.parametrize` reads it off the kernel: X0, Y0, Z0, W0 (columns
@@ -85,7 +85,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ideals import TruncatedIdeal, _shifted_row, ideal_contained_mod, ideal_equal_mod
-from .linalg import (AffineSystem, Echelon, FarkasCertificate, RowBasis, farkas_certificate,
+from .linalg import (AffineSystem, FarkasCertificate, RowBasis, _echelon, farkas_certificate,
                      matrix_rank, parametrize)
 from .poly import (_FIELD_BITS, _FIELD_MASK, HomogPoly, MismatchError, OneForm, TruncSeries,
                    _packed_monomials, _unpack, monomials)
@@ -187,19 +187,6 @@ def _block_system(blocks: list[tuple[int, list[list[int]]]], d: int, top: int) -
                     for i in range(len(rows))])
 
 
-def assemble_system(sigma: OneForm, order: int) -> AffineSystem:
-    """One equation per monomial per degree d-1 .. order-1 of identity (*).
-
-    Unknown columns are the coefficients of X, Y, Z, W in degrees
-    0 .. order-d, laid out by unknown degree, then name, then monomial (see
-    `_column`) and labelled `name:a,b` by exponent; rows are grouped by
-    equation degree and labelled `deg<k>:a,b` by degree and monomial.  The
-    rows are those of `_integer_blocks`, at their blocks' scales.
-    """
-    d = _validate_sigma(sigma, order)
-    return _block_system(_integer_blocks(sigma, d, order), d, order - d)
-
-
 def with_gauge(system: AffineSystem) -> AffineSystem:
     """Append the normalization row X0 = 0, at scale 1."""
     return AffineSystem(rows=system.rows + [_gauge_row(system.num_cols)],
@@ -284,8 +271,8 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
     # (name, least d, degree, (integer terms, packed shift) pairs, expected
     # rank, joins): each pair is the row of x^shift times the polynomial; a joint
     # family is the reduction family just before it plus the pairs listed,
-    # so its rank is read after extending that family's echelon.  Past the
-    # leading pair no family lists A_k, B_k or their multiples: by Euler,
+    # so its rows follow that family's pivot rows.  Past the leading pair
+    # no family lists A_k, B_k or their multiples: by Euler,
     # k * P = x * P_x + y * P_y, so those rows lie in the span of the
     # family's derivative rows
     table: list[tuple[str, int, int, list | None, int, bool]] = [
@@ -298,16 +285,17 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
         ("stage_d2_joint", 18, d + 2, mults(quad, dd1) if have_next else None, 21, True),
     ]
     checks = []
-    echelon: Echelon | None = None
+    rows: list[list[int]] = []
     for name, min_d, degree, family, expected, joins in table:
         applicable = d >= min_d and family is not None
         actual = None
         if applicable:
-            if echelon is None or not joins:
-                echelon = Echelon(degree + 1)
             index = {key: i for i, key in enumerate(_packed_monomials(2, degree))}
-            echelon.extend([_shifted_row(terms, e, index) for terms, e in family])
-            actual = echelon.rank
+            rows = (rows if joins else []) + [_shifted_row(terms, e, index) for terms, e in family]
+            # the earlier pivot rows are in echelon form already; the rows
+            # past the pivots are zero and are dropped
+            actual = len(_echelon(rows, degree + 1))
+            del rows[actual:]
         passed = (actual == expected) if applicable else True
         checks.append(GuardCheck(name, applicable, expected, actual, passed))
     return GuardReport(lowest_degree=d, checks=tuple(checks))
@@ -383,14 +371,6 @@ def find_unit_solution(particular: list[Fraction], directions: dict[int, list[Fr
 # reconstruction
 
 
-class ClosednessError(ValueError):
-    """Input 1-form is not closed far enough to integrate."""
-
-    def __init__(self, failing_degree: int):
-        super().__init__(f"closedness residual is nonzero in degree {failing_degree}")
-        self.failing_degree = failing_degree
-
-
 def closedness_residual(eta: OneForm) -> TruncSeries:
     if eta.num_vars != 2:
         raise MismatchError("closedness handled for two variables")
@@ -408,28 +388,14 @@ def closed_extension_order(eta: OneForm) -> int:
     return eta.trunc_order
 
 
-def integrate_closed(eta: OneForm, order: int) -> TruncSeries:
-    """Potential of a closed 1-form below `order`, normalized to vanish at 0.
+def _radial_potential(eta: OneForm, order: int) -> TruncSeries:
+    """Potential of eta below `order`, normalized to vanish at 0.
 
     Radial integration: the degree k+1 part is (x*eta1_k + y*eta2_k)/(k+1);
     the Euler identity plus closedness below order-1 make its gradient match
-    eta below `order` exactly.
+    eta below `order` exactly.  The caller checks that eta is closed below
+    order-1 and certified below `order`.
     """
-    if eta.num_vars != 2:
-        raise MismatchError("integration handled for two variables")
-    if eta.trunc_order < order:
-        raise MismatchError(f"components below {order} not certified "
-                            f"(truncation order {eta.trunc_order})")
-    resid = closedness_residual(eta)
-    for k in range(order - 1):
-        if not resid.component(k).is_zero:
-            raise ClosednessError(k)
-    return _radial_potential(eta, order)
-
-
-def _radial_potential(eta: OneForm, order: int) -> TruncSeries:
-    """The radial integral of `integrate_closed`, for a caller that has
-    already checked its closedness and truncation order."""
     one, two = eta.components
     parts = {}
     for k in range(order):
@@ -462,7 +428,7 @@ def verify_potential(phi: TruncSeries, omega: OneForm, order: int) -> bool:
 
 def _series_from_point(point: list[Fraction], trunc: int) -> list[TruncSeries]:
     """X, Y, Z, W read off a solution point by the column layout of
-    `assemble_system`: unknown degree, then name, then monomial."""
+    `_column`: unknown degree, then name, then monomial."""
     parts: list[list[HomogPoly]] = [[] for _ in UNKNOWN_NAMES]
     values = iter(point)
     for j in range(trunc):
@@ -503,7 +469,7 @@ def _reconstruct(sigma: OneForm, order: int, point: list[Fraction]) -> Potential
         raise AssertionError(
             f"system solution left a nonzero closedness residual at degree {extension - 1}")
     # eta is closed below extension - 1 and certified below extension, which
-    # is what integrate_closed would check again
+    # is what _radial_potential needs
     phi = _radial_potential(eta, extension)
     grads = (phi.partial(0), phi.partial(1))
     if not ideal_contained_mod(TruncatedIdeal(grads),

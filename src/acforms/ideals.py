@@ -51,7 +51,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable
 
-from .linalg import Echelon, _echelon, matrix_rank
+from .linalg import _back_substitute, _echelon, matrix_rank
 from .poly import (HomogPoly, IntTerms, MismatchError, TruncSeries, _add_products,
                    _packed_monomials, graded_dim)
 
@@ -350,16 +350,18 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
         if not residual:
             continue
         # the stage's system has one column per row of _leading_rows, and
-        # r_n times `scale` as right-hand side; the point with free
-        # coordinates zero is exact under both scalings
+        # r_n times `scale` as right-hand side; it is unsolvable when a row
+        # past the pivots keeps a nonzero right-hand side, and the point
+        # with free coordinates zero is exact under both scalings
         index = _index(nv, [n])
         columns, scales, rows = _leading_rows(ideal, n, index)
         rhs = _shifted_row(residual, 0, index)
-        echelon = Echelon(len(columns))
-        echelon.extend([[row[e] for row in rows] + [rhs[e]] for e in range(len(index))])
-        if not echelon.consistent:
+        width = len(columns)
+        system = [[row[e] for row in rows] + [rhs[e]] for e in range(len(index))]
+        pivots = _echelon(system, width)
+        if any(row[width] for row in system[len(pivots):]):
             return n
-        num, den = echelon.particular()
+        num, den = _back_substitute(system, pivots, width, width)
         solved: dict[int, IntTerms] = {}
         for (i, shift), weight in zip(columns, num):
             if weight:

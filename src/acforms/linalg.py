@@ -9,20 +9,14 @@ below the current one with a nonzero entry is used.  A forward pass gives
 the row echelon form; a row it clears in column c is already zero left of
 c, so only its tail from c on is combined, and the content of the tail is
 the content of the row.  Gauss-Jordan is completed by a backward pass that
-clears the entries above each pivot, last pivot first; the rows it clears,
-like new rows reduced by stored pivot rows, are not zero left of the
-pivot column and are combined whole.
+clears the entries above each pivot, last pivot first; the rows it clears
+are not zero left of the pivot column and are combined whole.
 
 One back-substitution, over forward pivot rows with one common integer
-denominator, reads off the point that is zero on the free coordinates: the
-particular point of a consistent `Echelon` and the Farkas combination of an
+denominator, reads off the point that is zero on the free coordinates:
+the cofactor parts of a membership stage and the Farkas combination of an
 inconsistent `RowBasis` prefix.
 
-* `Echelon` holds the pivot rows of the rows fed so far.  A new block is
-  reduced by the stored pivot rows and then goes through the forward
-  pass, so nested systems are eliminated once.  `particular()`
-  back-substitutes the particular point, as integers over one
-  denominator, without the backward pass.
 * `RowBasis` is the column pass: the forward pass over the transposed
   system [matrix | rhs]^T with the target column (0, ..., 0, 1) appended,
   scanned a block of columns, that is of original rows, at a time, with
@@ -42,8 +36,6 @@ inconsistent `RowBasis` prefix.
 * `farkas_certificate` undoes the row scaling of a column-pass
   combination and checks the result with `verify_farkas`, integer dot
   products only.
-* `matrix_rank` counts the pivots of an `Echelon` fed integer rows as one
-  block.
 
 An `AffineSystem` stores what the kernel reads, integer rows of
 [matrix | rhs] with one positive scale each, so the decider, the
@@ -214,52 +206,6 @@ def _back_substitute(rows: Sequence[list[int]], pivots: Sequence[int], target: i
     for c, x in zip(pivots, xs):
         num[c] = x
     return num, den
-
-
-class Echelon:
-    """Pivot rows of the integer rows fed so far, grown block by block.
-
-    Columns 0 .. ncols-1 are eliminated; a further column, the right-hand
-    side, is carried along.  Row k is zero left of pivots[k] and in the
-    pivot columns of rows 0 .. k-1, which is all that reducing a new row
-    and the backward pass need, so rows stay in the order found.
-    `consistent` turns false for good once a row reduces to zero on the
-    eliminated columns but not on the right-hand side.
-    """
-
-    def __init__(self, ncols: int) -> None:
-        self.ncols = ncols
-        self.pivots: list[int] = []
-        self.rows: list[list[int]] = []
-        self.consistent = True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def extend(self, rows: Sequence[list[int]]) -> None:
-        """Feed a block of rows; the caller's list and rows are not changed.
-        Reduced by the stored pivot rows, each row is zero in their pivot
-        columns, so the forward pass finds new pivots only elsewhere."""
-        block = list(rows)
-        for c, pivot_row in zip(self.pivots, self.rows):
-            tail = pivot_row[c:]
-            for i, row in enumerate(block):
-                if row[c]:
-                    block[i] = _combine(row, tail, c)
-        new = _echelon(block, self.ncols)
-        if any(any(row[self.ncols:]) for row in block[len(new):]):
-            self.consistent = False
-        self.pivots += new
-        self.rows += block[:len(new)]
-
-    def particular(self) -> tuple[list[int], int]:
-        """Integer numerators and their common denominator of the solution
-        of the rows fed so far that is zero on the free columns,
-        back-substituted over the pivot rows without the backward pass."""
-        if not self.consistent:
-            raise ValueError("inconsistent rows have no solution set")
-        return _back_substitute(self.rows, self.pivots, self.ncols, self.ncols)
 
 
 class RowBasis:
@@ -442,10 +388,8 @@ def verify_farkas(system: AffineSystem, certificate: FarkasCertificate) -> bool:
 
 
 def matrix_rank(rows: Sequence[list[int]]) -> int:
-    """Exact rank of integer rows: the pivot count of an `Echelon` fed them
-    as one block."""
+    """Exact rank of integer rows: the pivot count of one forward pass over
+    a shallow copy of the list."""
     if not rows:
         return 0
-    echelon = Echelon(len(rows[0]))
-    echelon.extend(rows)
-    return echelon.rank
+    return len(_echelon(list(rows), len(rows[0])))

@@ -6,10 +6,12 @@ calling the package's own engines, so agreement is meaningful evidence.
 The Fraction solver below imports only the data classes of `acforms.linalg`
 and returns the `SolutionSet` kept here.  The exceptions are the package's
 earlier code kept as references: `solve_affine`, the kernel's earlier
-solve, feeds an `Echelon` and a `RowBasis` and reads the `SolutionSet` off
-the integer reduced rows (`echelon_solution`, over `reduced_rows`, the
-backward pass `Echelon` once ran on a copy), so the differential tests of
-`acforms.linalg` reach the integer kernel through it;
+solve, runs the forward pass and a `RowBasis` and reads the `SolutionSet`
+off the integer reduced rows (`echelon_solution`, the backward pass on a
+copy of the forward pass's rows), so the differential tests of
+`acforms.linalg` reach the integer kernel through it; `integer_system`, the
+decider's earlier `assemble_system`, joins the decider's integer blocks
+into one system, because what it checks is those blocks;
 `fraction_find_unit_solution` and `functional_range`, the decider's earlier
 unit search and forced-functional test, read a `SolutionSet`, because what
 they check is the read-off from the column pass's kernel that replaced them;
@@ -27,9 +29,9 @@ read-off that replaced them; `fraction_membership_witness`, the ideal
 engine's earlier membership stages, uses the polynomial arithmetic and the
 witness type, because what it checks is the integer stage solve that
 replaced its Fraction systems; `full_family_guard`, the genericity guard
-with every row family it first ranked, uses the guard's records, row
-builder and `Echelon`, because what it checks is that the rows the guard
-leaves out never change a rank.
+with every row family it first ranked, uses the guard's records and row
+builder, because what it checks is that the rows the guard leaves out
+never change a rank, and ranks them by Fraction elimination.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from acforms.decide import (UNKNOWN_NAMES, BlockRecord, GuardCheck, GuardReport,
-                            StageRecord, _column, _validate_sigma)
+                            StageRecord, _block_system, _column, _integer_blocks,
+                            _validate_sigma)
 from acforms import linalg
 from acforms.ideals import MembershipWitness, TruncatedIdeal, _shifted_row
-from acforms.linalg import (AffineSystem, Echelon, FarkasCertificate, RowBasis, _echelon,
-                            _reduce, farkas_certificate)
+from acforms.linalg import (AffineSystem, FarkasCertificate, RowBasis, _echelon, _reduce,
+                            farkas_certificate)
 from acforms.poly import HomogPoly, MismatchError, OneForm, TruncSeries, _pack, monomials
 
 
@@ -148,37 +151,30 @@ class SolutionSet:
         return out
 
 
-def reduced_rows(echelon: Echelon) -> list[list[int]]:
-    """The echelon's pivot rows after the backward pass, on a copy: row k
-    divided by its entry in column pivots[k] is a row of the reduced
-    echelon form, which is unique."""
-    work = list(echelon.rows)  # the backward pass replaces rows, so keep the echelon's
-    linalg._reduce(work, echelon.pivots)
-    return work
+def echelon_solution(rows: list[list[int]], pivots: list[int], n: int) -> SolutionSet:
+    """Solution set of integer rows of [matrix | rhs] over n columns, as
+    `_echelon(rows, n)` leaves them, with the pivots it returns.
 
-
-def echelon_solution(echelon: Echelon) -> SolutionSet:
-    """Solution set of the rows of [matrix | rhs] fed to `echelon` so far.
-
-    It is read off the reduced echelon form: the particular point is zero
-    on the free columns, and there is one nullspace vector per free column,
-    left to right.
+    It is read off the reduced echelon form, which the backward pass gives
+    on a copy of the pivot rows: the particular point is zero on the free
+    columns, and there is one nullspace vector per free column, left to
+    right.
     """
-    if not echelon.consistent:
+    if any(row[n] for row in rows[len(pivots):]):
         raise ValueError("inconsistent rows have no solution set")
-    n = echelon.ncols
-    work = reduced_rows(echelon)
+    work = rows[:len(pivots)]  # the backward pass replaces rows, so keep the caller's
+    linalg._reduce(work, pivots)
     particular = [Fraction(0)] * n
-    for row, c in zip(work, echelon.pivots):
+    for row, c in zip(work, pivots):
         particular[c] = Fraction(row[n], row[c])
-    pivot_set = set(echelon.pivots)
+    pivot_set = set(pivots)
     basis: list[list[Fraction]] = []
     for fcol in range(n):
         if fcol in pivot_set:
             continue
         vec = [Fraction(0)] * n
         vec[fcol] = Fraction(1)
-        for row, c in zip(work, echelon.pivots):
+        for row, c in zip(work, pivots):
             vec[c] = Fraction(-row[fcol], row[c])
         basis.append(vec)
     return SolutionSet(particular, basis)
@@ -186,15 +182,15 @@ def echelon_solution(echelon: Echelon) -> SolutionSet:
 
 def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
     """Exact solution set through the integer kernel, or a verified Farkas
-    certificate when inconsistent: the system fed to an `Echelon` as one
-    block, and an inconsistent one's certificate from one column pass and
+    certificate when inconsistent: one forward pass over the system's rows,
+    and an inconsistent one's certificate from one column pass and
     `farkas_certificate`."""
-    rows = system.rows
-    echelon = Echelon(system.num_cols)
-    echelon.extend(rows)
-    if echelon.consistent:
-        return echelon_solution(echelon)
-    basis = RowBasis(rows, system.num_cols)
+    n = system.num_cols
+    rows = list(system.rows)
+    pivots = _echelon(rows, n)
+    if not any(row[n] for row in rows[len(pivots):]):
+        return echelon_solution(rows, pivots, n)
+    basis = RowBasis(system.rows, n)
     basis.extend(len(rows))
     return farkas_certificate(system, *basis.combination(len(rows)))
 
@@ -427,6 +423,13 @@ def project_solution_set(solution: SolutionSet,
 # --- the decider's earlier Fraction assembly and staged records --------------
 
 
+def integer_system(sigma, order: int) -> AffineSystem:
+    """Identity (*) of `acforms.decide` for degrees d-1 .. order-1 as the
+    decider builds it: its integer blocks, each row at its block's scale."""
+    d = _validate_sigma(sigma, order)
+    return _block_system(_integer_blocks(sigma, d, order), d, order - d)
+
+
 def fraction_assemble_system(sigma, order: int) -> AffineSystem:
     """Identity (*) of `acforms.decide` for degrees d-1 .. order-1, assembled
     column by column from Fraction products, shifts and derivatives."""
@@ -611,7 +614,7 @@ def full_family_guard(sigma: OneForm) -> GuardReport:
     # (name, least d, degree, (polynomial, shift) pairs, expected rank,
     # joins): each pair is the row of x^shift times the polynomial; a joint
     # family is the reduction family just before it plus the pairs listed,
-    # so its rank is read after extending that family's echelon
+    # so its rank is that of both families' rows
     table: list[tuple[str, int, int, list | None, int, bool]] = [
         ("leading_pair", 1, d, mults(one, [ad, bd]), 2, False),
         ("degree0_forcing", 3, d - 1, mults(one, [adx, ady, bdy]), 3, False),
@@ -628,17 +631,16 @@ def full_family_guard(sigma: OneForm) -> GuardReport:
          if have_next else None, 21, True),
     ]
     checks = []
-    echelon: Echelon | None = None
+    rows: list[list[Fraction]] = []
     for name, min_d, degree, family, expected, joins in table:
         applicable = d >= min_d and family is not None
         actual = None
         if applicable:
-            if echelon is None or not joins:
-                echelon = Echelon(degree + 1)
             index = {_pack(exp): i for i, exp in enumerate(monomials(2, degree))}
-            echelon.extend([_shifted_row(p._integer_terms()[0], _pack(e), index)
-                            for p, e in family])
-            actual = echelon.rank
+            rows = (rows if joins else []) + [
+                list(map(Fraction, _shifted_row(p._integer_terms()[0], _pack(e), index)))
+                for p, e in family]
+            actual = fraction_matrix_rank(rows)
         passed = (actual == expected) if applicable else True
         checks.append(GuardCheck(name, applicable, expected, actual, passed))
     return GuardReport(lowest_degree=d, checks=tuple(checks))

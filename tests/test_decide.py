@@ -10,21 +10,20 @@ from hypothesis import given, settings, strategies as st
 from acforms import linalg
 from acforms.construct import Instance, build
 from acforms.decide import (GAUGE_ROW_LABEL, UNKNOWN_NAMES,
-                            ClosednessError, assemble_system,
                             closed_extension_order, closedness_residual,
                             decide, find_unit_solution, genericity_guard,
-                            integrate_closed, obstruction,
-                            obstruction_pair_check, scaled_pair,
+                            obstruction, obstruction_pair_check, scaled_pair,
                             staged_report, tilde_transform,
                             verify_potential, with_gauge, _block_system,
-                            _integer_blocks)
+                            _integer_blocks, _radial_potential)
 from acforms.linalg import FarkasCertificate, verify_farkas
 from acforms.poly import MismatchError, OneForm, TruncSeries, monomials
 from acforms.prng import Stream
 from conftest import H, S, form, series_x, zero_series
 from oracles import (SolutionSet, dict_component, fraction_assemble_system,
                      fraction_find_unit_solution, fraction_solve_affine, fraction_stage_record,
-                     full_family_guard, functional_range, poly_add, poly_mul, poly_partial,
+                     full_family_guard, functional_range, integer_system, poly_add, poly_mul,
+                     poly_partial,
                      fraction_system, poly_scale, prefix_through, residual, rref_rank,
                      scaled_row, series_dict, solve_affine, trivial_solution, unit_value)
 
@@ -57,7 +56,7 @@ def _build_generic(d, N, seed, c_parts=None):
 def test_assemble_matrix_matches_poly_oracle():
     sigma = _build_generic(2, 7, seed=5, c_parts={0: {(0, 0): 1}, 1: {(1, 0): 1}})
     order = 4
-    system = assemble_system(sigma, order)
+    system = integer_system(sigma, order)
     stream = Stream(17)
     u = [FR(stream.int_between(-3, 3)) for _ in system.column_labels]
 
@@ -91,7 +90,7 @@ def test_assemble_matrix_matches_poly_oracle():
 
 def test_assemble_shapes_and_labels():
     sigma = _gradient_form()
-    system = assemble_system(sigma, 4)
+    system = integer_system(sigma, 4)
     # unknown degrees 0..2, equation degrees 1..3
     expected_cols = []
     for j in range(3):
@@ -109,13 +108,13 @@ def test_trivial_solution_satisfies_any_assembled_system():
     for sigma in (_gradient_form(), _radial_form(),
                   _build_generic(3, 7, seed=9, c_parts={0: {(0, 0): 2}})):
         order = sigma.trunc_order - 1
-        system = assemble_system(sigma, order)
+        system = integer_system(sigma, order)
         assert all(v == 0 for v in residual(system, trivial_solution(system)))
 
 
 def test_gauge_row_and_prefix_filtering():
     sigma = _gradient_form()
-    system = assemble_system(sigma, 4)
+    system = integer_system(sigma, 4)
     gauged = with_gauge(system)
     assert gauged.row_labels[-1] == GAUGE_ROW_LABEL
     assert gauged.rhs[-1] == 0
@@ -153,7 +152,7 @@ def test_integer_blocks_are_the_fraction_rows_times_one_scale(case):
     sigma, order = _assembly_cases()[case]
     d = sigma.lowest_degree()
     reference = fraction_assemble_system(sigma, order)
-    assert assemble_system(sigma, order) == reference
+    assert integer_system(sigma, order) == reference
     blocks = _integer_blocks(sigma, d, order)
     assert [len(rows) for _, rows in blocks] == [k + 1 for k in range(d - 1, order)]
     rows = [(scale, row) for scale, block in blocks for row in block]
@@ -165,13 +164,13 @@ def test_integer_blocks_are_the_fraction_rows_times_one_scale(case):
 
 def test_assemble_input_validation():
     with pytest.raises(MismatchError):
-        assemble_system(OneForm((zero_series(4, 3), zero_series(4, 3), zero_series(4, 3))), 2)
+        decide(OneForm((zero_series(4, 3), zero_series(4, 3), zero_series(4, 3))), 2)
     with pytest.raises(MismatchError):
-        assemble_system(form(zero_series(4), zero_series(4)), 2)    # zero form
+        decide(form(zero_series(4), zero_series(4)), 2)    # zero form
     with pytest.raises(MismatchError):
-        assemble_system(_gradient_form(), 1)    # order below lowest degree
+        decide(_gradient_form(), 1)    # order below lowest degree
     with pytest.raises(MismatchError):
-        assemble_system(_gradient_form(trunc=5), 5)    # needs trunc >= order + 1
+        decide(_gradient_form(trunc=5), 5)    # needs trunc >= order + 1
 
 
 # --- genericity guard ----------------------------------------------------------
@@ -322,9 +321,8 @@ def unit_systems(draw):
         # with X0 a pivot at -1, Y0 or Z0 at 0 and every free column at 0,
         # the point is the particular point and (1+X0)(1+W0) - Y0 Z0 = 0
         matrix.append([FR(int(c == 0)) for c in range(n)])
-        echelon = linalg.Echelon(n)
-        echelon.extend([scaled_row(row + [FR(0)])[1] for row in matrix])
-        point = [v if c in echelon.pivots else FR(0) for c, v in enumerate(point)]
+        pivots = linalg._echelon([scaled_row(row + [FR(0)])[1] for row in matrix], n)
+        point = [v if c in pivots else FR(0) for c, v in enumerate(point)]
         point[0], point[draw(st.sampled_from([1, 2]))] = FR(-1), FR(0)
     order = draw(st.permutations(range(len(matrix))))
     matrix = [matrix[i] for i in order]
@@ -364,16 +362,13 @@ def test_integrate_recovers_random_potentials():
                 parts[k] = H(2, k, terms)
         phi = TruncSeries(2, 6, parts)
         eta = OneForm((phi.partial(0), phi.partial(1)))
-        back = integrate_closed(eta, 5)
+        back = _radial_potential(eta, 5)
         diff = back.sub(phi.truncate(6))
         assert all(diff.component(k).is_zero for k in range(6))
 
 
 def test_integrate_rejects_nonclosed_input():
     eta = form(S(2, 4, {1: {(0, 1): 1}}), zero_series(4))    # y dx
-    with pytest.raises(ClosednessError) as err:
-        integrate_closed(eta, 3)
-    assert err.value.failing_degree == 0
     assert closed_extension_order(eta) == 1
     resid = closedness_residual(eta)
     assert resid.component(0).coeff((0, 0)) == 1
@@ -448,29 +443,17 @@ def _guarded_refutable_form(truncation=22):
     raise AssertionError("no guard-passing seed in range")
 
 
-def _count_feeds(monkeypatch, sigma, order):
-    """Record what the decider eliminates over the columns of the assembled
-    system: the row count of every scan of the column pass, and the column
-    count of every `Echelon` built over those columns."""
-    num_cols = assemble_system(sigma, order).num_cols
+def _count_feeds(monkeypatch):
+    """Record the row count of every scan of the decider's column pass."""
     scans: list[int] = []
-    echelons: list[int] = []
 
     class CountingBasis(linalg.RowBasis):
         def extend(self, count):
             scans.append(count)
             return super().extend(count)
 
-    class Counting(linalg.Echelon):
-        def __init__(self, ncols):
-            super().__init__(ncols)
-            if ncols == num_cols:
-                echelons.append(ncols)
-
     monkeypatch.setattr(decide_module, "RowBasis", CountingBasis)
-    monkeypatch.setattr(decide_module, "Echelon", Counting)
-    monkeypatch.setattr(linalg, "Echelon", Counting)
-    return scans, echelons
+    return scans
 
 
 def _prefix_rows(d, k):
@@ -492,29 +475,23 @@ def test_decide_refutes_guarded_generic_instance():
 
 def test_feasible_gauged_decide_solves_each_system_once(monkeypatch):
     sigma = _gradient_form()
-    scans, echelons = _count_feeds(monkeypatch, sigma, 5)
+    scans = _count_feeds(monkeypatch)
     outcome = decide(sigma, 5)
     assert outcome.gauge == "X0=0" and outcome.verdict == "feasible_up_to_M"
     d, order = outcome.lowest_degree, outcome.order
     # the column pass scans the gauge row, then every block once
     assert scans == [1] + [k + 1 for k in range(d - 1, order)]
-    assert sum(scans) == assemble_system(sigma, order).num_rows + 1
-    # every prefix, staged view and unit search included, is read off the
-    # column pass's kernel: no echelon runs over the system's columns
-    assert echelons == []
+    assert sum(scans) == integer_system(sigma, order).num_rows + 1
 
 
 def test_refuted_decide_stops_at_the_failing_prefix(monkeypatch):
     sigma = _guarded_refutable_form()
-    scans, echelons = _count_feeds(monkeypatch, sigma, 21)
+    scans = _count_feeds(monkeypatch)
     outcome = decide(sigma, 21)
     k, d = outcome.failing_degree, outcome.lowest_degree
     assert outcome.verdict == "infeasible" and k == 20
     assert scans == [1] + [j + 1 for j in range(d - 1, k + 1)]
     assert sum(scans) == outcome.failing_system.num_rows
-    # the failing block is caught by the column pass, and no echelon runs
-    # over the system's columns
-    assert echelons == []
 
 
 def test_refutation_cost_follows_the_failing_degree(monkeypatch):
@@ -522,28 +499,26 @@ def test_refutation_cost_follows_the_failing_degree(monkeypatch):
     # scans the gauge row and each block through the failing degree 20 once,
     # and none above; its 18-row degree d-1 block already picks the gauge
     sigma = _guarded_refutable_form(truncation=28)
-    scans, echelons = _count_feeds(monkeypatch, sigma, 27)
+    scans = _count_feeds(monkeypatch)
     outcome = decide(sigma, 27)
     d = outcome.lowest_degree
     assert outcome.verdict == "infeasible" and outcome.failing_degree == 20
     assert verify_farkas(outcome.failing_system, outcome.certificate)
-    assert assemble_system(sigma, 27).num_rows == 225
+    assert integer_system(sigma, 27).num_rows == 225
     assert scans == [1] + [k + 1 for k in range(d - 1, 21)]
     assert sum(scans) == _prefix_rows(d, 20) + 1
-    assert echelons == []
 
 
 def test_ungauged_decide_solves_each_prefix_once(monkeypatch):
     sigma = _radial_form()
-    scans, echelons = _count_feeds(monkeypatch, sigma, 3)
+    scans = _count_feeds(monkeypatch)
     outcome = decide(sigma, 3)
     assert outcome.gauge == "none"
     # no prefix forces (Y0, Z0), so the scan goes through every block once,
     # up to the full system, and each prefix's ungauged kernel gives its
     # record of the staged view
     assert scans == [1] + [k + 1 for k in range(outcome.lowest_degree - 1, outcome.order)]
-    assert sum(scans) == assemble_system(sigma, 3).num_rows + 1
-    assert echelons == []
+    assert sum(scans) == integer_system(sigma, 3).num_rows + 1
     assert len(outcome.staged) == len(scans) - 1
 
 
@@ -551,7 +526,7 @@ def test_dependent_leading_pair_scans_every_prefix(monkeypatch):
     # x^2 dx + y^3 dy: B_2 = 0, so the leading pair is dependent; the degree
     # 1 .. 2 prefix already forces (Y0, Z0) = (0, 0), but no gauge follows
     sigma = form(S(2, 5, {2: {(2, 0): 1}}), S(2, 5, {3: {(0, 3): 1}}))
-    scans, echelons = _count_feeds(monkeypatch, sigma, 4)
+    scans = _count_feeds(monkeypatch)
     outcome = decide(sigma, 4)
     assert outcome.verdict == "feasible_up_to_M"
     assert outcome.branch == "open_degree0" and outcome.gauge == "none"
@@ -560,7 +535,6 @@ def test_dependent_leading_pair_scans_every_prefix(monkeypatch):
     assert [rec.through_degree for rec in outcome.staged] == [1, 2, 3]
     assert list(itertools.accumulate(scans)) == [1] + [_prefix_rows(2, k) + 1
                                                        for k in (1, 2, 3)]
-    assert echelons == []
     assert verify_potential(outcome.witness.phi, sigma, 4)
 
 
@@ -569,7 +543,7 @@ def test_dependent_leading_pair_scans_every_prefix(monkeypatch):
 def test_staged_blocks_match_each_prefix_solution(sigma, order):
     outcome = decide(sigma, order)
     d = outcome.lowest_degree
-    system = assemble_system(sigma, order)
+    system = integer_system(sigma, order)
     for rec in outcome.staged:
         prefix = prefix_through(system, rec.through_degree)
         solved = solve_affine(with_gauge(prefix) if outcome.gauge == "X0=0" else prefix)
@@ -665,7 +639,7 @@ def test_pair_check_matches_the_solution_set_functional():
     for d, c, dd in cases:
         sigma, _ = build(Instance(d=d, N=d + 4, C=c, D=dd, seed=2))
         out = obstruction_pair_check(sigma, c, dd)
-        system = assemble_system(sigma, d + 3)
+        system = integer_system(sigma, d + 3)
         functional = {system.column_labels.index("Z:2,0"): FR(2),
                       system.column_labels.index("Y:0,2"): FR(-2)}
         for key, through in (("first", d + 1), ("second", d + 2)):
@@ -687,7 +661,7 @@ def test_integer_stage_records_match_the_fraction_records(case):
                     (_guarded_refutable_form(), 21)][case]
     outcome = decide(sigma, order)
     d = outcome.lowest_degree
-    system = assemble_system(sigma, order)
+    system = integer_system(sigma, order)
     assert outcome.staged
     for rec in outcome.staged:
         prefix = prefix_through(system, rec.through_degree)

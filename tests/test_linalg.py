@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from acforms import linalg
 from acforms.construct import Instance, build
-from acforms.decide import assemble_system, with_gauge
+from acforms.decide import with_gauge
 from acforms.linalg import (AffineSystem, FarkasCertificate, farkas_certificate, matrix_rank,
                             verify_farkas)
 from acforms.poly import OneForm, TruncSeries
@@ -15,9 +15,9 @@ from conftest import H, S, zero_series
 # `solve_affine` and `echelon_solution` run the integer kernel and read its
 # reduced rows into a `SolutionSet`
 from oracles import (SolutionSet, echelon_solution, fraction_matrix_rank, fraction_solve_affine,
-                     fraction_system, fraction_verify_farkas, functional_range, prefix_through,
-                     project_solution_set, reduced_form_certificate, residual, rref_rank,
-                     scaled_row, solve_affine)
+                     fraction_system, fraction_verify_farkas, functional_range, integer_system,
+                     prefix_through, project_solution_set, reduced_form_certificate, residual,
+                     rref_rank, scaled_row, solve_affine)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 # zeros, small fractions and entries with denominators up to 10^6
@@ -223,7 +223,7 @@ def test_rank_matches_fraction_oracle(rows):
     assert matrix_rank(_scaled_rows(rows)) == fraction_matrix_rank(rows) == rref_rank(rows)
 
 
-# --- an echelon fed block by block ---------------------------------------------
+# --- the forward pass fed block by block ----------------------------------------
 
 
 def _integer_rows(system):
@@ -247,32 +247,36 @@ def blocked_systems(draw):
 @settings(deadline=None, max_examples=200)
 @given(blocked_systems())
 def test_echelon_fed_in_blocks_matches_each_prefix_solve(case):
+    """The genericity guard's join pattern: each block goes after the pivot
+    rows of the blocks before it, the forward pass runs over every column
+    again, and the rows past the pivots are dropped.  At every boundary the
+    pivots give the prefix's ranks and consistency, and its solution set is
+    the Fraction solver's."""
     system, bounds = case
+    n = system.num_cols
     rows = _integer_rows(system)
     fed = [list(row) for row in rows]
-    echelon = linalg.Echelon(system.num_cols)
+    held: list[list[int]] = []
     for start, end in zip(bounds, bounds[1:]):
-        echelon.extend(fed[start:end])
+        held += fed[start:end]
+        pivots = linalg._echelon(held, n + 1)
+        del held[len(pivots):]
         prefix = _prefix(system, end)
+        matrix_pivots = [p for p in pivots if p < n]
+        assert len(pivots) == rref_rank([row + [b] for row, b in zip(prefix.matrix, prefix.rhs)])
+        assert len(matrix_pivots) == rref_rank(prefix.matrix)
         ref = fraction_solve_affine(prefix)
         out = solve_affine(prefix)
-        assert echelon.consistent == isinstance(ref, SolutionSet) == isinstance(out, SolutionSet)
-        assert echelon.rank == rref_rank(prefix.matrix)
-        if echelon.consistent:
-            assert echelon_solution(echelon) == out == ref
-            num, den = echelon.particular()
+        consistent = matrix_pivots == pivots
+        assert consistent == isinstance(ref, SolutionSet) == isinstance(out, SolutionSet)
+        if consistent:
+            assert echelon_solution(held, pivots, n) == out == ref
+            num, den = linalg._back_substitute(held, pivots, n, n)
             assert [Fraction(x, den) for x in num] == ref.particular
+        else:
+            with pytest.raises(ValueError):
+                echelon_solution(held, matrix_pivots, n)
     assert fed == rows
-
-
-def test_echelon_has_no_solution_set_once_inconsistent():
-    echelon = linalg.Echelon(1)
-    echelon.extend([[1, 1], [2, 3]])
-    assert not echelon.consistent and echelon.rank == 1
-    echelon.extend([[1, 1]])
-    assert not echelon.consistent
-    with pytest.raises(ValueError):
-        echelon_solution(echelon)
 
 
 def test_certificate_that_fails_its_check_is_an_error(monkeypatch):
@@ -292,7 +296,7 @@ def _d6_prefix():
                               D=zero_series(3), seed=1))
     a, b = sigma.components
     bump = TruncSeries(2, a.trunc_order, {6: H(2, 6, {(0, 6): 1})})
-    return with_gauge(prefix_through(assemble_system(OneForm((a.add(bump), b)), 9), 8))
+    return with_gauge(prefix_through(integer_system(OneForm((a.add(bump), b)), 9), 8))
 
 
 def test_real_d6_prefix_infeasible_matches_oracle():
@@ -394,19 +398,19 @@ def test_column_pass_finds_each_prefix_basis_and_certificate(case):
 @settings(deadline=None, max_examples=200)
 @given(blocked_systems())
 def test_solution_set_from_basis_rows_equals_all_rows(case):
-    """An echelon fed only the rows the column pass keeps has the solution
-    set of one fed every row, at every consistent boundary.  The column
-    pass's kernel, with the unit vectors of the untouched columns, is a
-    basis of the prefix's kernel, and `parametrize` reads the Fraction
-    solver's particular point and nullspace basis off it."""
+    """The rows the column pass keeps have the solution set of every row,
+    at every consistent boundary.  The column pass's kernel, with the unit
+    vectors of the untouched columns, is a basis of the prefix's kernel,
+    and `parametrize` reads the Fraction solver's particular point and
+    nullspace basis off it."""
     system, bounds = case
     n = system.num_cols
     rows = _integer_rows(system)
     basis = linalg.RowBasis(rows, n)
-    kept, full = linalg.Echelon(n), linalg.Echelon(n)
+    kept_rows: list[list[int]] = []
     for start, end in zip(bounds, bounds[1:]):
-        kept.extend([rows[i] for i in basis.extend(end - start)])
-        full.extend(rows[start:end])
+        kept_rows += [rows[i] for i in basis.extend(end - start)]
+        kept = AffineSystem(kept_rows, [1] * len(kept_rows), system.column_labels)
         prefix = _prefix(system, end)
         units = [[int(i == c) for i in range(n + 1)] for c in range(n) if c not in basis.columns]
         kernel = basis.kernel() + units
@@ -414,12 +418,14 @@ def test_solution_set_from_basis_rows_equals_all_rows(case):
                                                  zip(prefix.matrix, prefix.rhs)])
         assert all(sum(x * t for x, t in zip(row, v)) == 0 for row in rows[:end] for v in kernel)
         solutions = linalg.parametrize(kernel)
-        assert kept.consistent == full.consistent == basis.consistent == (solutions is not None)
+        kept_out, full_out = solve_affine(kept), solve_affine(prefix)
+        assert (isinstance(kept_out, SolutionSet) == isinstance(full_out, SolutionSet)
+                == basis.consistent == (solutions is not None))
         if not basis.consistent:
             break
-        assert kept.rank == full.rank == len(basis.pivots)
+        assert rref_rank(kept.matrix) == rref_rank(prefix.matrix) == len(basis.pivots)
         ref = fraction_solve_affine(prefix)
-        assert echelon_solution(kept) == echelon_solution(full) == ref
+        assert kept_out == full_out == ref
         particular, directions = solutions
         assert particular == ref.particular
         assert list(directions.values()) == ref.nullspace_basis

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acforms.construct import Instance, build
-from acforms.decide import PotentialWitness, assemble_system
+from acforms.decide import PotentialWitness
 from acforms.ideals import TruncatedIdeal
 from acforms.linalg import AffineSystem, FarkasCertificate, verify_farkas
 from acforms.poly import OneForm
@@ -26,7 +26,8 @@ from acforms.serialize import (SerializationError, canonical_dumps,
                                witness_to_json)
 from conftest import S, zero_series
 from oracles import (fraction_solve_affine, fraction_system, fraction_system_to_json,
-                     fraction_verify_farkas, solve_affine, str_round_trip_fraction)
+                     fraction_verify_farkas, integer_system, solve_affine,
+                     str_round_trip_fraction)
 
 FR = Fraction
 
@@ -167,7 +168,7 @@ def test_one_form_round_trip():
 
 
 def test_system_and_certificate_round_trip():
-    system = assemble_system(_sample_form(), 4)
+    system = integer_system(_sample_form(), 4)
     back = system_from_json(system_to_json(system))
     assert back.matrix == system.matrix
     assert back.rhs == system.rhs
@@ -366,7 +367,7 @@ def _mutated(draw, payload):
 _SAMPLE_PAYLOADS = {
     "series": (series_from_json, series_to_json(_sample_series())),
     "one_form": (one_form_from_json, one_form_to_json(_sample_form())),
-    "system": (system_from_json, system_to_json(assemble_system(_sample_form(), 3))),
+    "system": (system_from_json, system_to_json(integer_system(_sample_form(), 3))),
     "certificate": (certificate_from_json,
                     certificate_to_json(FarkasCertificate([FR(1), FR(-1, 2)]), "ab")),
     "ideal": (ideal_from_json,
