@@ -63,11 +63,7 @@ def main(argv: list[str] | None = None) -> int:
             d_series = affine_series(args.d0, Fraction(0), Fraction(t), trunc)
             seed, sigma = first_guarded(d, N, c, d_series, args.start_seed)
             report = obstruction_pair_check(sigma, c, d_series)
-            forced = []
-            for key in ("first", "second"):
-                stage = report[key]
-                forced.append(stage["value"] if stage["feasible"]
-                              and stage["forced"] else None)
+            forced = [report[key].get("value") for key in ("first", "second")]
             expected = (report["obstruction"] == 0) if forced[0] is not None else None
             flag = report["consistent"]
             if expected is not None and flag != expected:

@@ -62,14 +62,17 @@ Columns are addressed by their position in the layout of `_column`, never
 by label.  Results are typed records: a `StageRecord` per prefix with a
 `BlockRecord` per unknown degree, and a `PotentialWitness`.
 
-The unit condition is decided exactly on the last prefix's solution set, as
-`linalg.parametrize` reads it off the kernel: X0, Y0, Z0, W0 (columns
-0 .. 3) of the particular point and of each free column's direction give
-the particular point first, then symbolic expansion of the restricted
-quadratic in the free columns' weights; if it is not identically zero on
-the solution set, a nonzero point is found by zeroing all but the (at most
-two) weights of a surviving monomial and scanning {-1, 0, 1} per weight,
-which is complete for per-variable degree <= 2.
+Every solution set is read off a kernel one way, by `linalg.read_off`:
+the first kernel vector p with a nonzero rhs entry gives the point
+-p / p_rhs, and p_rhs * t - t_rhs * p for the others span the directions.
+The staged records, the unit search and both stages of the pair check read
+it.  The unit condition is decided exactly on the last prefix's solution
+set: X0, Y0, Z0, W0 (columns 0 .. 3) of the point and of each direction
+give the point first, then symbolic expansion of the restricted quadratic
+in the directions' weights; if it is not identically zero on the solution
+set, a nonzero point is found by zeroing all but the (at most two) weights
+of a surviving monomial and scanning {-1, 0, 1} per weight, which is
+complete for per-variable degree <= 2 and any spanning set of directions.
 
 The genericity guard measures the explicit leading-coefficient ranks that
 the staged elimination relies on; seeds failing any applicable check are
@@ -86,7 +89,7 @@ from fractions import Fraction
 
 from .ideals import TruncatedIdeal, _shifted_row, ideal_contained_mod, ideal_equal_mod
 from .linalg import (AffineSystem, FarkasCertificate, RowBasis, _echelon, farkas_certificate,
-                     matrix_rank, parametrize)
+                     matrix_rank, read_off)
 from .poly import (_FIELD_BITS, _FIELD_MASK, HomogPoly, MismatchError, OneForm, TruncSeries,
                    _packed_monomials, _unpack, monomials)
 
@@ -305,33 +308,32 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
 # unit condition
 
 
-def find_unit_solution(particular: list[Fraction], directions: dict[int, list[Fraction]]
+def find_unit_solution(particular: list[Fraction], directions: list[list[int]]
                        ) -> list[Fraction] | None:
     """A solution with (1+X0)(1+W0) - Y0 Z0 != 0, or None if none exists.
 
-    The solutions are particular + sum of w_f * directions[f] over weights
-    w_f, as `linalg.parametrize` gives them: each direction is 1 at its
-    free column f and 0 at the other free columns, and the particular point
-    is 0 on all of them.  The particular point is tried first.  Otherwise
-    the quadratic is expanded symbolically in the weights, from columns
-    0 .. 3 (X0, Y0, Z0, W0) of the particular point and of each direction;
-    if some coefficient survives, its monomial names at most two weights,
-    and a {-1,0,1} scan over just those two (complete for per-variable
-    degree <= 2) produces a nonzero point.  Returns None only when the
-    quadratic is identically zero on the solution set.
+    The solutions are particular + sum of w_i * directions[i] over weights
+    w_i, for any directions that span them, independent or not.  The
+    particular point is tried first.  Otherwise the quadratic is expanded
+    symbolically in the weights, from columns 0 .. 3 (X0, Y0, Z0, W0) of
+    the particular point and of each direction; if some coefficient
+    survives, its monomial names at most two weights, and a {-1,0,1} scan
+    over just those two (complete for per-variable degree <= 2) produces a
+    nonzero point.  Returns None only when the quadratic is identically
+    zero on the solution set.
     """
     def point(weights: dict[int, Fraction]) -> list[Fraction]:
         out = list(particular)
-        for f, w in weights.items():
+        for i, w in weights.items():
             if w:
-                out = [x + w * y for x, y in zip(out, directions[f])]
+                out = [x + w * y for x, y in zip(out, directions[i])]
         return out
 
     xp, yp, zp, wp = particular[:4]
     if (1 + xp) * (1 + wp) - yp * zp != 0:
         return point({})
-    # a free column that moves none of X0 .. W0 does not enter the quadratic
-    coords = {f: vec[:4] for f, vec in sorted(directions.items()) if any(vec[:4])}
+    # a direction that moves none of X0 .. W0 does not enter the quadratic
+    coords = {i: vec[:4] for i, vec in enumerate(directions) if any(vec[:4])}
     linear = {}
     for i, (xi, yi, zi, wi) in coords.items():
         c = (1 + xp) * wi + xi * (1 + wp) - yp * zi - yi * zp
@@ -524,13 +526,15 @@ def _with_candidate(kernel: list[list[int]], touched: set[int], n: int) -> list[
     The constant candidate X0 = W0 = -1, paired with rhs -1, solves every
     row of [matrix | rhs] but not the gauge row, so it spans the gap.  Its
     W0 entry is left out while no row touches W0, whose unit vector is then
-    in the kernel; the gauge row touches X0.
+    in the kernel; the gauge row touches X0.  It goes last, so that the
+    read-off takes its point from the gauged kernel whenever it can: a
+    closed form's rhs vector then gives the point zero.
     """
     candidate = [0] * (n + 1)
     for c in (_column("X", (0, 0)), _column("W", (0, 0)), n):
         if c == n or c in touched:
             candidate[c] = -1
-    return [candidate] + kernel
+    return kernel + [candidate]
 
 
 def _stage_record(k: int, kernel: list[list[int]], touched: set[int], top: int,
@@ -539,15 +543,14 @@ def _stage_record(k: int, kernel: list[list[int]], touched: set[int], top: int,
     dimension of its projection and its columns fixed on every solution.
 
     `kernel` spans, with the unit vectors of the columns outside `touched`,
-    the t with [matrix | rhs].t = 0.  One p with p_rhs != 0 gives the
-    solution -p / p_rhs, and the others, less their rhs multiple of p, span
-    the directions.  A block J's projection has dimension |J - touched| +
-    the rank of the directions restricted to J; a touched column is fixed
-    when every direction is zero there.
+    the t with [matrix | rhs].t = 0, and `read_off` gives its point
+    -p / p_rhs and the directions on the touched columns.  A block J's
+    projection has dimension |J - touched| + the rank of the directions
+    restricted to J; a touched column is fixed when every direction is
+    zero there, at the same value on every solution.
     """
     n = len(labels)
-    p = next(t for t in kernel if t[n])
-    directions = [[p[n] * x - t[n] * y for x, y in zip(t, p)] for t in kernel if t is not p]
+    p, directions = read_off(kernel)
     blocks = []
     for j in range(top + 1):
         lo, hi = _column("X", (j, 0)), _column("X", (j + 1, 0))
@@ -560,13 +563,19 @@ def _stage_record(k: int, kernel: list[list[int]], touched: set[int], top: int,
 
 
 def _solutions(basis: RowBasis, kernel: list[list[int]]
-               ) -> tuple[list[Fraction], dict[int, list[Fraction]]] | None:
-    """`parametrize` over `kernel`, read off `basis` on its scanned rows,
-    and the unit vectors of the columns no scanned row touches."""
+               ) -> tuple[list[Fraction], list[list[int]]] | None:
+    """The solution set of the rows `basis` has scanned, from `kernel`, their
+    kernel on the touched columns: `read_off`'s point as Fractions, and its
+    directions with the unit vectors of the columns no scanned row touches;
+    None when the rows are inconsistent."""
+    solutions = read_off(kernel)
+    if solutions is None:
+        return None
+    p, directions = solutions
     n = basis.ncols
     touched = set(basis.columns)
-    return parametrize(kernel + [[int(i == c) for i in range(n + 1)]
-                                 for c in range(n) if c not in touched])
+    return ([Fraction(-x, p[n]) for x in p[:n]],
+            directions + [[int(i == c) for i in range(n)] for c in range(n) if c not in touched])
 
 
 def decide(sigma: OneForm, order: int, guard: GuardReport | None = None) -> DeciderOutcome:
@@ -721,8 +730,9 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
     value; adding degree d+2 forces a second, differently scaled value of
     the same combination.  The pair is consistent exactly when the
     obstruction scalar vanishes; this check reports both forced values (from
-    normalized prefix systems) and whether they agree.  Consistency is a
-    necessary condition only — no feasibility claim is implied.
+    normalized prefix systems; None where the combination is not forced)
+    and whether they agree.  Consistency is a necessary condition only — no
+    feasibility claim is implied.
     """
     d = sigma.lowest_degree()
     if d is None or d < 1:
@@ -748,12 +758,12 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
         if solutions is None:
             out[key] = {"feasible": False}
         else:
-            # the functional is forced when it is zero on every direction;
-            # its value is taken at the particular point
-            particular, directions = solutions
+            # the functional is forced when it is zero on every direction,
+            # and then it has its value at the point on every solution
+            point, directions = solutions
             forced = all(sum(w * vec[i] for i, w in functional.items()) == 0
-                         for vec in directions.values())
-            value = sum((w * particular[i] for i, w in functional.items()), Fraction(0))
+                         for vec in directions)
+            value = sum(w * point[i] for i, w in functional.items()) if forced else None
             out[key] = {"feasible": True, "forced": forced, "value": value}
     first, second = out["first"], out["second"]
     out["consistent"] = second["feasible"] and not (

@@ -8,9 +8,7 @@ deterministic: columns are scanned left to right and the first row at or
 below the current one with a nonzero entry is used.  A forward pass gives
 the row echelon form; a row it clears in column c is already zero left of
 c, so only its tail from c on is combined, and the content of the tail is
-the content of the row.  Gauss-Jordan is completed by a backward pass that
-clears the entries above each pivot, last pivot first; the rows it clears
-are not zero left of the pivot column and are combined whole.
+the content of the row.  No backward pass runs.
 
 One back-substitution, over forward pivot rows with one common integer
 denominator, reads off the point that is zero on the free coordinates:
@@ -30,9 +28,9 @@ inconsistent `RowBasis` prefix.
   supported on the row basis.  `kernel()` reads a basis of the kernel of
   the rows scanned so far off the transform of the rows below the pivots,
   so one pass gives every prefix's solution set.
-* `parametrize` turns kernel vectors into the parametrization the reduced
-  echelon form gives, by the forward and backward passes over the
-  vectors, right to left.
+* `read_off` reads a point and spanning directions of the solution set off
+  kernel vectors, with no elimination (Cohen, *A Course in Computational
+  Algebraic Number Theory*, section 2.3).
 * `farkas_certificate` undoes the row scaling of a column-pass
   combination and checks the result with `verify_farkas`, integer dot
   products only.
@@ -117,16 +115,13 @@ class FarkasCertificate:
     row_combination: list[Fraction]
 
 
-def _combine(row: list[int], pivot_tail: list[int], c: int) -> list[int]:
-    """p*row - f*pivot_row with p, f reduced by their gcd, divided by its content.
-
-    `pivot_tail` is the pivot row from column c on; it is zero left of c.
-    """
-    p, f = pivot_tail[0], row[c]
+def _combine(row: list[int], pivot_row: list[int]) -> list[int]:
+    """p*row - f*pivot_row for the leading entries p of pivot_row and f of
+    row, with p, f reduced by their gcd, divided by its content."""
+    p, f = pivot_row[0], row[0]
     g = math.gcd(p, f)
     a, b = p // g, f // g
-    head = row[:c] if a == 1 else [a * x for x in row[:c]]
-    new = head + [a * x - b * y for x, y in zip(row[c:], pivot_tail)]
+    new = [a * x - b * y for x, y in zip(row, pivot_row)]
     content = math.gcd(*new)
     return [x // content for x in new] if content > 1 else new
 
@@ -158,25 +153,9 @@ def _echelon(rows: list[list[int]], stop: int, start: int = 0, top: int = 0) -> 
             row = rows[i]
             if row[c]:
                 # zero left of c, so only the tail needs arithmetic
-                rows[i] = row[:c] + _combine(row[c:], tail, 0)
+                rows[i] = row[:c] + _combine(row[c:], tail)
         pivots.append(c)
     return pivots
-
-
-def _reduce(rows: list[list[int]], pivots: list[int]) -> None:
-    """Clear the entries above each pivot, last pivot first.
-
-    Row k must be zero left of pivots[k] and in the pivot columns of rows
-    0 .. k-1, as in a row echelon form.  Afterwards row k divided by its
-    pivot entry is the row of the reduced echelon form, which is unique,
-    with its pivot in column pivots[k].
-    """
-    for k in range(len(pivots) - 1, 0, -1):
-        c = pivots[k]
-        tail = rows[k][c:]
-        for i in range(k):
-            if rows[i][c]:
-                rows[i] = _combine(rows[i], tail, c)
 
 
 def _back_substitute(rows: Sequence[list[int]], pivots: Sequence[int], target: int,
@@ -322,34 +301,20 @@ class RowBasis:
         return _back_substitute(rows, pivots, count, count)
 
 
-def parametrize(kernel: Sequence[list[int]]
-                ) -> tuple[list[Fraction], dict[int, list[Fraction]]] | None:
+def read_off(kernel: Sequence[list[int]]) -> tuple[list[int], list[list[int]]] | None:
     """The solutions x of [matrix | rhs].(x, -1) = 0, given vectors t over
-    the columns of [matrix | rhs] that span its kernel, or None when every t
-    has t_rhs = 0 and the system is inconsistent.
+    the columns of [matrix | rhs] that span its kernel, as (p, directions),
+    or None when every t has t_rhs = 0 and the system is inconsistent.
 
-    The solutions are the particular point plus any combination of the
-    directions, keyed by their free columns in increasing order: the
-    vectors are eliminated right to left, rhs first, and brought to reduced
-    form, so each direction's free column is its last nonzero position, it
-    is 1 there and 0 on the other free columns, and the particular point is
-    0 on every free column.  That is the parametrization the reduced
-    echelon form of [matrix | rhs] gives.
+    p is the first t with t_rhs != 0, and -p / p_rhs is a solution; the
+    directions p_rhs * t - t_rhs * p of the other t are zero in the rhs and
+    span the differences of solutions.  Nothing is eliminated, so the
+    directions need not be independent.
     """
-    if not kernel:
+    p = next((t for t in kernel if t[-1]), None)
+    if p is None:
         return None
-    n = len(kernel[0]) - 1
-    # position i of a work row is column n - i of [matrix | rhs]
-    work = [t[n::-1] for t in kernel]
-    pivots = _echelon(work, n + 1)
-    if pivots[:1] != [0]:
-        return None
-    _reduce(work, pivots)
-    head = work[0]
-    particular = [Fraction(-head[n - c], head[0]) for c in range(n)]
-    directions = {n - p: [Fraction(row[n - c], row[p]) for c in range(n)]
-                  for row, p in reversed(list(zip(work[1:], pivots[1:])))}
-    return particular, directions
+    return p, [[p[-1] * x - t[-1] * y for x, y in zip(t, p)] for t in kernel if t is not p]
 
 
 def farkas_certificate(system: AffineSystem, num: Sequence[int], den: int) -> FarkasCertificate:

@@ -7,9 +7,10 @@ The Fraction solver below imports only the data classes of `acforms.linalg`
 and returns the `SolutionSet` kept here.  The exceptions are the package's
 earlier code kept as references: `solve_affine`, the kernel's earlier
 solve, runs the forward pass and a `RowBasis` and reads the `SolutionSet`
-off the integer reduced rows (`echelon_solution`, the backward pass on a
-copy of the forward pass's rows), so the differential tests of
-`acforms.linalg` reach the integer kernel through it; `integer_system`, the
+off the integer reduced rows (`echelon_solution`, the backward pass
+`_reduce`, which left the package, on a copy of the forward pass's rows),
+so the differential tests of `acforms.linalg` reach the integer kernel
+through it; `integer_system`, the
 decider's earlier `assemble_system`, joins the decider's integer blocks
 into one system, because what it checks is those blocks;
 `fraction_find_unit_solution` and `functional_range`, the decider's earlier
@@ -20,7 +21,7 @@ they check is the read-off from the column pass's kernel that replaced them;
 view and the Fraction series arithmetic of the package, because what they
 check is the integer writer and check that replaced them;
 `reduced_form_certificate`, the kernel's earlier certificate path, reuses
-the kernel's forward and backward passes, because what it checks is the
+the kernel's forward pass and `_reduce`, because what it checks is the
 back-substitution that replaced the backward pass; `fraction_assemble_system`
 and `fraction_stage_record`, the decider's earlier Fraction assembly and
 staged records, use the polynomial arithmetic and the decider's records and
@@ -45,9 +46,8 @@ from typing import Sequence
 from acforms.decide import (UNKNOWN_NAMES, BlockRecord, GuardCheck, GuardReport,
                             StageRecord, _block_system, _column, _integer_blocks,
                             _validate_sigma)
-from acforms import linalg
 from acforms.ideals import MembershipWitness, TruncatedIdeal, _shifted_row
-from acforms.linalg import (AffineSystem, FarkasCertificate, RowBasis, _echelon, _reduce,
+from acforms.linalg import (AffineSystem, FarkasCertificate, RowBasis, _echelon,
                             farkas_certificate)
 from acforms.poly import HomogPoly, MismatchError, OneForm, TruncSeries, _pack, monomials
 
@@ -151,6 +151,29 @@ class SolutionSet:
         return out
 
 
+def _reduce(rows: list[list[int]], pivots: list[int]) -> None:
+    """The backward pass: clear the entries above each pivot, last pivot first.
+
+    Row k must be zero left of pivots[k] and in the pivot columns of rows
+    0 .. k-1, as in a row echelon form.  A row cleared in column c is not
+    zero left of c, so it is combined whole, fraction-free as in the
+    package's forward pass.  Afterwards row k divided by its pivot entry is
+    the row of the reduced echelon form, which is unique, with its pivot in
+    column pivots[k].
+    """
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        tail = rows[k][c:]
+        for i in range(k):
+            row = rows[i]
+            if row[c]:
+                g = math.gcd(tail[0], row[c])
+                a, b = tail[0] // g, row[c] // g
+                new = [a * x for x in row[:c]] + [a * x - b * y for x, y in zip(row[c:], tail)]
+                content = math.gcd(*new)
+                rows[i] = [x // content for x in new] if content > 1 else new
+
+
 def echelon_solution(rows: list[list[int]], pivots: list[int], n: int) -> SolutionSet:
     """Solution set of integer rows of [matrix | rhs] over n columns, as
     `_echelon(rows, n)` leaves them, with the pivots it returns.
@@ -163,7 +186,7 @@ def echelon_solution(rows: list[list[int]], pivots: list[int], n: int) -> Soluti
     if any(row[n] for row in rows[len(pivots):]):
         raise ValueError("inconsistent rows have no solution set")
     work = rows[:len(pivots)]  # the backward pass replaces rows, so keep the caller's
-    linalg._reduce(work, pivots)
+    _reduce(work, pivots)
     particular = [Fraction(0)] * n
     for row, c in zip(work, pivots):
         particular[c] = Fraction(row[n], row[c])

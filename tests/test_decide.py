@@ -340,7 +340,7 @@ def test_unit_search_matches_the_solution_set_search(case):
     if kind != "random":
         assert unit_value(solved.particular) == 0
     point = _unit_search(system)
-    assert point == fraction_find_unit_solution(solved)
+    assert (point is None) == (fraction_find_unit_solution(solved) is None)
     if kind == "zero_quadratic":
         assert point is None
     if point is not None:
@@ -432,6 +432,26 @@ def test_decide_radial_form_goes_through_open_branch():
     assert verify_potential(outcome.witness.phi, sigma, 3)
     # the degree-0 block keeps the Y0 = Z0 line open
     assert outcome.staged[-1].blocks[0].dim >= 1
+
+
+def test_closed_form_witness_is_zero_in_both_branches():
+    """A closed form has rhs zero, so the read-off's point is zero and the
+    witness is X = Y = Z = W = 0: in the gauged branch on C = D = 0 builds,
+    and in the ungauged one, where the constant candidate joins the kernel,
+    on x dx + y dy and x^2 dx + y^3 dy."""
+    cubic = form(S(2, 5, {2: {(2, 0): 1}}), S(2, 5, {3: {(0, 3): 1}}))
+    cases = [(_build_generic(d, d + 4, seed=1), d + 3) for d in range(2, 9)]
+    cases += [(_radial_form(), 3), (cubic, 4)]
+    branches = []
+    for sigma, order in cases:
+        outcome = decide(sigma, order)
+        assert outcome.verdict == "feasible_up_to_M"
+        witness = outcome.witness
+        assert all(s.is_zero() for s in (witness.X, witness.Y, witness.Z, witness.W))
+        assert verify_potential(witness.phi, sigma, order)
+        branches.append(outcome.branch)
+    assert branches[1:7] == ["forced_degree0"] * 6
+    assert branches[-2:] == ["open_degree0"] * 2
 
 
 def _guarded_refutable_form(truncation=22):
@@ -648,7 +668,8 @@ def test_pair_check_matches_the_solution_set_functional():
                 assert out[key] == {"feasible": False}
                 continue
             forced, value = functional_range(solved, functional)
-            assert out[key] == {"feasible": True, "forced": forced, "value": value}
+            assert out[key] == {"feasible": True, "forced": forced,
+                                "value": value if forced else None}
             seen.add(forced)
     assert seen == {True, False}
 
@@ -700,9 +721,9 @@ def candidate_block_systems(draw):
 def test_kernel_read_prefixes_match_the_fraction_solve(case):
     """At every block boundary of one column pass over the gauge row and the
     blocks, the gauged kernel and the ungauged one (the gauged kernel with
-    the constant candidate) give the staged record and the unit point of
-    the prefix's Fraction solution set, gauged and ungauged; an
-    inconsistent prefix has no solution set."""
+    the constant candidate) give the staged record of the prefix's Fraction
+    solution set, gauged and ungauged, and a unit point of it whenever the
+    Fraction search finds one; an inconsistent prefix has no solution set."""
     top, blocks = case
     d = 2
     system = _block_system(blocks, d, top)
@@ -723,4 +744,7 @@ def test_kernel_read_prefixes_match_the_fraction_solve(case):
             record = decide_module._stage_record(k, view, touched, top, labels)
             assert record == fraction_stage_record(system, d, d + top, k, solved)
             unit = find_unit_solution(*decide_module._solutions(basis, view))
-            assert unit == fraction_find_unit_solution(solved)
+            assert (unit is None) == (fraction_find_unit_solution(solved) is None)
+            if unit is not None:
+                assert unit_value(unit) != 0
+                assert not any(residual(reference, unit))

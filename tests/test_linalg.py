@@ -11,13 +11,14 @@ from acforms.decide import with_gauge
 from acforms.linalg import (AffineSystem, FarkasCertificate, farkas_certificate, matrix_rank,
                             verify_farkas)
 from acforms.poly import OneForm, TruncSeries
+import oracles
 from conftest import H, S, zero_series
 # `solve_affine` and `echelon_solution` run the integer kernel and read its
 # reduced rows into a `SolutionSet`
 from oracles import (SolutionSet, echelon_solution, fraction_matrix_rank, fraction_solve_affine,
-                     fraction_system, fraction_verify_farkas, functional_range, integer_system,
-                     prefix_through, project_solution_set, reduced_form_certificate, residual,
-                     rref_rank, scaled_row, solve_affine)
+                     fraction_system, fraction_verify_farkas, functional_range, in_span,
+                     integer_system, prefix_through, project_solution_set,
+                     reduced_form_certificate, residual, rref_rank, scaled_row, solve_affine)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 # zeros, small fractions and entries with denominators up to 10^6
@@ -361,8 +362,8 @@ def test_verify_farkas_matches_fraction_check(candidate):
 
 def test_certificate_path_skips_the_backward_pass(monkeypatch):
     calls = []
-    reduce = linalg._reduce
-    monkeypatch.setattr(linalg, "_reduce", lambda *args: calls.append(1) or reduce(*args))
+    reduce = oracles._reduce
+    monkeypatch.setattr(oracles, "_reduce", lambda *args: calls.append(1) or reduce(*args))
     assert isinstance(solve_affine(_sys([[1, 1], [2, 2]], [1, 3])), FarkasCertificate)
     assert isinstance(solve_affine(_d6_prefix()), FarkasCertificate)
     assert calls == []
@@ -401,8 +402,8 @@ def test_solution_set_from_basis_rows_equals_all_rows(case):
     """The rows the column pass keeps have the solution set of every row,
     at every consistent boundary.  The column pass's kernel, with the unit
     vectors of the untouched columns, is a basis of the prefix's kernel,
-    and `parametrize` reads the Fraction solver's particular point and
-    nullspace basis off it."""
+    and the point `read_off` reads off it solves the prefix, with directions
+    that span the Fraction solver's nullspace."""
     system, bounds = case
     n = system.num_cols
     rows = _integer_rows(system)
@@ -417,7 +418,7 @@ def test_solution_set_from_basis_rows_equals_all_rows(case):
         assert len(kernel) == n + 1 - rref_rank([row + [b] for row, b in
                                                  zip(prefix.matrix, prefix.rhs)])
         assert all(sum(x * t for x, t in zip(row, v)) == 0 for row in rows[:end] for v in kernel)
-        solutions = linalg.parametrize(kernel)
+        solutions = linalg.read_off(kernel)
         kept_out, full_out = solve_affine(kept), solve_affine(prefix)
         assert (isinstance(kept_out, SolutionSet) == isinstance(full_out, SolutionSet)
                 == basis.consistent == (solutions is not None))
@@ -426,9 +427,12 @@ def test_solution_set_from_basis_rows_equals_all_rows(case):
         assert rref_rank(kept.matrix) == rref_rank(prefix.matrix) == len(basis.pivots)
         ref = fraction_solve_affine(prefix)
         assert kept_out == full_out == ref
-        particular, directions = solutions
-        assert particular == ref.particular
-        assert list(directions.values()) == ref.nullspace_basis
+        p, directions = solutions
+        assert not any(residual(prefix, [Fraction(-x, p[n]) for x in p[:n]]))
+        assert not any(t[n] for t in directions)
+        vectors = [[Fraction(x) for x in t[:n]] for t in directions]
+        assert rref_rank(vectors) == len(ref.nullspace_basis)
+        assert all(in_span(vectors, v) for v in ref.nullspace_basis)
 
 
 def test_certificate_of_an_early_prefix_survives_later_scans():
