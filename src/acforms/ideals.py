@@ -19,12 +19,19 @@ ideals of interest contain a power of the maximal ideal m = (x1, ..., xn):
   ch. 5): the spanning rows m*g are block-triangular by their lowest
   degree, so the rank is the sum of the ranks of the degree-n slices of
   the rows starting at degree n, the cover check's rows plus rows carried
-  in.  Only a dependent slice needs the rows' higher-degree tails, and its
-  zero-sliced combinations are carried to their next nonzero degree; two
-  coprime leading forms give no dependent slice below N, so no full row
-  is built.  `ideal_contained_mod` and `ideal_equal_mod` compare these
-  graded ranks: one ideal's image lies in another's iff adding its
-  generators leaves the other's rank unchanged.
+  in.  The cover check's rows are ranked in one pass up the degrees, by
+  x * I_n inside I_(n+1): monomials are first-variable major, so x times
+  a degree-n row is that row padded with trailing zeros, degree n's
+  echelon rows padded span every degree-(n+1) row m*g with x dividing m,
+  and only the rows with x not dividing m are new.  That one pass gives
+  both N, its first full degree, and the rank of each slice below N that
+  it finds independent.  Only a dependent slice, or one with rows carried
+  in, needs the rows' higher-degree tails, and its zero-sliced
+  combinations are carried to their next nonzero degree; two coprime
+  leading forms give no dependent slice below N, so no full row is built.
+  `ideal_contained_mod` and `ideal_equal_mod` compare these graded ranks:
+  one ideal's image lies in another's iff adding its generators leaves the
+  other's rank unchanged.
 * `membership_witness` runs the successive-approximation loop explicitly,
   one degree n at a time: the residual's degree-n component
   r_n = t_n - sum of c_{i,k} * g_{i,n-k} over the cofactor parts found so
@@ -54,6 +61,9 @@ from typing import Iterable
 from .linalg import _back_substitute, _echelon, matrix_rank
 from .poly import (HomogPoly, IntTerms, MismatchError, TruncSeries, _add_products,
                    _packed_monomials, graded_dim)
+
+# (i, lowest(g_i), integer terms of the leading form of g_i, their scale)
+LeadingForm = tuple[int, int, IntTerms, int]
 
 
 @dataclass(frozen=True)
@@ -98,28 +108,32 @@ def _shifted_row(terms: IntTerms, shift: int, index: dict[int, int]) -> list[int
     return row
 
 
-def _leading_rows(ideal: TruncatedIdeal, n: int, index: dict[int, int]
-                  ) -> tuple[list[tuple[int, int]], dict[int, int], list[list[int]]]:
+def _leading_forms(ideal: TruncatedIdeal) -> list[LeadingForm]:
+    """(i, lowest(g_i), integer terms, scale) of each nonzero generator g_i:
+    its leading form scaled to integers once, by the lcm of its
+    denominators."""
+    return [(i, low, *g.component(low)._integer_terms())
+            for i, g in enumerate(ideal.generators) if (low := g.lowest_degree()) is not None]
+
+
+def _leading_rows(leads: list[LeadingForm], num_vars: int, n: int,
+                  index: dict[int, int]) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """Integer rows of the degree-n components of m*g, over the generators g
     with lowest(g) <= n and the monomials m of degree n - lowest(g).
 
-    That component is m times the leading form of g, which is scaled to
-    integers once: the row of (i, m) is scales[i] * m * lead(g_i) on the
-    monomials of `index`.  Returns the (i, m) of each row, the scales and
-    the rows; each m is a packed key.
+    That component is m times the leading form of g: the row of (i, m) is
+    the scale of g_i times m * lead(g_i) on the monomials of `index`, for
+    the leading forms of `_leading_forms`.  Returns the (i, m) of each row
+    and the rows; each m is a packed key.
     """
     shifts: list[tuple[int, int]] = []
-    scales: dict[int, int] = {}
     rows: list[list[int]] = []
-    for i, g in enumerate(ideal.generators):
-        low = g.lowest_degree()
-        if low is None or low > n:
-            continue
-        terms, scales[i] = g.component(low)._integer_terms()
-        for shift in _packed_monomials(ideal.num_vars, n - low):
+    for i, low, terms, _ in leads:
+        # no monomial has a negative degree
+        for shift in _packed_monomials(num_vars, n - low):
             shifts.append((i, shift))
             rows.append(_shifted_row(terms, shift, index))
-    return shifts, scales, rows
+    return shifts, rows
 
 
 def graded_cover_check(ideal: TruncatedIdeal, n: int) -> bool:
@@ -135,8 +149,14 @@ def graded_cover_check(ideal: TruncatedIdeal, n: int) -> bool:
     lows = [g.lowest_degree() for g in ideal.generators]
     if sum(graded_dim(nv, n - low) for low in lows if low is not None and low <= n) < dim:
         return False  # the rank is at most the row count
-    _, _, rows = _leading_rows(ideal, n, _index(nv, [n]))
+    _, rows = _leading_rows(_leading_forms(ideal), nv, n, _index(nv, [n]))
     return matrix_rank(rows) == dim
+
+
+def _check_max(ideal: TruncatedIdeal, max_n: int) -> None:
+    if not 0 <= max_n < ideal.trunc_order:
+        raise MismatchError(f"max degree {max_n} outside the certified range "
+                            f"[0, {ideal.trunc_order})")
 
 
 def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
@@ -146,16 +166,49 @@ def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
     propagates upward and successive approximation converges); None only
     means no cover was found up to max_n.
     """
-    if not 0 <= max_n < ideal.trunc_order:
-        raise MismatchError(f"max degree {max_n} outside the certified range "
-                            f"[0, {ideal.trunc_order})")
+    _check_max(ideal, max_n)
     for n in range(0, max_n + 1):
         if graded_cover_check(ideal, n):
             return n
     return None
 
 
-def _graded_rank(ideal: TruncatedIdeal, order: int) -> int:
+def _leading_ranks(leads: list[LeadingForm], num_vars: int, stop: int) -> list[int]:
+    """Rank of the rows of `_leading_rows` at each degree n below `stop`,
+    up to the least covered degree, whose rank is its dimension; every
+    later degree is covered too.
+
+    One pass over the degrees keeps echelon rows spanning the degree-n
+    rows.  Monomials are first-variable major, so x*mu has mu's column
+    among the monomials of degree n + 1, and the echelon rows of degree n
+    padded with trailing zeros span the degree-(n + 1) rows m*g with x
+    dividing m.  Only the rows with x not dividing m are built, those of
+    the monomials m in the other variables, and eliminated against them:
+    one per generator in two variables, and in one variable only m = 1, at
+    the generator's lowest degree.
+    """
+    first = min((low for _, low, _, _ in leads), default=stop)
+    ranks = [0] * min(first, stop)
+    echelon: list[list[int]] = []
+    for n in range(len(ranks), stop):
+        dim = graded_dim(num_vars, n)
+        index = _index(num_vars, [n])
+        pad = [0] * (dim - graded_dim(num_vars, n - 1))
+        # the monomials of degree k free of x follow the graded_dim(num_vars,
+        # k - 1) multiples of x
+        rows = [row + pad for row in echelon] + [
+            _shifted_row(terms, shift, index) for _, low, terms, _ in leads
+            for shift in _packed_monomials(num_vars, n - low)[graded_dim(num_vars, n - low - 1):]]
+        pivots = _echelon(rows, dim)
+        echelon = rows[:len(pivots)]
+        ranks.append(len(pivots))
+        if len(pivots) == dim:
+            break
+    return ranks
+
+
+def _graded_rank(ideal: TruncatedIdeal, order: int, leads: list[LeadingForm] | None = None,
+                 ranks: list[int] | None = None) -> int:
     """Rank of the ideal's image in R / m^order, one degree at a time.
 
     Every residue of an ideal element is a polynomial combination of the
@@ -164,38 +217,40 @@ def _graded_rank(ideal: TruncatedIdeal, order: int) -> int:
     block-triangular by their lowest degree deg(m) + lowest(g), so the rank
     is the sum over n of the rank of the degree-n slices of the rows whose
     lowest degree is n: the rows of `_leading_rows`, plus rows carried in.
-    Only a dependent slice needs the rows' higher-degree tails: their full
-    integer rows, each generator's parts below `order` scaled by one common
-    factor, are eliminated over degree n's columns, which ranks the slice,
-    and each row that comes out zero there is carried to its next nonzero
-    degree, or dropped when it has none below `order`.  A slice with more
-    rows than degree-n monomials is dependent, so it is ranked by that
-    elimination alone.
+    The leading pass `_leading_ranks` ranks the rows of `_leading_rows`
+    (the caller may pass the leading forms and that pass, run at least up
+    to `order`), so a slice with no rows carried in is independent when
+    that rank is its row count.  Only the other slices need the rows'
+    higher-degree tails: their full integer rows, each generator's parts
+    below `order` scaled by one common factor, are eliminated over degree
+    n's columns, which ranks the slice, and each row that comes out zero
+    there is carried to its next nonzero degree, or dropped when it has
+    none below `order`.
     """
     nv = ideal.num_vars
+    if leads is None or ranks is None:
+        leads = _leading_forms(ideal)
+        ranks = _leading_ranks(leads, nv, order)
     index = _index(nv, range(order))
     starts = [0, *accumulate(graded_dim(nv, n) for n in range(order))]
-    lows = [g.lowest_degree() for g in ideal.generators]
     parts: dict[int, dict[int, IntTerms]] = {}
     carried: dict[int, list[list[int]]] = {}
     rank = 0
     # no row has its lowest degree below the least lowest degree
-    for n in range(min((low for low in lows if low is not None), default=order), order):
+    for n in range(min((low for _, low, _, _ in leads), default=order), order):
         lo, hi = starts[n], starts[n + 1]
-        shifts, _, rows = _leading_rows(ideal, n, _index(nv, [n]))
         held = carried.pop(n, [])
-        # more rows than degree-n monomials are dependent without a rank
-        if len(rows) + len(held) <= hi - lo:
-            slice_rank = matrix_rank(rows + [row[lo:hi] for row in held])
-            if slice_rank == len(rows) + len(held):
-                rank += slice_rank
-                continue
-        for i in {i for i, _ in shifts} - parts.keys():
-            parts[i] = ideal.generators[i]._integer_parts(order)[0]
+        # the degrees past the pass's last are covered
+        leading = ranks[n] if n < len(ranks) else hi - lo
+        if not held and leading == sum(graded_dim(nv, n - low) for _, low, _, _ in leads):
+            rank += leading
+            continue
+        if not parts:
+            parts = {i: ideal.generators[i]._integer_parts(order)[0] for i, *_ in leads}
         # m*g keeps the parts of g below order - deg(m) = order - n + lowest(g)
         full = [_shifted_row([term for j, part in parts[i].items()
-                              if j < order - n + lows[i] for term in part], shift, index)
-                for i, shift in shifts] + held
+                              if j < order - n + low for term in part], shift, index)
+                for i, low, _, _ in leads for shift in _packed_monomials(nv, n - low)] + held
         # the full rows are zero left of degree n, so their pivots over its
         # columns are the slice rank
         pivots = _echelon(full, hi, lo)
@@ -213,12 +268,19 @@ def colength(ideal: TruncatedIdeal, max_n: int) -> int | None:
 
     Once m^N lies in the ideal, the quotient is spanned by monomials of
     degree < N and the count is exact; otherwise the colength may be
-    infinite or just out of certified range, and None is returned.
+    infinite or just out of certified range, and None is returned.  One
+    leading pass gives N, the least degree up to max_n that the leading
+    forms cover, and the independent slices of the graded rank below it.
     """
-    found = min_power_in_ideal(ideal, max_n)
-    if found is None:
+    _check_max(ideal, max_n)
+    nv = ideal.num_vars
+    leads = _leading_forms(ideal)
+    ranks = _leading_ranks(leads, nv, max_n + 1)
+    found = len(ranks) - 1
+    if ranks[found] < graded_dim(nv, found):
         return None
-    return sum(graded_dim(ideal.num_vars, n) for n in range(found)) - _graded_rank(ideal, found)
+    return (sum(graded_dim(nv, n) for n in range(found))
+            - _graded_rank(ideal, found, leads, ranks))
 
 
 def _image_rank(order: int, *ideals: TruncatedIdeal) -> int:
@@ -339,6 +401,8 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
     # cofactor parts pieces[i][k] likewise, each over its own denominator
     target_parts, target_den = target._integer_parts(order)
     gens = [g._integer_parts(order) for g in ideal.generators]
+    leads = _leading_forms(ideal)
+    scales = {i: scale for i, _, _, scale in leads}
     pieces: list[dict[int, tuple[IntTerms, int]]] = [{} for _ in lows]
 
     for n in range(order):
@@ -354,7 +418,7 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
         # past the pivots keeps a nonzero right-hand side, and the point
         # with free coordinates zero is exact under both scalings
         index = _index(nv, [n])
-        columns, scales, rows = _leading_rows(ideal, n, index)
+        columns, rows = _leading_rows(leads, nv, n, index)
         rhs = _shifted_row(residual, 0, index)
         width = len(columns)
         system = [[row[e] for row in rows] + [rhs[e]] for e in range(len(index))]

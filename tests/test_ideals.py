@@ -1,6 +1,7 @@
 """Truncated ideal engine against brute-force span oracles."""
 
 import importlib
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,12 +12,13 @@ from acforms.ideals import (MembershipWitness, TruncatedIdeal, colength,
                             graded_cover_check, ideal_contained_mod,
                             ideal_equal_mod, membership_witness,
                             min_power_in_ideal)
-from acforms.poly import HomogPoly, MismatchError, TruncSeries, monomials
+from acforms.poly import HomogPoly, MismatchError, TruncSeries, graded_dim, monomials
 from acforms.prng import Stream
 from conftest import H, S, zero_series
 from oracles import (brute_colength, brute_cover_degree, brute_leading_cover,
-                     brute_member, brute_min_power, fraction_membership_witness,
-                     fraction_verify_witness, ideal_image_vectors, rref_rank, series_dict)
+                     brute_member, brute_min_power, fraction_matrix_rank,
+                     fraction_membership_witness, fraction_verify_witness,
+                     ideal_image_vectors, rref_rank, series_dict)
 
 ORDER = 8
 
@@ -181,13 +183,15 @@ def test_colength_matches_brute_quotient(ideal):
 
 
 def _record_carries(monkeypatch) -> list[int]:
-    """The first column of each `_echelon` call the ideal engine makes
-    itself; only `_graded_rank`'s carry path makes one."""
+    """The first column of each `_echelon` call of `_graded_rank`'s carry
+    path, the only call `_graded_rank` makes itself; the leading pass's
+    calls, made from `_leading_ranks`, are not recorded."""
     starts: list[int] = []
     real_echelon = ideals_module._echelon
 
     def recording_echelon(rows, stop, start=0, top=0):
-        starts.append(start)
+        if sys._getframe(1).f_code is ideals_module._graded_rank.__code__:
+            starts.append(start)
         return real_echelon(rows, stop, start, top)
 
     monkeypatch.setattr(ideals_module, "_echelon", recording_echelon)
@@ -244,6 +248,64 @@ def test_graded_colength_matches_the_image_rank(monkeypatch):
         # below the least covered degree
         for order in range(ideal.trunc_order + 1):
             _, vectors = ideal_image_vectors(_dicts(ideal), ideal.num_vars, order)
+            assert ideals_module._graded_rank(ideal, order) == rref_rank(vectors)
+
+    check()
+    # some drawn ideal had a dependent slice, so the carry path ran
+    assert carries
+
+
+@st.composite
+def leading_pass_ideals(draw):
+    """Ideals in 1, 2 or 3 variables: generators of lowest degree 1 or 2
+    (up to 4 in one variable), a zero generator half of the time and a unit
+    generator a quarter of the time.  Half of the leading forms are
+    multiples of one shared linear form, which makes slices dependent and
+    runs the carry path."""
+    nv = draw(st.integers(1, 3))
+    trunc = {1: 6, 2: 7, 3: 5}[nv]
+    signs = st.sampled_from([-1, 1])
+
+    def form(k):
+        return HomogPoly.from_terms(nv, k, draw(st.dictionaries(
+            st.sampled_from(monomials(nv, k)), signs, min_size=1)))
+
+    shared = form(1)
+    gens = []
+    for _ in range(draw(st.integers(nv, nv + 2))):
+        low = draw(st.integers(1, trunc - 2 if nv == 1 else 2))
+        lead = form(low - 1).mul(shared) if draw(st.booleans()) else form(low)
+        gens.append(TruncSeries.from_parts(
+            nv, trunc, [lead, *_series(draw, nv, trunc, low + 1, signs).parts.values()]))
+    for extra, odds in ((zero_series(trunc, nv), 2), (S(nv, trunc, {0: {(0,) * nv: 1}}), 4)):
+        if draw(st.integers(1, odds)) == odds:
+            gens.insert(draw(st.integers(0, len(gens))), extra)
+    return TruncatedIdeal(tuple(gens))
+
+
+def test_leading_pass_matches_the_fraction_rank_at_every_degree(monkeypatch):
+    carries = _record_carries(monkeypatch)
+
+    @settings(deadline=None, max_examples=80)
+    @given(leading_pass_ideals())
+    def check(ideal):
+        nv, trunc = ideal.num_vars, ideal.trunc_order
+        leads = ideals_module._leading_forms(ideal)
+        ranks = ideals_module._leading_ranks(leads, nv, trunc)
+        found = min_power_in_ideal(ideal, trunc - 1)
+        # the pass ends at the least covered degree, past which all are covered
+        assert len(ranks) == (trunc if found is None else found + 1)
+        for n in range(trunc):
+            _, rows = ideals_module._leading_rows(leads, nv, n, ideals_module._index(nv, [n]))
+            rank = fraction_matrix_rank([[Fraction(v) for v in row] for row in rows])
+            assert (ranks[n] if n < len(ranks) else graded_dim(nv, n)) == rank
+        value = colength(ideal, trunc - 1)
+        if found is None:
+            assert value is None
+        else:
+            assert value == colength(ideal, found) == brute_colength(_dicts(ideal), nv, found)
+        for order in range(trunc + 1):
+            _, vectors = ideal_image_vectors(_dicts(ideal), nv, order)
             assert ideals_module._graded_rank(ideal, order) == rref_rank(vectors)
 
     check()
