@@ -3,32 +3,30 @@
 All questions handled here reduce to finite exact linear algebra because the
 ideals of interest contain a power of the maximal ideal m = (x1, ..., xn):
 
-* `graded_cover_check` asks whether the degree-n graded piece m^n / m^(n+1)
-  is spanned by monomial multiples of the generators' leading forms.  Cover
-  at n implies cover at every larger degree (multiply covering combinations
-  by the variables), so the least covered degree N certifies m^N inside the
-  ideal of the complete local ring by successive approximation.  The rank
-  is at most the row count, sum over g of dim of degree n - lowest(g), so
-  no rank is taken when that count is below the dimension of the graded
-  piece: two degree-d generators in two variables give 2(n - d + 1) rows
-  for n + 1 monomials, and only the least covered degree 2d - 1 is ranked.
-* `colength` counts the dimension of the quotient ring once such an N is
-  known: monomials of degree < N modulo the image of the generators.  The
-  image is ranked one degree at a time, as the Hilbert-Samuel function is
-  (Greuel and Pfister, *A Singular Introduction to Commutative Algebra*,
-  ch. 5): the spanning rows m*g are block-triangular by their lowest
-  degree, so the rank is the sum of the ranks of the degree-n slices of
-  the rows starting at degree n, the cover check's rows plus rows carried
-  in.  The cover check's rows are ranked in one pass up the degrees, by
-  x * I_n inside I_(n+1): monomials are first-variable major, so x times
-  a degree-n row is that row padded with trailing zeros, degree n's
-  echelon rows padded span every degree-(n+1) row m*g with x dividing m,
-  and only the rows with x not dividing m are new.  That one pass gives
-  both N, its first full degree, and the rank of each slice below N that
-  it finds independent.  Only a dependent slice, or one with rows carried
-  in, needs the rows' higher-degree tails, and its zero-sliced
-  combinations are carried to their next nonzero degree; two coprime
-  leading forms give no dependent slice below N, so no full row is built.
+* `graded_cover_check`, `min_power_in_ideal` and `colength` read one
+  leading pass.  Degree n is covered when monomial multiples of the
+  generators' leading forms span the graded piece m^n / m^(n+1).  Cover at
+  n implies cover at every larger degree (multiply covering combinations
+  by the variables), so the least covered degree N certifies m^N inside
+  the ideal of the complete local ring by successive approximation.  The
+  pass ranks the leading rows up the degrees by x * I_n inside I_(n+1):
+  monomials are first-variable major, so x times a degree-n row is that
+  row padded with trailing zeros, degree n's echelon rows padded span
+  every degree-(n+1) row m*g with x dividing m, and only the rows with x
+  not dividing m are new.  It stops at N, its first full degree, and gives
+  the rank of each slice below N.  `colength` then counts the dimension of
+  the quotient ring: monomials of degree < N modulo the image of the
+  generators.  The image is ranked one degree at a time, as the
+  Hilbert-Samuel function is (Greuel and Pfister, *A Singular Introduction
+  to Commutative Algebra*, ch. 5): the spanning rows m*g are
+  block-triangular by their lowest degree, so the rank is the sum of the
+  ranks of the degree-n slices of the rows starting at degree n, the
+  leading rows plus rows carried in.  A slice that the pass finds
+  independent, with no rows carried in, is ranked already.  Only a
+  dependent slice, or one with rows carried in, needs the rows'
+  higher-degree tails, and its zero-sliced combinations are carried to
+  their next nonzero degree; two coprime leading forms give no dependent
+  slice below N, so no full row is built.
   `ideal_contained_mod` and `ideal_equal_mod` compare these graded ranks:
   one ideal's image lies in another's iff adding its generators leaves the
   other's rank unchanged.
@@ -58,7 +56,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable
 
-from .linalg import _back_substitute, _echelon, matrix_rank
+from .linalg import _back_substitute, _echelon
 from .poly import (HomogPoly, IntTerms, MismatchError, TruncSeries, _add_products,
                    _packed_monomials, graded_dim)
 
@@ -141,22 +139,10 @@ def graded_cover_check(ideal: TruncatedIdeal, n: int) -> bool:
 
     The spanning rows are m*g over generators g and monomials m of degree
     n - lowest(g): their degree-n component is m times the leading form of
-    g.  Scaling a row does not change the rank.
+    g.  Cover propagates upward, so degree n is covered iff the least
+    covered degree is at most n.
     """
-    if not 0 <= n < ideal.trunc_order:
-        raise MismatchError(f"degree {n} outside the certified range [0, {ideal.trunc_order})")
-    nv, dim = ideal.num_vars, graded_dim(ideal.num_vars, n)
-    lows = [g.lowest_degree() for g in ideal.generators]
-    if sum(graded_dim(nv, n - low) for low in lows if low is not None and low <= n) < dim:
-        return False  # the rank is at most the row count
-    _, rows = _leading_rows(_leading_forms(ideal), nv, n, _index(nv, [n]))
-    return matrix_rank(rows) == dim
-
-
-def _check_max(ideal: TruncatedIdeal, max_n: int) -> None:
-    if not 0 <= max_n < ideal.trunc_order:
-        raise MismatchError(f"max degree {max_n} outside the certified range "
-                            f"[0, {ideal.trunc_order})")
+    return _least_cover(ideal, n)[2] is not None
 
 
 def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
@@ -166,11 +152,7 @@ def min_power_in_ideal(ideal: TruncatedIdeal, max_n: int) -> int | None:
     propagates upward and successive approximation converges); None only
     means no cover was found up to max_n.
     """
-    _check_max(ideal, max_n)
-    for n in range(0, max_n + 1):
-        if graded_cover_check(ideal, n):
-            return n
-    return None
+    return _least_cover(ideal, max_n)[2]
 
 
 def _leading_ranks(leads: list[LeadingForm], num_vars: int, stop: int) -> list[int]:
@@ -207,6 +189,21 @@ def _leading_ranks(leads: list[LeadingForm], num_vars: int, stop: int) -> list[i
     return ranks
 
 
+def _least_cover(ideal: TruncatedIdeal,
+                 max_n: int) -> tuple[list[LeadingForm], list[int], int | None]:
+    """The leading forms, the leading pass `_leading_ranks` up to max_n, and
+    the least degree up to max_n that the leading forms cover: the pass's
+    last degree when its slice is full, and otherwise None."""
+    if not 0 <= max_n < ideal.trunc_order:
+        raise MismatchError(f"max degree {max_n} outside the certified range "
+                            f"[0, {ideal.trunc_order})")
+    nv = ideal.num_vars
+    leads = _leading_forms(ideal)
+    ranks = _leading_ranks(leads, nv, max_n + 1)
+    last = len(ranks) - 1
+    return leads, ranks, last if ranks[last] == graded_dim(nv, last) else None
+
+
 def _graded_rank(ideal: TruncatedIdeal, order: int, leads: list[LeadingForm] | None = None,
                  ranks: list[int] | None = None) -> int:
     """Rank of the ideal's image in R / m^order, one degree at a time.
@@ -231,22 +228,24 @@ def _graded_rank(ideal: TruncatedIdeal, order: int, leads: list[LeadingForm] | N
     if leads is None or ranks is None:
         leads = _leading_forms(ideal)
         ranks = _leading_ranks(leads, nv, order)
-    index = _index(nv, range(order))
-    starts = [0, *accumulate(graded_dim(nv, n) for n in range(order))]
+    index: dict[int, int] = {}
+    starts: list[int] = []
     parts: dict[int, dict[int, IntTerms]] = {}
     carried: dict[int, list[list[int]]] = {}
     rank = 0
     # no row has its lowest degree below the least lowest degree
     for n in range(min((low for _, low, _, _ in leads), default=order), order):
-        lo, hi = starts[n], starts[n + 1]
         held = carried.pop(n, [])
         # the degrees past the pass's last are covered
-        leading = ranks[n] if n < len(ranks) else hi - lo
+        leading = ranks[n] if n < len(ranks) else graded_dim(nv, n)
         if not held and leading == sum(graded_dim(nv, n - low) for _, low, _, _ in leads):
             rank += leading
             continue
         if not parts:
+            index = _index(nv, range(order))
+            starts = [0, *accumulate(graded_dim(nv, k) for k in range(order))]
             parts = {i: ideal.generators[i]._integer_parts(order)[0] for i, *_ in leads}
+        lo, hi = starts[n], starts[n + 1]
         # m*g keeps the parts of g below order - deg(m) = order - n + lowest(g)
         full = [_shifted_row([term for j, part in parts[i].items()
                               if j < order - n + low for term in part], shift, index)
@@ -272,14 +271,10 @@ def colength(ideal: TruncatedIdeal, max_n: int) -> int | None:
     leading pass gives N, the least degree up to max_n that the leading
     forms cover, and the independent slices of the graded rank below it.
     """
-    _check_max(ideal, max_n)
-    nv = ideal.num_vars
-    leads = _leading_forms(ideal)
-    ranks = _leading_ranks(leads, nv, max_n + 1)
-    found = len(ranks) - 1
-    if ranks[found] < graded_dim(nv, found):
+    leads, ranks, found = _least_cover(ideal, max_n)
+    if found is None:
         return None
-    return (sum(graded_dim(nv, n) for n in range(found))
+    return (sum(graded_dim(ideal.num_vars, n) for n in range(found))
             - _graded_rank(ideal, found, leads, ranks))
 
 

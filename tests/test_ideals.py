@@ -292,7 +292,10 @@ def test_leading_pass_matches_the_fraction_rank_at_every_degree(monkeypatch):
         nv, trunc = ideal.num_vars, ideal.trunc_order
         leads = ideals_module._leading_forms(ideal)
         ranks = ideals_module._leading_ranks(leads, nv, trunc)
-        found = min_power_in_ideal(ideal, trunc - 1)
+        found = brute_min_power(_dicts(ideal), nv, trunc - 1)
+        assert min_power_in_ideal(ideal, trunc - 1) == found
+        for n in range(trunc):
+            assert graded_cover_check(ideal, n) == (found is not None and n >= found)
         # the pass ends at the least covered degree, past which all are covered
         assert len(ranks) == (trunc if found is None else found + 1)
         for n in range(trunc):
@@ -352,29 +355,34 @@ def test_principal_ideal_has_no_power():
     assert colength(ideal, 7) is None
 
 
-def test_cover_checks_rank_only_where_the_rows_can_cover(monkeypatch):
-    ranks: list[int] = []
-    real_rank = ideals_module.matrix_rank
+def test_cover_questions_each_run_one_leading_pass(monkeypatch):
+    passes: list[int] = []
+    real_pass = ideals_module._leading_ranks
 
-    def counting_rank(rows):
-        ranks.append(len(rows))
-        return real_rank(rows)
+    def counting_pass(leads, num_vars, stop):
+        passes.append(stop)
+        return real_pass(leads, num_vars, stop)
 
-    monkeypatch.setattr(ideals_module, "matrix_rank", counting_rank)
-    # two degree-d generators in two variables give 2(n - d + 1) rows for
-    # the n + 1 monomials of degree n, too few below n = 2d - 1
+    monkeypatch.setattr(ideals_module, "_leading_ranks", counting_pass)
+
+    def answers(ideal, max_n):
+        """min_power_in_ideal, and colength and graded_cover_check at max_n,
+        each checked to run the leading pass exactly once."""
+        values = []
+        for question in (min_power_in_ideal, colength, graded_cover_check):
+            passes.clear()
+            values.append(question(ideal, max_n))
+            assert passes == [max_n + 1]
+        return values
+
+    # two degree-d generators in two variables first cover degree 2d - 1
     for d in (1, 2, 3, 4):
-        ranks.clear()
         pair = (_mono_series(2, (d, 0)), _binomial_series(2, (d, 0), 1, (0, d), 1))
-        assert min_power_in_ideal(TruncatedIdeal(pair), ORDER - 1) == 2 * d - 1
-        assert ranks == [2 * d]
-    # x, y and x + y give at least as many rows as monomials from degree 1
-    # on, yet never cover z^n, so every such degree still takes its rank
-    ranks.clear()
+        assert answers(TruncatedIdeal(pair), ORDER - 1) == [2 * d - 1, d * d, True]
+    # x, y and x + y never cover z^n
     x, y = _mono_series(3, (1, 0, 0)), _mono_series(3, (0, 1, 0))
     x_plus_y = _binomial_series(3, (1, 0, 0), 1, (0, 1, 0), 1)
-    assert min_power_in_ideal(TruncatedIdeal((x, y, x_plus_y)), 3) is None
-    assert ranks == [3, 9, 18]
+    assert answers(TruncatedIdeal((x, y, x_plus_y)), 3) == [None, None, False]
 
 
 # --- containment and equality ------------------------------------------------
