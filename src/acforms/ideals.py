@@ -35,10 +35,15 @@ ideals of interest contain a power of the maximal ideal m = (x1, ..., xn):
   r_n = t_n - sum of c_{i,k} * g_{i,n-k} over the cofactor parts found so
   far is summed as integer products over one denominator, and a graded
   solve, whose point with free coordinates zero is back-substituted, gives
-  each generator's cofactor part of degree n - lowest(g_i).  Cofactor
-  parts stay integers over one denominator until the Fractions of the
-  returned witness are built; the witness re-verifies by plain series
-  re-multiplication, independent of the solver.
+  each generator's cofactor part of degree n - lowest(g_i).  The solve's
+  rows, the degree-n monomials, go last monomial first, so a leading
+  form's multiples mostly pivot on rows that no earlier pivot has
+  combined, and fraction-free elimination works with smaller entries;
+  the pivot columns, the verdict and the point with free coordinates
+  zero do not depend on row order.  Cofactor parts stay integers over
+  one denominator until the Fractions of the returned witness are built;
+  the witness re-verifies by plain series re-multiplication, independent
+  of the solver.
 
 Rows and residuals are built from integer terms keyed by packed exponents
 (see `poly`): a column index maps packed monomial keys to positions, a
@@ -411,12 +416,16 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
         # the stage's system has one column per row of _leading_rows, and
         # r_n times `scale` as right-hand side; it is unsolvable when a row
         # past the pivots keeps a nonzero right-hand side, and the point
-        # with free coordinates zero is exact under both scalings
+        # with free coordinates zero is exact under both scalings.  Its
+        # rows, the degree-n monomials, go last monomial first: a leading
+        # form's multiples then mostly pivot on the bottom row of their
+        # band, which no earlier pivot has combined.  Row order moves
+        # neither the pivot columns, nor the verdict, nor that point.
         index = _index(nv, [n])
         columns, rows = _leading_rows(leads, nv, n, index)
         rhs = _shifted_row(residual, 0, index)
         width = len(columns)
-        system = [[row[e] for row in rows] + [rhs[e]] for e in range(len(index))]
+        system = [[row[e] for row in rows] + [rhs[e]] for e in reversed(range(len(index)))]
         pivots = _echelon(system, width)
         if any(row[width] for row in system[len(pivots):]):
             return n

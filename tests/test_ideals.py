@@ -8,13 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acforms.construct import Instance, build
+from acforms.decide import genericity_guard
 from acforms.ideals import (MembershipWitness, TruncatedIdeal, colength,
                             graded_cover_check, ideal_contained_mod,
                             ideal_equal_mod, membership_witness,
                             min_power_in_ideal)
 from acforms.poly import HomogPoly, MismatchError, TruncSeries, graded_dim, monomials
 from acforms.prng import Stream
-from conftest import H, S, zero_series
+from conftest import H, S, series_x, zero_series
 from oracles import (brute_colength, brute_cover_degree, brute_leading_cover,
                      brute_member, brute_min_power, fraction_matrix_rank,
                      fraction_membership_witness, fraction_verify_witness,
@@ -656,6 +658,25 @@ def test_membership_matches_fraction_stages_on_corpus():
             outcomes.add("witness" if isinstance(got, MembershipWitness)
                          else "failed later" if got > low else "failed first")
     assert {"witness", "failed later"} <= outcomes
+
+
+def test_membership_matches_fraction_stages_on_a_truncated_build():
+    # criterion 09's cut target on a guard-passing C = x build of small d:
+    # two leading forms of degree d, so the stages past the least power
+    # 2d - 1, up to order 2d + 5, have more columns than rows
+    d, n = 6, 14
+    sigma, _ = build(Instance(d=d, N=n, C=series_x(n - d - 1), D=zero_series(n - d - 1), seed=1))
+    assert genericity_guard(sigma).passed
+    a, b = sigma.components
+    assert a.lowest_degree() == b.lowest_degree() == d
+    found = min_power_in_ideal(TruncatedIdeal((a, b)), n - 1)
+    assert found == 2 * d - 1
+    order = found + 6
+    a_cut, b_cut = (TruncSeries(2, order + 1, {k: p for k, p in s.parts.items() if k <= found})
+                    for s in (a, b))
+    got = _assert_same_membership(a_cut.partial(1).sub(b_cut.partial(0)),
+                                  TruncatedIdeal((a_cut, b_cut)), order)
+    assert isinstance(got, MembershipWitness)
 
 
 @settings(deadline=None, max_examples=40)

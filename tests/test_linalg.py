@@ -280,6 +280,56 @@ def test_echelon_fed_in_blocks_matches_each_prefix_solve(case):
     assert fed == rows
 
 
+small = st.integers(-3, 3)
+
+
+@st.composite
+def integer_systems(draw):
+    """Integer rows of [matrix | rhs], tall or wide, with the matrix a
+    product of a rows-by-r and an r-by-columns factor so that its rank is
+    at most r; the rhs is the matrix times an integer point, or else
+    arbitrary, and then mostly inconsistent when the rank is deficient."""
+    count, cols = draw(st.integers(0, 8)), draw(st.integers(0, 6))
+    r = draw(st.integers(0, min(count, cols)))
+    left = [draw(st.lists(small, min_size=r, max_size=r)) for _ in range(count)]
+    right = [draw(st.lists(small, min_size=cols, max_size=cols)) for _ in range(r)]
+    matrix = [[sum(a * b for a, b in zip(row, column)) for column in zip(*right)] if r else
+              [0] * cols for row in left]
+    if draw(st.booleans()):
+        point = draw(st.lists(small, min_size=cols, max_size=cols))
+        rhs = [sum(a * x for a, x in zip(row, point)) for row in matrix]
+    else:
+        rhs = draw(st.lists(small, min_size=count, max_size=count))
+    return [row + [b] for row, b in zip(matrix, rhs)], cols
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_systems())
+def test_echelon_and_back_substitution_ignore_row_order(case):
+    """The forward pass over the rows and over the rows reversed finds the
+    same pivot columns and the same verdict, and back-substitution the same
+    point, the Fraction solver's with free coordinates zero: a membership
+    stage eliminates its rows last monomial first on this."""
+    rows, n = case
+    ref = fraction_solve_affine(fraction_system(
+        [[Fraction(v) for v in row[:n]] for row in rows], [Fraction(row[n]) for row in rows],
+        [f"u{i}" for i in range(n)]))
+    answers = []
+    for ordered in (list(rows), rows[::-1]):
+        pivots = linalg._echelon(ordered, n)
+        consistent = not any(row[n] for row in ordered[len(pivots):])
+        point = None
+        if consistent:
+            num, den = linalg._back_substitute(ordered, pivots, n, n)
+            point = [Fraction(x, den) for x in num]
+        answers.append((pivots, consistent, point))
+    assert answers[0] == answers[1]
+    _, consistent, point = answers[0]
+    assert consistent == isinstance(ref, SolutionSet)
+    if consistent:
+        assert point == ref.particular
+
+
 def test_certificate_that_fails_its_check_is_an_error(monkeypatch):
     monkeypatch.setattr(linalg, "verify_farkas", lambda system, cert: False)
     with pytest.raises(AssertionError, match="own check"):
