@@ -9,10 +9,11 @@ reproduce every artifact, the manifest included, byte-exactly in any
 
 Nine commands (`_COMMANDS`) share one runner: load and hash the inputs;
 compute the artifacts, text lines and exit code; emit; print the first
-artifact; exit.  `batch` has its own driver: a glob of inputs and a worker
-pool.  The payloads of the construction log, obstruction, tilde, min-power,
-colength, verify-potential, convergence bound and batch summary are built
-here; every other artifact format lives in `serialize`.
+artifact; exit.  In `batch`, this process and up to `--parallel` − 1 forked
+ones, at most one per file, claim a glob's files one at a time.  The
+payloads of the construction log, obstruction, tilde, min-power, colength,
+verify-potential, convergence bound and batch summary are built here; every
+other artifact format lives in `serialize`.
 
 Exit codes: 0 success / feasible / verified; 10 refuted / failed check;
 11 degenerate; 2 malformed input or unsatisfied precondition.
@@ -23,9 +24,11 @@ from __future__ import annotations
 import argparse
 import glob as globmod
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, partial
+from multiprocessing import Pipe, Process, Value
 from pathlib import Path
 from typing import Callable
 
@@ -234,15 +237,14 @@ def _run(name: str, args) -> int:
     return code
 
 
-def _batch_worker(task: tuple[str, int | None]) -> tuple[dict, str | None]:
+def _batch_worker(path: str, order: int | None) -> tuple[dict, str | None]:
     """One instance pipeline: build, the construction's residual check,
-    guard, decide.  Pure and picklable.
+    guard, decide.  Pure, with a picklable result.
 
     Returns the summary row and the input hash, which is None when the file
     did not load as an instance.  Input errors and a failed residual check
     become a row with status `error`; anything else propagates.
     """
-    path, order = task
     row: dict = {"file": path}
     digest = None
     try:
@@ -271,6 +273,25 @@ def _batch_worker(task: tuple[str, int | None]) -> tuple[dict, str | None]:
     return row, digest
 
 
+def _claim(files: list[str], order: int | None, counter):
+    """Yield (index, `_batch_worker` result) of each file claimed from `counter`."""
+    while True:
+        with counter.get_lock():
+            index, counter.value = counter.value, counter.value + 1
+        if index >= len(files):
+            return
+        yield index, _batch_worker(files[index], order)
+
+
+def _child(files: list[str], order: int | None, counter, send) -> None:
+    try:
+        outcome = list(_claim(files, order, counter))
+    except Exception as exc:
+        outcome = exc
+    with suppress(BrokenPipeError):  # the main process failed and left
+        send.send(outcome)
+
+
 def _cmd_batch(args) -> int:
     if args.parallel < 1:
         print(f"--parallel must be at least 1, not {args.parallel}", file=sys.stderr)
@@ -279,18 +300,29 @@ def _cmd_batch(args) -> int:
     if not files:
         print(f"no instance files match {args.instances!r}", file=sys.stderr)
         return EXIT_INPUT
-    tasks = [(path, args.order) for path in files]
-    # a forked pool starts all its workers at once, so start no idle ones
-    workers = min(args.parallel, len(files))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_worker, tasks))
-    else:
-        results = [_batch_worker(t) for t in tasks]
+    counter, children = Value("i", 0), []
+    try:
+        for _ in range(min(args.parallel, len(files)) - 1):
+            receive, send = Pipe(duplex=False)
+            child = Process(target=_child, args=(files, args.order, counter, send))
+            child.start()
+            children.append((child, receive))
+            send.close()  # so that a child that dies unsent gives EOFError
+        results = list(_claim(files, args.order, counter))
+        for _, receive in children:
+            outcome = receive.recv()
+            if isinstance(outcome, BaseException):
+                raise outcome
+            results += outcome
+    finally:
+        with counter.get_lock():  # after an error, no process claims another file
+            counter.value = len(files)
+        for child, receive in children:
+            receive.close()  # first, so that a child blocked on its send ends
+            child.join()
+    results = [result for _, result in sorted(results)]
     rows = [row for row, _ in results]
-    counts: dict[str, int] = {}
-    for row in rows:
-        counts[row["status"]] = counts.get(row["status"], 0) + 1
+    counts = Counter(row["status"] for row in rows)
     input_hashes = {row["file"]: digest for row, digest in results if digest is not None}
     summary = {"kind": "batch_summary", "runs": rows, "counts": counts,
                "rejected_by_guard": counts.get("guard_rejected", 0)}
@@ -351,8 +383,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("instances", help="glob pattern of instance JSON files")
     p.add_argument("--order", type=int, default=None,
                    help="decision order (default: leading degree + 3 per instance)")
-    p.add_argument("--parallel", type=int, default=1,
-                   help="worker processes, at most one per file (default: 1, serial)")
+    p.add_argument("--parallel", type=int, default=1, metavar="N",
+                   help="run N processes, this one and N-1 forked, at most one per file, "
+                        "each claiming the next file when free (default: 1)")
     common(p)
     p.set_defaults(func=_cmd_batch)
 

@@ -546,8 +546,8 @@ def _stage_record(k: int, kernel: list[list[int]], touched: set[int], top: int,
     the t with [matrix | rhs].t = 0, and `read_off` gives its point
     -p / p_rhs and the directions on the touched columns.  A block J's
     projection has dimension |J - touched| + the rank of the directions
-    restricted to J; a touched column is fixed when every direction is
-    zero there, at the same value on every solution.
+    restricted to J, which vanish off `touched`; a touched column is fixed
+    when every direction is zero there, at the same value on every solution.
     """
     n = len(labels)
     p, directions = read_off(kernel)
@@ -555,7 +555,7 @@ def _stage_record(k: int, kernel: list[list[int]], touched: set[int], top: int,
     for j in range(top + 1):
         lo, hi = _column("X", (j, 0)), _column("X", (j + 1, 0))
         inside = [c for c in range(lo, hi) if c in touched]
-        dim = hi - lo - len(inside) + matrix_rank([t[lo:hi] for t in directions])
+        dim = hi - lo - len(inside) + (matrix_rank([t[lo:hi] for t in directions]) if inside else 0)
         forced = {labels[c]: Fraction(-p[c], p[n]) for c in inside
                   if not any(t[c] for t in directions)}
         blocks.append(BlockRecord(dim, forced))

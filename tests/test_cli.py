@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -493,9 +495,32 @@ def test_batch_mixes_guard_rejections_and_decisions(tmp_path, capsys):
     assert by_seed[5]["status"] in ("feasible_up_to_M", "infeasible", "degenerate")
     assert sum(summary["counts"].values()) == 3
 
-    out2 = tmp_path / "parallel"
-    assert main(["batch", pattern, "--parallel", "2", "--out", str(out2)]) == EXIT_OK
-    assert (out / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    stdout = capsys.readouterr().out
+    # the main process alone, with one child, and with two children
+    for parallel in ("2", "3"):
+        out2 = tmp_path / f"parallel{parallel}"
+        assert main(["batch", pattern, "--parallel", parallel, "--out", str(out2)]) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().out == stdout
+        for name in ("summary.json", "manifest.json"):
+            assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_batch_processes_claim_each_file_once(tmp_path, capsys):
+    # more processes than this machine's cores, on files that take little
+    # time each: a lost update of the shared counter repeats or skips a file
+    for i in range(16):
+        _write(tmp_path / f"inst_{i:02d}.json", _small_instance_payload((5, 8, 16)[i % 3]))
+    pattern = str(tmp_path / "inst_*.json")
+    summaries = []
+    for parallel in ("1", str(2 * (os.cpu_count() or 1) + 2)):
+        out = tmp_path / f"out{parallel}"
+        assert main(["batch", pattern, "--parallel", parallel, "--out", str(out)]) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        summaries.append((out / "summary.json").read_bytes())
+    runs = json.loads(summaries[0])["runs"]
+    assert [Path(row["file"]).name for row in runs] == [f"inst_{i:02d}.json" for i in range(16)]
+    assert summaries[0] == summaries[1]
     capsys.readouterr()
 
 
@@ -532,6 +557,7 @@ def test_batch_turns_bad_instances_into_error_rows(tmp_path, capsys):
     for extra in ([], ["--parallel", "2"]):
         out = tmp_path / f"out{len(extra)}"
         assert main(["batch", pattern, "--out", str(out)] + extra) == EXIT_INPUT
+        assert multiprocessing.active_children() == []
         summaries.append((out / "summary.json").read_bytes())
         summary = load_json(str(out / "summary.json"))
         rows = {Path(row["file"]).name: row for row in summary["runs"]}
@@ -564,14 +590,30 @@ def test_batch_reports_a_file_that_is_not_utf8(tmp_path, capsys):
 
 
 def test_batch_lets_internal_errors_propagate(tmp_path, monkeypatch):
-    _write(tmp_path / "inst.json", _small_instance_payload(5))
+    test_pid = os.getpid()
+    real_decide = cli_module.decide
+    for failing, parallel in (("main", "1"), ("main", "2"), ("child", "2")):
+        batch = tmp_path / f"{failing}{parallel}"
+        batch.mkdir()
+        for i in range(3):
+            _write(batch / f"inst_{i}.json", _small_instance_payload(5))
+        raised = batch / "raised"
 
-    def broken(sigma, order, guard=None):
-        raise AssertionError("internal check failed")
+        def broken(sigma, order, guard=None, failing=failing, raised=raised):
+            # the other process waits in its first decide until the failure, so
+            # it cannot finish the batch before the failing process claims a file
+            if (os.getpid() == test_pid) == (failing == "main"):
+                raised.touch()
+                raise AssertionError("internal check failed")
+            deadline = time.monotonic() + 60
+            while not raised.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return real_decide(sigma, order, guard)
 
-    monkeypatch.setattr(cli_module, "decide", broken)
-    with pytest.raises(AssertionError, match="internal check failed"):
-        main(["batch", str(tmp_path / "*.json")])
+        monkeypatch.setattr(cli_module, "decide", broken)
+        with pytest.raises(AssertionError, match="internal check failed"):
+            main(["batch", str(batch / "inst_*.json"), "--parallel", parallel])
+        assert multiprocessing.active_children() == []
 
 
 def _family_instance(c_parts):
@@ -605,41 +647,36 @@ def test_batch_rows_match_decide(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _recording_pool(monkeypatch):
-    """Replace the process pool by one that records its worker count and
-    maps in this process; returns the list of worker counts."""
-    created: list[int] = []
+def _recording_children(monkeypatch):
+    """Record the children that batch calls start; they run as usual.
+    Returns the list of started processes."""
+    started: list = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
+    class RecordingProcess(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
-    return created
+    monkeypatch.setattr(cli_module, "Process", RecordingProcess)
+    return started
 
 
 def test_batch_starts_at_most_one_worker_per_file(tmp_path, monkeypatch, capsys):
     for seed in (5, 8, 16):
         _write(tmp_path / f"inst_{seed:02d}.json", _small_instance_payload(seed))
-    created = _recording_pool(monkeypatch)
-    summaries = []
+    started = _recording_children(monkeypatch)
+    children, summaries = [], []
     for pattern, parallel in (("inst_*.json", "8"), ("inst_*.json", "2"),
                               ("inst_05.json", "4"), ("inst_*.json", "1")):
         out = tmp_path / f"out_{len(summaries)}"
+        before = len(started)
         assert main(["batch", str(tmp_path / pattern), "--parallel", parallel,
                      "--out", str(out)]) == EXIT_OK
+        children.append(len(started) - before)
         summaries.append(load_json(str(out / "summary.json"))["runs"])
-    # one file or one worker runs serially, without a pool
-    assert created == [3, 2]
+    # the main process runs files too; one file or one process starts no child
+    assert children == [2, 1, 0, 0]
+    assert multiprocessing.active_children() == []
     assert summaries[0] == summaries[1] == summaries[3]
     assert summaries[2] == summaries[0][:1]
     capsys.readouterr()
@@ -648,12 +685,12 @@ def test_batch_starts_at_most_one_worker_per_file(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize("parallel", ["0", "-3"])
 def test_batch_rejects_fewer_than_one_worker(tmp_path, monkeypatch, capsys, parallel):
     _write(tmp_path / "inst.json", _small_instance_payload(5))
-    created = _recording_pool(monkeypatch)
+    started = _recording_children(monkeypatch)
     out = tmp_path / "out"
     assert main(["batch", str(tmp_path / "*.json"), "--parallel", parallel,
                  "--out", str(out)]) == EXIT_INPUT
     assert "--parallel must be at least 1" in capsys.readouterr().err
-    assert created == [] and not out.exists()
+    assert started == [] and not out.exists()
 
 
 def test_batch_empty_glob_is_input_error(tmp_path, capsys):
