@@ -72,12 +72,13 @@ def main(argv: list[str] | None = None) -> int:
         sigma, _ = build(Instance(d=args.degree, N=args.truncation, C=c,
                                   D=d_series, seed=seed,
                                   coeff_bound=args.coeff_bound))
-        if not genericity_guard(sigma).passed:
+        guard = genericity_guard(sigma)
+        if not guard.passed:
             rejected += 1
             continue
         found += 1
         start = time.monotonic()
-        outcome = decide(sigma, order)
+        outcome = decide(sigma, order, guard)
         elapsed = time.monotonic() - start
         if first_outcome is None:
             first_outcome = outcome

@@ -10,10 +10,10 @@ per degree:
 
     -A_y + B_x = (XA + YB)_y - (ZA + WB)_x.            (*)
 
-`_integer_blocks` collects (*) for degrees d-1 .. M-1 over the unknown
-coefficients of X, Y, Z, W in degrees 0 .. M-d.  Any true potential
-truncates to a solution, so infeasibility of the truncated system refutes
-potential existence; feasibility remains inconclusive.
+`_integer_blocks` yields (*) for degrees d-1 .. M-1, one degree at a time,
+over the unknown coefficients of X, Y, Z, W in degrees 0 .. M-d.  Any true
+potential truncates to a solution, so infeasibility of the truncated system
+refutes potential existence; feasibility remains inconclusive.
 
 The ungauged system is *never* infeasible: X = W = -1, Y = Z = 0 solves it
 exactly (it encodes the constant candidate Phi, whose gradient is zero).
@@ -24,39 +24,42 @@ Constant candidates are excluded by the unit condition
 which makes the change of generators invertible at the origin.  The decider
 takes one path, a scan over the degree prefixes d-1 .. k in increasing k.
 The equations are built as integer rows, one block per degree with one
-scale, straight from the components' integer terms (`_integer_blocks`;
-`_block_system` stores each row at its block's scale).  One column pass,
-a `RowBasis` over the gauge row X0 = 0 followed by every block, scans each
-row once; at each block boundary it gives whether the gauged prefix is
-consistent and a basis of its kernel {t : [gauge; matrix | rhs].t = 0},
-from which each prefix is read, with no other elimination.  Paired with
-rhs -1, the constant candidate t* solves every row of [matrix | rhs] but
-not the gauge row, so the gauged kernel plus t* is the ungauged kernel.
+scale, when the scan reaches it, and the constant candidate must solve a
+block before it is scanned, so a refutation builds no block above its
+failing degree (`_block_system` stores each row at its block's scale).
+One column pass, a `RowBasis` handed the gauge row X0 = 0 and then each
+block, scans each row once; at each block boundary it gives whether the
+gauged prefix is consistent and a basis of its kernel
+{t : [gauge; matrix | rhs].t = 0}, from which each prefix is read, with
+no other elimination.  Paired with rhs -1, the constant candidate t*
+solves every row of [matrix | rhs] but not the gauge row, so the gauged
+kernel plus t* is the ungauged kernel.
 
 * The ungauged view checks whether each prefix forces (Y0, Z0).  The
   constant candidate solves every prefix, so none is inconsistent, and a
   longer prefix only adds equations, so a value forced on one prefix is
-  forced on the whole system.  The ungauged view ends at the first prefix
-  that forces (Y0, Z0) = (0, 0), provided the leading forms of A, B are
-  independent.  Then every potential-induced solution must have
-  1 + X0 != 0 (the unit condition degenerates to (1+X0)(1+W0) != 0, and a
-  minimal-generator argument rules out 1 + X0 = 0), so it can be rescaled
-  to X0 = 0, and the gauge X0 = 0 (one extra row) is equivalent for
-  existence questions.
+  forced on the whole system.  Y0 and Z0 alone are read, each forced to
+  zero when touched and zero at the point and in every direction.  The
+  ungauged view ends at the first prefix that forces (Y0, Z0) = (0, 0),
+  provided the leading forms of A, B are independent.  Then every
+  potential-induced solution must have 1 + X0 != 0 (the unit condition
+  degenerates to (1+X0)(1+W0) != 0, and a minimal-generator argument rules
+  out 1 + X0 = 0), so it can be rescaled to X0 = 0, and the gauge X0 = 0
+  (one extra row) is equivalent for existence questions.
 * With the gauge, every prefix is read in the gauged view, from the
   kernels kept so far, and the scan stops at the first inconsistent
   gauged prefix, which may come before the one that picked the gauge.  It
   gives the failing degree, and the column pass back-substitutes a Farkas
   certificate for that prefix with the gauge row appended: a proof that
   no potential exists.  The failing system is that prefix's integer
-  blocks, handed over without a Fraction, and only the certificate's
-  entries are built as Fractions.
+  blocks; only the certificate's entries are built as Fractions.
 * Without a gauge no refutation is attempted; the scan ran to the last
   prefix, which is the whole system.
-* Each consistent prefix of the branch taken records its affine dimension
-  and forced values per unknown block, read off its kernel: the staged
-  view.  When every prefix is consistent, the unit condition is decided on
-  the solution set of the last one, giving feasible-or-degenerate.
+* Once the scan ends, each consistent prefix records its affine dimension
+  and forced values per unknown block, read off its kernel in the view
+  taken: the staged view.  When every prefix is consistent, the unit
+  condition is decided on the last one's solution set, giving
+  feasible-or-degenerate.
 
 Columns are addressed by their position in the layout of `_column`, never
 by label.  Results are typed records: a `StageRecord` per prefix with a
@@ -86,6 +89,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .ideals import TruncatedIdeal, _shifted_row, ideal_contained_mod, ideal_equal_mod
 from .linalg import (AffineSystem, FarkasCertificate, RowBasis, _echelon, farkas_certificate,
@@ -131,24 +135,25 @@ def _column_labels(top: int) -> list[str]:
             for name in UNKNOWN_NAMES for exp in monomials(2, j)]
 
 
-def _integer_blocks(sigma: OneForm, d: int, order: int) -> list[tuple[int, list[list[int]]]]:
+def _integer_blocks(sigma: OneForm, d: int, order: int) -> Iterator[tuple[int, list[list[int]]]]:
     """Identity (*) as integer rows of [matrix | rhs], one block per equation
-    degree k = d-1 .. order-1: each block's rows times one positive integer,
-    its scale, paired with that scale.
+    degree k = d-1 .. order-1, built when it is asked for: each block's
+    rows times one positive integer, its scale, paired with that scale.
 
-    The degree-k rows read the components of degrees k+1-(order-d) .. k+1,
-    whose integer terms are brought to the lcm of their denominators.  Row
-    i of the block is the monomial x^(k-i) y^i, as in `monomials`: the low
-    field of its packed key.
+    The components' integer terms are taken once, up front.  The degree-k
+    rows read the components of degrees max(d, k+1-(order-d)) .. k+1, those
+    below d being zero, whose integer terms are brought to the lcm of their
+    denominators.  Row i of the block
+    is the monomial x^(k-i) y^i, as in `monomials`: the low field of its
+    packed key.
     """
     a, b = sigma.components
     top = order - d
     n = _num_columns(top)
     terms = {(name, i): series.component(i)._integer_terms()
-             for name, series in (("A", a), ("B", b)) for i in range(max(d - top, 0), order + 1)}
-    blocks = []
+             for name, series in (("A", a), ("B", b)) for i in range(d, order + 1)}
     for k in range(d - 1, order):
-        degrees = range(max(k + 1 - top, 0), k + 2)
+        degrees = range(max(k + 1 - top, d), k + 2)
         scale = math.lcm(*[terms[name, i][1] for name in "AB" for i in degrees])
         rows = [[0] * (n + 1) for _ in range(k + 1)]
         for i in degrees:
@@ -175,8 +180,7 @@ def _integer_blocks(sigma: OneForm, d: int, order: int) -> list[tuple[int, list[
                 exp = _unpack(key, 2)
                 if exp[var]:
                     rows[exp[1] - var][n] += f * v * exp[var]
-        blocks.append((scale, rows))
-    return blocks
+        yield scale, rows
 
 
 def _block_system(blocks: list[tuple[int, list[list[int]]]], d: int, top: int) -> AffineSystem:
@@ -590,72 +594,70 @@ def decide(sigma: OneForm, order: int, guard: GuardReport | None = None) -> Deci
     """
     d = _validate_sigma(sigma, order)
     top = order - d
-    blocks = _integer_blocks(sigma, d, order)
     n = _num_columns(top)
     labels = _column_labels(top)
     notes: list[str] = []
-
-    # each integer row is its Fraction row times a positive integer, so the
-    # constant candidate X0 = W0 = -1 solves the one exactly when it solves
-    # the other
-    x0, w0 = _column("X", (0, 0)), _column("W", (0, 0))
-    if any(-row[x0] - row[w0] != row[n] for _, rows in blocks for row in rows):
-        raise AssertionError("constant-candidate self-test failed: assembled "
-                             "system is inconsistent with its own identity")
-    notes.append("self-test: constant-candidate solution satisfies the system")
-
     guard = genericity_guard(sigma) if guard is None else guard
     independent = guard.check("leading_pair").passed
-    basis = RowBasis([_gauge_row(n)] + [row for _, rows in blocks for row in rows], n)
-    basis.extend(1)
+    basis = RowBasis(n)
+    basis.extend([_gauge_row(n)])
+    x0, y0, z0, w0 = (_column(name, (0, 0)) for name in UNKNOWN_NAMES)
 
-    # one scan: each prefix's gauged kernel is kept, and read in the
-    # ungauged view until a prefix forces (Y0, Z0) = (0, 0); once that
-    # picks the gauge, the scan stops at the first inconsistent gauged
-    # prefix, which may lie before it
-    records: list[StageRecord] = []
+    # one scan, building each block when it reaches it: each prefix's gauged
+    # kernel is kept, and read in the ungauged view until a prefix forces
+    # (Y0, Z0) = (0, 0); once that picks the gauge, the scan stops at the
+    # first inconsistent gauged prefix, which may lie before it
+    blocks: list[tuple[int, list[list[int]]]] = []
     prefixes: list[tuple[int, list[list[int]], set[int]]] = []
-    gauged, failing = False, None
-    for k, (_, rows) in enumerate(blocks, start=d - 1):
-        basis.extend(len(rows))
+    gauged, forced_zero, failing = False, False, None
+    for k, (scale, rows) in enumerate(_integer_blocks(sigma, d, order), start=d - 1):
+        # each integer row is its Fraction row times a positive integer, so
+        # the constant candidate X0 = W0 = -1 solves the one exactly when it
+        # solves the other
+        if any(-row[x0] - row[w0] != row[n] for row in rows):
+            raise AssertionError("constant-candidate self-test failed: assembled "
+                                 "system is inconsistent with its own identity")
+        blocks.append((scale, rows))
+        basis.extend(rows)
         if failing is None and not basis.consistent:
             failing = k
         kernel, touched = basis.kernel(), set(basis.columns)
         prefixes.append((k, kernel, touched))
         if not gauged:
-            kernel = _with_candidate(kernel, touched, n)
-            record = _stage_record(k, kernel, touched, top, labels)
-            degree0 = record.blocks[0].forced
-            forced_zero = all(degree0.get(labels[_column(name, (0, 0))]) == 0 for name in "YZ")
+            p, directions = read_off(_with_candidate(kernel, touched, n))
+            forced_zero = all(c in touched and not p[c] and not any(t[c] for t in directions)
+                              for c in (y0, z0))
             gauged = forced_zero and independent
-            records.append(record)
         if gauged and failing is not None:
             break
+    notes.append("self-test: constant-candidate solution satisfies the system")
 
     if gauged:
         branch, gauge = "forced_degree0", "X0=0"
-        records = [_stage_record(k, kernel, touched, top, labels)
-                   for k, kernel, touched in prefixes if failing is None or k < failing]
-        if failing is not None:
-            prefix = with_gauge(_block_system(blocks[:failing - d + 2], d, top))
-            num, den = basis.combination(prefix.num_rows)
-            # the basis scanned the gauge row first; the prefix ends with it
-            certificate = farkas_certificate(prefix, num[1:] + num[:1], den)
-            records.extend(StageRecord(j, False) for j in range(failing, order))
-            return DeciderOutcome(
-                verdict="infeasible", order=order, lowest_degree=d, failing_degree=failing,
-                certificate=certificate, failing_system=prefix, staged=records,
-                gauge=gauge, branch=branch, guard=guard, notes=notes)
-        kernel = prefixes[-1][1]
     else:
-        branch, gauge = "open_degree0", "none"
+        # the ungauged view has no inconsistent prefix
+        branch, gauge, failing = "open_degree0", "none", None
         if forced_zero:
             notes.append("degree-0 coefficients forced but the leading pair is "
                          "dependent; refutation path disabled")
+    # each consistent prefix's kernel in the view taken gives its staged record
+    views = [(k, kernel if gauged else _with_candidate(kernel, touched, n), touched)
+             for k, kernel, touched in prefixes if failing is None or k < failing]
+    records = [_stage_record(k, kernel, touched, top, labels) for k, kernel, touched in views]
+    if failing is not None:
+        prefix = with_gauge(_block_system(blocks[:failing - d + 2], d, top))
+        num, den = basis.combination(prefix.num_rows)
+        # the basis scanned the gauge row first; the prefix ends with it
+        certificate = farkas_certificate(prefix, num[1:] + num[:1], den)
+        records.extend(StageRecord(j, False) for j in range(failing, order))
+        return DeciderOutcome(
+            verdict="infeasible", order=order, lowest_degree=d, failing_degree=failing,
+            certificate=certificate, failing_system=prefix, staged=records,
+            gauge=gauge, branch=branch, guard=guard, notes=notes)
 
     common = dict(order=order, lowest_degree=d, staged=records, gauge=gauge,
                   branch=branch, guard=guard, notes=notes)
-    unit = find_unit_solution(*_solutions(basis, kernel))
+    unit = find_unit_solution(*_solutions(basis, views[-1][1]))
     if unit is None:
         notes.append("every normalized solution fails the unit condition" if gauged
                      else "every solution fails the unit condition")
@@ -739,7 +741,6 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
         raise MismatchError("the 1-form must vanish at the origin and be nonzero")
     order = d + 3
     _validate_sigma(sigma, order)
-    blocks = _integer_blocks(sigma, d, order)
     tilde_sum = tilde_obstruction(*tilde_transform(c, d_series))
     functional = {_column("Z", (2, 0)): 2, _column("Y", (0, 2)): -2}
     out: dict = {
@@ -748,12 +749,14 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
         "predicted_first": 2 * tilde_sum / (d + 3),
         "predicted_second": 2 * tilde_sum / (d + 4),
     }
-    # one column pass: the gauge row, the rows through degree d+1, then degree d+2
+    # one column pass: the gauge row, the blocks through degree d+1, then degree d+2
     n = _num_columns(order - d)
-    basis = RowBasis([_gauge_row(n)] + [row for _, rows in blocks for row in rows], n)
-    basis.extend(1)
-    for key, fed in (("first", blocks[:3]), ("second", blocks[3:])):
-        basis.extend(sum(len(rows) for _, rows in fed))
+    basis = RowBasis(n)
+    basis.extend([_gauge_row(n)])
+    blocks = _integer_blocks(sigma, d, order)
+    for key, count in (("first", 3), ("second", 1)):
+        for _, rows in itertools.islice(blocks, count):
+            basis.extend(rows)
         solutions = _solutions(basis, basis.kernel())
         if solutions is None:
             out[key] = {"feasible": False}

@@ -429,7 +429,7 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
         pivots = _echelon(system, width)
         if any(row[width] for row in system[len(pivots):]):
             return n
-        num, den = _back_substitute(system, pivots, width, width)
+        num, den = _back_substitute(system, pivots, width)
         solved: dict[int, IntTerms] = {}
         for (i, shift), weight in zip(columns, num):
             if weight:

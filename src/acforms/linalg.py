@@ -18,16 +18,17 @@ inconsistent `RowBasis` prefix.
 * `RowBasis` is the column pass: the forward pass over the transposed
   system [matrix | rhs]^T with the target column (0, ..., 0, 1) appended,
   scanned a block of columns, that is of original rows, at a time, with
-  the transform of its column operations carried along.  A column that
-  gets a pivot is a row independent of the rows before it, so the pivots
-  are the greedy row basis, and the rows up to any block boundary are
-  inconsistent exactly when the target column has become zero below the
-  pivots.  `combination` then back-substitutes the row combination u with
-  u.[matrix | rhs] = (0, ..., 0, 1), free coordinates zero; that is the
-  vector the reduced echelon form would give, the unique solution
-  supported on the row basis.  `kernel()` reads a basis of the kernel of
-  the rows scanned so far off the transform of the rows below the pivots,
-  so one pass gives every prefix's solution set.
+  the transform of its column operations carried along; each block it is
+  handed joins its rows, so a caller builds a block when the scan reaches
+  it.  A column that gets a pivot is a row independent of the rows before
+  it, so the pivots are the greedy row basis, and the rows up to any block
+  boundary are inconsistent exactly when the target column has become
+  zero below the pivots.  `combination` then back-substitutes the row
+  combination u with u.[matrix | rhs] = (0, ..., 0, 1), free coordinates
+  zero; that is the vector the reduced echelon form would give, the unique
+  solution supported on the row basis.  `kernel()` reads a basis of the
+  kernel of the rows scanned so far off the transform of the rows below
+  the pivots, so one pass gives every prefix's solution set.
 * `read_off` reads a point and spanning directions of the solution set off
   kernel vectors, with no elimination (Cohen, *A Course in Computational
   Algebraic Number Theory*, section 2.3).
@@ -37,9 +38,8 @@ inconsistent `RowBasis` prefix.
 
 An `AffineSystem` stores what the kernel reads, integer rows of
 [matrix | rhs] with one positive scale each, so the decider, the
-serializer and `verify_farkas` build no Fraction of it.  `matrix` and `rhs`
-are a Fraction view built on first access, and equality compares rational
-entries, whatever scale a row is stored at.
+serializer and `verify_farkas` build no Fraction of it.  Equality compares
+rational entries, whatever scale a row is stored at.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -74,19 +73,6 @@ class AffineSystem:
                 raise ValueError(f"row width {len(row) - 1} != {width - 1} labels")
         if self.row_labels and len(self.row_labels) != len(self.rows):
             raise ValueError("row label count mismatch")
-
-    @cached_property
-    def _fractions(self) -> tuple[list[list[Fraction]], list[Fraction]]:
-        rows = [[Fraction(v, s) for v in row] for row, s in zip(self.rows, self.scales)]
-        return [row[:-1] for row in rows], [row[-1] for row in rows]
-
-    @property
-    def matrix(self) -> list[list[Fraction]]:
-        return self._fractions[0]
-
-    @property
-    def rhs(self) -> list[Fraction]:
-        return self._fractions[1]
 
     @property
     def num_rows(self) -> int:
@@ -126,22 +112,22 @@ def _combine(row: list[int], pivot_row: list[int]) -> list[int]:
     return [x // content for x in new] if content > 1 else new
 
 
-def _echelon(rows: list[list[int]], stop: int, start: int = 0, top: int = 0) -> list[int]:
+def _echelon(rows: list[list[int]], stop: int, start: int = 0) -> list[int]:
     """Fraction-free forward elimination of integer rows in place.
 
-    Columns start .. stop-1 are scanned left to right over the rows from
-    `top` on, which must be zero left of `start`; the pivot is the first
-    row at or below the current one with a nonzero entry, and every row
-    below it is cleared in the pivot column.  Returns the pivot columns:
-    row top+k of the result has its leading entry in column pivots[k], and
-    the rows past the last pivot are zero in the scanned columns, so a
-    later call can resume at column `stop`.  Rows are replaced, never
-    mutated, so a shallow copy of the list keeps the caller's rows.
+    Columns start .. stop-1 are scanned left to right over rows that must
+    be zero left of `start`; the pivot is the first row at or below the
+    current one with a nonzero entry, and every row below it is cleared in
+    the pivot column.  Returns the pivot columns: row k of the result has
+    its leading entry in column pivots[k], and the rows past the last pivot
+    are zero in the scanned columns, so a later call can resume at column
+    `stop`.  Rows are replaced, never mutated, so a shallow copy of the
+    list keeps the caller's rows.
     """
     m = len(rows)
     pivots: list[int] = []
     for c in range(start, stop):
-        r = top + len(pivots)
+        r = len(pivots)
         if r == m:
             break
         pivot = next((i for i in range(r, m) if rows[i][c]), None)
@@ -158,11 +144,11 @@ def _echelon(rows: list[list[int]], stop: int, start: int = 0, top: int = 0) -> 
     return pivots
 
 
-def _back_substitute(rows: Sequence[list[int]], pivots: Sequence[int], target: int,
-                     width: int) -> tuple[list[int], int]:
-    """Integer numerators of length `width`, and their common denominator,
+def _back_substitute(rows: Sequence[list[int]], pivots: Sequence[int],
+                     target: int) -> tuple[list[int], int]:
+    """Integer numerators of length `target`, and their common denominator,
     of the x that is zero off the pivot columns and has
-    sum(rows[k][c] * x[c] for c < width) = rows[k][target] for every pivot
+    sum(rows[k][c] * x[c] for c < target) = rows[k][target] for every pivot
     row k.
 
     Row k must be zero in the pivot columns of rows 0 .. k-1, so x is read
@@ -181,7 +167,7 @@ def _back_substitute(rows: Sequence[list[int]], pivots: Sequence[int], target: i
         if g > 1:
             xs = [x // g for x in xs]
             den //= g
-    num = [0] * width
+    num = [0] * target
     for c, x in zip(pivots, xs):
         num[c] = x
     return num, den
@@ -209,25 +195,25 @@ class RowBasis:
     kernel's entries stay small: with new rows last, the kernel of a
     feasible d=18 order-27 decide reached 2038-bit entries, against 996.
 
-    `extend(count)` scans the next `count` columns with `_echelon`; each
-    that gets a pivot is a row independent of the rows before it, and its
-    pivot row is kept for `combination`.  The rows left below the pivots
-    are zero in every scanned column, so their T-parts are a basis of the
-    kernel of the scanned rows on the touched columns.  The scanned rows
+    `extend(rows)` appends the rows it is handed to `rows` and scans them,
+    as the next columns, with `_echelon`; each that gets a pivot is a row
+    independent of the rows before it, and its pivot row is kept for
+    `combination`.  The rows left below the pivots are zero in every
+    scanned column, so their T-parts are a basis of the kernel of the
+    scanned rows on the touched columns.  The scanned rows
     are inconsistent once none of those has a nonzero rhs coordinate: the
     target is then in the span of the scanned columns, so some row
     combination u has u.[matrix | rhs] = (0, ..., 0, 1).
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]], ncols: int) -> None:
-        self.rows = rows
+    def __init__(self, ncols: int) -> None:
+        self.rows: list[Sequence[int]] = []  # every row scanned, in order
         self.ncols = ncols
         self.columns: list[int] = []
         self.pivots: list[int] = []
         # (first row scanned with it, its entries from that row on, T-part)
         self.pivot_rows: list[tuple[int, list[int], list[int]]] = []
         self.below: list[list[int]] = [[1]]
-        self.scanned = 0
 
     @property
     def consistent(self) -> bool:
@@ -237,10 +223,10 @@ class RowBasis:
         """A row of the input on the coordinates [rhs, *columns]."""
         return [row[self.ncols]] + [row[c] for c in self.columns]
 
-    def extend(self, count: int) -> list[int]:
-        """Scan the next `count` rows; returns the indices of the independent ones."""
-        start = self.scanned
-        block = self.rows[start:start + count]
+    def extend(self, block: Sequence[Sequence[int]]) -> list[int]:
+        """Scan the rows of `block` next; returns the indices of the independent ones."""
+        start, count = len(self.rows), len(block)
+        self.rows += block
         touched = set(self.columns)
         new = [c for c, column in enumerate(zip(*block))
                if c < self.ncols and c not in touched and any(column)]
@@ -257,7 +243,6 @@ class RowBasis:
         found = _echelon(work, count)
         self.pivot_rows += [(start, row[:count], row[count:]) for row in work[:len(found)]]
         self.below = [row[count:] for row in work[len(found):]]
-        self.scanned += count
         independent = [start + p for p in found]
         self.pivots += independent
         return independent
@@ -298,7 +283,7 @@ class RowBasis:
                     row[p] = entries[p - start] if p < start + len(entries) else \
                         sum(map(mul, t, coordinates[p]))
             rows.append(row)
-        return _back_substitute(rows, pivots, count, count)
+        return _back_substitute(rows, pivots, count)
 
 
 def read_off(kernel: Sequence[list[int]]) -> tuple[list[int], list[list[int]]] | None:

@@ -17,9 +17,10 @@ into one system, because what it checks is those blocks;
 unit search and forced-functional test, read a `SolutionSet`, because what
 they check is the read-off from the column pass's kernel that replaced them;
 `fraction_system_to_json`, the earlier writer of failing systems, and
-`fraction_verify_witness`, the earlier witness check, read the Fraction
-view and the Fraction series arithmetic of the package, because what they
-check is the integer writer and check that replaced them;
+`fraction_verify_witness`, the earlier witness check, read a system's
+Fraction view (`fraction_view`, which left `AffineSystem` because no
+package code read it) and the Fraction series arithmetic of the package,
+because what they check is the integer writer and check that replaced them;
 `reduced_form_certificate`, the kernel's earlier certificate path, reuses
 the kernel's forward pass and `_reduce`, because what it checks is the
 back-substitution that replaced the backward pass; `fraction_assemble_system`
@@ -107,12 +108,18 @@ def fraction_system(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction
                         list(column_labels), list(row_labels or []))
 
 
+def fraction_view(system: AffineSystem) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """(matrix, rhs) of a system as Fractions: stored row i over its scale."""
+    rows = [[Fraction(v, s) for v in row] for row, s in zip(system.rows, system.scales)]
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
 def residual(system: AffineSystem, point: Sequence[Fraction]) -> list[Fraction]:
     """matrix . point - rhs, for exactness checks."""
     if len(point) != system.num_cols:
         raise ValueError("point length mismatch")
     out = []
-    for row, b in zip(system.matrix, system.rhs):
+    for row, b in zip(*fraction_view(system)):
         acc = Fraction(0)
         for a, v in zip(row, point):
             if a != 0 and v != 0:
@@ -213,8 +220,8 @@ def solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertificate:
     pivots = _echelon(rows, n)
     if not any(row[n] for row in rows[len(pivots):]):
         return echelon_solution(rows, pivots, n)
-    basis = RowBasis(system.rows, n)
-    basis.extend(len(rows))
+    basis = RowBasis(n)
+    basis.extend(system.rows)
     return farkas_certificate(system, *basis.combination(len(rows)))
 
 
@@ -309,7 +316,7 @@ def fraction_solve_affine(system: AffineSystem) -> SolutionSet | FarkasCertifica
     combination exposing the contradiction.
     """
     m, n = system.num_rows, system.num_cols
-    work = [list(row) + [b] for row, b in zip(system.matrix, system.rhs)]
+    work = [list(row) + [b] for row, b in zip(*fraction_view(system))]
     # transform[i] records how work[i] was produced from the original rows
     transform = [[Fraction(i == j) for j in range(m)] for i in range(m)]
 
@@ -366,7 +373,7 @@ def reduced_form_certificate(system: AffineSystem) -> FarkasCertificate | None:
     original system is consistent.
     """
     m, n = system.num_rows, system.num_cols
-    scaled = [scaled_row(list(row) + [b]) for row, b in zip(system.matrix, system.rhs)]
+    scaled = [scaled_row(list(row) + [b]) for row, b in zip(*fraction_view(system))]
     transposed = [[row[c] for _, row in scaled] + [int(c == n)] for c in range(n + 1)]
     pivots = _echelon(transposed, m)
     if any(row[m] for row in transposed[len(pivots):]):
@@ -383,28 +390,30 @@ def fraction_verify_farkas(system: AffineSystem, certificate: FarkasCertificate)
     u = certificate.row_combination
     if len(u) != system.num_rows:
         raise ValueError(f"combination length {len(u)} != {system.num_rows} rows")
+    matrix, rhs = fraction_view(system)
     for c in range(system.num_cols):
         acc = Fraction(0)
         for i, ui in enumerate(u):
             if ui != 0:
-                acc += ui * system.matrix[i][c]
+                acc += ui * matrix[i][c]
         if acc != 0:
             return False
     acc = Fraction(0)
     for i, ui in enumerate(u):
         if ui != 0:
-            acc += ui * system.rhs[i]
+            acc += ui * rhs[i]
     return acc != 0
 
 
 def fraction_system_to_json(system: AffineSystem) -> dict:
     """The earlier `acforms.serialize.system_to_json`: every entry of the
     Fraction view written as `str` of the Fraction."""
+    matrix, rhs = fraction_view(system)
     return {"kind": "affine_system",
             "column_labels": list(system.column_labels),
             "row_labels": list(system.row_labels),
-            "matrix": [[str(v) for v in row] for row in system.matrix],
-            "rhs": [str(v) for v in system.rhs]}
+            "matrix": [[str(v) for v in row] for row in matrix],
+            "rhs": [str(v) for v in rhs]}
 
 
 def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -450,7 +459,7 @@ def integer_system(sigma, order: int) -> AffineSystem:
     """Identity (*) of `acforms.decide` for degrees d-1 .. order-1 as the
     decider builds it: its integer blocks, each row at its block's scale."""
     d = _validate_sigma(sigma, order)
-    return _block_system(_integer_blocks(sigma, d, order), d, order - d)
+    return _block_system(list(_integer_blocks(sigma, d, order)), d, order - d)
 
 
 def fraction_assemble_system(sigma, order: int) -> AffineSystem:

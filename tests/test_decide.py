@@ -22,6 +22,7 @@ from acforms.prng import Stream
 from conftest import H, S, form, series_x, zero_series
 from oracles import (SolutionSet, dict_component, fraction_assemble_system,
                      fraction_find_unit_solution, fraction_solve_affine, fraction_stage_record,
+                     fraction_view,
                      full_family_guard, functional_range, integer_system, poly_add, poly_mul,
                      poly_partial,
                      fraction_system, poly_scale, prefix_through, residual, rref_rank,
@@ -78,14 +79,15 @@ def test_assemble_matrix_matches_poly_oracle():
     target = poly_add(poly_partial(B, 0), poly_scale(poly_partial(A, 1), FR(-1)))
 
     rows = residual(system, u)
+    rhs = fraction_view(system)[1]
     for i, label in enumerate(system.row_labels):
         head, exp_str = label.split(":")
         k = int(head[3:])
         a_str, b_str = exp_str.split(",")
         exp = (int(a_str), int(b_str))
-        applied = rows[i] + system.rhs[i]
+        applied = rows[i] + rhs[i]
         assert applied == dict_component(lhs, k).get(exp, FR(0)), label
-        assert system.rhs[i] == dict_component(target, k).get(exp, FR(0)), label
+        assert rhs[i] == dict_component(target, k).get(exp, FR(0)), label
 
 
 def test_assemble_shapes_and_labels():
@@ -100,8 +102,9 @@ def test_assemble_shapes_and_labels():
     assert system.column_labels == expected_cols
     expected_rows = [f"deg{k}:{a},{b}" for k in range(1, 4) for a, b in monomials(2, k)]
     assert system.row_labels == expected_rows
-    assert len(system.matrix) == len(expected_rows)
-    assert all(len(r) == len(expected_cols) for r in system.matrix)
+    matrix = fraction_view(system)[0]
+    assert len(matrix) == len(expected_rows)
+    assert all(len(r) == len(expected_cols) for r in matrix)
 
 
 def test_trivial_solution_satisfies_any_assembled_system():
@@ -117,7 +120,7 @@ def test_gauge_row_and_prefix_filtering():
     system = integer_system(sigma, 4)
     gauged = with_gauge(system)
     assert gauged.row_labels[-1] == GAUGE_ROW_LABEL
-    assert gauged.rhs[-1] == 0
+    assert fraction_view(gauged)[1][-1] == 0
     assert gauged.num_rows == system.num_rows + 1
     prefix = with_gauge(prefix_through(system, 2))
     assert GAUGE_ROW_LABEL in prefix.row_labels
@@ -126,7 +129,7 @@ def test_gauge_row_and_prefix_filtering():
     assert degrees and max(degrees) <= 2
     # the system of the first blocks is the prefix through their degrees,
     # with the columns of the whole system
-    blocks = _integer_blocks(sigma, 2, 4)
+    blocks = list(_integer_blocks(sigma, 2, 4))
     for k in range(1, 4):
         assert _block_system(blocks[:k], 2, 2) == prefix_through(system, k)
     # gauge forces the X constant to zero on the prefix
@@ -153,11 +156,11 @@ def test_integer_blocks_are_the_fraction_rows_times_one_scale(case):
     d = sigma.lowest_degree()
     reference = fraction_assemble_system(sigma, order)
     assert integer_system(sigma, order) == reference
-    blocks = _integer_blocks(sigma, d, order)
+    blocks = list(_integer_blocks(sigma, d, order))
     assert [len(rows) for _, rows in blocks] == [k + 1 for k in range(d - 1, order)]
     rows = [(scale, row) for scale, block in blocks for row in block]
     assert len(rows) == reference.num_rows
-    for (scale, row), matrix_row, b in zip(rows, reference.matrix, reference.rhs):
+    for (scale, row), matrix_row, b in zip(rows, *fraction_view(reference)):
         assert scale > 0 and all(type(v) is int for v in row)
         assert [FR(v, scale) for v in row] == matrix_row + [b]
 
@@ -251,8 +254,8 @@ def _degree0_system(rows, rhs):
 def _unit_search(system):
     """`find_unit_solution` as `decide` calls it: on the solution set read
     off the column pass's kernel of a consistent system."""
-    basis = linalg.RowBasis(system.rows, system.num_cols)
-    basis.extend(system.num_rows)
+    basis = linalg.RowBasis(system.num_cols)
+    basis.extend(system.rows)
     assert basis.consistent
     return find_unit_solution(*decide_module._solutions(basis, basis.kernel()))
 
@@ -468,12 +471,30 @@ def _count_feeds(monkeypatch):
     scans: list[int] = []
 
     class CountingBasis(linalg.RowBasis):
-        def extend(self, count):
-            scans.append(count)
-            return super().extend(count)
+        def extend(self, block):
+            scans.append(len(block))
+            return super().extend(block)
 
     monkeypatch.setattr(decide_module, "RowBasis", CountingBasis)
     return scans
+
+
+def _record_blocks(monkeypatch, corrupt=None):
+    """Record the equation degree of every block the decider's builder
+    yields; the block of degree `corrupt` gets its last rhs entry raised by
+    one, so that the constant candidate no longer solves it."""
+    degrees: list[int] = []
+    real = decide_module._integer_blocks
+
+    def recording(sigma, d, order):
+        for k, (scale, rows) in enumerate(real(sigma, d, order), start=d - 1):
+            degrees.append(k)
+            if k == corrupt:
+                rows[-1][-1] += 1
+            yield scale, rows
+
+    monkeypatch.setattr(decide_module, "_integer_blocks", recording)
+    return degrees
 
 
 def _prefix_rows(d, k):
@@ -517,16 +538,34 @@ def test_refuted_decide_stops_at_the_failing_prefix(monkeypatch):
 def test_refutation_cost_follows_the_failing_degree(monkeypatch):
     # order 27: the full ungauged system has 225 rows, but the column pass
     # scans the gauge row and each block through the failing degree 20 once,
-    # and none above; its 18-row degree d-1 block already picks the gauge
+    # and none above; its 18-row degree d-1 block already picks the gauge.
+    # The blocks above degree 20 are never built
     sigma = _guarded_refutable_form(truncation=28)
     scans = _count_feeds(monkeypatch)
+    built = _record_blocks(monkeypatch)
     outcome = decide(sigma, 27)
     d = outcome.lowest_degree
     assert outcome.verdict == "infeasible" and outcome.failing_degree == 20
     assert verify_farkas(outcome.failing_system, outcome.certificate)
     assert integer_system(sigma, 27).num_rows == 225
+    assert built == list(range(d - 1, 21))
     assert scans == [1] + [k + 1 for k in range(d - 1, 21)]
     assert sum(scans) == _prefix_rows(d, 20) + 1
+
+
+@pytest.mark.parametrize("corrupt", [17, 20, 21, 26])
+def test_self_test_checks_each_block_the_scan_reaches(monkeypatch, corrupt):
+    """A block the constant candidate does not solve stops the decider once
+    the scan reaches it; above the failing degree 20 the scan never does."""
+    sigma = _guarded_refutable_form(truncation=28)
+    _record_blocks(monkeypatch, corrupt)
+    if corrupt <= 20:
+        with pytest.raises(AssertionError, match="constant-candidate self-test failed"):
+            decide(sigma, 27)
+        return
+    outcome = decide(sigma, 27)
+    assert outcome.verdict == "infeasible" and outcome.failing_degree == 20
+    assert verify_farkas(outcome.failing_system, outcome.certificate)
 
 
 def test_ungauged_decide_solves_each_prefix_once(monkeypatch):
@@ -728,10 +767,10 @@ def test_kernel_read_prefixes_match_the_fraction_solve(case):
     d = 2
     system = _block_system(blocks, d, top)
     n, labels = system.num_cols, system.column_labels
-    basis = linalg.RowBasis([decide_module._gauge_row(n)] + system.rows, n)
-    basis.extend(1)
+    basis = linalg.RowBasis(n)
+    basis.extend([decide_module._gauge_row(n)])
     for k, (_, rows) in enumerate(blocks, start=d - 1):
-        basis.extend(len(rows))
+        basis.extend(rows)
         kernel, touched = basis.kernel(), set(basis.columns)
         prefix = prefix_through(system, k)
         for view, reference in ((kernel, with_gauge(prefix)),

@@ -191,10 +191,10 @@ def _record_carries(monkeypatch) -> list[int]:
     starts: list[int] = []
     real_echelon = ideals_module._echelon
 
-    def recording_echelon(rows, stop, start=0, top=0):
+    def recording_echelon(rows, stop, start=0):
         if sys._getframe(1).f_code is ideals_module._graded_rank.__code__:
             starts.append(start)
-        return real_echelon(rows, stop, start, top)
+        return real_echelon(rows, stop, start)
 
     monkeypatch.setattr(ideals_module, "_echelon", recording_echelon)
     return starts
@@ -553,10 +553,10 @@ def test_witness_stages_make_no_series_products(monkeypatch):
     series_ops: list[str] = []
     real_echelon = ideals_module._echelon
 
-    def counting_echelon(rows, stop, start=0, top=0):
+    def counting_echelon(rows, stop, start=0):
         # one forward pass per stage, over one column per (generator, monomial)
         stages.append(stop)
-        return real_echelon(rows, stop, start, top)
+        return real_echelon(rows, stop, start)
 
     def forbidden(name):
         real = getattr(TruncSeries, name)

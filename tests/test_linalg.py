@@ -16,7 +16,8 @@ from conftest import H, S, zero_series
 # `solve_affine` and `echelon_solution` run the integer kernel and read its
 # reduced rows into a `SolutionSet`
 from oracles import (SolutionSet, echelon_solution, fraction_matrix_rank, fraction_solve_affine,
-                     fraction_system, fraction_verify_farkas, functional_range, in_span,
+                     fraction_system, fraction_verify_farkas, fraction_view, functional_range,
+                     in_span,
                      integer_system, prefix_through, project_solution_set,
                      reduced_form_certificate, residual, rref_rank, scaled_row, solve_affine)
 
@@ -190,7 +191,7 @@ def _assert_certificate(system, cert):
     assert isinstance(cert, FarkasCertificate)
     assert verify_farkas(system, cert)
     # the transposed solve normalises the combination of right-hand sides to 1
-    assert sum((u * b for u, b in zip(cert.row_combination, system.rhs)), Fraction(0)) == 1
+    assert sum((u * b for u, b in zip(cert.row_combination, fraction_view(system)[1])), Fraction(0)) == 1
 
 
 def _assert_matches_oracle(system):
@@ -213,7 +214,7 @@ def test_solve_matches_fraction_oracle(system):
 @settings(deadline=None, max_examples=150)
 @given(inconsistent_systems())
 def test_inconsistent_systems_with_wide_left_null_space(system):
-    assert system.num_rows - rref_rank(system.matrix) >= 2
+    assert system.num_rows - rref_rank(fraction_view(system)[0]) >= 2
     assert isinstance(fraction_solve_affine(system), FarkasCertificate)
     _assert_certificate(system, solve_affine(system))
 
@@ -264,15 +265,16 @@ def test_echelon_fed_in_blocks_matches_each_prefix_solve(case):
         del held[len(pivots):]
         prefix = _prefix(system, end)
         matrix_pivots = [p for p in pivots if p < n]
-        assert len(pivots) == rref_rank([row + [b] for row, b in zip(prefix.matrix, prefix.rhs)])
-        assert len(matrix_pivots) == rref_rank(prefix.matrix)
+        matrix, rhs = fraction_view(prefix)
+        assert len(pivots) == rref_rank([row + [b] for row, b in zip(matrix, rhs)])
+        assert len(matrix_pivots) == rref_rank(matrix)
         ref = fraction_solve_affine(prefix)
         out = solve_affine(prefix)
         consistent = matrix_pivots == pivots
         assert consistent == isinstance(ref, SolutionSet) == isinstance(out, SolutionSet)
         if consistent:
             assert echelon_solution(held, pivots, n) == out == ref
-            num, den = linalg._back_substitute(held, pivots, n, n)
+            num, den = linalg._back_substitute(held, pivots, n)
             assert [Fraction(x, den) for x in num] == ref.particular
         else:
             with pytest.raises(ValueError):
@@ -320,7 +322,7 @@ def test_echelon_and_back_substitution_ignore_row_order(case):
         consistent = not any(row[n] for row in ordered[len(pivots):])
         point = None
         if consistent:
-            num, den = linalg._back_substitute(ordered, pivots, n, n)
+            num, den = linalg._back_substitute(ordered, pivots, n)
             point = [Fraction(x, den) for x in num]
         answers.append((pivots, consistent, point))
     assert answers[0] == answers[1]
@@ -353,7 +355,7 @@ def _d6_prefix():
 def test_real_d6_prefix_infeasible_matches_oracle():
     system = _d6_prefix()
     assert (system.num_rows, system.num_cols) == (31, 40)
-    assert system.num_rows - matrix_rank(_scaled_rows(system.matrix)) == 3
+    assert system.num_rows - matrix_rank(_scaled_rows(fraction_view(system)[0])) == 3
     _assert_matches_oracle(system)
     assert isinstance(solve_affine(system), FarkasCertificate)
 
@@ -432,9 +434,9 @@ def test_column_pass_finds_each_prefix_basis_and_certificate(case):
     reduced-form certificate of the prefix."""
     system, bounds = case
     rows = _integer_rows(system)
-    basis = linalg.RowBasis(rows, system.num_cols)
+    basis = linalg.RowBasis(system.num_cols)
     for start, end in zip(bounds, bounds[1:]):
-        new = basis.extend(end - start)
+        new = basis.extend(rows[start:end])
         assert new == [i for i in range(start, end)
                        if rref_rank(rows[:i + 1]) > rref_rank(rows[:i])]
         prefix = _prefix(system, end)
@@ -457,16 +459,16 @@ def test_solution_set_from_basis_rows_equals_all_rows(case):
     system, bounds = case
     n = system.num_cols
     rows = _integer_rows(system)
-    basis = linalg.RowBasis(rows, n)
+    basis = linalg.RowBasis(n)
     kept_rows: list[list[int]] = []
     for start, end in zip(bounds, bounds[1:]):
-        kept_rows += [rows[i] for i in basis.extend(end - start)]
+        kept_rows += [rows[i] for i in basis.extend(rows[start:end])]
         kept = AffineSystem(kept_rows, [1] * len(kept_rows), system.column_labels)
         prefix = _prefix(system, end)
         units = [[int(i == c) for i in range(n + 1)] for c in range(n) if c not in basis.columns]
         kernel = basis.kernel() + units
-        assert len(kernel) == n + 1 - rref_rank([row + [b] for row, b in
-                                                 zip(prefix.matrix, prefix.rhs)])
+        matrix, rhs = fraction_view(prefix)
+        assert len(kernel) == n + 1 - rref_rank([row + [b] for row, b in zip(matrix, rhs)])
         assert all(sum(x * t for x, t in zip(row, v)) == 0 for row in rows[:end] for v in kernel)
         solutions = linalg.read_off(kernel)
         kept_out, full_out = solve_affine(kept), solve_affine(prefix)
@@ -474,7 +476,7 @@ def test_solution_set_from_basis_rows_equals_all_rows(case):
                 == basis.consistent == (solutions is not None))
         if not basis.consistent:
             break
-        assert rref_rank(kept.matrix) == rref_rank(prefix.matrix) == len(basis.pivots)
+        assert rref_rank(fraction_view(kept)[0]) == rref_rank(matrix) == len(basis.pivots)
         ref = fraction_solve_affine(prefix)
         assert kept_out == full_out == ref
         p, directions = solutions
@@ -490,10 +492,10 @@ def test_certificate_of_an_early_prefix_survives_later_scans():
     # certificate as it was
     system = _sys([[1, 1], [2, 2], [1, 0], [0, 1]], [1, 3, 0, 0])
     rows = _integer_rows(system)
-    basis = linalg.RowBasis(rows, 2)
-    assert basis.extend(2) == [0, 1] and not basis.consistent
+    basis = linalg.RowBasis(2)
+    assert basis.extend(rows[:2]) == [0, 1] and not basis.consistent
     early = basis.combination(2)
-    assert basis.extend(2) == [2]
+    assert basis.extend(rows[2:]) == [2]
     assert basis.combination(2) == early
     cert = farkas_certificate(_prefix(system, 2), *early)
     assert cert == reduced_form_certificate(_prefix(system, 2))
