@@ -91,7 +91,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .ideals import TruncatedIdeal, _shifted_row, ideal_contained_mod, ideal_equal_mod
+from .ideals import MembershipWitness, TruncatedIdeal, _shifted_row, ideal_equal_mod
 from .linalg import (AffineSystem, FarkasCertificate, RowBasis, _echelon, farkas_certificate,
                      matrix_rank, read_off)
 from .poly import (_FIELD_BITS, _FIELD_MASK, HomogPoly, MismatchError, OneForm, TruncSeries,
@@ -180,6 +180,17 @@ def _integer_blocks(sigma: OneForm, d: int, order: int) -> Iterator[tuple[int, l
                 exp = _unpack(key, 2)
                 if exp[var]:
                     rows[exp[1] - var][n] += f * v * exp[var]
+        yield scale, rows
+
+
+def _tested_blocks(sigma: OneForm, d: int, order: int) -> Iterator[tuple[int, list[list[int]]]]:
+    """`_integer_blocks`, raising on a block the constant candidate X0 = W0 = -1
+    does not solve: it solves an integer row exactly when it solves its Fraction row."""
+    x0, w0, n = _column("X", (0, 0)), _column("W", (0, 0)), _num_columns(order - d)
+    for scale, rows in _integer_blocks(sigma, d, order):
+        if any(-row[x0] - row[w0] != row[n] for row in rows):
+            raise AssertionError("constant-candidate self-test failed: assembled "
+                                 "system is inconsistent with its own identity")
         yield scale, rows
 
 
@@ -377,30 +388,12 @@ def find_unit_solution(particular: list[Fraction], directions: list[list[int]]
 # reconstruction
 
 
-def closedness_residual(eta: OneForm) -> TruncSeries:
-    if eta.num_vars != 2:
-        raise MismatchError("closedness handled for two variables")
-    one, two = eta.components
-    return one.partial(1).sub(two.partial(0))
-
-
-def closed_extension_order(eta: OneForm) -> int:
-    """Largest order up to which eta integrates: components certified and the
-    closedness residual zero below order-1."""
-    resid = closedness_residual(eta)
-    for k in range(resid.trunc_order):
-        if not resid.component(k).is_zero:
-            return k + 1
-    return eta.trunc_order
-
-
 def _radial_potential(eta: OneForm, order: int) -> TruncSeries:
     """Potential of eta below `order`, normalized to vanish at 0.
 
     Radial integration: the degree k+1 part is (x*eta1_k + y*eta2_k)/(k+1);
     the Euler identity plus closedness below order-1 make its gradient match
-    eta below `order` exactly.  The caller checks that eta is closed below
-    order-1 and certified below `order`.
+    eta below `order` exactly, which `_reconstruct` checks by multiplication.
     """
     one, two = eta.components
     parts = {}
@@ -468,20 +461,16 @@ class PotentialWitness:
 
 
 def _reconstruct(sigma: OneForm, order: int, point: list[Fraction]) -> PotentialWitness:
-    series = _series_from_point(point, order - sigma.lowest_degree() + 1)
-    eta = scaled_pair(sigma, *series)
-    extension = closed_extension_order(eta)
-    if extension <= order:
-        raise AssertionError(
-            f"system solution left a nonzero closedness residual at degree {extension - 1}")
-    # eta is closed below extension - 1 and certified below extension, which
-    # is what _radial_potential needs
-    phi = _radial_potential(eta, extension)
-    grads = (phi.partial(0), phi.partial(1))
-    if not ideal_contained_mod(TruncatedIdeal(grads),
-                               TruncatedIdeal(sigma.components), order):
-        raise AssertionError("gradient ideal escaped the component ideal")
-    return PotentialWitness(*series, phi=phi, gradient_matches_below=extension)
+    # (*) makes the scaled pair closed below `order`, so phi's gradient is the
+    # pair below order+1: each partial is checked against its cofactors on (A, B)
+    x, y, z, w = series = _series_from_point(point, order - sigma.lowest_degree() + 1)
+    phi = _radial_potential(scaled_pair(sigma, *series), order + 1)
+    one = TruncSeries(2, x.trunc_order, {0: HomogPoly.from_terms(2, 0, {(0, 0): 1})})
+    ideal = TruncatedIdeal(sigma.components)
+    for i, cofactors in enumerate(((one.add(x), y), (z, one.add(w)))):
+        if not MembershipWitness(phi.partial(i), cofactors, order + 1).verify(ideal):
+            raise AssertionError(f"phi's gradient is not the scaled pair below {order + 1}")
+    return PotentialWitness(*series, phi=phi, gradient_matches_below=order + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +590,7 @@ def decide(sigma: OneForm, order: int, guard: GuardReport | None = None) -> Deci
     independent = guard.check("leading_pair").passed
     basis = RowBasis(n)
     basis.extend([_gauge_row(n)])
-    x0, y0, z0, w0 = (_column(name, (0, 0)) for name in UNKNOWN_NAMES)
+    y0, z0 = _column("Y", (0, 0)), _column("Z", (0, 0))
 
     # one scan, building each block when it reaches it: each prefix's gauged
     # kernel is kept, and read in the ungauged view until a prefix forces
@@ -610,13 +599,7 @@ def decide(sigma: OneForm, order: int, guard: GuardReport | None = None) -> Deci
     blocks: list[tuple[int, list[list[int]]]] = []
     prefixes: list[tuple[int, list[list[int]], set[int]]] = []
     gauged, forced_zero, failing = False, False, None
-    for k, (scale, rows) in enumerate(_integer_blocks(sigma, d, order), start=d - 1):
-        # each integer row is its Fraction row times a positive integer, so
-        # the constant candidate X0 = W0 = -1 solves the one exactly when it
-        # solves the other
-        if any(-row[x0] - row[w0] != row[n] for row in rows):
-            raise AssertionError("constant-candidate self-test failed: assembled "
-                                 "system is inconsistent with its own identity")
+    for k, (scale, rows) in enumerate(_tested_blocks(sigma, d, order), start=d - 1):
         blocks.append((scale, rows))
         basis.extend(rows)
         if failing is None and not basis.consistent:
@@ -753,7 +736,7 @@ def obstruction_pair_check(sigma: OneForm, c: TruncSeries, d_series: TruncSeries
     n = _num_columns(order - d)
     basis = RowBasis(n)
     basis.extend([_gauge_row(n)])
-    blocks = _integer_blocks(sigma, d, order)
+    blocks = _tested_blocks(sigma, d, order)
     for key, count in (("first", 3), ("second", 1)):
         for _, rows in itertools.islice(blocks, count):
             basis.extend(rows)

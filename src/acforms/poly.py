@@ -380,24 +380,24 @@ class TruncSeries:
             raise MismatchError(f"variable counts differ: {self.num_vars} vs {other.num_vars}")
 
     def add(self, other: TruncSeries) -> TruncSeries:
-        self._check_vars(other)
-        order = min(self.trunc_order, other.trunc_order)
-        parts = [p for k, p in self.parts.items() if k < order]
-        parts += [p for k, p in other.parts.items() if k < order]
-        return TruncSeries.from_parts(self.num_vars, order, parts)
+        return self._combine(other, HomogPoly.add)
 
     def sub(self, other: TruncSeries) -> TruncSeries:
-        """Componentwise difference in one pass, truncated as `add` truncates."""
+        return self._combine(other, HomogPoly.sub)
+
+    def _combine(self, other: TruncSeries,
+                 op: Callable[[HomogPoly, HomogPoly], HomogPoly]) -> TruncSeries:
+        """Componentwise `op` (add or sub) in one pass, to the lower order."""
         self._check_vars(other)
         order = min(self.trunc_order, other.trunc_order)
         parts = {k: p for k, p in self.parts.items() if k < order}
         for k, q in other.parts.items():
             if k < order:
-                diff = parts.get(k, HomogPoly.zero(self.num_vars, k)).sub(q)
-                if diff.is_zero:
+                s = op(parts.get(k, HomogPoly.zero(self.num_vars, k)), q)
+                if s.is_zero:
                     parts.pop(k, None)
                 else:
-                    parts[k] = diff
+                    parts[k] = s
         return TruncSeries(self.num_vars, order, parts)
 
     def scale(self, factor: RationalLike) -> TruncSeries:

@@ -158,6 +158,8 @@ def series_from_json(data: Any) -> TruncSeries:
         raw_terms = data["terms"]
     except KeyError as exc:
         raise SerializationError(f"bad series fields: missing {exc}") from None
+    if num_vars < 1:
+        raise SerializationError(f"num_vars must be at least 1, got {num_vars}")
     # each term is checked here once, so the parts skip HomogPoly's own check
     buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
     for entry in _json_list(raw_terms, "series terms"):

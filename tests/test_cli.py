@@ -427,6 +427,15 @@ def test_ideal_negative_max_exits_2_and_writes_nothing(tmp_path, capsys, command
     assert "outside the certified range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["min-power", "colength"])
+def test_ideal_without_variables_exits_2(tmp_path, capsys, command):
+    ip = tmp_path / "ideal.json"
+    _write(ip, {"kind": "ideal", "generators": [
+        {"kind": "series", "num_vars": 0, "truncation_order": 4, "terms": []}]})
+    assert main(["ideal", command, str(ip), "--max", "3"]) == EXIT_INPUT
+    assert "num_vars must be at least 1" in capsys.readouterr().err
+
+
 # --- verify-potential ----------------------------------------------------------------
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from acforms import linalg
 from acforms.construct import Instance, build
 from acforms.decide import (GAUGE_ROW_LABEL, UNKNOWN_NAMES,
-                            closed_extension_order, closedness_residual,
                             decide, find_unit_solution, genericity_guard,
                             obstruction, obstruction_pair_check, scaled_pair,
                             staged_report, tilde_transform,
@@ -370,18 +369,6 @@ def test_integrate_recovers_random_potentials():
         assert all(diff.component(k).is_zero for k in range(6))
 
 
-def test_integrate_rejects_nonclosed_input():
-    eta = form(S(2, 4, {1: {(0, 1): 1}}), zero_series(4))    # y dx
-    assert closed_extension_order(eta) == 1
-    resid = closedness_residual(eta)
-    assert resid.component(0).coeff((0, 0)) == 1
-
-
-def test_closed_extension_of_exact_form_reaches_truncation():
-    eta = _radial_form()
-    assert closed_extension_order(eta) == eta.trunc_order
-
-
 def test_verify_potential_accepts_and_rejects():
     sigma = _gradient_form()
     phi = S(2, 8, {3: {(3, 0): FR(1, 3), (0, 3): FR(1, 3)}})
@@ -415,7 +402,7 @@ def test_decide_exact_gradient_is_feasible_with_verified_potential():
     assert outcome.certificate is None and outcome.failing_degree is None
     witness = outcome.witness
     assert witness is not None
-    assert witness.gradient_matches_below > outcome.order
+    assert witness.gradient_matches_below == outcome.order + 1
     assert verify_potential(witness.phi, sigma, outcome.order)
     # staged prefixes only gain constraints, so block dimensions never grow
     top = outcome.order - outcome.lowest_degree
@@ -424,6 +411,27 @@ def test_decide_exact_gradient_is_feasible_with_verified_potential():
         assert dims == sorted(dims, reverse=True)
     text = staged_report(outcome)
     assert "block 0 dim" in text and "gauge: X0=0" in text
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_decide_rejects_a_unit_point_off_the_solution_set(monkeypatch, degree):
+    """One coefficient of the unit point moved: Y:degree,0 by one adds
+    x^degree y^2 dx to the scaled pair, whose closedness residual
+    2 x^degree y then fails at degree degree+1.  At degree 3 that is
+    order-1, the top equation degree, which the gradient check sees only
+    because it multiplies out through degree `order`."""
+    sigma = _gradient_form()
+    real = decide_module.find_unit_solution
+    column = decide_module._column("Y", (degree, 0))
+
+    def moved(point, directions):
+        unit = real(point, directions)
+        unit[column] += 1
+        return unit
+
+    monkeypatch.setattr(decide_module, "find_unit_solution", moved)
+    with pytest.raises(AssertionError, match="gradient is not the scaled pair"):
+        decide(sigma, 5)
 
 
 def test_decide_radial_form_goes_through_open_branch():
@@ -556,16 +564,21 @@ def test_refutation_cost_follows_the_failing_degree(monkeypatch):
 @pytest.mark.parametrize("corrupt", [17, 20, 21, 26])
 def test_self_test_checks_each_block_the_scan_reaches(monkeypatch, corrupt):
     """A block the constant candidate does not solve stops the decider once
-    the scan reaches it; above the failing degree 20 the scan never does."""
+    the scan reaches it; above the failing degree 20 the scan never does.
+    The pair check scans the blocks through degree d+2 = 20 the same way."""
     sigma = _guarded_refutable_form(truncation=28)
+    c, zero = series_x(4), zero_series(4)
     _record_blocks(monkeypatch, corrupt)
     if corrupt <= 20:
         with pytest.raises(AssertionError, match="constant-candidate self-test failed"):
             decide(sigma, 27)
+        with pytest.raises(AssertionError, match="constant-candidate self-test failed"):
+            obstruction_pair_check(sigma, c, zero)
         return
     outcome = decide(sigma, 27)
     assert outcome.verdict == "infeasible" and outcome.failing_degree == 20
     assert verify_farkas(outcome.failing_system, outcome.certificate)
+    assert obstruction_pair_check(sigma, c, zero)["second"] == {"feasible": False}
 
 
 def test_ungauged_decide_solves_each_prefix_once(monkeypatch):

@@ -158,6 +158,11 @@ def test_series_rejects_malformed_payloads():
         # stored term at or above the truncation order
         series_from_json({"kind": "series", "num_vars": 2, "truncation_order": 1,
                           "terms": [{"exp": [1, 1], "coeff": "1"}]})
+    for num_vars in (0, -1):
+        # no variables: the graded dimensions the ideal checks read are undefined
+        with pytest.raises(SerializationError, match="num_vars must be at least 1"):
+            series_from_json({"kind": "series", "num_vars": num_vars,
+                              "truncation_order": 4, "terms": []})
 
 
 def test_one_form_round_trip():
