@@ -109,9 +109,9 @@ class ConstructionState:
         return self.b_parts.get(k, HomogPoly.zero(2, k))
 
     def running_norm(self, k: int) -> Fraction:
-        """max of the component norms at degrees k and k-1."""
-        return max(self.a_component(k).norm(), self.b_component(k).norm(),
-                   self.a_component(k - 1).norm(), self.b_component(k - 1).norm())
+        """max of the component norms at degrees k and k-1, read off the norm log."""
+        return max((self.norm_log[j][name] for j in (k, k - 1) if j in self.norm_log
+                    for name in "AB"), default=Fraction(0))
 
 
 def init_leading(d: int, seed_poly: HomogPoly) -> tuple[HomogPoly, HomogPoly]:
@@ -166,8 +166,8 @@ def extend_order(state: ConstructionState, k: int, free_poly: HomogPoly,
         state.a_parts[k] = a_k
     if not b_k.is_zero:
         state.b_parts[k] = b_k
-    state.norm_log[k] = {"A": a_k.norm(), "B": b_k.norm(),
-                         "running": state.running_norm(k)}
+    state.norm_log[k] = {"A": a_k.norm(), "B": b_k.norm()}
+    state.norm_log[k]["running"] = state.running_norm(k)
     return a_k, b_k
 
 
@@ -232,8 +232,8 @@ def build(instance: Instance) -> tuple[OneForm, ConstructionState]:
         state.a_parts[inst.d] = a_d
     if not b_d.is_zero:
         state.b_parts[inst.d] = b_d
-    state.norm_log[inst.d] = {"A": a_d.norm(), "B": b_d.norm(),
-                              "running": state.running_norm(inst.d)}
+    state.norm_log[inst.d] = {"A": a_d.norm(), "B": b_d.norm()}
+    state.norm_log[inst.d]["running"] = state.running_norm(inst.d)
 
     cc = multiplier_magnitude(inst.C, inst.D) if inst.mode == "bounded" else None
 

@@ -80,7 +80,8 @@ complete for per-variable degree <= 2 and any spanning set of directions.
 The genericity guard measures the explicit leading-coefficient ranks that
 the staged elimination relies on; seeds failing any applicable check are
 meant to be rejected by drivers before refutation-grade conclusions are
-drawn.
+drawn.  It ranks its families from the largest down and infers the ranks of
+those inside an independent one, so a passing guard at d >= 18 runs one elimination.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ from typing import Iterator
 from .ideals import MembershipWitness, TruncatedIdeal, _shifted_row, ideal_equal_mod
 from .linalg import (AffineSystem, FarkasCertificate, RowBasis, _echelon, farkas_certificate,
                      matrix_rank, read_off)
-from .poly import (_FIELD_BITS, _FIELD_MASK, HomogPoly, MismatchError, OneForm, TruncSeries,
-                   _packed_monomials, _unpack, monomials)
+from .poly import (_FIELD_BITS, _FIELD_MASK, HomogPoly, IntTerms, MismatchError, OneForm,
+                   TruncSeries, _add_products, _pack, _packed_monomials, _unpack, monomials)
 
 UNKNOWN_NAMES = ("X", "Y", "Z", "W")
 GAUGE_ROW_LABEL = "gauge:X:0,0"
@@ -262,6 +263,11 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
     Each check asserts that the corresponding family has exactly the rank
     those relations predict.  A random draw over bounded integers can miss
     these open conditions, hence the explicit re-verification.
+
+    The families are ranked from the largest down.  A family holds the rows,
+    or x times the rows, of each family it lists, so if its rows come out
+    independent so do theirs, with no elimination; independent A_x, A_y, B_y
+    rows force an independent leading pair (A_d = l*B_d gives A_y = l*B_y).
     """
     if sigma.num_vars != 2:
         raise MismatchError("the guard handles 1-forms in two variables")
@@ -271,51 +277,52 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
     a, b = sigma.components
     one, lin, quad, cub = (_packed_monomials(2, k) for k in range(4))
 
-    def derivatives(p: HomogPoly, q: HomogPoly) -> list[list[tuple]]:
-        """Integer terms of p_x, p_y, q_y and q_x, the last left out when
-        it equals p_y, as it does for an almost closed form."""
-        px, py, qx, qy = p.partial(0), p.partial(1), q.partial(0), q.partial(1)
-        return [t._integer_terms()[0] for t in [px, py, qy] + ([qx] if qx != py else [])]
+    def derivatives(k: int) -> tuple[list[IntTerms], list[IntTerms]]:
+        """A_k, B_k and A_x, A_y, B_y, B_x as integer terms, each at a positive
+        scale, which leaves ranks alone; B_x is left out when it equals A_y."""
+        (ta, da), (tb, db) = a.component(k)._integer_terms(), b.component(k)._integer_terms()
+        ax, ay, bx, by = ([(key - (1 << s), v * (key >> s & _FIELD_MASK)) for key, v in t
+                           if key >> s & _FIELD_MASK] for t in (ta, tb) for s in (_FIELD_BITS, 0))
+        equal = {key: v * db for key, v in ay} == {key: v * da for key, v in bx}
+        return [ta, tb], [ax, ay, by] + ([] if equal else [bx])
 
-    def mults(shifts: tuple[int, ...], polys: list[list[tuple]]) -> list[tuple]:
+    def mults(shifts: tuple[int, ...], polys: list[IntTerms]) -> list[tuple]:
         return [(p, e) for p in polys for e in shifts]
 
-    lead = [a.component(d)._integer_terms()[0], b.component(d)._integer_terms()[0]]
-    dd = derivatives(a.component(d), b.component(d))
+    lead, dd = derivatives(d)
     have_next = sigma.trunc_order > d + 1
-    if have_next:
-        dd1 = derivatives(a.component(d + 1), b.component(d + 1))
+    dd1 = derivatives(d + 1)[1] if have_next else []
 
     # (name, least d, degree, (integer terms, packed shift) pairs, expected
-    # rank, joins): each pair is the row of x^shift times the polynomial; a joint
-    # family is the reduction family just before it plus the pairs listed,
-    # so its rows follow that family's pivot rows.  Past the leading pair
-    # no family lists A_k, B_k or their multiples: by Euler,
-    # k * P = x * P_x + y * P_y, so those rows lie in the span of the
-    # family's derivative rows
-    table: list[tuple[str, int, int, list | None, int, bool]] = [
-        ("leading_pair", 1, d, mults(one, lead), 2, False),
-        ("degree0_forcing", 3, d - 1, mults(one, dd[:3]), 3, False),
-        ("stage_d", 5, d, mults(lin, dd), 6, False),
-        ("stage_d1_reduction", 7, d + 1, mults(quad, dd), 9, False),
-        ("stage_d1_joint", 13, d + 1, mults(lin, dd1) if have_next else None, 15, True),
-        ("stage_d2_reduction", 9, d + 2, mults(cub, dd), 12, False),
-        ("stage_d2_joint", 18, d + 2, mults(quad, dd1) if have_next else None, 21, True),
+    # rank, contained families): each pair is the row of x^shift times the
+    # polynomial.  Past the leading pair no family lists A_k, B_k or their
+    # multiples: by Euler, k * P = x * P_x + y * P_y, so those rows lie in
+    # the span of the family's derivative rows
+    table: list[tuple[str, int, int, list | None, int, tuple[str, ...]]] = [
+        ("leading_pair", 1, d, mults(one, lead), 2, ()),
+        ("degree0_forcing", 3, d - 1, mults(one, dd[:3]), 3, ("leading_pair",)),
+        ("stage_d", 5, d, mults(lin, dd), 6, ("degree0_forcing",)),
+        ("stage_d1_reduction", 7, d + 1, mults(quad, dd), 9, ("stage_d",)),
+        ("stage_d1_joint", 13, d + 1, mults(quad, dd) + mults(lin, dd1) if have_next else None,
+         15, ("stage_d1_reduction",)),
+        ("stage_d2_reduction", 9, d + 2, mults(cub, dd), 12, ("stage_d1_reduction",)),
+        ("stage_d2_joint", 18, d + 2, mults(cub, dd) + mults(quad, dd1) if have_next else None,
+         21, ("stage_d2_reduction", "stage_d1_joint")),
     ]
-    checks = []
-    rows: list[list[int]] = []
-    for name, min_d, degree, family, expected, joins in table:
-        applicable = d >= min_d and family is not None
-        actual = None
-        if applicable:
+    families = {name: (family, degree, inside) for name, min_d, degree, family, _, inside
+                in table if d >= min_d and family is not None}
+    ranks: dict[str, int] = {}
+    # a family comes before those it contains, so their ranks are known when reached
+    for name in reversed(families):
+        family, degree, inside = families[name]
+        if name not in ranks:
             index = {key: i for i, key in enumerate(_packed_monomials(2, degree))}
-            rows = (rows if joins else []) + [_shifted_row(terms, e, index) for terms, e in family]
-            # the earlier pivot rows are in echelon form already; the rows
-            # past the pivots are zero and are dropped
-            actual = len(_echelon(rows, degree + 1))
-            del rows[actual:]
-        passed = (actual == expected) if applicable else True
-        checks.append(GuardCheck(name, applicable, expected, actual, passed))
+            ranks[name] = len(_echelon([_shifted_row(t, e, index) for t, e in family], degree + 1))
+        if ranks[name] == len(family):
+            ranks.update((sub, len(families[sub][0])) for sub in inside if sub in families)
+    checks = [GuardCheck(name, name in ranks, expected, ranks.get(name),
+                         ranks.get(name, expected) == expected)
+              for name, _, _, _, expected, _ in table]
     return GuardReport(lowest_degree=d, checks=tuple(checks))
 
 
@@ -391,16 +398,21 @@ def find_unit_solution(particular: list[Fraction], directions: list[list[int]]
 def _radial_potential(eta: OneForm, order: int) -> TruncSeries:
     """Potential of eta below `order`, normalized to vanish at 0.
 
-    Radial integration: the degree k+1 part is (x*eta1_k + y*eta2_k)/(k+1);
+    Radial integration, on integer terms over the lcm of each degree's
+    denominators: the degree k+1 part is (x*eta1_k + y*eta2_k)/(k+1);
     the Euler identity plus closedness below order-1 make its gradient match
     eta below `order` exactly, which `_reconstruct` checks by multiplication.
     """
     one, two = eta.components
     parts = {}
     for k in range(order):
-        radial = one.component(k).shift((1, 0)).add(two.component(k).shift((0, 1)))
+        (t1, d1), (t2, d2) = one.component(k)._integer_terms(), two.component(k)._integer_terms()
+        den, acc = math.lcm(d1, d2), {}
+        _add_products(acc, t1, [(_pack((1, 0)), den // d1)])
+        _add_products(acc, t2, [(_pack((0, 1)), den // d2)])
+        radial = HomogPoly._from_integer_terms(2, k + 1, acc.items(), den * (k + 1))
         if not radial.is_zero:
-            parts[k + 1] = radial.scale(Fraction(1, k + 1))
+            parts[k + 1] = radial
     return TruncSeries(2, order + 1, parts)
 
 

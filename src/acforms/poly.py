@@ -282,10 +282,12 @@ class HomogPoly:
         return HomogPoly._trusted(self.num_vars, self.degree + 1, out)
 
     def norm(self) -> Fraction:
-        """Max absolute value of the coefficients (0 for the zero polynomial)."""
-        if not self.coeffs:
-            return Fraction(0)
-        return max(abs(c) for c in self.coeffs.values())
+        """Max |p|/q over the coefficients p/q by integer cross-multiplication (0 when zero)."""
+        top, den = 0, 1
+        for p, q in (c.as_integer_ratio() for c in self.coeffs.values()):
+            if abs(p) * den > top * q:
+                top, den = abs(p), q
+        return Fraction(top, den)
 
     def __str__(self) -> str:
         if self.is_zero:

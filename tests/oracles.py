@@ -33,7 +33,10 @@ witness type, because what it checks is the integer stage solve that
 replaced its Fraction systems; `full_family_guard`, the genericity guard
 with every row family it first ranked, uses the guard's records and row
 builder, because what it checks is that the rows the guard leaves out
-never change a rank, and ranks them by Fraction elimination.
+never change a rank, and ranks them by Fraction elimination;
+`fraction_radial_potential`, the decider's earlier radial integration,
+uses the Fraction polynomial arithmetic, because what it checks is the
+integration on integer terms that replaced it.
 """
 
 from __future__ import annotations
@@ -676,6 +679,21 @@ def full_family_guard(sigma: OneForm) -> GuardReport:
         passed = (actual == expected) if applicable else True
         checks.append(GuardCheck(name, applicable, expected, actual, passed))
     return GuardReport(lowest_degree=d, checks=tuple(checks))
+
+
+# --- the decider's earlier radial integration -------------------------------
+
+
+def fraction_radial_potential(eta: OneForm, order: int) -> TruncSeries:
+    """`acforms.decide._radial_potential` as it was first written: the degree
+    k+1 part is x*eta1_k + y*eta2_k by shift and add, scaled by 1/(k+1)."""
+    one, two = eta.components
+    parts = {}
+    for k in range(order):
+        radial = one.component(k).shift((1, 0)).add(two.component(k).shift((0, 1)))
+        if not radial.is_zero:
+            parts[k + 1] = radial.scale(Fraction(1, k + 1))
+    return TruncSeries(2, order + 1, parts)
 
 
 # --- rational strings --------------------------------------------------------

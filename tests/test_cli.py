@@ -302,6 +302,39 @@ def test_decide_artifacts_match_pinned_hashes(tmp_path, capsys, name):
         assert hashlib.sha256((out / file_name).read_bytes()).hexdigest() == digest, file_name
 
 
+# SHA-256 of `acforms build`'s log.json and sigma.json for d=5, N=10, D=0:
+# C = x in generic mode, C = 1 + x in bounded mode, where the running norm
+# sets the scale of the free data
+_PINNED_BUILD = {
+    ("generic", 1): ("22c84e91adacd387787d1b6677898838d3682e35071283b9a3f3e784e668b767",
+                     "f6dcd57cbfe1a410b13acb50a01f0c1d4b80762dd79f1937fa7f6fd644ee742b"),
+    ("generic", 2): ("ff6673174c52ff4ef4743699c5241067035932ef6eb258e2cbf07f7f3f5589eb",
+                     "aa23c4c61dac06d1601f243d6f1f6ef6c6e165098f03252d419a9f52823eb1eb"),
+    ("generic", 3): ("9951c31306771b5d787010cdba806f75669d524cc3295d2cb78dda871d017e21",
+                     "2157b15abdb0fd0a69d8f7c01cf2e6f252fb0ac75e32f60bd0722ca4f62b2463"),
+    ("bounded", 1): ("d47b52e413bba62c1f2641828b851d7b967b520b177498d0a154752c8dd9b72a",
+                     "bf818c8b1b8d4311a228ffdc9db1970febd4a305ff8ab5089cc3726f0b7e75e7"),
+    ("bounded", 2): ("17802b823683865fab5e71d4a00d69ffa15a3067e11c0b9c161a80cae3687b74",
+                     "c5d8b5d474576a3d58042232be2abf7374765f033a178475e56112db24f7e653"),
+    ("bounded", 3): ("7932a9bae804f76b8a0eb977a0e056eb44bd4bb96bc6363a6810c3616c8632cf",
+                     "33972ab556b4af305aed39b95dfe3a10ed7d45cb8b97e32c16431b11d6b26584"),
+}
+
+
+@pytest.mark.parametrize("mode, seed", sorted(_PINNED_BUILD))
+def test_build_artifacts_match_pinned_hashes(tmp_path, capsys, mode, seed):
+    c = S(2, 4, {0: {(0, 0): 1}, 1: {(1, 0): 1}} if mode == "bounded" else {1: {(1, 0): 1}})
+    ip = tmp_path / "instance.json"
+    _write(ip, instance_to_json(Instance(d=5, N=10, C=c, D=zero_series(4), seed=seed,
+                                         mode=mode)))
+    out = tmp_path / "run"
+    assert main(["build", str(ip), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("log.json", "sigma.json"))
+    assert digests == _PINNED_BUILD[mode, seed]
+
+
 def test_emitted_certificate_audits_standalone(refuted_run):
     sys_payload = load_json(str(refuted_run["out1"] / "failing_system.json"))
     cert_payload = load_json(str(refuted_run["out1"] / "certificate.json"))

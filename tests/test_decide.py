@@ -16,11 +16,12 @@ from acforms.decide import (GAUGE_ROW_LABEL, UNKNOWN_NAMES,
                             verify_potential, with_gauge, _block_system,
                             _integer_blocks, _radial_potential)
 from acforms.linalg import FarkasCertificate, verify_farkas
-from acforms.poly import MismatchError, OneForm, TruncSeries, monomials
+from acforms.poly import HomogPoly, MismatchError, OneForm, TruncSeries, monomials
 from acforms.prng import Stream
 from conftest import H, S, form, series_x, zero_series
 from oracles import (SolutionSet, dict_component, fraction_assemble_system,
-                     fraction_find_unit_solution, fraction_solve_affine, fraction_stage_record,
+                     fraction_find_unit_solution, fraction_radial_potential,
+                     fraction_solve_affine, fraction_stage_record,
                      fraction_view,
                      full_family_guard, functional_range, integer_system, poly_add, poly_mul,
                      poly_partial,
@@ -216,6 +217,15 @@ def _not_almost_closed_form(d=6, trunc=10, seed=4):
     return form(S(2, trunc, parts[0]), S(2, trunc, parts[1]))
 
 
+def _with_leading_b(sigma, lead_b):
+    """sigma with B_d replaced by `lead_b`."""
+    a, b = sigma.components
+    d = sigma.lowest_degree()
+    old = TruncSeries(2, b.trunc_order, {d: b.component(d)})
+    new = TruncSeries(2, b.trunc_order, {d: lead_b} if not lead_b.is_zero else {})
+    return form(a, b.sub(old).add(new))
+
+
 def _guard_cases():
     x2 = S(2, 6, {2: {(2, 0): 1}})
     cases = [_radial_form(), form(x2, x2.scale(FR(3))), _not_almost_closed_form()]
@@ -223,16 +233,71 @@ def _guard_cases():
         for seed in (1, 2):
             cases.append(_build_generic(d, d + 4, seed, c_parts={1: {(1, 0): 1}}))
             cases.append(_build_generic(d, d + 4, seed))
+    # C with a constant term: A_{d+1,y} != B_{d+1,x}, so the joint families
+    # have more rows than their expected rank
+    for d in (7, 13, 18, 20):
+        cases.append(_build_generic(d, d + 4, 1, c_parts={0: {(0, 0): 1}, 1: {(1, 0): 1}}))
+    # N = d+1: no degree-d+1 component, so no joint family applies
+    cases += [_build_generic(d, d + 1, 1) for d in (9, 13, 18)]
+    # the guard-failing seeds of the batch test
+    cases += [build(Instance(d=3, N=7, C=S(2, 3, {0: {(0, 0): 1}}), D=zero_series(3),
+                             seed=seed, coeff_bound=1))[0] for seed in (8, 16)]
+    # dependent and one-sided leading pairs; a zero A_d is B_d = 0 with A, B swapped
+    for d in range(3, 21):
+        sigma = _build_generic(d, d + 3, seed=d)
+        lead_a = sigma.components[0].component(d)
+        cases.append(_with_leading_b(sigma, lead_a.scale(FR(-2, 3))))
+        one_sided = _with_leading_b(sigma, HomogPoly.zero(2, d))
+        cases.append(one_sided if d % 2 else form(*reversed(one_sided.components)))
+    cases += [_not_almost_closed_form(d, d + 3, seed=d) for d in (18, 19, 21)]
     return cases
 
 
-def test_guard_matches_the_full_families():
-    # the guard leaves out rows in the span of others; every report,
-    # passing or failing, must equal the one over the full families
-    reports = [genericity_guard(sigma) for sigma in _guard_cases()]
+def _top_family_independent(monkeypatch):
+    """Record, per guard, whether the first family `_echelon` ranks, the
+    largest applicable one, has independent rows."""
+    echelon, first = decide_module._echelon, []
+
+    def recording(rows, stop):
+        pivots = echelon(rows, stop)
+        first.append(len(pivots) == len(rows))
+        return pivots
+
+    monkeypatch.setattr(decide_module, "_echelon", recording)
+    return first
+
+
+def test_guard_matches_the_full_families(monkeypatch):
+    # the guard leaves out rows in the span of others and infers the rank
+    # of each family inside an independent one; every report, passing or
+    # failing, must equal the one over the full families, each ranked
+    calls = _top_family_independent(monkeypatch)
+    reports, top_independent = [], set()
+    for sigma in _guard_cases():
+        calls.clear()
+        reports.append(genericity_guard(sigma))
+        top_independent.add(calls[0])
     assert reports == [full_family_guard(sigma) for sigma in _guard_cases()]
     assert {r.passed for r in reports} == {True, False}
-    assert all(r.check("stage_d2_joint").applicable for r in reports[-4:])
+    assert top_independent == {True, False}
+    joint = [r.check("stage_d2_joint").applicable for r in reports]
+    assert sum(joint) >= 4 and not all(joint)
+
+
+def test_passing_guard_runs_one_elimination(monkeypatch):
+    # d = 18 with a next component: every family lies in the top one
+    calls = _top_family_independent(monkeypatch)
+    sigma = _build_generic(18, 22, seed=1, c_parts={1: {(1, 0): 1}})
+    report = genericity_guard(sigma)
+    assert report.passed and calls == [True]
+    # a dependent leading pair leaves every family dependent: each is ranked
+    calls.clear()
+    lead_a = sigma.components[0].component(18)
+    dependent = _with_leading_b(sigma, lead_a.scale(FR(3)))
+    report = genericity_guard(dependent)
+    assert len(calls) > 1 and not any(calls)
+    assert report == full_family_guard(dependent)
+    assert report.check("leading_pair").actual_rank == 1
 
 
 def test_guard_rejects_bad_input():
@@ -367,6 +432,27 @@ def test_integrate_recovers_random_potentials():
         back = _radial_potential(eta, 5)
         diff = back.sub(phi.truncate(6))
         assert all(diff.component(k).is_zero for k in range(6))
+
+
+@st.composite
+def _sparse_series(draw, trunc=6):
+    """A series below `trunc` whose components may be zero, with mixed
+    denominators up to 10^4."""
+    coeffs = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4)
+    parts = {}
+    for k in range(trunc):
+        terms = draw(st.dictionaries(st.sampled_from(monomials(2, k)), coeffs, max_size=k + 1))
+        poly = H(2, k, terms)
+        if not poly.is_zero:
+            parts[k] = poly
+    return TruncSeries(2, trunc, parts)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_sparse_series(), _sparse_series(), st.integers(1, 5))
+def test_radial_potential_matches_the_fraction_integration(one, two, order):
+    eta = OneForm((one, two))
+    assert _radial_potential(eta, order) == fraction_radial_potential(eta, order)
 
 
 def test_verify_potential_accepts_and_rejects():

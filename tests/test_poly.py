@@ -263,10 +263,23 @@ def test_homog_shape_validation():
         H(2, 1, {(1, 0): 1}).add(H(3, 1, {(1, 0, 0): 1}))
 
 
+@given(st.lists(st.fractions(max_denominator=10**30), max_size=5), st.booleans())
+def test_norm_is_the_largest_magnitude(values, mirror):
+    # equal magnitudes of opposite sign, large denominators, and the zero
+    # polynomial when every value is zero
+    if mirror and values:
+        values.append(-values[0])
+    p = HomogPoly.from_terms(2, len(values), dict(zip(monomials(2, len(values)), values)))
+    norm = p.norm()
+    assert type(norm) is Fraction
+    assert norm == max((abs(c) for c in p.coeffs.values()), default=Fraction(0))
+
+
 def test_homog_norm_and_str():
     p = H(2, 2, {(2, 0): 3, (1, 1): Fraction(-1, 2)})
     assert p.norm() == 3
     assert HomogPoly.zero(2, 3).norm() == 0
+    assert H(2, 1, {(1, 0): Fraction(-7, 3), (0, 1): Fraction(7, 3)}).norm() == Fraction(7, 3)
     assert "x" in str(p)
 
 
