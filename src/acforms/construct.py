@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .poly import HomogPoly, MismatchError, OneForm, TruncSeries, monomials
+from .poly import HomogPoly, MismatchError, OneForm, TruncSeries, _packed_monomials
 from .prng import Stream
 
 MODES = ("generic", "bounded")
@@ -172,10 +172,10 @@ def extend_order(state: ConstructionState, k: int, free_poly: HomogPoly,
 
 
 def _draw_homog(stream: Stream, degree: int, bound: int) -> HomogPoly:
-    terms = {}
-    for exp in monomials(2, degree):
-        terms[exp] = Fraction(stream.int_between(-bound, bound))
-    return HomogPoly.from_terms(2, degree, terms)
+    # integer coefficients, drawn in monomial order, are packed terms over 1
+    terms = {key: v for key in _packed_monomials(2, degree)
+             if (v := stream.int_between(-bound, bound))}
+    return HomogPoly._reduced(2, degree, terms, 1)
 
 
 def affine_series(c0: Fraction, cx: Fraction, cy: Fraction, trunc: int) -> TruncSeries:

@@ -410,7 +410,8 @@ def _radial_potential(eta: OneForm, order: int) -> TruncSeries:
         den, acc = math.lcm(d1, d2), {}
         _add_products(acc, t1, [(_pack((1, 0)), den // d1)])
         _add_products(acc, t2, [(_pack((0, 1)), den // d2)])
-        radial = HomogPoly._from_integer_terms(2, k + 1, acc.items(), den * (k + 1))
+        radial = HomogPoly._reduced(2, k + 1, {key: v for key, v in acc.items() if v},
+                                    den * (k + 1))
         if not radial.is_zero:
             parts[k + 1] = radial
     return TruncSeries(2, order + 1, parts)
@@ -444,8 +445,7 @@ def _series_from_point(point: list[Fraction], trunc: int) -> list[TruncSeries]:
     values = iter(point)
     for j in range(trunc):
         for polys in parts:
-            terms = {exp: next(values) for exp in monomials(2, j)}
-            polys.append(HomogPoly.from_terms(2, j, terms))
+            polys.append(HomogPoly(2, j, {exp: v for exp, v in zip(monomials(2, j), values) if v}))
     return [TruncSeries.from_parts(2, trunc, polys) for polys in parts]
 
 

@@ -41,14 +41,13 @@ ideals of interest contain a power of the maximal ideal m = (x1, ..., xn):
   combined, and fraction-free elimination works with smaller entries;
   the pivot columns, the verdict and the point with free coordinates
   zero do not depend on row order.  Cofactor parts stay integers over
-  one denominator until the Fractions of the returned witness are built;
-  the witness re-verifies by plain series re-multiplication, independent
-  of the solver.
+  one denominator, which is how the returned witness's polynomials store
+  them; the witness re-verifies by plain series re-multiplication,
+  independent of the solver.
 
-Rows and residuals are built from integer terms keyed by packed exponents
-(see `poly`): a column index maps packed monomial keys to positions, a
-shifted row adds one packed shift to each key, and tuples appear only at the
-public boundary, in the returned witness's cofactors.
+Rows and residuals are built from the polynomials' integer terms keyed by
+packed exponents (see `poly`): a column index maps packed monomial keys to
+positions, and a shifted row adds one packed shift to each key.
 
 No Groebner machinery: the graded rank checks are complete for ideals that
 contain a power of m, and every positive answer doubles as a certificate.
@@ -446,8 +445,7 @@ def membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
 
     cofactors = tuple(
         TruncSeries(nv, max(order - (low or 0), 1), {
-            k: HomogPoly._from_integer_terms(nv, k, terms, den)
-            for k, (terms, den) in table.items()})
+            k: HomogPoly._reduced(nv, k, dict(terms), den) for k, (terms, den) in table.items()})
         for table, low in zip(pieces, lows))
     return MembershipWitness(target=target.truncate(order), cofactors=cofactors,
                              valid_order=order)

@@ -1,9 +1,28 @@
 """Exact graded arithmetic: homogeneous polynomials and truncated series.
 
-A homogeneous polynomial is a sparse map from exponent tuples to nonzero
-rational coefficients; the zero polynomial of any degree is the empty map.
-Coefficients are `fractions.Fraction`, hence always in lowest terms with a
-positive denominator.
+A homogeneous polynomial is stored as packed integer terms over one
+denominator: a map from packed exponent keys to nonzero integers v, and
+den > 0 with gcd(den, every v) = 1, so each coefficient is v / den (one
+content per polynomial, as in von zur Gathen and Gerhard, *Modern Computer
+Algebra*, ch. 6).  The state is canonical, so `==` compares it.  A packed
+key is one int with a field of `_FIELD_BITS` bits per variable, first
+variable in the highest field, so the key of a product monomial is the sum
+of its factors' keys and descending keys are first-variable-major order
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  A stored degree stays below
+`_STORE_BOUND`, so each exponent fits its field, and a factor of a product
+below `_DEGREE_BOUND`, so each field of a sum of two keys does too.
+
+Arithmetic works on the terms alone and brings each result to the stored
+form with one gcd and, for a negative denominator, a sign flip.  Fractions
+are built only where coefficients are read, by `coeff`, `terms`, `coeffs`
+and `norm`, and only when asked for.  Validation happens where polynomials
+enter: the public constructor, `from_terms` and the `serialize` readers
+check every exponent, reject stored zeros, inexact coefficients (float or
+bool) and degrees from `_STORE_BOUND` on; the constructor and the series
+reader store through `HomogPoly._store`, which takes the terms over the lcm
+of their denominators with no gcd.  Arithmetic results come from validated
+operands and skip the per-term check.
 
 A truncated series of order N carries one homogeneous component per degree
 below N and certifies nothing at degree N or above.  Arithmetic tracks the
@@ -12,41 +31,16 @@ the operand orders, partial derivatives lower the order by one, and products
 are certified below min(N₁ + low₂, N₂ + low₁) where lowᵢ is the lowest
 nonzero degree of the other factor (its truncation order when it is zero) —
 unknown tails only reach a product degree after being shifted up by the
-other factor's lowest degree.
-
-Products, of polynomials and of series, do no Fraction arithmetic in their
-inner loop: each factor is scaled once by the lcm of its denominators (its
-content, in the sense of von zur Gathen and Gerhard, *Modern Computer
-Algebra*, ch. 6), the integer products are summed per degree and exponent,
-and one Fraction is built per nonzero output term over the product of the
-two denominators.  `shift` multiplies
-by a monomial with no arithmetic at all.
-
-Inside those integer terms an exponent is a packed key: one int with a
-field of `_FIELD_BITS` bits per variable, first variable in the highest
-field, so the key of a product monomial is the sum of its factors' keys
-(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007).  Integer terms are refused from
-degree `_DEGREE_BOUND` on, which keeps every field of a sum of two keys
-below 2^_FIELD_BITS.  Keys are unpacked once per output term, when the
-Fraction result is built; `HomogPoly.coeffs` and everything public or
-serialized keep exponent tuples.
-
-Validation happens where polynomials enter: the public constructor,
-`from_terms` and the `serialize` readers check every exponent and reject
-stored zeros.  Arithmetic results (`add`, `sub`, `scale`, `mul`, `shift`,
-`partial`, `antiderivative`) are built from already validated operands and
-go through the private `_trusted` constructor, which skips that per-term
-check.
+other factor's lowest degree.  A series product brings each factor's parts
+to one denominator once and sums the integer products per packed key.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -57,11 +51,13 @@ class MismatchError(ValueError):
     """Operands disagree in variable count, degree, or truncation data."""
 
 
-_ZERO = Fraction(0)
-
-
-def _frac(value: RationalLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _ratio(value: RationalLike, parse: bool = False) -> tuple[int, int]:
+    """(p, q) in lowest terms of an int, a Fraction, or with `parse` a str."""
+    if parse and isinstance(value, str):
+        value = Fraction(value)
+    if type(value) is int or isinstance(value, Fraction):
+        return value.as_integer_ratio()
+    raise MismatchError(f"coefficient {value!r} is not an exact rational (int or Fraction)")
 
 
 def monomials(num_vars: int, degree: int) -> list[Exponent]:
@@ -90,29 +86,33 @@ def graded_dim(num_vars: int, degree: int) -> int:
 
 _FIELD_BITS = 20
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
-_DEGREE_BOUND = 1 << (_FIELD_BITS - 1)     # least degree that is not packed
+_DEGREE_BOUND = 1 << (_FIELD_BITS - 1)     # least degree that is not a factor
+_STORE_BOUND = 2 * _DEGREE_BOUND           # least degree that is not stored
 
 IntTerms = list[tuple[int, int]]     # (packed key, integer coefficient) pairs
 
 
-def _check_packable(degree: int) -> None:
-    if degree >= _DEGREE_BOUND:
-        raise MismatchError(f"degree {degree} reaches the packing bound {_DEGREE_BOUND}")
+def _check_packable(degree: int, bound: int = _DEGREE_BOUND) -> None:
+    if degree >= bound:
+        raise MismatchError(f"degree {degree} reaches the packing bound {bound}")
 
 
-def _pack(exp: Exponent) -> int:
+def _pack(exp: Sequence[int]) -> int | None:
+    """The packed key of an exponent; None unless every entry is an int >= 0."""
     key = 0
     for e in exp:
+        if type(e) is not int or e < 0:
+            return None
         key = key << _FIELD_BITS | e
     return key
 
 
 def _unpack(key: int, num_vars: int) -> Exponent:
-    exp = [key & _FIELD_MASK]
-    for _ in range(num_vars - 1):
+    exp: Exponent = ()
+    for _ in range(num_vars):
+        exp = (key & _FIELD_MASK,) + exp
         key >>= _FIELD_BITS
-        exp.append(key & _FIELD_MASK)
-    return tuple(reversed(exp))
+    return exp
 
 
 @cache
@@ -122,7 +122,8 @@ def _packed_monomials(num_vars: int, degree: int) -> tuple[int, ...]:
     return tuple(_pack(exp) for exp in monomials(num_vars, degree))
 
 
-def _add_products(acc: dict[int, int], terms_a: IntTerms, terms_b: IntTerms) -> None:
+def _add_products(acc: dict[int, int], terms_a: Iterable[tuple[int, int]],
+                  terms_b: Iterable[tuple[int, int]]) -> None:
     """Add every product of an integer term of a and one of b into acc."""
     for ka, va in terms_a:
         for kb, vb in terms_b:
@@ -130,164 +131,169 @@ def _add_products(acc: dict[int, int], terms_a: IntTerms, terms_b: IntTerms) -> 
             acc[key] = acc.get(key, 0) + va * vb
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class HomogPoly:
-    """Homogeneous polynomial with exact rational coefficients.
-
-    `coeffs` maps exponent tuples (summing to `degree`, one entry per
-    variable) to nonzero Fractions.  Instances are treated as immutable;
-    every operation returns a fresh polynomial.
-    """
+    """Homogeneous polynomial with exact rational coefficients, built from a
+    map of exponent tuples (summing to `degree`, one entry per variable) to
+    nonzero rationals.  Instances are immutable and stored as the module
+    docstring says; every operation returns a fresh polynomial."""
 
     num_vars: int
     degree: int
-    coeffs: Mapping[Exponent, Fraction] = field(default_factory=dict)
+    _terms: dict[int, int]
+    _den: int
 
-    def __post_init__(self) -> None:
-        for exp, c in self.coeffs.items():
-            if len(exp) != self.num_vars:
-                raise MismatchError(f"exponent {exp} has {len(exp)} entries, expected {self.num_vars}")
-            if sum(exp) != self.degree:
-                raise MismatchError(f"exponent {exp} has degree {sum(exp)}, expected {self.degree}")
-            if any(e < 0 for e in exp):
-                raise MismatchError(f"negative exponent in {exp}")
-            if c == 0:
+    def __init__(self, num_vars: int, degree: int,
+                 coeffs: Mapping[Exponent, Fraction | int] | None = None) -> None:
+        ratios = {}
+        for exp, c in (coeffs or {}).items():
+            if len(exp) != num_vars:
+                raise MismatchError(f"exponent {exp} has {len(exp)} entries, expected {num_vars}")
+            if sum(exp) != degree:
+                raise MismatchError(f"exponent {exp} has degree {sum(exp)}, expected {degree}")
+            if (key := _pack(exp)) is None:
+                raise MismatchError(f"exponent {exp} is not non-negative integers")
+            p, q = _ratio(c)
+            if p == 0:
                 raise MismatchError(f"stored zero coefficient at {exp}")
+            ratios[key] = p, q
+        self._store(num_vars, degree, ratios)
+
+    def _store(self, num_vars: int, degree: int,
+               ratios: Mapping[int, tuple[int, int]]) -> HomogPoly:
+        """Store nonzero p/q in lowest terms per packed key of `degree` over
+        the lcm of the q.  Each prime power of the lcm divides some q exactly,
+        so the numerators are already coprime to it and no gcd is taken."""
+        _check_packable(degree, _STORE_BOUND)
+        den = lcm(*[q for _, q in ratios.values()])
+        self.__dict__.update(num_vars=num_vars, degree=degree, _den=den, _terms={
+            key: p if q == den else p * (den // q) for key, (p, q) in ratios.items()})
+        return self
 
     @classmethod
-    def _trusted(cls, num_vars: int, degree: int,
-                 coeffs: dict[Exponent, Fraction]) -> HomogPoly:
-        """An arithmetic result: its terms come from validated operands, so
-        the per-term check of `__post_init__` is skipped."""
+    def _reduced(cls, num_vars: int, degree: int, terms: dict[int, int], den: int) -> HomogPoly:
+        """The polynomial of the packed terms over `den` (no zero term, any
+        nonzero `den`), brought to lowest terms with a positive denominator."""
+        _check_packable(degree, _STORE_BOUND)
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                terms = {key: v // g for key, v in terms.items()}
+                den //= g
         p = object.__new__(cls)
-        object.__setattr__(p, "num_vars", num_vars)
-        object.__setattr__(p, "degree", degree)
-        object.__setattr__(p, "coeffs", coeffs)
+        p.__dict__.update(num_vars=num_vars, degree=degree, _terms=terms, _den=den)
         return p
 
     @classmethod
     def zero(cls, num_vars: int, degree: int) -> HomogPoly:
-        return cls(num_vars, degree, {})
+        return cls._reduced(num_vars, degree, {}, 1)
 
     @classmethod
     def from_terms(cls, num_vars: int, degree: int,
                    terms: Mapping[Exponent, RationalLike]) -> HomogPoly:
         """Build from a possibly unnormalised term map (zeros dropped)."""
-        coeffs: dict[Exponent, Fraction] = {}
-        for exp, raw in terms.items():
-            c = _frac(raw)
-            if c != 0:
-                coeffs[tuple(exp)] = c
-        return cls(num_vars, degree, coeffs)
+        return cls(num_vars, degree, {tuple(exp): Fraction(*r) for exp, raw in terms.items()
+                                      if (r := _ratio(raw, parse=True))[0]})
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
+
+    @property
+    def coeffs(self) -> dict[Exponent, Fraction]:
+        """Exponent tuples to nonzero Fractions, built on each call."""
+        return dict(self.terms())
 
     def coeff(self, exp: Exponent) -> Fraction:
-        return self.coeffs.get(tuple(exp), _ZERO)
+        key = _pack(exp) if len(exp) == self.num_vars and sum(exp) == self.degree else None
+        return Fraction(self._terms.get(key, 0), self._den)
 
     def terms(self) -> Iterator[tuple[Exponent, Fraction]]:
-        """Terms in canonical order (first variable major)."""
-        for exp in sorted(self.coeffs, key=lambda e: tuple(-x for x in e)):
-            yield exp, self.coeffs[exp]
+        """Terms in canonical order (first variable major): descending keys."""
+        for key in sorted(self._terms, reverse=True):
+            yield _unpack(key, self.num_vars), Fraction(self._terms[key], self._den)
 
-    def _check_compatible(self, other: HomogPoly) -> None:
+    def __repr__(self) -> str:
+        return f"HomogPoly(num_vars={self.num_vars}, degree={self.degree}, coeffs={self.coeffs!r})"
+
+    def add(self, other: HomogPoly) -> HomogPoly:
+        return self._combine(other, 1)
+
+    def sub(self, other: HomogPoly) -> HomogPoly:
+        return self._combine(other, -1)
+
+    def _combine(self, other: HomogPoly, sign: int) -> HomogPoly:
+        """self + sign * other over the lcm of the denominators, in one pass
+        that drops the terms that cancel."""
         if self.num_vars != other.num_vars:
             raise MismatchError(f"variable counts differ: {self.num_vars} vs {other.num_vars}")
         if self.degree != other.degree:
             raise MismatchError(f"degrees differ: {self.degree} vs {other.degree}")
-
-    def add(self, other: HomogPoly) -> HomogPoly:
-        return self._combine(other, operator.add)
-
-    def sub(self, other: HomogPoly) -> HomogPoly:
-        return self._combine(other, operator.sub)
-
-    def _combine(self, other: HomogPoly,
-                 op: Callable[[Fraction, Fraction], Fraction]) -> HomogPoly:
-        """Termwise `op` (add or sub) in one pass, dropping terms that cancel."""
-        self._check_compatible(other)
-        coeffs = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            s = op(coeffs.get(exp, _ZERO), c)
-            if s == 0:
-                coeffs.pop(exp, None)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        acc = {key: v * fa for key, v in self._terms.items()} if fa != 1 else dict(self._terms)
+        for key, v in other._terms.items():
+            if s := acc.get(key, 0) + fb * v:
+                acc[key] = s
             else:
-                coeffs[exp] = s
-        return HomogPoly._trusted(self.num_vars, self.degree, coeffs)
+                del acc[key]
+        return HomogPoly._reduced(self.num_vars, self.degree, acc, den)
 
     def scale(self, factor: RationalLike) -> HomogPoly:
-        f = _frac(factor)
-        if f == 0:
+        p, q = _ratio(factor, parse=True)
+        if p == 0:
             return HomogPoly.zero(self.num_vars, self.degree)
-        return HomogPoly._trusted(self.num_vars, self.degree,
-                                  {exp: c * f for exp, c in self.coeffs.items()})
+        return HomogPoly._reduced(self.num_vars, self.degree,
+                                  {key: v * p for key, v in self._terms.items()}, self._den * q)
 
     def _integer_terms(self) -> tuple[IntTerms, int]:
-        """Terms scaled to integers by the lcm of the denominators, keyed by
-        packed exponents, and that lcm."""
+        """The terms and the denominator, for use as a factor of a product."""
         _check_packable(self.degree)
-        pairs = [(_pack(exp), c.as_integer_ratio()) for exp, c in self.coeffs.items()]
-        den = lcm(*[q for _, (_, q) in pairs])
-        return [(key, p * (den // q)) for key, (p, q) in pairs], den
-
-    @classmethod
-    def _from_integer_terms(cls, num_vars: int, degree: int,
-                            terms: Iterable[tuple[int, int]], den: int) -> HomogPoly:
-        """The polynomial of packed integer terms over `den`, zeros dropped."""
-        return cls._trusted(num_vars, degree, {_unpack(key, num_vars): Fraction(v, den)
-                                               for key, v in terms if v})
+        return list(self._terms.items()), self._den
 
     def mul(self, other: HomogPoly) -> HomogPoly:
         if self.num_vars != other.num_vars:
             raise MismatchError(f"variable counts differ: {self.num_vars} vs {other.num_vars}")
-        terms_a, den_a = self._integer_terms()
-        terms_b, den_b = other._integer_terms()
+        (terms_a, den_a), (terms_b, den_b) = self._integer_terms(), other._integer_terms()
         acc: dict[int, int] = {}
         _add_products(acc, terms_a, terms_b)
-        return HomogPoly._from_integer_terms(self.num_vars, self.degree + other.degree,
-                                             acc.items(), den_a * den_b)
+        return HomogPoly._reduced(self.num_vars, self.degree + other.degree,
+                                  {key: v for key, v in acc.items() if v}, den_a * den_b)
 
     def shift(self, exp: Exponent) -> HomogPoly:
-        """Product with the monomial x^exp: exponents move, coefficients are reused."""
-        if len(exp) != self.num_vars or min(exp) < 0:
+        """Product with the monomial x^exp: one key added to each term's."""
+        if len(exp) != self.num_vars or (key := _pack(exp)) is None:
             raise MismatchError(f"shift {exp} is not an exponent in {self.num_vars} variables")
-        coeffs = {tuple(map(operator.add, e, exp)): c for e, c in self.coeffs.items()}
-        return HomogPoly._trusted(self.num_vars, self.degree + sum(exp), coeffs)
+        return HomogPoly._reduced(self.num_vars, self.degree + sum(exp),
+                                  {k + key: v for k, v in self._terms.items()}, self._den)
 
     def partial(self, var: int) -> HomogPoly:
         """Exact partial derivative with respect to variable index `var`."""
         if not 0 <= var < self.num_vars:
             raise MismatchError(f"variable index {var} out of range for {self.num_vars} variables")
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.coeffs.items():
-            e = exp[var]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[var] = e - 1
-            out[tuple(new)] = c * e
-        return HomogPoly._trusted(self.num_vars, max(self.degree - 1, 0), out)
+        offset = _FIELD_BITS * (self.num_vars - 1 - var)     # of var's field in a key
+        unit = 1 << offset
+        out = {key - unit: v * e for key, v in self._terms.items()
+               if (e := key >> offset & _FIELD_MASK)}
+        return HomogPoly._reduced(self.num_vars, max(self.degree - 1, 0), out, self._den)
 
     def antiderivative(self, var: int) -> HomogPoly:
-        """Coefficientwise antiderivative in one variable, constant term zero."""
+        """Coefficientwise antiderivative in one variable, constant term zero,
+        over the lcm of the new exponents."""
         if not 0 <= var < self.num_vars:
             raise MismatchError(f"variable index {var} out of range for {self.num_vars} variables")
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.coeffs.items():
-            new = list(exp)
-            new[var] = exp[var] + 1
-            out[tuple(new)] = c / (exp[var] + 1)
-        return HomogPoly._trusted(self.num_vars, self.degree + 1, out)
+        offset = _FIELD_BITS * (self.num_vars - 1 - var)     # of var's field in a key
+        raised = [(key + (1 << offset), v, (key >> offset & _FIELD_MASK) + 1)
+                  for key, v in self._terms.items()]
+        m = lcm(*{e for _, _, e in raised})
+        return HomogPoly._reduced(self.num_vars, self.degree + 1,
+                                  {key: v * (m // e) for key, v, e in raised}, self._den * m)
 
     def norm(self) -> Fraction:
-        """Max |p|/q over the coefficients p/q by integer cross-multiplication (0 when zero)."""
-        top, den = 0, 1
-        for p, q in (c.as_integer_ratio() for c in self.coeffs.values()):
-            if abs(p) * den > top * q:
-                top, den = abs(p), q
-        return Fraction(top, den)
+        """Max |p|/q over the coefficients p/q (0 when zero)."""
+        return Fraction(max(map(abs, self._terms.values()), default=0), self._den)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -403,11 +409,10 @@ class TruncSeries:
         return TruncSeries(self.num_vars, order, parts)
 
     def scale(self, factor: RationalLike) -> TruncSeries:
-        f = _frac(factor)
-        if f == 0:
+        if _ratio(factor, parse=True)[0] == 0:
             return TruncSeries.zero(self.num_vars, self.trunc_order)
         return TruncSeries(self.num_vars, self.trunc_order,
-                           {k: p.scale(f) for k, p in self.parts.items()})
+                           {k: part.scale(factor) for k, part in self.parts.items()})
 
     def _effective_lowest(self) -> int:
         """Degree below which the series is certified zero-free of surprises:
@@ -419,15 +424,14 @@ class TruncSeries:
         factor, the lcm of their denominators, and that factor."""
         scaled = {k: p._integer_terms() for k, p in self.parts.items() if k < below}
         common = lcm(*[den for _, den in scaled.values()])
-        return {k: [(key, v * (common // den)) for key, v in terms]
+        return {k: terms if den == common else [(key, v * (common // den)) for key, v in terms]
                 for k, (terms, den) in scaled.items()}, common
 
     def mul(self, other: TruncSeries) -> TruncSeries:
         """Product, certified as far as the operands' unknown tails allow.
 
-        Each factor is scaled to integers once, the integer products are
-        summed per degree and exponent, and one Fraction is built per
-        nonzero output term."""
+        Each factor's parts are brought to one denominator once, and the
+        integer products are summed per degree and packed key."""
         self._check_vars(other)
         low_a, low_b = self._effective_lowest(), other._effective_lowest()
         order = min(self.trunc_order + low_b, other.trunc_order + low_a)
@@ -439,8 +443,8 @@ class TruncSeries:
                 if i + j >= order:
                     continue
                 _add_products(acc.setdefault(i + j, {}), terms_a, terms_b)
-        products = (HomogPoly._from_integer_terms(self.num_vars, k, out.items(), den_a * den_b)
-                    for k, out in acc.items())
+        products = (HomogPoly._reduced(self.num_vars, k, {key: v for key, v in out.items() if v},
+                                       den_a * den_b) for k, out in acc.items())
         return TruncSeries(self.num_vars, order, {p.degree: p for p in products if not p.is_zero})
 
     def partial(self, var: int) -> TruncSeries:

@@ -17,8 +17,11 @@ payload, and `dump_json` raises it on a path it cannot write.
 One canonical-rational parser, `_rational_parts`, serves every reader.
 An `AffineSystem` is written from its integer rows, each entry v / s as
 `str(Fraction(v, s))` would write it, and read back into integer rows with
-one scale each, with no Fraction built.  The series reader checks each
-term once and builds its parts without `HomogPoly`'s per-term check.
+one scale each, with no Fraction built.  A series goes the same way
+between canonical strings and each part's packed integer terms (see
+`poly`): the writer prints each term through one gcd, and the reader
+checks each term once and stores each part through `HomogPoly._store`,
+skipping the constructor's per-term check.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ import math
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .construct import AlmostClosedReport, HypothesisError, Instance
 from .decide import UNKNOWN_NAMES, DeciderOutcome, PotentialWitness
 from .ideals import TruncatedIdeal
 from .linalg import AffineSystem, FarkasCertificate
-from .poly import HomogPoly, MismatchError, OneForm, TruncSeries
+from .poly import HomogPoly, MismatchError, OneForm, TruncSeries, _pack, _unpack
 
 
 class SerializationError(ValueError):
@@ -141,11 +144,23 @@ def _expect_kind(data: Any, kind: str) -> dict:
     return data
 
 
+def _ratio_texts(values: Iterable[int], s: int) -> list[str]:
+    """Each v / s (s > 0) as `str(Fraction(v, s))` writes it, through one gcd."""
+    if s == 1:
+        return [str(v) for v in values]
+    gcd = math.gcd
+    return ["0" if not v else f"{v // g}/{s // g}" if (g := gcd(v, s)) != s else str(v // s)
+            for v in values]
+
+
 def series_to_json(series: TruncSeries) -> dict:
     terms = []
     for degree in sorted(series.parts):
-        for exp, coeff in series.parts[degree].terms():
-            terms.append({"exp": list(exp), "coeff": frac_to_str(coeff)})
+        part = series.parts[degree]
+        items = sorted(part._terms.items(), reverse=True)    # first variable major
+        texts = _ratio_texts([v for _, v in items], part._den)
+        terms.extend({"exp": list(_unpack(key, series.num_vars)), "coeff": text}
+                     for (key, _), text in zip(items, texts))
     return {"kind": "series", "num_vars": series.num_vars,
             "truncation_order": series.trunc_order, "terms": terms}
 
@@ -160,27 +175,28 @@ def series_from_json(data: Any) -> TruncSeries:
         raise SerializationError(f"bad series fields: missing {exc}") from None
     if num_vars < 1:
         raise SerializationError(f"num_vars must be at least 1, got {num_vars}")
-    # each term is checked here once, so the parts skip HomogPoly's own check
-    buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for entry in _json_list(raw_terms, "series terms"):
-        if not isinstance(entry, dict) or "exp" not in entry or "coeff" not in entry:
-            raise SerializationError(f"bad series term {entry!r}")
-        exp = tuple(_json_list(entry["exp"], "exponent"))
-        if len(exp) != num_vars or not all(type(e) is int and e >= 0 for e in exp):
-            for e in exp:
-                _json_int(e, "exponent")
-            raise SerializationError(f"exponent {exp} is not {num_vars} non-negative integers")
-        coeff = frac_from_str(entry["coeff"])
-        if not coeff:
-            raise SerializationError(f"stored zero coefficient at {exp}")
-        bucket = buckets.setdefault(sum(exp), {})
-        if exp in bucket:
-            raise SerializationError(f"duplicate exponent {exp}")
-        bucket[exp] = coeff
+    buckets: dict[int, dict[int, tuple[int, int]]] = {}
     try:
-        return TruncSeries(num_vars, order, {k: HomogPoly._trusted(num_vars, k, terms)
-                                             for k, terms in buckets.items()})
-    except ValueError as exc:
+        for entry in _json_list(raw_terms, "series terms"):
+            if not isinstance(entry, dict) or "exp" not in entry or "coeff" not in entry:
+                raise SerializationError(f"bad series term {entry!r}")
+            exp = _json_list(entry["exp"], "exponent")
+            if len(exp) != num_vars or (key := _pack(exp)) is None:
+                for e in exp:
+                    _json_int(e, "exponent")
+                raise SerializationError(f"exponent {tuple(exp)} is not {num_vars} "
+                                         f"non-negative integers")
+            ratio = _rational_parts(entry["coeff"])
+            if not ratio[0]:
+                raise SerializationError(f"stored zero coefficient at {tuple(exp)}")
+            bucket = buckets.setdefault(sum(exp), {})
+            # distinct keys collide only past the packing bound, which _store refuses
+            if key in bucket and _unpack(key, num_vars) == tuple(exp):
+                raise SerializationError(f"duplicate exponent {tuple(exp)}")
+            bucket[key] = ratio
+        return TruncSeries(num_vars, order, {
+            k: object.__new__(HomogPoly)._store(num_vars, k, bucket) for k, bucket in buckets.items()})
+    except ValueError as exc:     # SerializationError too: its message is kept
         raise SerializationError(str(exc)) from None
 
 
@@ -201,12 +217,7 @@ def one_form_from_json(data: Any) -> OneForm:
 
 
 def system_to_json(system: AffineSystem) -> dict:
-    # v / s through one gcd, as str(Fraction(v, s)) writes it
-    gcd = math.gcd
-    rows = [[str(v) for v in row] if s == 1 else
-            ["0" if not v else f"{v // g}/{s // g}" if (g := gcd(v, s)) != s else str(v // s)
-             for v in row]
-            for row, s in zip(system.rows, system.scales)]
+    rows = [_ratio_texts(row, s) for row, s in zip(system.rows, system.scales)]
     return {"kind": "affine_system",
             "column_labels": list(system.column_labels),
             "row_labels": list(system.row_labels),

@@ -19,7 +19,7 @@ they check is the read-off from the column pass's kernel that replaced them;
 `fraction_system_to_json`, the earlier writer of failing systems, and
 `fraction_verify_witness`, the earlier witness check, read a system's
 Fraction view (`fraction_view`, which left `AffineSystem` because no
-package code read it) and the Fraction series arithmetic of the package,
+package code read it) and the series arithmetic of the package,
 because what they check is the integer writer and check that replaced them;
 `reduced_form_certificate`, the kernel's earlier certificate path, reuses
 the kernel's forward pass and `_reduce`, because what it checks is the
@@ -35,8 +35,10 @@ with every row family it first ranked, uses the guard's records and row
 builder, because what it checks is that the rows the guard leaves out
 never change a rank, and ranks them by Fraction elimination;
 `fraction_radial_potential`, the decider's earlier radial integration,
-uses the Fraction polynomial arithmetic, because what it checks is the
-integration on integer terms that replaced it.
+uses the polynomial arithmetic, because what it checks is the integration
+on integer terms that replaced it; `fraction_series_to_json`, the earlier
+series writer, reads each polynomial's Fraction coefficients, because what
+it checks is the writer of integer terms that replaced it.
 """
 
 from __future__ import annotations
@@ -606,7 +608,7 @@ def fraction_membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
 
 
 def fraction_verify_witness(witness: MembershipWitness, ideal: TruncatedIdeal) -> bool:
-    """The earlier `MembershipWitness.verify`: the Fraction residual, target
+    """The earlier `MembershipWitness.verify`: the series residual, target
     minus the series products of cofactors and generators, is certified and
     zero below the valid order."""
     res = witness.residual(ideal)
@@ -715,6 +717,18 @@ def str_round_trip_fraction(text) -> Fraction | None:
     return value if str(value) == text else None
 
 
+def fraction_series_to_json(series: TruncSeries) -> dict:
+    """`acforms.serialize.series_to_json` before it wrote integer terms: each
+    coefficient as a Fraction, written by `str`, terms first variable major."""
+    terms = []
+    for degree in sorted(series.parts):
+        coeffs = series.parts[degree].coeffs
+        for exp in sorted(coeffs, key=lambda e: tuple(-x for x in e)):
+            terms.append({"exp": list(exp), "coeff": str(coeffs[exp])})
+    return {"kind": "series", "num_vars": series.num_vars,
+            "truncation_order": series.trunc_order, "terms": terms}
+
+
 # --- polynomial dictionaries -------------------------------------------------
 
 
@@ -734,8 +748,25 @@ def poly_add(p: dict, q: dict) -> dict:
     return {e: c for e, c in out.items() if c != 0}
 
 
+def poly_sub(p: dict, q: dict) -> dict:
+    return poly_add(p, poly_scale(q, Fraction(-1)))
+
+
 def poly_scale(p: dict, s: Fraction) -> dict:
     return {e: c * s for e, c in p.items() if c * s != 0}
+
+
+def poly_antiderivative(p: dict, var: int) -> dict:
+    out: dict = {}
+    for e, c in p.items():
+        new = list(e)
+        new[var] = e[var] + 1
+        out[tuple(new)] = c / new[var]
+    return out
+
+
+def poly_shift(p: dict, exp: tuple[int, ...]) -> dict:
+    return {tuple(a + b for a, b in zip(e, exp)): c for e, c in p.items()}
 
 
 def poly_partial(p: dict, var: int) -> dict:

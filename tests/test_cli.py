@@ -230,6 +230,21 @@ def test_verify_ac_refuses_a_degree_at_the_packing_bound(tmp_path, capsys):
     assert "packing bound" in capsys.readouterr().err
 
 
+def test_verify_ac_refuses_a_degree_at_the_storage_bound(tmp_path, capsys):
+    top = 2 * _DEGREE_BOUND
+    at_bound = {"kind": "series", "num_vars": 2, "truncation_order": top + 2,
+                "terms": [{"exp": [top, 0], "coeff": "1"}]}
+    sp = tmp_path / "sigma.json"
+    _write(sp, {"kind": "one_form",
+                "components": [at_bound, series_to_json(zero_series(top + 2))]})
+    cp = tmp_path / "c.json"
+    _write(cp, series_to_json(series_x(2)))
+    out = tmp_path / "out"
+    assert main(["verify-ac", str(sp), str(cp), str(cp), "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    assert "packing bound" in capsys.readouterr().err
+
+
 # --- decide ----------------------------------------------------------------------
 
 

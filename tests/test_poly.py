@@ -1,16 +1,17 @@
 """Graded polynomial and truncated series arithmetic against brute oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from acforms.poly import (_DEGREE_BOUND, HomogPoly, MismatchError, OneForm, TruncSeries,
-                          graded_dim, monomials)
+                          _pack, _unpack, graded_dim, monomials)
 from acforms.serialize import SerializationError, series_from_json
 from conftest import H, S, form, series_x, zero_series
-from oracles import (exponents, poly_add, poly_mul, poly_partial, poly_scale,
-                     series_dict)
+from oracles import (exponents, poly_add, poly_antiderivative, poly_mul, poly_partial,
+                     poly_scale, poly_shift, poly_sub, series_dict)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -140,6 +141,95 @@ def test_homog_mul_matches_oracle_on_wide_denominators(pair):
     assert dict(prod.coeffs) == poly_mul(dict(p.coeffs), dict(q.coeffs))
 
 
+# --- the stored state: packed integer terms over one denominator -------------
+
+_HUGE = st.fractions(min_value=-10**30, max_value=10**30, max_denominator=10**30)
+
+
+def _check_state(p):
+    """den > 0, gcd 1, no zero numerator, and every key a packed exponent of
+    the polynomial's degree."""
+    assert p._den > 0
+    assert math.gcd(p._den, *p._terms.values()) == 1
+    assert all(p._terms.values())
+    for key in p._terms:
+        exp = _unpack(key, p.num_vars)
+        assert sum(exp) == p.degree and _pack(exp) == key
+
+
+@st.composite
+def _operands(draw):
+    """Term dicts (possibly empty, so the zero polynomial) in 2 or 3
+    variables with denominators up to 10^30: two of one degree, one of
+    another, and a variable, a shift and a factor."""
+    nv = draw(st.sampled_from([2, 3]))
+    degree = draw(st.integers(0, 4))
+
+    def terms(deg):
+        basis = monomials(nv, deg)
+        return draw(st.dictionaries(st.sampled_from(basis), _HUGE, max_size=len(basis)))
+
+    other = draw(st.integers(0, 4))
+    return (nv, degree, terms(degree), terms(degree), other, terms(other),
+            draw(st.integers(0, nv - 1)), draw(st.tuples(*[st.integers(0, 3)] * nv)),
+            draw(_HUGE))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_operands())
+def test_every_operation_keeps_the_state_and_matches_the_dict_oracles(case):
+    nv, degree, tp, tq, other, tr, var, exp, factor = case
+    dp, dq, dr = ({e: c for e, c in t.items() if c} for t in (tp, tq, tr))
+    p, q, r = (HomogPoly.from_terms(nv, deg, t)
+               for deg, t in ((degree, tp), (degree, tq), (other, tr)))
+    for poly, expected in ((p, dp), (q, dq), (r, dr)):
+        _check_state(poly)
+        assert poly.coeffs == expected
+    results = [(p.add(q), degree, poly_add(dp, dq)),
+               (p.sub(q), degree, poly_sub(dp, dq)),
+               (p.scale(factor), degree, poly_scale(dp, factor)),
+               (p.partial(var), max(degree - 1, 0), poly_partial(dp, var)),
+               (p.antiderivative(var), degree + 1, poly_antiderivative(dp, var)),
+               (p.shift(exp), degree + sum(exp), poly_shift(dp, exp)),
+               (p.mul(r), degree + r.degree, poly_mul(dp, dr))]
+    for got, deg, expected in results:
+        _check_state(got)
+        assert got.degree == deg and got.coeffs == expected
+        assert got == HomogPoly(nv, deg, expected)
+    assert p.norm() == max(map(abs, dp.values()), default=0)
+    assert all(p.coeff(e) == dp.get(e, 0) for e in monomials(nv, degree))
+    assert list(p.terms()) == sorted(dp.items(), key=lambda t: tuple(-x for x in t[0]))
+    for poly in (q, p.add(q).sub(q), p.scale(1), HomogPoly.from_terms(nv, degree, dp)):
+        assert (p == poly) == (p.coeffs == poly.coeffs)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.0, 2.0, True, False])
+@pytest.mark.parametrize("entry", ["constructor", "from_terms", "scale", "series_scale"])
+def test_inexact_coefficients_are_refused(entry, value):
+    p = H(2, 1, {(1, 0): 1})
+    call = {"constructor": lambda: HomogPoly(2, 1, {(1, 0): value}),
+            "from_terms": lambda: HomogPoly.from_terms(2, 1, {(1, 0): value}),
+            "scale": lambda: p.scale(value),
+            "series_scale": lambda: TruncSeries(2, 2, {1: p}).scale(value)}[entry]
+    with pytest.raises(MismatchError, match="not an exact rational"):
+        call()
+
+
+@pytest.mark.parametrize("value", [3, -1, Fraction(-5, 7), "5/7", "-2"])
+def test_exact_coefficients_are_accepted(value):
+    exact = Fraction(value)
+    p = H(2, 1, {(1, 0): 1})
+    assert HomogPoly.from_terms(2, 1, {(1, 0): value}).coeffs == {(1, 0): exact}
+    assert p.scale(value).coeffs == {(1, 0): exact}
+    assert TruncSeries(2, 2, {1: p}).scale(value).parts[1].coeffs == {(1, 0): exact}
+    if isinstance(value, str):
+        # the constructor takes ints and Fractions only
+        with pytest.raises(MismatchError):
+            HomogPoly(2, 1, {(1, 0): value})
+    else:
+        assert HomogPoly(2, 1, {(1, 0): value}).coeffs == {(1, 0): exact}
+
+
 # --- packed exponent keys ----------------------------------------------------
 
 
@@ -209,6 +299,43 @@ def test_packing_bound_one_degree_below_and_at(num_vars):
     for product in (lambda: p.mul(q), lambda: q.mul(p), lambda: series_q.mul(series_p)):
         with pytest.raises(MismatchError, match="packing bound"):
             product()
+
+
+@pytest.mark.parametrize("num_vars", [2, 3])
+def test_storage_bound_one_degree_below_and_at(num_vars):
+    top = 2 * _DEGREE_BOUND - 1
+    pad = (0,) * (num_vars - 1)
+    first, last = (top,) + pad, pad + (top,)
+    p = HomogPoly.from_terms(num_vars, top, {first: 1, last: Fraction(-1, 3)})
+    assert p.add(p).coeffs == {first: 2, last: Fraction(-2, 3)}
+    assert p.partial(0).coeffs == {(top - 1,) + pad: top}
+    below = HomogPoly.from_terms(num_vars, top - 1, {(top - 1,) + pad: 2})
+    # shift and antiderivative reach the last stored degree
+    assert below.shift((1,) + pad).coeffs == {first: 2}
+    assert below.antiderivative(0).coeffs == {first: Fraction(2, top)}
+    for refused in (lambda: HomogPoly(num_vars, top + 1),
+                    lambda: HomogPoly.from_terms(num_vars, top + 1, {(top + 1,) + pad: 1}),
+                    lambda: p.shift((1,) + pad),
+                    lambda: p.antiderivative(0)):
+        with pytest.raises(MismatchError, match="packing bound"):
+            refused()
+    for degree, accepted in ((top, True), (top + 1, False)):
+        payload = {"kind": "series", "num_vars": num_vars, "truncation_order": degree + 1,
+                   "terms": [{"exp": [degree, *pad], "coeff": "1"}]}
+        if accepted:
+            assert series_from_json(payload).parts[degree].coeffs == {(degree, *pad): 1}
+        else:
+            with pytest.raises(SerializationError, match="packing bound"):
+                series_from_json(payload)
+
+
+def test_reader_refuses_colliding_keys_past_the_storage_bound():
+    # (1, 0, 2^20) and (0, 2^20 + 1, 0) pack to one key once fields overflow
+    top = 2 * _DEGREE_BOUND + 1
+    payload = {"kind": "series", "num_vars": 3, "truncation_order": top + 1,
+               "terms": [{"exp": exp, "coeff": "1"} for exp in ([1, 0, top - 1], [0, top, 0])]}
+    with pytest.raises(SerializationError, match="packing bound"):
+        series_from_json(payload)
 
 
 @settings(deadline=None)

@@ -12,7 +12,7 @@ from acforms.construct import Instance, build
 from acforms.decide import PotentialWitness
 from acforms.ideals import TruncatedIdeal
 from acforms.linalg import AffineSystem, FarkasCertificate, verify_farkas
-from acforms.poly import OneForm
+from acforms.poly import HomogPoly, OneForm, TruncSeries, monomials
 from acforms.serialize import (SerializationError, canonical_dumps,
                                certificate_from_json, certificate_to_json,
                                dump_json, frac_from_str, frac_to_str,
@@ -25,9 +25,9 @@ from acforms.serialize import (SerializationError, canonical_dumps,
                                system_from_json, system_to_json,
                                witness_to_json)
 from conftest import S, zero_series
-from oracles import (fraction_solve_affine, fraction_system, fraction_system_to_json,
-                     fraction_verify_farkas, fraction_view, integer_system, solve_affine,
-                     str_round_trip_fraction)
+from oracles import (fraction_series_to_json, fraction_solve_affine, fraction_system,
+                     fraction_system_to_json, fraction_verify_farkas, fraction_view,
+                     integer_system, solve_affine, str_round_trip_fraction)
 
 FR = Fraction
 
@@ -140,6 +140,28 @@ def test_series_round_trip_and_hash_stability():
     back = series_from_json(payload)
     assert back == s
     assert sha256_of_payload(series_to_json(back)) == sha256_of_payload(payload)
+
+
+@st.composite
+def _wide_series(draw):
+    """Sparse parts in one to three variables, mixed signs, denominators up to
+    10^30, some parts integral and some zero."""
+    num_vars = draw(st.integers(1, 3))
+    trunc = draw(st.integers(0, 6))
+    coeffs = st.one_of(st.integers(-10**30, 10**30),
+                       st.fractions(min_value=-10**30, max_value=10**30,
+                                    max_denominator=10**30))
+    parts = [HomogPoly.from_terms(num_vars, k, draw(st.dictionaries(
+        st.sampled_from(monomials(num_vars, k)), coeffs, max_size=4))) for k in range(trunc)]
+    return TruncSeries.from_parts(num_vars, trunc, parts)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_wide_series())
+def test_series_writer_matches_the_fraction_writer_and_round_trips(s):
+    payload = series_to_json(s)
+    assert canonical_dumps(payload) == canonical_dumps(fraction_series_to_json(s))
+    assert series_from_json(payload) == s
 
 
 def test_series_rejects_malformed_payloads():
