@@ -21,17 +21,7 @@ Example
 import argparse
 from fractions import Fraction
 
-from acforms import (Instance, TruncSeries, affine_series, build,
-                     genericity_guard, obstruction_pair_check)
-
-
-def first_guarded(d: int, N: int, c: TruncSeries, d_series: TruncSeries,
-                  start_seed: int):
-    for seed in range(start_seed, start_seed + 200):
-        sigma, _ = build(Instance(d=d, N=N, C=c, D=d_series, seed=seed))
-        if genericity_guard(sigma).passed:
-            return seed, sigma
-    raise RuntimeError("guard rejected 200 consecutive seeds")
+from acforms import Instance, affine_series, guarded_builds, obstruction_pair_check
 
 
 def fmt(value) -> str:
@@ -61,14 +51,15 @@ def main(argv: list[str] | None = None) -> int:
         for t in range(-args.radius, args.radius + 1):
             c = affine_series(args.c0, Fraction(s), Fraction(0), trunc)
             d_series = affine_series(args.d0, Fraction(0), Fraction(t), trunc)
-            seed, sigma = first_guarded(d, N, c, d_series, args.start_seed)
+            instance, sigma, _ = next(guarded_builds(
+                Instance(d=d, N=N, C=c, D=d_series, seed=args.start_seed)))
             report = obstruction_pair_check(sigma, c, d_series)
             forced = [report[key].get("value") for key in ("first", "second")]
             expected = (report["obstruction"] == 0) if forced[0] is not None else None
             flag = report["consistent"]
             if expected is not None and flag != expected:
                 mismatches += 1
-            print(f"{s:>3} {t:>3} {seed:>5}  {fmt(report['obstruction']):>9} "
+            print(f"{s:>3} {t:>3} {instance.seed:>5}  {fmt(report['obstruction']):>9} "
                   f"{fmt(report['tilde_obstruction']):>9} {fmt(report['predicted_first']):>9} "
                   f"{fmt(report['predicted_second']):>9} {fmt(forced[0]):>9} "
                   f"{fmt(forced[1]):>9}  {flag}")

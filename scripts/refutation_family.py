@@ -13,12 +13,12 @@ Example
 """
 
 import argparse
-import sys
+import itertools
 import time
 from fractions import Fraction
 
-from acforms import (Instance, affine_series, build, decide, genericity_guard,
-                     obstruction, staged_report, verify_farkas)
+from acforms import (Instance, affine_series, decide, guarded_builds, obstruction,
+                     staged_report, verify_farkas)
 
 
 def describe(c0: Fraction, cx: Fraction, cy: Fraction) -> str:
@@ -61,22 +61,11 @@ def main(argv: list[str] | None = None) -> int:
     tally: dict[str, int] = {}
     rejected = 0
     first_outcome = None
-    seed = args.start_seed - 1
-    found = 0
-    while found < args.count:
-        seed += 1
-        if seed - args.start_seed > 50 * args.count:
-            print(f"giving up: guard rejected nearly every seed up to {seed}",
-                  file=sys.stderr)
-            return 1
-        sigma, _ = build(Instance(d=args.degree, N=args.truncation, C=c,
-                                  D=d_series, seed=seed,
-                                  coeff_bound=args.coeff_bound))
-        guard = genericity_guard(sigma)
-        if not guard.passed:
-            rejected += 1
-            continue
-        found += 1
+    first = Instance(d=args.degree, N=args.truncation, C=c, D=d_series, seed=args.start_seed,
+                     coeff_bound=args.coeff_bound)
+    for found, (instance, sigma, guard) in enumerate(
+            itertools.islice(guarded_builds(first), max(args.count, 0)), start=1):
+        rejected = instance.seed - args.start_seed + 1 - found
         start = time.monotonic()
         outcome = decide(sigma, order, guard)
         elapsed = time.monotonic() - start
@@ -89,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
             cert = ("verified" if verify_farkas(outcome.failing_system,
                                                 outcome.certificate)
                     else "INVALID")
-        print(f"{seed:>6}  {outcome.verdict:<16} {fail_at:>5}  {cert:<12} "
+        print(f"{instance.seed:>6}  {outcome.verdict:<16} {fail_at:>5}  {cert:<12} "
               f"{elapsed:6.2f}s")
 
     print()

@@ -11,7 +11,7 @@ from .construct import (AlmostClosedReport, ConstructionState, HypothesisError,
                         Instance, affine_series, build, convergence_bound,
                         init_leading, multiplier_magnitude, verify_almost_closed)
 from .decide import (DeciderOutcome, GuardReport, decide, genericity_guard,
-                     obstruction, obstruction_pair_check, staged_report,
+                     guarded_builds, obstruction, obstruction_pair_check, staged_report,
                      tilde_transform, verify_potential, with_gauge)
 from .ideals import (MembershipWitness, TruncatedIdeal, colength,
                      graded_cover_check, ideal_contained_mod, ideal_equal_mod,
@@ -26,7 +26,7 @@ __all__ = [
     "MismatchError", "OneForm", "TruncSeries", "TruncatedIdeal",
     "affine_series", "build", "colength",
     "convergence_bound", "decide", "genericity_guard", "graded_cover_check",
-    "ideal_contained_mod", "ideal_equal_mod", "init_leading",
+    "guarded_builds", "ideal_contained_mod", "ideal_equal_mod", "init_leading",
     "membership_witness", "min_power_in_ideal", "multiplier_magnitude",
     "obstruction", "obstruction_pair_check",
     "staged_report", "tilde_transform", "verify_almost_closed",

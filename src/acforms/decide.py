@@ -78,25 +78,27 @@ of a surviving monomial and scanning {-1, 0, 1} per weight, which is
 complete for per-variable degree <= 2 and any spanning set of directions.
 
 The genericity guard measures the explicit leading-coefficient ranks that
-the staged elimination relies on; seeds failing any applicable check are
-meant to be rejected by drivers before refutation-grade conclusions are
-drawn.  It ranks its families from the largest down and infers the ranks of
-those inside an independent one, so a passing guard at d >= 18 runs one elimination.
+the staged elimination relies on; `guarded_builds`, the drivers' seed loop,
+skips the seeds failing any applicable check before refutation-grade
+conclusions are drawn.  The guard ranks its families from the largest down
+and infers the ranks of those inside an independent one, so a passing guard
+at d >= 18 runs one elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator
 
+from .construct import Instance, build
 from .ideals import MembershipWitness, TruncatedIdeal, _shifted_row, ideal_equal_mod
 from .linalg import (AffineSystem, FarkasCertificate, RowBasis, _echelon, farkas_certificate,
                      matrix_rank, read_off)
 from .poly import (_FIELD_BITS, _FIELD_MASK, HomogPoly, IntTerms, MismatchError, OneForm,
-                   TruncSeries, _add_products, _pack, _packed_monomials, _unpack, monomials)
+                   TruncSeries, _packed_monomials, _unpack, monomials)
 
 UNKNOWN_NAMES = ("X", "Y", "Z", "W")
 GAUGE_ROW_LABEL = "gauge:X:0,0"
@@ -280,11 +282,10 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
     def derivatives(k: int) -> tuple[list[IntTerms], list[IntTerms]]:
         """A_k, B_k and A_x, A_y, B_y, B_x as integer terms, each at a positive
         scale, which leaves ranks alone; B_x is left out when it equals A_y."""
-        (ta, da), (tb, db) = a.component(k)._integer_terms(), b.component(k)._integer_terms()
-        ax, ay, bx, by = ([(key - (1 << s), v * (key >> s & _FIELD_MASK)) for key, v in t
-                           if key >> s & _FIELD_MASK] for t in (ta, tb) for s in (_FIELD_BITS, 0))
-        equal = {key: v * db for key, v in ay} == {key: v * da for key, v in bx}
-        return [ta, tb], [ax, ay, by] + ([] if equal else [bx])
+        pa, pb = a.component(k), b.component(k)
+        ax, ay, bx, by = (p.partial(var) for p in (pa, pb) for var in (0, 1))
+        return ([p._integer_terms()[0] for p in (pa, pb)],
+                [p._integer_terms()[0] for p in [ax, ay, by] + ([] if bx == ay else [bx])])
 
     def mults(shifts: tuple[int, ...], polys: list[IntTerms]) -> list[tuple]:
         return [(p, e) for p in polys for e in shifts]
@@ -324,6 +325,21 @@ def genericity_guard(sigma: OneForm) -> GuardReport:
                          ranks.get(name, expected) == expected)
               for name, _, _, _, expected, _ in table]
     return GuardReport(lowest_degree=d, checks=tuple(checks))
+
+
+def guarded_builds(first: Instance) -> Iterator[tuple[Instance, OneForm, GuardReport]]:
+    """(instance, sigma, guard report) of each build of `first` from its seed
+    upward whose genericity guard passes; raises once 100 seeds in a row fail."""
+    passed = first.seed - 1     # the last seed whose guard passed
+    for seed in itertools.count(first.seed):
+        if seed - passed > 100:
+            raise RuntimeError(f"guard rejected 100 seeds in a row, through seed {seed - 1}")
+        instance = replace(first, seed=seed)
+        sigma, _ = build(instance)
+        guard = genericity_guard(sigma)
+        if guard.passed:
+            passed = seed
+            yield instance, sigma, guard
 
 
 # ---------------------------------------------------------------------------
@@ -398,23 +414,14 @@ def find_unit_solution(particular: list[Fraction], directions: list[list[int]]
 def _radial_potential(eta: OneForm, order: int) -> TruncSeries:
     """Potential of eta below `order`, normalized to vanish at 0.
 
-    Radial integration, on integer terms over the lcm of each degree's
-    denominators: the degree k+1 part is (x*eta1_k + y*eta2_k)/(k+1);
+    Radial integration: the degree k+1 part is (x*eta1_k + y*eta2_k)/(k+1);
     the Euler identity plus closedness below order-1 make its gradient match
     eta below `order` exactly, which `_reconstruct` checks by multiplication.
     """
     one, two = eta.components
-    parts = {}
-    for k in range(order):
-        (t1, d1), (t2, d2) = one.component(k)._integer_terms(), two.component(k)._integer_terms()
-        den, acc = math.lcm(d1, d2), {}
-        _add_products(acc, t1, [(_pack((1, 0)), den // d1)])
-        _add_products(acc, t2, [(_pack((0, 1)), den // d2)])
-        radial = HomogPoly._reduced(2, k + 1, {key: v for key, v in acc.items() if v},
-                                    den * (k + 1))
-        if not radial.is_zero:
-            parts[k + 1] = radial
-    return TruncSeries(2, order + 1, parts)
+    return TruncSeries.from_parts(2, order + 1, (
+        one.component(k).shift((1, 0)).add(two.component(k).shift((0, 1)))
+        .scale(Fraction(1, k + 1)) for k in range(order)))
 
 
 def verify_potential(phi: TruncSeries, omega: OneForm, order: int) -> bool:

@@ -42,12 +42,12 @@ ideals of interest contain a power of the maximal ideal m = (x1, ..., xn):
   the pivot columns, the verdict and the point with free coordinates
   zero do not depend on row order.  Cofactor parts stay integers over
   one denominator, which is how the returned witness's polynomials store
-  them; the witness re-verifies by plain series re-multiplication,
-  independent of the solver.
+  them; `MembershipWitness.verify` checks the witness's series
+  `residual`, which shares no code with the stages.
 
-Rows and residuals are built from the polynomials' integer terms keyed by
-packed exponents (see `poly`): a column index maps packed monomial keys to
-positions, and a shifted row adds one packed shift to each key.
+Rows and the stages' residuals are built from the polynomials' integer
+terms keyed by packed exponents (see `poly`): a column index maps packed
+monomial keys to positions, and a shifted row adds one packed shift to each key.
 
 No Groebner machinery: the graded rank checks are complete for ideals that
 contain a power of m, and every positive answer doubles as a certificate.
@@ -331,34 +331,18 @@ class MembershipWitness:
 
     def verify(self, ideal: TruncatedIdeal) -> bool:
         """Independent re-multiplication check of the defining invariant: the
-        `residual` is certified and zero below valid_order.  Its order is
-        that of the series arithmetic; its terms are summed as integer
-        products over one denominator in one table, as a packed key fixes
-        its degree."""
-        if len(self.cofactors) != len(ideal.generators):
-            raise MismatchError("cofactor count does not match generator count")
-        nv = self.target.num_vars
-        if any(s.num_vars != nv for s in (*self.cofactors, *ideal.generators)):
-            raise MismatchError("target, cofactors and generators disagree on variable count")
+        `residual` is certified and zero below valid_order.  Target,
+        cofactors and generators are first cut at valid_order, which moves
+        neither the residual below it nor whether it is certified there."""
         below = self.valid_order
-        if any(min(c.trunc_order + g._effective_lowest(), g.trunc_order + c._effective_lowest())
-               < below for c, g in zip(self.cofactors, ideal.generators)):
-            return False
-        if self.target.trunc_order < below:
-            return False
-        target, target_den = self.target._integer_parts(below)
-        pairs = [(c._integer_parts(below), g._integer_parts(below))
-                 for c, g in zip(self.cofactors, ideal.generators)]
-        common = lcm(target_den, *[c_den * g_den for (_, c_den), (_, g_den) in pairs])
-        acc = {key: v * (common // target_den) for terms in target.values() for key, v in terms}
-        for (c_parts, c_den), (g_parts, g_den) in pairs:
-            f = -(common // (c_den * g_den))
-            for i, c_terms in c_parts.items():
-                scaled = [(key, f * v) for key, v in c_terms]
-                for j, g_terms in g_parts.items():
-                    if i + j < below:
-                        _add_products(acc, scaled, g_terms)
-        return not any(acc.values())
+        if below < 0:
+            raise MismatchError(f"valid order {below} is negative")
+
+        def cut(s: TruncSeries) -> TruncSeries:
+            return s.truncate(min(s.trunc_order, below))
+        res = MembershipWitness(cut(self.target), tuple(map(cut, self.cofactors)), below).residual(
+            TruncatedIdeal(tuple(map(cut, ideal.generators))))
+        return res.trunc_order >= below and res.is_zero()
 
 
 def _degree_residual(base: IntTerms, base_den: int,

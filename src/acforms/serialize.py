@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable
@@ -337,10 +338,7 @@ def outcome_to_json(outcome: DeciderOutcome) -> dict:
                    "kind": "guard_report",
                    "lowest_degree": guard.lowest_degree,
                    "passed": guard.passed,
-                   "checks": [{"name": c.name, "applicable": c.applicable,
-                               "expected_rank": c.expected_rank,
-                               "actual_rank": c.actual_rank, "passed": c.passed}
-                              for c in guard.checks]},
+                   "checks": [asdict(c) for c in guard.checks]},
                "staged": [{"through_degree": record.through_degree,
                            "feasible": record.feasible,
                            "blocks": {str(j): {"dim": block.dim,

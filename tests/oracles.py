@@ -16,11 +16,10 @@ into one system, because what it checks is those blocks;
 `fraction_find_unit_solution` and `functional_range`, the decider's earlier
 unit search and forced-functional test, read a `SolutionSet`, because what
 they check is the read-off from the column pass's kernel that replaced them;
-`fraction_system_to_json`, the earlier writer of failing systems, and
-`fraction_verify_witness`, the earlier witness check, read a system's
-Fraction view (`fraction_view`, which left `AffineSystem` because no
-package code read it) and the series arithmetic of the package,
-because what they check is the integer writer and check that replaced them;
+`fraction_system_to_json`, the earlier writer of failing systems, reads a
+system's Fraction view (`fraction_view`, which left `AffineSystem` because
+no package code read it), because what it checks is the integer writer
+that replaced it;
 `reduced_form_certificate`, the kernel's earlier certificate path, reuses
 the kernel's forward pass and `_reduce`, because what it checks is the
 back-substitution that replaced the backward pass; `fraction_assemble_system`
@@ -34,9 +33,7 @@ replaced its Fraction systems; `full_family_guard`, the genericity guard
 with every row family it first ranked, uses the guard's records and row
 builder, because what it checks is that the rows the guard leaves out
 never change a rank, and ranks them by Fraction elimination;
-`fraction_radial_potential`, the decider's earlier radial integration,
-uses the polynomial arithmetic, because what it checks is the integration
-on integer terms that replaced it; `fraction_series_to_json`, the earlier
+`fraction_series_to_json`, the earlier
 series writer, reads each polynomial's Fraction coefficients, because what
 it checks is the writer of integer terms that replaced it.
 """
@@ -608,13 +605,31 @@ def fraction_membership_witness(target: TruncSeries, ideal: TruncatedIdeal,
 
 
 def fraction_verify_witness(witness: MembershipWitness, ideal: TruncatedIdeal) -> bool:
-    """The earlier `MembershipWitness.verify`: the series residual, target
-    minus the series products of cofactors and generators, is certified and
-    zero below the valid order."""
-    res = witness.residual(ideal)
-    if res.trunc_order < witness.valid_order:
+    """`MembershipWitness.verify` on coefficient dicts: the target and every
+    product of a cofactor c with its generator g are certified below the
+    valid order, a product below min(trunc(c) + low(g), trunc(g) + low(c))
+    where low is the lowest stored degree, or the truncation order of a zero
+    series; and the target minus the sum of the products c * g, multiplied
+    term by term, has no term below it."""
+    if len(witness.cofactors) != len(ideal.generators):
+        raise MismatchError("cofactor count does not match generator count")
+    if any(s.num_vars != witness.target.num_vars for s in (*witness.cofactors, *ideal.generators)):
+        raise MismatchError("target, cofactors and generators disagree on variable count")
+    below = witness.valid_order
+    if below < 0:
+        raise MismatchError(f"valid order {below} is negative")
+
+    def low(s: TruncSeries) -> int:
+        return min(s.parts, default=s.trunc_order)
+
+    pairs = list(zip(witness.cofactors, ideal.generators))
+    if min(witness.target.trunc_order, *(min(c.trunc_order + low(g), g.trunc_order + low(c))
+                                        for c, g in pairs)) < below:
         return False
-    return all(res.component(k).is_zero for k in range(witness.valid_order))
+    res = series_dict(witness.target, below)
+    for c, g in pairs:
+        res = poly_sub(res, poly_mul(series_dict(c, below), series_dict(g, below)))
+    return not any(sum(e) < below for e in res)
 
 
 # --- the decider's earlier guard families ---------------------------------
@@ -687,15 +702,14 @@ def full_family_guard(sigma: OneForm) -> GuardReport:
 
 
 def fraction_radial_potential(eta: OneForm, order: int) -> TruncSeries:
-    """`acforms.decide._radial_potential` as it was first written: the degree
-    k+1 part is x*eta1_k + y*eta2_k by shift and add, scaled by 1/(k+1)."""
-    one, two = eta.components
-    parts = {}
-    for k in range(order):
-        radial = one.component(k).shift((1, 0)).add(two.component(k).shift((0, 1)))
-        if not radial.is_zero:
-            parts[k + 1] = radial.scale(Fraction(1, k + 1))
-    return TruncSeries(2, order + 1, parts)
+    """`acforms.decide._radial_potential` on coefficient dicts: x * eta1 +
+    y * eta2 over the terms of degree < order, each term of degree m then
+    divided by m."""
+    one, two = (series_dict(s, order) for s in eta.components)
+    radial = poly_add(poly_shift(one, (1, 0)), poly_shift(two, (0, 1)))
+    return TruncSeries(2, order + 1, {
+        m: HomogPoly(2, m, {e: c / m for e, c in dict_component(radial, m).items()})
+        for m in {sum(e) for e in radial}})
 
 
 # --- rational strings --------------------------------------------------------

@@ -4,6 +4,7 @@ Each test carries a `criterion` marker; the terminal summary prints one
 PASS/FAIL line per label.  All arithmetic assertions are exact equalities.
 """
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 
 from acforms.cli import EXIT_REFUTED, main as cli_main
 from acforms.construct import Instance, build, convergence_bound
-from acforms.decide import (decide, genericity_guard, obstruction,
+from acforms.decide import (decide, guarded_builds, obstruction,
                             obstruction_pair_check, verify_potential)
 from acforms.ideals import (MembershipWitness, TruncatedIdeal, colength,
                             graded_cover_check, membership_witness,
@@ -35,16 +36,9 @@ FAMILY_SIZE = 20
 
 
 def _guarded_family(C, D, count=FAMILY_SIZE, d=D_MAIN, N=N_MAIN):
-    """The first `count` guard-passing builds, scanning seeds upward."""
-    picked = []
-    seed = 0
-    while len(picked) < count:
-        seed += 1
-        assert seed < 500, "guard rejected an implausible number of seeds"
-        sigma, _ = build(Instance(d=d, N=N, C=C, D=D, seed=seed))
-        if genericity_guard(sigma).passed:
-            picked.append((seed, sigma))
-    return picked
+    """The first `count` guard-passing builds, scanning seeds upward: (seed, sigma)."""
+    builds = guarded_builds(Instance(d=d, N=N, C=C, D=D, seed=1))
+    return [(instance.seed, sigma) for instance, sigma, _ in itertools.islice(builds, count)]
 
 
 @pytest.fixture(scope="module")

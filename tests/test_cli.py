@@ -17,7 +17,7 @@ import acforms.cli as cli_module
 import acforms.construct as construct_module
 from acforms.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, EXIT_REFUTED, main
 from acforms.construct import AlmostClosedReport, Instance, build
-from acforms.decide import DeciderOutcome, genericity_guard
+from acforms.decide import DeciderOutcome, guarded_builds
 from acforms.ideals import TruncatedIdeal
 from acforms.linalg import verify_farkas
 from acforms.poly import _DEGREE_BOUND, OneForm
@@ -46,12 +46,7 @@ def _const_series_payload(value, trunc=3):
 
 def _first_guarded_refutable():
     """The first guard-passing d=18 N=22 build with C = x: (instance, sigma)."""
-    for seed in range(1, 30):
-        instance = Instance(d=18, N=22, C=series_x(3), D=zero_series(3), seed=seed)
-        sigma, _ = build(instance)
-        if genericity_guard(sigma).passed:
-            return instance, sigma
-    raise AssertionError("no guard-passing seed in range")
+    return next(guarded_builds(Instance(d=18, N=22, C=series_x(3), D=zero_series(3), seed=1)))[:2]
 
 
 @pytest.fixture(scope="module")
@@ -669,11 +664,7 @@ def test_batch_lets_internal_errors_propagate(tmp_path, monkeypatch):
 
 def _family_instance(c_parts):
     C = S(2, 3, c_parts) if c_parts else zero_series(3)
-    for seed in range(1, 30):
-        instance = Instance(d=18, N=22, C=C, D=zero_series(3), seed=seed)
-        if genericity_guard(build(instance)[0]).passed:
-            return instance
-    raise AssertionError("no guard-passing seed in range")
+    return next(guarded_builds(Instance(d=18, N=22, C=C, D=zero_series(3), seed=1)))[0]
 
 
 def test_batch_rows_match_decide(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from acforms import linalg
 from acforms.construct import Instance, build
-from acforms.decide import (GAUGE_ROW_LABEL, UNKNOWN_NAMES,
-                            decide, find_unit_solution, genericity_guard,
+from acforms.decide import (GAUGE_ROW_LABEL, UNKNOWN_NAMES, GuardCheck, GuardReport,
+                            decide, find_unit_solution, genericity_guard, guarded_builds,
                             obstruction, obstruction_pair_check, scaled_pair,
                             staged_report, tilde_transform,
                             verify_potential, with_gauge, _block_system,
@@ -307,6 +308,57 @@ def test_guard_rejects_bad_input():
         genericity_guard(OneForm((zero_series(4, 3),) * 3))
 
 
+def _stub_guard(monkeypatch, passes):
+    """Record the seed of every build `guarded_builds` makes, and replace its
+    guard by one whose report on the build of seed s passes iff passes(s);
+    returns the seeds and the report of each."""
+    seeds, reports = [], {}
+    real_build = decide_module.build
+
+    def recording_build(instance):
+        seeds.append(instance.seed)
+        return real_build(instance)
+
+    def stub_guard(sigma):
+        ok = passes(seeds[-1])
+        check = GuardCheck("leading_pair", True, 2, 2 if ok else 1, ok)
+        reports[seeds[-1]] = GuardReport(2, (check,))
+        return reports[seeds[-1]]
+
+    monkeypatch.setattr(decide_module, "build", recording_build)
+    monkeypatch.setattr(decide_module, "genericity_guard", stub_guard)
+    return seeds, reports
+
+
+_CHEAP = Instance(d=2, N=4, C=zero_series(1), D=zero_series(1), seed=7)
+
+
+def test_guarded_builds_give_up_after_100_failing_seeds(monkeypatch):
+    passing: set[int] = set()
+    seeds, _ = _stub_guard(monkeypatch, passing.__contains__)
+    with pytest.raises(RuntimeError, match="100 seeds in a row, through seed 106"):
+        next(guarded_builds(_CHEAP))
+    assert seeds == list(range(7, 107))
+    # a passing seed starts the count again
+    passing.update({7, 107})
+    seeds.clear()
+    builds = guarded_builds(_CHEAP)
+    assert [instance.seed for instance, _, _ in itertools.islice(builds, 2)] == [7, 107]
+    with pytest.raises(RuntimeError, match="through seed 207"):
+        next(builds)
+    assert seeds == list(range(7, 208))
+
+
+def test_guarded_builds_yield_only_passing_seeds(monkeypatch):
+    seeds, reports = _stub_guard(monkeypatch, lambda seed: seed % 2 == 0)
+    got = list(itertools.islice(guarded_builds(_CHEAP), 3))
+    assert seeds == list(range(7, 13))
+    assert [instance for instance, _, _ in got] == [replace(_CHEAP, seed=s) for s in (8, 10, 12)]
+    for instance, sigma, guard in got:
+        assert guard is reports[instance.seed] and guard.passed
+        assert sigma == build(instance)[0]
+
+
 # --- unit-condition search -----------------------------------------------------
 
 
@@ -553,11 +605,9 @@ def test_closed_form_witness_is_zero_in_both_branches():
 
 def _guarded_refutable_form(truncation=22):
     """The first guard-passing d=18 build with C = x."""
-    for seed in range(1, 30):
-        sigma = _build_generic(18, truncation, seed=seed, c_parts={1: {(1, 0): 1}})
-        if genericity_guard(sigma).passed:
-            return sigma
-    raise AssertionError("no guard-passing seed in range")
+    C = S(2, truncation - 19, {1: {(1, 0): 1}})
+    return next(guarded_builds(Instance(d=18, N=truncation, C=C, D=zero_series(truncation - 19),
+                                        seed=1)))[1]
 
 
 def _count_feeds(monkeypatch):

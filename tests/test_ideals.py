@@ -540,6 +540,15 @@ def test_witness_rejects_tampering():
     assert not bad.verify(squares)
 
 
+def test_verify_refuses_a_negative_valid_order():
+    squares = TruncatedIdeal((_mono_series(2, (2, 0)), _mono_series(2, (0, 2))))
+    wit = membership_witness(S(2, ORDER, {4: {(2, 2): 5}}), squares, 7)
+    assert wit.verify(squares) and replace(wit, valid_order=0).verify(squares)
+    for order in (-1, -7):
+        with pytest.raises(MismatchError, match="valid order .* is negative"):
+            replace(wit, valid_order=order).verify(squares)
+
+
 def test_witness_stages_make_no_series_products(monkeypatch):
     # two generators with two and three parts; the target has every
     # monomial of degrees 3 .. 6, so each stage solves for several columns
@@ -723,9 +732,10 @@ def _assert_verify_matches_fraction_residual(witness, ideal):
 def _witness_variants(witness, extra):
     """The witness, one cofactor with the term `extra` added, each cofactor
     truncated below the valid order, a cofactor dropped or repeated, and
-    valid orders one below and one above."""
+    valid orders one below, one above and -1."""
     variants = [witness, replace(witness, valid_order=max(witness.valid_order - 1, 0)),
                 replace(witness, valid_order=witness.valid_order + 1),
+                replace(witness, valid_order=-1),
                 replace(witness, cofactors=witness.cofactors[1:]),
                 replace(witness, cofactors=witness.cofactors + witness.cofactors[:1])]
     for i, c in enumerate(witness.cofactors):
