@@ -32,6 +32,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--every", type=int, default=1,
                         help="print every k-th order only (default 1)")
     args = parser.parse_args(argv)
+    if args.every < 1:
+        parser.error(f"--every must be at least 1, got {args.every}")
 
     N = args.degree + args.orders + 1
     trunc = max(2, N - 1 - args.degree)
@@ -39,21 +41,16 @@ def main(argv: list[str] | None = None) -> int:
     d_series = affine_series(args.d0, args.dx, args.dy, trunc)
 
     magnitude, growth, radius = convergence_bound(c, d_series)
-    sigma, state = build(Instance(d=args.degree, N=N, C=c, D=d_series,
-                                  seed=args.seed, mode="bounded"))
-    a, b = sigma.components
-
-    def norm(series, k):
-        return series.component(k).norm()
+    _, log = build(Instance(d=args.degree, N=N, C=c, D=d_series,
+                            seed=args.seed, mode="bounded"))
 
     print(f"{'k':>4}  {'|A_k|':>14} {'|B_k|':>14} {'ceiling |A|':>14} "
           f"{'ceiling |B|':>14}  ok")
     worst_ratio = Fraction(0)
     for k in range(args.degree + 1, N):
-        prev = max(norm(a, k - 1), norm(b, k - 1),
-                   norm(a, k - 2), norm(b, k - 2))
+        prev = log[k - 1]["running"]
         cap_a, cap_b = 4 * magnitude * prev, 8 * magnitude * prev
-        na, nb = norm(a, k), norm(b, k)
+        na, nb = log[k]["A"], log[k]["B"]
         ok = na <= cap_a and nb <= cap_b
         if prev:
             worst_ratio = max(worst_ratio, na / prev, nb / prev)

@@ -89,7 +89,7 @@ _RESIDUAL_FAILURE = "construction failed its own residual check at degree {}"
 
 
 def _build(instance: construct.Instance):
-    sigma, state = construct.build(instance)
+    sigma, norm_log = construct.build(instance)
     report = construct.verify_almost_closed(sigma, instance.C, instance.D)
     if not report.ok:
         print(_RESIDUAL_FAILURE.format(report.first_failure), file=sys.stderr)
@@ -98,7 +98,7 @@ def _build(instance: construct.Instance):
            "d": instance.d, "N": instance.N, "seed": instance.seed,
            "mode": instance.mode,
            "norms": {str(k): {name: _frac(v) for name, v in sorted(row.items())}
-                     for k, row in sorted(state.norm_log.items())}}
+                     for k, row in sorted(norm_log.items())}}
     return ({"sigma.json": serialize.one_form_to_json(sigma), "log.json": log},
             [f"built d={instance.d} N={instance.N} seed={instance.seed} "
              f"mode={instance.mode}; almost-closed residuals clean below "

@@ -21,7 +21,7 @@ positive radius of convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -85,92 +85,6 @@ def _require_affine_linear(s: TruncSeries, name: str) -> None:
                 "requires multipliers with constant and linear parts only")
 
 
-@dataclass
-class ConstructionState:
-    """Mutable scratch state while an instance is being built.
-
-    Never shared between builds; `build` returns it alongside the finished
-    form for audit (the norm log).
-    """
-
-    instance: Instance
-    a_parts: dict[int, HomogPoly] = field(default_factory=dict)
-    b_parts: dict[int, HomogPoly] = field(default_factory=dict)
-    norm_log: dict[int, dict[str, Fraction]] = field(default_factory=dict)
-
-    def highest_order(self) -> int:
-        """The last order built; zero components are logged but not stored."""
-        return max((*self.a_parts, *self.b_parts, *self.norm_log), default=-1)
-
-    def a_component(self, k: int) -> HomogPoly:
-        return self.a_parts.get(k, HomogPoly.zero(2, k))
-
-    def b_component(self, k: int) -> HomogPoly:
-        return self.b_parts.get(k, HomogPoly.zero(2, k))
-
-    def running_norm(self, k: int) -> Fraction:
-        """max of the component norms at degrees k and k-1, read off the norm log."""
-        return max((self.norm_log[j][name] for j in (k, k - 1) if j in self.norm_log
-                    for name in "AB"), default=Fraction(0))
-
-
-def init_leading(d: int, seed_poly: HomogPoly) -> tuple[HomogPoly, HomogPoly]:
-    """Leading pair (A_d, B_d) = (P_x, P_y) from a degree d+1 seed P."""
-    if d < 1:
-        raise MismatchError(f"lowest degree must be >= 1, got {d}")
-    if seed_poly.num_vars != 2:
-        raise MismatchError("seed polynomial must use two variables")
-    if seed_poly.degree != d + 1:
-        raise MismatchError(f"seed polynomial has degree {seed_poly.degree}, expected {d + 1}")
-    return seed_poly.partial(0), seed_poly.partial(1)
-
-
-def defect_component(state: ConstructionState, k: int) -> HomogPoly:
-    """The degree k-1 component of C*A + D*B from the data built so far."""
-    inst = state.instance
-    out = HomogPoly.zero(2, k - 1)
-    for i in range(0, k - inst.d):
-        ci = inst.C.component(i)
-        di = inst.D.component(i)
-        j = k - 1 - i
-        if not ci.is_zero:
-            out = out.add(ci.mul(state.a_component(j)))
-        if not di.is_zero:
-            out = out.add(di.mul(state.b_component(j)))
-    return out
-
-
-def extend_order(state: ConstructionState, k: int, free_poly: HomogPoly,
-                 top_a: Fraction, top_b: Fraction) -> tuple[HomogPoly, HomogPoly]:
-    """Append the order k pair determined by the free data.
-
-    free_poly is the chosen value of A_{k,y}; the pair returned satisfies
-    A_{k,y} - B_{k,x} = E_{k-1} exactly (asserted).
-    """
-    inst = state.instance
-    if state.highest_order() != k - 1:
-        raise MismatchError(f"orders up to {state.highest_order()} present, cannot extend to {k}")
-    if free_poly.num_vars != 2 or free_poly.degree != k - 1:
-        raise MismatchError(f"free polynomial must be homogeneous of degree {k - 1}")
-    defect = defect_component(state, k)
-    a_k = free_poly.antiderivative(1)
-    if top_a != 0:
-        a_k = a_k.add(HomogPoly(2, k, {(k, 0): Fraction(top_a)}))
-    b_k = free_poly.sub(defect).antiderivative(0)
-    if top_b != 0:
-        b_k = b_k.add(HomogPoly(2, k, {(0, k): Fraction(top_b)}))
-    check = a_k.partial(1).sub(b_k.partial(0)).sub(defect)
-    if not check.is_zero:
-        raise AssertionError(f"order {k} residual nonzero: {check}")
-    if not a_k.is_zero:
-        state.a_parts[k] = a_k
-    if not b_k.is_zero:
-        state.b_parts[k] = b_k
-    state.norm_log[k] = {"A": a_k.norm(), "B": b_k.norm()}
-    state.norm_log[k]["running"] = state.running_norm(k)
-    return a_k, b_k
-
-
 def _draw_homog(stream: Stream, degree: int, bound: int) -> HomogPoly:
     # integer coefficients, drawn in monomial order, are packed terms over 1
     terms = {key: v for key in _packed_monomials(2, degree)
@@ -214,54 +128,71 @@ def convergence_bound(C: TruncSeries, D: TruncSeries) -> tuple[Fraction, Fractio
     return cc, beta, Fraction(1) / beta
 
 
-def build(instance: Instance) -> tuple[OneForm, ConstructionState]:
-    """Deterministic construction of an instance.
+def _defect(instance: Instance, a: dict[int, HomogPoly], b: dict[int, HomogPoly],
+            k: int) -> HomogPoly:
+    """The degree k-1 component of C*A + D*B from the parts below degree k."""
+    out = HomogPoly.zero(2, k - 1)
+    for i in range(k - instance.d):
+        for multiplier, parts in ((instance.C, a), (instance.D, b)):
+            if not (m_i := multiplier.component(i)).is_zero:
+                out = out.add(m_i.mul(parts[k - 1 - i]))
+    return out
+
+
+def build(instance: Instance) -> tuple[OneForm, dict[int, dict[str, Fraction]]]:
+    """Deterministic construction of an instance, with its norm log.
 
     Draw order (documented for reproducibility): seed polynomial coefficients
     in monomial order, then per order k the free polynomial coefficients
     followed by the two top coefficients.  Bounded mode rescales the free
     polynomial to ||F|| = 2*CC*AA < 4*CC*AA and zeroes the top terms.
+
+    The log holds per degree k the norms `A` and `B` of A_k and B_k and
+    `running`, the largest of them at degrees k and k-1; bounded orders
+    below `b_vanish_from` add the free polynomial's norm `F` and its
+    ceiling `bound` = 4*CC*AA.
     """
     inst = instance
+    bound = inst.coeff_bound
     stream = Stream(inst.seed)
-    state = ConstructionState(instance=inst)
-
-    seed_poly = _draw_homog(stream, inst.d + 1, inst.coeff_bound)
-    a_d, b_d = init_leading(inst.d, seed_poly)
-    if not a_d.is_zero:
-        state.a_parts[inst.d] = a_d
-    if not b_d.is_zero:
-        state.b_parts[inst.d] = b_d
-    state.norm_log[inst.d] = {"A": a_d.norm(), "B": b_d.norm()}
-    state.norm_log[inst.d]["running"] = state.running_norm(inst.d)
-
+    seed_poly = _draw_homog(stream, inst.d + 1, bound)
+    a, b = {inst.d: seed_poly.partial(0)}, {inst.d: seed_poly.partial(1)}
     cc = multiplier_magnitude(inst.C, inst.D) if inst.mode == "bounded" else None
+    norm_log: dict[int, dict[str, Fraction]] = {}
+    previous: tuple[Fraction, ...] = ()
 
-    for k in range(inst.d + 1, inst.N):
-        raw = _draw_homog(stream, k - 1, inst.coeff_bound)
-        top_a = Fraction(stream.int_between(-inst.coeff_bound, inst.coeff_bound))
-        top_b = Fraction(stream.int_between(-inst.coeff_bound, inst.coeff_bound))
-        if inst.b_vanish_from is not None and k >= inst.b_vanish_from:
-            # spend the order k freedom on making B_k vanish
-            free = defect_component(state, k)
-            extend_order(state, k, free, top_a, Fraction(0))
-            continue
-        if inst.mode == "bounded":
-            target = 4 * cc * state.running_norm(k - 1)
-            raw_norm = raw.norm()
-            if target == 0 or raw_norm == 0:
-                free = HomogPoly.zero(2, k - 1)
+    for k in range(inst.d, inst.N):
+        row = {}
+        if k > inst.d:
+            raw = _draw_homog(stream, k - 1, bound)
+            top_a = stream.int_between(-bound, bound)
+            top_b = stream.int_between(-bound, bound)
+            defect = _defect(inst, a, b, k)
+            if inst.b_vanish_from is not None and k >= inst.b_vanish_from:
+                # spend the order k freedom on making B_k vanish
+                free, top_b = defect, 0
+            elif inst.mode == "bounded":
+                target = 4 * cc * norm_log[k - 1]["running"]
+                raw_norm = raw.norm()
+                free = (raw.scale(target / (2 * raw_norm)) if target and raw_norm
+                        else HomogPoly.zero(2, k - 1))
+                top_a = top_b = 0
+                row = {"F": free.norm(), "bound": target}
             else:
-                free = raw.scale(target / (2 * raw_norm))
-            extend_order(state, k, free, Fraction(0), Fraction(0))
-            state.norm_log[k]["F"] = free.norm()
-            state.norm_log[k]["bound"] = target
-        else:
-            extend_order(state, k, raw, top_a, top_b)
+                free = raw
+            # A_{k,y} = free and B_{k,x} = free - E_{k-1}, plus the free top terms
+            a[k] = free.antiderivative(1).add(HomogPoly.from_terms(2, k, {(k, 0): top_a}))
+            b[k] = free.sub(defect).antiderivative(0).add(
+                HomogPoly.from_terms(2, k, {(0, k): top_b}))
+            check = a[k].partial(1).sub(b[k].partial(0)).sub(defect)
+            if not check.is_zero:
+                raise AssertionError(f"order {k} residual nonzero: {check}")
+        norms = (a[k].norm(), b[k].norm())
+        norm_log[k] = {"A": norms[0], "B": norms[1], "running": max(*norms, *previous), **row}
+        previous = norms
 
-    a = TruncSeries(2, inst.N, dict(state.a_parts))
-    b = TruncSeries(2, inst.N, dict(state.b_parts))
-    return OneForm((a, b)), state
+    return OneForm(tuple(TruncSeries(2, inst.N, {k: p for k, p in parts.items() if not p.is_zero})
+                         for parts in (a, b))), norm_log
 
 
 @dataclass(frozen=True)

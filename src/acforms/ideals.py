@@ -27,9 +27,8 @@ ideals of interest contain a power of the maximal ideal m = (x1, ..., xn):
   higher-degree tails, and its zero-sliced combinations are carried to
   their next nonzero degree; two coprime leading forms give no dependent
   slice below N, so no full row is built.
-  `ideal_contained_mod` and `ideal_equal_mod` compare these graded ranks:
-  one ideal's image lies in another's iff adding its generators leaves the
-  other's rank unchanged.
+  `ideal_equal_mod` compares these graded ranks: one ideal's image lies in
+  another's iff adding its generators leaves the other's rank unchanged.
 * `membership_witness` runs the successive-approximation loop explicitly,
   one degree n at a time: the residual's degree-n component
   r_n = t_n - sum of c_{i,k} * g_{i,n-k} over the cofactor parts found so
@@ -288,12 +287,6 @@ def _image_rank(order: int, *ideals: TruncatedIdeal) -> int:
     share one truncation order."""
     return _graded_rank(TruncatedIdeal(tuple(
         g.truncate(order) for ideal in ideals for g in ideal.generators)), order)
-
-
-def ideal_contained_mod(inner: TruncatedIdeal, outer: TruncatedIdeal, order: int) -> bool:
-    """True iff the image of `inner` in R / m^order lies inside that of `outer`."""
-    _check_mod_order(inner, outer, order)
-    return _image_rank(order, outer, inner) == _image_rank(order, outer)
 
 
 def ideal_equal_mod(lhs: TruncatedIdeal, rhs: TruncatedIdeal, order: int) -> bool:

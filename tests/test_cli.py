@@ -331,18 +331,37 @@ _PINNED_BUILD = {
 }
 
 
-@pytest.mark.parametrize("mode, seed", sorted(_PINNED_BUILD))
-def test_build_artifacts_match_pinned_hashes(tmp_path, capsys, mode, seed):
+# the same builds at seed 1 with B_k forced to zero from degree 7 on; the
+# bounded log has `F` and `bound` entries below degree 7 only
+_PINNED_VANISHING_BUILD = {
+    "generic": ("f9640ef371207fe98b2344f6a9a5423f78d90437ddfd9d825085699ebdf9fa28",
+                "9d20362408c8e952f2972453505baff1f7c8740d88ee07fa0b137df4fe259d34"),
+    "bounded": ("2ba40e97989119f076ddadd59a10a65117b41e762a4a00ec3598a39a2a0e1495",
+                "fe346d8387551706f55336a454071e00788f36dc46e106ee5ab1f51a2d9c26b0"),
+}
+
+
+def _build_digests(tmp_path, capsys, mode, seed, b_vanish_from=None):
     c = S(2, 4, {0: {(0, 0): 1}, 1: {(1, 0): 1}} if mode == "bounded" else {1: {(1, 0): 1}})
     ip = tmp_path / "instance.json"
     _write(ip, instance_to_json(Instance(d=5, N=10, C=c, D=zero_series(4), seed=seed,
-                                         mode=mode)))
+                                         mode=mode, b_vanish_from=b_vanish_from)))
     out = tmp_path / "run"
     assert main(["build", str(ip), "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
-    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                    for name in ("log.json", "sigma.json"))
-    assert digests == _PINNED_BUILD[mode, seed]
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("log.json", "sigma.json"))
+
+
+@pytest.mark.parametrize("mode, seed", sorted(_PINNED_BUILD))
+def test_build_artifacts_match_pinned_hashes(tmp_path, capsys, mode, seed):
+    assert _build_digests(tmp_path, capsys, mode, seed) == _PINNED_BUILD[mode, seed]
+
+
+@pytest.mark.parametrize("mode", sorted(_PINNED_VANISHING_BUILD))
+def test_vanishing_b_build_artifacts_match_pinned_hashes(tmp_path, capsys, mode):
+    digests = _build_digests(tmp_path, capsys, mode, 1, b_vanish_from=7)
+    assert digests == _PINNED_VANISHING_BUILD[mode]
 
 
 def test_emitted_certificate_audits_standalone(refuted_run):

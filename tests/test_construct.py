@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acforms.construct import (ConstructionState, HypothesisError, Instance,
-                               affine_series, build, convergence_bound,
-                               defect_component, extend_order, init_leading,
-                               multiplier_magnitude, verify_almost_closed)
-from acforms.poly import HomogPoly, MismatchError, OneForm, TruncSeries
-from conftest import H, S, form, series_x, zero_series
+from acforms.construct import (HypothesisError, Instance, _draw_homog, affine_series,
+                               build, convergence_bound, multiplier_magnitude,
+                               verify_almost_closed)
+from acforms.poly import MismatchError
+from acforms.prng import Stream
+from conftest import S, form, series_x, zero_series
 from oracles import poly_add, poly_mul, poly_partial, series_dict
 
 
@@ -61,29 +61,13 @@ def test_build_is_deterministic():
 
 
 def test_leading_pair_is_gradient_of_seed():
-    p = H(2, 4, {(4, 0): 1, (2, 2): 3, (0, 4): -2})
-    a3, b3 = init_leading(3, p)
-    assert a3.coeffs == p.partial(0).coeffs
-    assert b3.coeffs == p.partial(1).coeffs
-    with pytest.raises(MismatchError):
-        init_leading(2, p)          # degree mismatch
-    with pytest.raises(MismatchError):
-        init_leading(0, H(2, 1, {(1, 0): 1}))
-
-
-def test_extend_order_enforces_sequencing_and_shape():
-    inst = _instance(d=2, N=6)
-    state = ConstructionState(instance=inst)
-    a2, b2 = init_leading(2, H(2, 3, {(3, 0): 1, (0, 3): 1}))
-    state.a_parts[2] = a2
-    state.b_parts[2] = b2
-    with pytest.raises(MismatchError):
-        extend_order(state, 4, HomogPoly.zero(2, 3), Fraction(0), Fraction(0))
-    with pytest.raises(MismatchError):
-        extend_order(state, 3, HomogPoly.zero(2, 3), Fraction(0), Fraction(0))
-    a3, b3 = extend_order(state, 3, H(2, 2, {(1, 1): 2}), Fraction(1), Fraction(-1))
-    defect = defect_component(state, 3)
-    assert a3.partial(1).sub(b3.partial(0)).coeffs == defect.coeffs
+    # the seed polynomial P is drawn first, and (A_d, B_d) = (P_x, P_y)
+    for d, seed, mode in [(2, 1, "generic"), (3, 4, "bounded"), (5, 9, "generic")]:
+        sigma, _ = build(_instance(d=d, N=d + 3, seed=seed, coeff_bound=7, mode=mode))
+        p = _draw_homog(Stream(seed), d + 1, 7)
+        a, b = sigma.components
+        assert a.component(d) == p.partial(0)
+        assert b.component(d) == p.partial(1)
 
 
 # --- instance validation -----------------------------------------------------
@@ -123,7 +107,7 @@ def test_bounded_build_respects_norm_recursion():
     C = S(2, 20, {0: {(0, 0): 1}, 1: {(1, 0): 1}})
     D = zero_series(20)
     inst = Instance(d=2, N=23, C=C, D=D, seed=11, mode="bounded")
-    sigma, state = build(inst)
+    sigma, norm_log = build(inst)
     cc = multiplier_magnitude(C, D)
     a, b = sigma.components
     running = max(a.component(2).norm(), b.component(2).norm())
@@ -131,9 +115,9 @@ def test_bounded_build_respects_norm_recursion():
         na, nb = a.component(k).norm(), b.component(k).norm()
         assert na <= 4 * cc * running
         assert nb <= 8 * cc * running
-        bound = state.norm_log[k]["bound"]
+        bound = norm_log[k]["bound"]
         if bound > 0:
-            assert state.norm_log[k]["F"] < bound
+            assert norm_log[k]["F"] < bound
         # the free data goes through a y-antiderivative, so no pure x^k top
         assert a.component(k).coeff((k, 0)) == 0
         running = max(running, na, nb)
@@ -143,12 +127,12 @@ def test_bounded_build_with_zero_multipliers_keeps_the_leading_pair():
     # every later order is zero, so nothing past degree d is stored
     inst = Instance(d=2, N=8, C=zero_series(5), D=zero_series(5), seed=3,
                     mode="bounded")
-    sigma, state = build(inst)
+    sigma, norm_log = build(inst)
     # the seed polynomial is drawn first, so an N = d + 1 build is the leading pair
     leading, _ = build(Instance(d=2, N=3, C=zero_series(0), D=zero_series(0), seed=3))
     for comp, lead in zip(sigma.components, leading.components):
         assert set(comp.parts) == {2} and comp.parts == lead.parts
-    assert sorted(state.norm_log) == list(range(2, 8))
+    assert sorted(norm_log) == list(range(2, 8))
     assert verify_almost_closed(sigma, inst.C, inst.D).ok
 
 

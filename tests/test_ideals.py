@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 from acforms.construct import Instance, build
 from acforms.decide import genericity_guard
 from acforms.ideals import (MembershipWitness, TruncatedIdeal, colength,
-                            graded_cover_check, ideal_contained_mod,
-                            ideal_equal_mod, membership_witness,
-                            min_power_in_ideal)
+                            graded_cover_check, ideal_equal_mod,
+                            membership_witness, min_power_in_ideal)
 from acforms.poly import HomogPoly, MismatchError, TruncSeries, graded_dim, monomials
 from acforms.prng import Stream
 from conftest import H, S, series_x, zero_series
@@ -393,8 +392,14 @@ def test_cover_questions_each_run_one_leading_pass(monkeypatch):
 def test_containment_mod_order():
     squares = TruncatedIdeal((_mono_series(2, (2, 0)), _mono_series(2, (0, 2))))
     maximal = TruncatedIdeal((_mono_series(2, (1, 0)), _mono_series(2, (0, 1))))
-    assert ideal_contained_mod(squares, maximal, 6)
-    assert not ideal_contained_mod(maximal, squares, 6)
+    both = TruncatedIdeal(maximal.generators + squares.generators)
+    # squares lie inside the maximal ideal but not the other way round
+    assert _brute_contained(squares, maximal, 6) and not _brute_contained(maximal, squares, 6)
+    assert not ideal_equal_mod(squares, maximal, 6)
+    assert not ideal_equal_mod(maximal, squares, 6)
+    # adding contained generators leaves the image unchanged
+    assert _brute_contained(both, maximal, 6) and _brute_contained(maximal, both, 6)
+    assert ideal_equal_mod(both, maximal, 6) and ideal_equal_mod(maximal, both, 6)
 
 
 def test_equality_is_an_equivalence_on_sampled_pairs():
@@ -469,10 +474,8 @@ def test_comparisons_match_the_fraction_image():
     @given(comparison_pairs())
     def check(pair):
         kind, lhs, rhs, order = pair
-        inside = ideal_contained_mod(lhs, rhs, order)
-        outside = ideal_contained_mod(rhs, lhs, order)
-        assert inside == _brute_contained(lhs, rhs, order)
-        assert outside == _brute_contained(rhs, lhs, order)
+        inside = _brute_contained(lhs, rhs, order)
+        outside = _brute_contained(rhs, lhs, order)
         equal = ideal_equal_mod(lhs, rhs, order)
         assert equal == ideal_equal_mod(rhs, lhs, order) == (inside and outside)
         if kind == "same":
@@ -489,7 +492,7 @@ def test_comparisons_match_the_fraction_image():
 def test_mod_order_requires_certified_range():
     squares = TruncatedIdeal((_mono_series(2, (2, 0)), _mono_series(2, (0, 2))))
     with pytest.raises(MismatchError):
-        ideal_contained_mod(squares, squares, ORDER + 1)
+        ideal_equal_mod(squares, squares, ORDER + 1)
     with pytest.raises(MismatchError):
         graded_cover_check(squares, ORDER)
     with pytest.raises(MismatchError):
@@ -503,7 +506,7 @@ def test_mod_order_rejects_a_negative_modulus():
         with pytest.raises(MismatchError, match="negative"):
             ideal_equal_mod(maximal, x_only, order)
         with pytest.raises(MismatchError, match="negative"):
-            ideal_contained_mod(maximal, x_only, order)
+            ideal_equal_mod(x_only, maximal, order)
     # R / m^0 is the zero ring, where every two ideals agree
     assert ideal_equal_mod(maximal, x_only, 0)
     assert not ideal_equal_mod(maximal, x_only, 2)
